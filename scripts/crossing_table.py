@@ -6,8 +6,10 @@ Usage: python3 scripts/crossing_table.py [--n-min 2] [--n-max 12]
 
 import argparse
 
+import numpy as np
+
 from dispbound.asymptotics import compare
-from dispbound.constants import constants_row, suboptimality_factor
+from dispbound.constants import constants_table, sphere_reference
 
 ASYMPTOTIC_PROBES = (100, 1_000, 10_000)
 
@@ -22,9 +24,10 @@ def main() -> None:
 
     print(f"{'n':>4}  {'rho_n':>10}  {'c_n':>12}  {'rho_star':>12}  "
           f"{'log_h_n':>12}  {'log_subopt':>12}")
-    for n in range(args.n_min, args.n_max + 1):
-        row = constants_row(n, args.kind)
-        subopt = suboptimality_factor(n, args.kind).log_magnitude
+    table = constants_table(np.arange(args.n_min, args.n_max + 1), args.kind)
+    for row in map(table.row, range(len(table.n))):
+        n = row.n
+        subopt = row.log_h_n - sphere_reference(n).log_magnitude
         print(f"{n:>4}  {row.rho_n:>10.6f}  {row.c_n:>12.6g}  "
               f"{row.rho_star:>12.8f}  {row.log_h_n:>12.5f}  {subopt:>12.5f}")
 

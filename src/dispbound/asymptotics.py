@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import DEFAULT_KIND, Kind, _check_kind, a_n, b_n, c_n, solve_crossing
+from .constants import DEFAULT_KIND, Kind, _check_dim, _check_kind, constants_table
 from .errors import ConfigurationError, DivergenceError, DomainError
-from .numerics import log_gamma, log_gamma_array
+from .numerics import LogReal, log_gamma, log_gamma_array
 
 __all__ = [
     "QUANTITIES",
@@ -58,7 +58,11 @@ def _check_order(order_n: int) -> int:
 
 def inversion_radius(order_n: int) -> float:
     """Convergence radius of the inverse series: N / (N+1)^(1 + 1/N)."""
-    n = _check_order(order_n)
+    return _inversion_radius(_check_order(order_n))
+
+
+def _inversion_radius(n):
+    """N / (N+1)^(1 + 1/N) for a validated order, or an array of them."""
     return n / (n + 1.0) ** (1.0 + 1.0 / n)
 
 
@@ -216,17 +220,9 @@ def phi_n(order_n: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_asym_dim(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"dimension must be an integer, got {n!r}")
-    if n < 2:
-        raise DomainError(f"dimension must be >= 2, got {n}")
-    return int(n)
-
-
 def asymptotic_c_n(n: int, kind: Kind = DEFAULT_KIND) -> float:
     """Leading-plus-correction approximation of the crossing coefficient."""
-    n = _check_asym_dim(n)
+    n = _check_dim(n)
     kind = _check_kind(kind)
     correction = 1.0 if kind == "pal_firey" else 0.75
     if kind == "pal_firey":
@@ -240,7 +236,7 @@ def asymptotic_c_n(n: int, kind: Kind = DEFAULT_KIND) -> float:
 
 def asymptotic_rho_star(n: int, kind: Kind = DEFAULT_KIND) -> float:
     """Leading-plus-correction approximation of the crossing point."""
-    n = _check_asym_dim(n)
+    n = _check_dim(n)
     kind = _check_kind(kind)
     if kind == "pal_firey":
         lead = math.sqrt(2.0 * math.e / math.pi)
@@ -261,7 +257,7 @@ def asymptotic_log_h_n(n: int, kind: Kind = DEFAULT_KIND) -> float:
     log1p; at small odd dimensions that bracket goes nonpositive and the
     printed formula stops meaning anything, which raises DomainError.
     """
-    n = _check_asym_dim(n)
+    n = _check_dim(n)
     kind = _check_kind(kind)
     if kind == "pal_firey":
         return (
@@ -300,7 +296,7 @@ def asymptotic_log_h_n(n: int, kind: Kind = DEFAULT_KIND) -> float:
 
 def asymptotic_log_h_n_factorial_form(n: int) -> float:
     """Alternative factorial form of the log crossing value approximation."""
-    n = _check_asym_dim(n)
+    n = _check_dim(n)
     return (
         math.e / math.pi
         - log_gamma(n + 1.0)
@@ -311,7 +307,7 @@ def asymptotic_log_h_n_factorial_form(n: int) -> float:
 
 def asymptotic_ab_ratio(n: int) -> float:
     """Approximation of the coefficient ratio a_n/b_n near its limit 2*sqrt(e)."""
-    n = _check_asym_dim(n)
+    n = _check_dim(n)
     return math.exp(
         math.log(2.0 * math.sqrt(math.e))
         + math.log(n) / (2.0 * n)
@@ -321,7 +317,7 @@ def asymptotic_ab_ratio(n: int) -> float:
 
 def asymptotic_log_suboptimality(n: int) -> float:
     """Approximation of the log ratio of the crossing value to the sphere reference."""
-    n = _check_asym_dim(n)
+    n = _check_dim(n)
     bracket = -math.sqrt(2.0 * math.e / math.pi) * math.log(n) / math.sqrt(n)
     if bracket <= -1.0:  # never triggers for n >= 2, kept for symmetry
         raise DomainError(f"correction exceeds leading term at n={n}")
@@ -364,33 +360,37 @@ def _report(n: int, quantity: str, exact: float, approx: float) -> AsymptoticRep
 def compare(
     n_values: Sequence[int], quantity: str, kind: Kind = DEFAULT_KIND
 ) -> list[AsymptoticReport]:
-    """Pair exact pipeline values with their approximations over n_values."""
+    """Pair exact pipeline values with their approximations over n_values.
+
+    The exact values come from one constants table over n_values.  Two
+    quantities pin the kind whatever ``kind`` says: ``ab_ratio`` is the
+    Pal-Firey a_n/b_n (the ratio whose limit is 2 sqrt(e)), and
+    ``bezdek_log_h_n`` is ln h_n for the Bezdek constants.
+    """
     if quantity not in QUANTITIES:
         raise ConfigurationError(
             f"unknown quantity {quantity!r}; expected one of {QUANTITIES}"
         )
     kind = _check_kind(kind)
-    reports: list[AsymptoticReport] = []
-    for n in n_values:
-        n = _check_asym_dim(n)
-        if quantity == "c_n":
-            exact = c_n(n, kind).to_float()
-            approx = asymptotic_c_n(n, kind)
-        elif quantity == "rho_star":
-            result = solve_crossing(n, kind)
-            exact = result.rho_star
-            approx = asymptotic_rho_star(n, kind)
-        elif quantity == "log_h_n":
-            exact = solve_crossing(n, kind).log_h
-            approx = asymptotic_log_h_n(n, kind)
-        elif quantity == "ab_ratio":
-            exact = math.exp(a_n(n).log_magnitude - b_n(n).log_magnitude)
-            approx = asymptotic_ab_ratio(n)
-        else:  # bezdek_log_h_n pins the kind regardless of the argument
-            exact = solve_crossing(n, "bezdek").log_h
-            approx = asymptotic_log_h_n(n, "bezdek")
-        reports.append(_report(n, quantity, exact, approx))
-    return reports
+    ns = [_check_dim(n) for n in n_values]
+    table_kind = {"ab_ratio": "pal_firey", "bezdek_log_h_n": "bezdek"}.get(quantity, kind)
+    table = constants_table(np.array(ns, dtype=np.int64), table_kind)
+    if quantity == "c_n":
+        exact = [LogReal.from_log(v).to_float() for v in table.log_c]
+        approx = [asymptotic_c_n(n, kind) for n in ns]
+    elif quantity == "rho_star":
+        exact = table.rho_star
+        approx = [asymptotic_rho_star(n, kind) for n in ns]
+    elif quantity == "log_h_n":
+        exact = table.log_h
+        approx = [asymptotic_log_h_n(n, kind) for n in ns]
+    elif quantity == "ab_ratio":
+        exact = table.ab_ratio
+        approx = [asymptotic_ab_ratio(n) for n in ns]
+    else:
+        exact = table.log_h
+        approx = [asymptotic_log_h_n(n, "bezdek") for n in ns]
+    return [_report(n, quantity, float(e), a) for n, e, a in zip(ns, exact, approx)]
 
 
 # ---------------------------------------------------------------------------
@@ -419,21 +419,17 @@ def measured_thresholds(n_max: int = 2000, kind: Kind = DEFAULT_KIND) -> Thresho
     if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) or n_max < 2:
         raise ConfigurationError(f"n_max must be an integer >= 2, got {n_max!r}")
     kind = _check_kind(kind)
-    last_bracket_fail = 1
-    last_radius_fail = 1
-    last_monotone_fail = 1
-    for n in range(2, int(n_max) + 1):
-        c = c_n(n, kind).to_float()
-        rho = solve_crossing(n, kind).rho_star
-        if not (1.0 + c - c * c / (n - 1.0) <= rho <= 1.0 + c):
-            last_bracket_fail = n
-        if not c < inversion_radius(n - 1):
-            last_radius_fail = n
-        if not c < (n - 1.0) / (n * math.e):
-            last_monotone_fail = n
+    ns = np.arange(2, int(n_max) + 1, dtype=np.int64)
+    table = constants_table(ns, kind)
+    nf, c, rho = ns.astype(float), np.exp(table.log_c), table.rho_star
+
+    def start(holds: np.ndarray) -> int:  # one past the last failing n
+        fails = np.flatnonzero(~holds)
+        return int(ns[fails[-1]]) + 1 if fails.size else 2
+
     return ThresholdReport(
-        bracket_start=last_bracket_fail + 1,
-        radius_entry=last_radius_fail + 1,
-        monotone_terms_entry=last_monotone_fail + 1,
+        bracket_start=start((1.0 + c - c * c / (nf - 1.0) <= rho) & (rho <= 1.0 + c)),
+        radius_entry=start(c < _inversion_radius(nf - 1.0)),
+        monotone_terms_entry=start(c < (nf - 1.0) / (nf * math.e)),
         scan_limit=int(n_max),
     )

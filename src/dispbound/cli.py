@@ -28,11 +28,10 @@ from .asymptotics import QUANTITIES, compare
 from .constants import (
     DEFAULT_KIND,
     KINDS,
-    constants_row,
+    constants_table,
     quoted_closed_form_h2,
     scan_ab,
     sphere_reference,
-    suboptimality_factor,
 )
 from .errors import ConfigurationError, NumericalError
 from .geometry import PolygonBoundary, Polytope3, cube, load_body
@@ -233,9 +232,11 @@ def _linear_or_marker(log_value: float) -> float | str:
 
 def cmd_constants(args: argparse.Namespace) -> int:
     _check_range(args.n_min, args.n_max)
+    table = constants_table(np.arange(args.n_min, args.n_max + 1), args.kind)
     rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        row = constants_row(n, args.kind)
+    for i, n in enumerate(range(args.n_min, args.n_max + 1)):
+        row = table.row(i)
+        log_reference = sphere_reference(n).log_magnitude
         rows.append(
             {
                 "n": row.n,
@@ -248,10 +249,8 @@ def cmd_constants(args: argparse.Namespace) -> int:
                 "log_h_n": row.log_h_n,
                 "h_n": _linear_or_marker(row.log_h_n),
                 "paper_quoted": quoted_closed_form_h2() if n == 2 else None,
-                "log_sphere_reference": sphere_reference(n).log_magnitude,
-                "log_suboptimality": suboptimality_factor(
-                    n, args.kind
-                ).log_magnitude,
+                "log_sphere_reference": log_reference,
+                "log_suboptimality": row.log_h_n - log_reference,
                 "kind": row.pal_constant_kind,
             }
         )
@@ -263,7 +262,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
             f"{quoted_closed_form_h2():.6g}, printed beside the pipeline "
             "value on purpose: it equals a first-branch crossing against a "
             "halved comparison constant, not the crossing-pipeline h_2 "
-            f"(= {math.exp(constants_row(2, args.kind).log_h_n):.6g}); "
+            f"(= {rows[0]['h_n']:.6g}); "
             "see README for the reconciliation."
         )
     if any(row["h_n"] == UNDERFLOW_MARKER for row in rows):

@@ -9,6 +9,10 @@ the crossing coefficients ``a_n``/``b_n``/``c_n``, and the crossing point
 ``rho_star`` whose common value ``h_n = i_n(rho*) = j_n(rho*)`` is the
 dimensional constant of the main area bound.
 
+Every per-dimension constant is computed array-first by
+:func:`constants_table`; ``rho_n``, ``a_n``, ``b_n``, ``c_n``,
+``solve_crossing`` and the other scalar functions of n are tables of one.
+
 The crossing is solved on ``u = ln(rho - 1)`` where the defining equation
 ``rho (rho-1)^(n-1) = RHS`` becomes ``log1p(e^u) + (n-1) (u - ln c_n) = 0``,
 a strictly increasing function with a guaranteed analytic bracket, so plain
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -29,16 +34,18 @@ from .numerics import (
     LOG_PI,
     LogReal,
     log_double_factorial,
-    log_gamma,
     log_gamma_array,
     log_unit_ball_volume,
     log_unit_ball_volume_array,
     log_unit_sphere_area,
+    log_unit_sphere_area_array,
 )
 
 Kind = Literal["pal_firey", "bezdek"]
 KINDS: tuple[str, ...] = ("pal_firey", "bezdek")
 DEFAULT_KIND: Kind = "pal_firey"
+
+LOG_3 = math.log(3.0)
 
 #: Linear-scale values quoted in the source literature for small dimensions.
 #: These are display values only; the crossing pipeline computes its own h_n
@@ -56,6 +63,13 @@ def _check_dim(n: int, minimum: int = 2) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < minimum:
         raise DomainError(f"dimension must be an integer >= {minimum}, got {n!r}")
     return int(n)
+
+
+def _check_dims(ns) -> np.ndarray:
+    ns = np.asarray(ns)
+    if ns.ndim != 1 or ns.dtype.kind not in "iu" or (ns.size and ns.min() < 2):
+        raise DomainError(f"dimensions must be a 1-d integer array of n >= 2, got {ns!r}")
+    return ns.astype(np.int64)
 
 
 def _check_rho(rho: float, allow_one: bool = False) -> float:
@@ -83,23 +97,312 @@ def _log_gap_ratio(rho: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Branch point and the piecewise envelope
+# The constants table: int64 arrays of n >= 2 in, one array per column out
 # ---------------------------------------------------------------------------
 
 
-def rho_n(n: int) -> float:
-    """Branch point (n-1) w_{n-1} / ((n-1) w_{n-1} - w_{n-2}) of the envelope.
+def _log_width_constant(d: np.ndarray, kind: str) -> np.ndarray:
+    """ln of the width-volume constant C_d (see :func:`pal_constant`)."""
+    df = d.astype(float)
+    if kind == "pal_firey":
+        return LOG_2 - 0.5 * LOG_3 - log_gamma_array(df + 1.0)
+    # exact double factorials, each distinct argument summed once
+    ks = np.unique(np.concatenate((d - 1, d, d + 1, d + 2)))
+    log_dfs = np.array([log_double_factorial(k) for k in ks.tolist()])
 
-    Computed as 1/(1 - t) with t = w_{n-2} / ((n-1) w_{n-1}) evaluated in the
-    log domain (w_k = unit k-ball volume); t < 1 for every n >= 2.
+    def ldf(k: np.ndarray) -> np.ndarray:
+        return log_dfs[np.searchsorted(ks, k)]
+
+    head = LOG_3 + (df - 3.0) * LOG_PI
+    even = head + ldf(d + 2) - 2.0 * np.log(df + 1.0) - 2.0 * ldf(d) - 3.0 * ldf(d - 1)
+    odd = head + ldf(d + 1) - (df - 2.0) * LOG_2 - 5.0 * ldf(d)
+    return 0.5 * np.where(d % 2 == 0, even, odd)
+
+
+def _log_a_b(ns: np.ndarray, kind: str) -> tuple[np.ndarray, ...]:
+    """ln a_n and ln b_n, then the terms the crossing reuses: ln(n-1),
+    ln w_{n-1}, ln w_{n-2} (w_k = unit k-ball volume) and ln(C_{n+1}/w_{n+1})."""
+    lv = log_unit_ball_volume_array
+    nf = ns.astype(float)
+    log_nm1, lv_nm1, lv_nm2 = np.log(nf - 1.0), lv(ns - 1), lv(ns - 2)
+    log_width = _log_width_constant(ns + 1, kind) - lv(ns + 1)
+    # a_n = (2^(n-1) pi n)^(1/n) (C_{n+1}/w_{n+1})^(1/(n+1))
+    log_a = ((nf - 1.0) * LOG_2 + LOG_PI + np.log(nf)) / nf + log_width / (nf + 1.0)
+    # b_n = 1/expm1(g) with g = ln((n-1) w_{n-1}/w_{n-2}) > 0, so
+    # ln expm1(g) = g + log1p(-exp(-g)) is stable
+    g = log_nm1 + lv_nm1 - lv_nm2
+    log_b = -(g + np.log1p(-np.exp(-g)))
+    return log_a, log_b, log_nm1, lv_nm1, lv_nm2, log_width
+
+
+@dataclass(frozen=True)
+class CrossingResult:
+    """Solution of i_n(rho) = j_n(rho): location, branch, value, residual."""
+
+    n: int
+    kind: str
+    rho_star: float
+    branch: str  # "first" (rho* <= rho_n) or "second" (rho* > rho_n)
+    log_delta: float  # ln(rho_star - 1), the solver's native variable
+    log_h: float  # ln of the common crossing value
+    residual: float  # log-scale defect |ln i_n - ln j_n| at the solution
+
+
+@dataclass(frozen=True)
+class ConstantsRow:
+    """One dimension's worth of crossing data (linear scale where safe)."""
+
+    n: int
+    rho_n: float
+    a_n: float
+    b_n: float
+    c_n: float
+    rho_star: float
+    log_h_n: float
+    branch: str
+    pal_constant_kind: str
+
+
+@dataclass(frozen=True)
+class ConstantsTable:
+    """Per-dimension crossing data, one array entry per requested n."""
+
+    n: np.ndarray
+    kind: str
+    rho_n: np.ndarray
+    log_a: np.ndarray
+    log_b: np.ndarray
+    log_c: np.ndarray
+    branch: np.ndarray  # "first" (a_n <= b_n, rho* = 1 + a_n) or "second"
+    log_delta: np.ndarray  # ln(rho_star - 1)
+    rho_star: np.ndarray
+    residual: np.ndarray  # |ln i_n - ln j_n| at the solution
+    log_h: np.ndarray  # ln h_n = ln i_n(rho*) = ln j_n(rho*)
+
+    @property
+    def ab_ratio(self) -> np.ndarray:
+        """a_n / b_n; the crossing lies past the branch point iff it is > 1."""
+        return np.exp(self.log_a - self.log_b)
+
+    def crossing(self, i: int) -> CrossingResult:
+        return CrossingResult(
+            int(self.n[i]), self.kind, float(self.rho_star[i]), str(self.branch[i]),
+            float(self.log_delta[i]), float(self.log_h[i]), float(self.residual[i]),
+        )
+
+    def row(self, i: int) -> ConstantsRow:
+        linear = [LogReal.from_log(c[i]).to_float() for c in (self.log_a, self.log_b, self.log_c)]
+        return ConstantsRow(
+            int(self.n[i]), float(self.rho_n[i]), *linear, float(self.rho_star[i]),
+            float(self.log_h[i]), str(self.branch[i]), self.kind,
+        )
+
+
+def _solve_second_branch(ns: np.ndarray, log_c: np.ndarray, kind: str) -> np.ndarray:
+    """ln(rho* - 1) for crossings past the branch point.
+
+    Solves rho (rho-1)^(n-1) = c_n^(n-1) in v = ln(rho-1) - ln c_n, where it
+    reads g(v) = log1p(c_n e^v) + (n-1) v = 0: strictly increasing, with a
+    sign change guaranteed on [-log1p(c_n), 0].  Each n bisects until its own
+    bracket is below 1e-15 relative, then takes two Newton steps.
     """
-    n = _check_dim(n)
-    log_t = (
-        log_unit_ball_volume(n - 2)
-        - math.log(n - 1)
-        - log_unit_ball_volume(n - 1)
+    nm1 = ns - 1.0
+
+    def g(v, log_c, nm1):
+        return np.log1p(np.exp(v + log_c)) + nm1 * v
+
+    lo = -np.log1p(np.exp(log_c))
+    hi = np.zeros_like(lo)
+    g_lo, g_hi = g(lo, log_c, nm1), g(hi, log_c, nm1)
+    unbracketed = np.flatnonzero(~((g_lo <= 0.0) & (0.0 <= g_hi)))
+    if unbracketed.size:
+        i = unbracketed[0]
+        raise NumericalError(
+            "failed to bracket the crossing equation",
+            diagnostics={
+                "n": int(ns[i]), "kind": kind, "log_c": float(log_c[i]),
+                "g_lo": float(g_lo[i]), "g_hi": float(g_hi[i]),
+                "rho_window": (1.0 + 1e-12, 1e6),
+            },
+        )
+    live = np.arange(len(ns))
+    for _ in range(120):
+        if not live.size:
+            break
+        l, h = lo[live], hi[live]
+        mid = 0.5 * (l + h)
+        below = g(mid, log_c[live], nm1[live]) <= 0.0
+        l, h = np.where(below, mid, l), np.where(below, h, mid)
+        lo[live], hi[live] = l, h
+        live = live[~(h - l <= 1e-15 * np.maximum(1.0, np.abs(l)))]
+    v = 0.5 * (lo + hi)
+    for _ in range(2):  # Newton polish: g' = w/(1+w) + (n-1), w = c e^v
+        w = np.exp(v + log_c)
+        v = v - g(v, log_c, nm1) / (w / (1.0 + w) + nm1)
+    return v + log_c
+
+
+def constants_table(ns, kind: Kind = DEFAULT_KIND, tol: float = 1e-10) -> ConstantsTable:
+    """Every per-dimension constant and the crossing, over an integer array.
+
+    The crossing is the unique rho > 1 with i_n(rho) = j_n(rho).  If
+    a_n <= b_n it lies on the first branch and is the closed form
+    rho* = 1 + a_n; otherwise it lies past the branch point (see
+    :func:`_solve_second_branch`).  Raises NumericalError naming the first n
+    whose crossing cannot be bracketed or whose residual exceeds tol.
+    """
+    ns = _check_dims(ns)
+    _check_kind(kind)
+    if not (tol > 0.0):
+        raise ConfigurationError(f"tol must be positive, got {tol!r}")
+    nf = ns.astype(float)
+    log_a, log_b, log_nm1, lv_nm1, lv_nm2, log_width = _log_a_b(ns, kind)
+    # right side of rho (rho-1)^(n-1) = pi n (n-1) 2^(n-1) (w_{n-1}/w_{n-2})
+    # (C_{n+1}/w_{n+1})^(n/(n+1)), and the exponent shared with j_n
+    log_kind_ratio = nf / (nf + 1.0) * log_width
+    log_rhs = (
+        LOG_PI + np.log(nf) + log_nm1 + (nf - 1.0) * LOG_2 + lv_nm1 - lv_nm2
+        + log_kind_ratio
     )
-    return 1.0 / (1.0 - math.exp(log_t))
+    log_c = log_rhs / (nf - 1.0)
+
+    second = log_a > log_b
+    log_delta = log_a.copy()
+    log_delta[second] = _solve_second_branch(ns[second], log_c[second], kind)
+    delta = np.exp(log_delta)
+    log1p_delta = np.log1p(delta)
+    # ln j_n(rho*), with ln rho* = log1p(delta)
+    log_h = log_unit_sphere_area_array(ns) + log_kind_ratio - nf * log1p_delta
+    # past the branch point ln i_n - ln j_n collapses to g(v) exactly
+    residual = np.abs((nf - 1.0) * log_delta + log1p_delta - log_rhs)
+    for i in np.flatnonzero(~second):
+        residual[i] = abs(
+            _log_i_branch1(int(ns[i]), log_delta[i] - log1p_delta[i]) - log_h[i]
+        )
+    failed = np.flatnonzero(residual > tol)
+    if failed.size:
+        i = failed[0]
+        diagnostics = {"n": int(ns[i]), "kind": kind, "residual": float(residual[i]), "tol": tol}
+        raise NumericalError("crossing residual exceeds tolerance", diagnostics=diagnostics)
+    # rho_n = 1/(1 - t) with t = w_{n-2} / ((n-1) w_{n-1}) < 1
+    rho_n = 1.0 / (1.0 - np.exp(lv_nm2 - log_nm1 - lv_nm1))
+    return ConstantsTable(
+        ns, kind, rho_n, log_a, log_b, log_c, np.where(second, "second", "first"),
+        log_delta, 1.0 + delta, residual, log_h,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Per-dimension constants, each a table of one
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1024)
+def _table_of_one(n: int, kind: str) -> ConstantsTable:
+    """Cached: one costs ~1 ms, and i_n evaluates grids of rho at a fixed n."""
+    return constants_table(np.array([n]), kind)
+
+
+def rho_n(n: int) -> float:
+    """Branch point (n-1) w_{n-1} / ((n-1) w_{n-1} - w_{n-2}) of the envelope."""
+    return float(_table_of_one(_check_dim(n), DEFAULT_KIND).rho_n[0])
+
+
+def pal_constant(d: int, kind: Kind = DEFAULT_KIND) -> LogReal:
+    """Width-volume constant in dimension d.
+
+    kind="pal_firey": 2 / (sqrt(3) d!), valid for d >= 2.
+    kind="bezdek": the double-factorial improvement, valid for d >= 3 —
+    sqrt(3 pi^(d-3) (d+2)!! / ((d+1)^2 (d!!)^2 ((d-1)!!)^3)) for even d and
+    sqrt(3 pi^(d-3) (d+1)!! / (2^(d-2) (d!!)^5)) for odd d.
+    """
+    d = _check_dim(d)
+    if _check_kind(kind) == "bezdek" and d < 3:
+        raise DomainError(f"bezdek constant needs d >= 3, got {d}")
+    return LogReal.from_log(_log_width_constant(np.array([d]), kind)[0])
+
+
+def a_n(n: int, kind: Kind = DEFAULT_KIND) -> LogReal:
+    """(2^(n-1) pi n)^(1/n) * (C_{n+1}/w_{n+1})^(1/(n+1))."""
+    return LogReal.from_log(_table_of_one(_check_dim(n), _check_kind(kind)).log_a[0])
+
+
+def b_n(n: int) -> LogReal:
+    """1 / ((n-1) w_{n-1}/w_{n-2} - 1), evaluated as 1/expm1 of the log."""
+    return LogReal.from_log(_table_of_one(_check_dim(n), DEFAULT_KIND).log_b[0])
+
+
+def c_n(n: int, kind: Kind = DEFAULT_KIND) -> LogReal:
+    """(n-1)-st root of the crossing equation's right-hand side."""
+    return LogReal.from_log(_table_of_one(_check_dim(n), _check_kind(kind)).log_c[0])
+
+
+def solve_crossing(
+    n: int, kind: Kind = DEFAULT_KIND, tol: float = 1e-10
+) -> CrossingResult:
+    """Locate the unique rho > 1 with i_n(rho) = j_n(rho) (a table of one)."""
+    return constants_table(np.array([_check_dim(n)]), kind, tol).crossing(0)
+
+
+def rho_star(
+    n: int, kind: Kind = DEFAULT_KIND, tol: float = 1e-10
+) -> tuple[float, str]:
+    """Crossing location and branch flag ("first" iff a_n <= b_n)."""
+    result = solve_crossing(n, kind, tol)
+    return result.rho_star, result.branch
+
+
+def h_n(n: int, kind: Kind = DEFAULT_KIND) -> LogReal:
+    """The common crossing value i_n(rho*) = j_n(rho*), as a LogReal."""
+    return LogReal.from_log(solve_crossing(n, kind).log_h)
+
+
+def constants_row(n: int, kind: Kind = DEFAULT_KIND) -> ConstantsRow:
+    return _table_of_one(_check_dim(n), _check_kind(kind)).row(0)
+
+
+def sphere_reference(n: int) -> LogReal:
+    """sigma_n / pi^n — the value the round sphere's antipodal map attains."""
+    n = _check_dim(n, minimum=1)
+    return LogReal.from_log(log_unit_sphere_area(n) - n * LOG_PI)
+
+
+def mean_curvature_constant(n: int) -> LogReal:
+    """P_n = n^(n-1) sigma_n / pi."""
+    n = _check_dim(n, minimum=1)
+    return LogReal.from_log((n - 1) * math.log(n) + log_unit_sphere_area(n) - LOG_PI)
+
+
+def suboptimality_factor(n: int, kind: Kind = DEFAULT_KIND) -> LogReal:
+    """h_n / (sigma_n / pi^n): how far the pipeline constant sits below the
+    sphere-optimal one."""
+    n = _check_dim(n)
+    return LogReal.from_log(
+        solve_crossing(n, kind).log_h - sphere_reference(n).log_magnitude
+    )
+
+
+def quoted_closed_form_h2() -> float:
+    """The quoted radical closed form for n = 2: (pi/6)^(1/3) / (1 + (pi/6)^(1/6))^2.
+
+    Computed independently of the crossing pipeline; the two disagree (this
+    expression equals the first-branch crossing against a halved j_2) and are
+    always reported side by side.  See README for the comparison.
+    """
+    r = (math.pi / 6.0) ** (1.0 / 6.0)
+    return r * r / (1.0 + r) ** 2
+
+
+# ---------------------------------------------------------------------------
+# The envelope, scalar in (n, rho)
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1024)
+def _log_j_at_one(n: int, kind: str) -> float:
+    """ln j_n(1) = ln(sigma_n (C_{n+1}/w_{n+1})^(n/(n+1))), cached like _table_of_one."""
+    log_width = _log_a_b(np.array([n]), kind)[-1][0]
+    return log_unit_sphere_area(n) + (n / (n + 1.0)) * log_width
 
 
 def _log_i_branch1(n: int, log_q: float) -> float:
@@ -156,234 +459,12 @@ def i_star_n(n: int, rho: float) -> LogReal:
     )
 
 
-# ---------------------------------------------------------------------------
-# Width-volume constants
-# ---------------------------------------------------------------------------
-
-
-def pal_constant(d: int, kind: Kind = DEFAULT_KIND) -> LogReal:
-    """Width-volume constant in dimension d.
-
-    kind="pal_firey": 2 / (sqrt(3) d!), valid for d >= 2.
-    kind="bezdek": the double-factorial improvement, valid for d >= 3 —
-    sqrt(3 pi^(d-3) (d+2)!! / ((d+1)^2 (d!!)^2 ((d-1)!!)^3)) for even d and
-    sqrt(3 pi^(d-3) (d+1)!! / (2^(d-2) (d!!)^5)) for odd d.
-    """
-    d = _check_dim(d)
-    _check_kind(kind)
-    if kind == "pal_firey":
-        return LogReal.from_log(LOG_2 - 0.5 * math.log(3.0) - log_gamma(d + 1.0))
-    if d < 3:
-        raise DomainError(f"bezdek constant needs d >= 3, got {d}")
-    log3 = math.log(3.0)
-    if d % 2 == 0:
-        inner = (
-            log3
-            + (d - 3) * LOG_PI
-            + log_double_factorial(d + 2)
-            - 2.0 * math.log(d + 1)
-            - 2.0 * log_double_factorial(d)
-            - 3.0 * log_double_factorial(d - 1)
-        )
-    else:
-        inner = (
-            log3
-            + (d - 3) * LOG_PI
-            + log_double_factorial(d + 1)
-            - (d - 2) * LOG_2
-            - 5.0 * log_double_factorial(d)
-        )
-    return LogReal.from_log(0.5 * inner)
-
-
-def _log_sphere_area(n: int) -> float:
-    # sigma_n = 2 pi w_{n-1}
-    return log_unit_sphere_area(n)
-
-
-def _log_kind_ratio(n: int, kind: Kind) -> float:
-    """(n/(n+1)) * (ln constant_{n+1} - ln w_{n+1}) — the recurring exponent."""
-    c = pal_constant(n + 1, kind)
-    return (n / (n + 1.0)) * (c.log_magnitude - log_unit_ball_volume(n + 1))
-
-
 def j_n(n: int, rho: float, kind: Kind = DEFAULT_KIND) -> LogReal:
     """Isoperimetric comparison: sigma_n (C_{n+1}/w_{n+1})^(n/(n+1)) rho^-n."""
     n = _check_dim(n)
     rho = _check_rho(rho, allow_one=True)
     _check_kind(kind)
-    return LogReal.from_log(
-        _log_sphere_area(n) + _log_kind_ratio(n, kind) - n * math.log(rho)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Crossing coefficients a_n, b_n, c_n
-# ---------------------------------------------------------------------------
-
-
-def a_n(n: int, kind: Kind = DEFAULT_KIND) -> LogReal:
-    """(2^(n-1) pi n)^(1/n) * (C_{n+1}/w_{n+1})^(1/(n+1))."""
-    n = _check_dim(n)
-    _check_kind(kind)
-    c = pal_constant(n + 1, kind)
-    log_a = ((n - 1) * LOG_2 + LOG_PI + math.log(n)) / n + (
-        c.log_magnitude - log_unit_ball_volume(n + 1)
-    ) / (n + 1.0)
-    return LogReal.from_log(log_a)
-
-
-def b_n(n: int) -> LogReal:
-    """1 / ((n-1) w_{n-1}/w_{n-2} - 1), evaluated as 1/expm1 of the log."""
-    n = _check_dim(n)
-    g = (
-        math.log(n - 1)
-        + log_unit_ball_volume(n - 1)
-        - log_unit_ball_volume(n - 2)
-    )
-    # g > 0 for n >= 2, so ln expm1(g) = g + log1p(-exp(-g)) is stable
-    return LogReal.from_log(-(g + math.log1p(-math.exp(-g))))
-
-
-def _log_crossing_rhs(n: int, kind: Kind) -> float:
-    """ln of the right side of rho (rho-1)^(n-1) = pi n (n-1) 2^(n-1)
-    (w_{n-1}/w_{n-2}) (C_{n+1}/w_{n+1})^(n/(n+1))."""
-    return (
-        LOG_PI
-        + math.log(n)
-        + math.log(n - 1)
-        + (n - 1) * LOG_2
-        + log_unit_ball_volume(n - 1)
-        - log_unit_ball_volume(n - 2)
-        + _log_kind_ratio(n, kind)
-    )
-
-
-def c_n(n: int, kind: Kind = DEFAULT_KIND) -> LogReal:
-    """(n-1)-st root of the crossing equation's right-hand side."""
-    n = _check_dim(n)
-    _check_kind(kind)
-    if n == 2:
-        return LogReal.from_log(_log_crossing_rhs(2, kind))
-    return LogReal.from_log(_log_crossing_rhs(n, kind) / (n - 1.0))
-
-
-# ---------------------------------------------------------------------------
-# The crossing point rho_star and its value h_n
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrossingResult:
-    """Solution of i_n(rho) = j_n(rho): location, branch, value, residual."""
-
-    n: int
-    kind: str
-    rho_star: float
-    branch: str  # "first" (rho* <= rho_n) or "second" (rho* > rho_n)
-    log_delta: float  # ln(rho_star - 1), the solver's native variable
-    log_h: float  # ln of the common crossing value
-    residual: float  # log-scale defect |ln i_n - ln j_n| at the solution
-
-
-def solve_crossing(
-    n: int, kind: Kind = DEFAULT_KIND, tol: float = 1e-10
-) -> CrossingResult:
-    """Locate the unique rho > 1 with i_n(rho) = j_n(rho).
-
-    If a_n <= b_n the crossing lies on the first branch and is the closed
-    form rho* = 1 + a_n.  Otherwise it lies past the branch point and solves
-    rho (rho-1)^(n-1) = RHS, handled in v = ln(rho-1) - ln c_n where the
-    equation reads g(v) = log1p(c_n e^v) + (n-1) v = 0: strictly increasing,
-    with sign change guaranteed on [-log1p(c_n), 0].
-    """
-    n = _check_dim(n)
-    _check_kind(kind)
-    if not (tol > 0.0):
-        raise ConfigurationError(f"tol must be positive, got {tol!r}")
-
-    log_a = a_n(n, kind).log_magnitude
-    log_b = b_n(n).log_magnitude
-    if log_a <= log_b:
-        log_delta = log_a
-        branch = "first"
-        delta = math.exp(log_delta)
-        log_h = (
-            _log_sphere_area(n) + _log_kind_ratio(n, kind) - n * math.log1p(delta)
-        )
-        residual = abs(
-            _log_i_branch1(n, log_delta - math.log1p(delta)) - log_h
-        )
-    else:
-        log_c = c_n(n, kind).log_magnitude
-        log_rhs = _log_crossing_rhs(n, kind)
-
-        def g(v: float) -> float:
-            return math.log1p(math.exp(v + log_c)) + (n - 1.0) * v
-
-        lo = -math.log1p(math.exp(log_c))
-        hi = 0.0
-        g_lo, g_hi = g(lo), g(hi)
-        if not (g_lo <= 0.0 <= g_hi):
-            raise NumericalError(
-                "failed to bracket the crossing equation",
-                diagnostics={
-                    "n": n,
-                    "kind": kind,
-                    "log_c": log_c,
-                    "g_lo": g_lo,
-                    "g_hi": g_hi,
-                    "rho_window": (1.0 + 1e-12, 1e6),
-                },
-            )
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if g(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * max(1.0, abs(lo)):
-                break
-        v = 0.5 * (lo + hi)
-        for _ in range(2):  # Newton polish: g' = w/(1+w) + (n-1), w = c e^v
-            w = math.exp(v + log_c)
-            v -= g(v) / (w / (1.0 + w) + (n - 1.0))
-        log_delta = v + log_c
-        branch = "second"
-        delta = math.exp(log_delta)
-        log_h = (
-            _log_sphere_area(n) + _log_kind_ratio(n, kind) - n * math.log1p(delta)
-        )
-        # ln i_n - ln j_n at the solution collapses to g(v) exactly
-        residual = abs((n - 1.0) * log_delta + math.log1p(delta) - log_rhs)
-
-    if residual > tol:
-        raise NumericalError(
-            "crossing residual exceeds tolerance",
-            diagnostics={"n": n, "kind": kind, "residual": residual, "tol": tol},
-        )
-    return CrossingResult(
-        n=n,
-        kind=kind,
-        rho_star=1.0 + math.exp(log_delta),
-        branch=branch,
-        log_delta=log_delta,
-        log_h=log_h,
-        residual=residual,
-    )
-
-
-def rho_star(
-    n: int, kind: Kind = DEFAULT_KIND, tol: float = 1e-10
-) -> tuple[float, str]:
-    """Crossing location and branch flag ("first" iff a_n <= b_n)."""
-    result = solve_crossing(n, kind, tol)
-    return result.rho_star, result.branch
-
-
-def h_n(n: int, kind: Kind = DEFAULT_KIND) -> LogReal:
-    """The common crossing value i_n(rho*) = j_n(rho*), as a LogReal."""
-    return LogReal.from_log(solve_crossing(n, kind).log_h)
+    return LogReal.from_log(_log_j_at_one(n, kind) - n * math.log(rho))
 
 
 def envelope_b_n(n: int, rho: float, kind: Kind = DEFAULT_KIND) -> LogReal:
@@ -399,75 +480,14 @@ def envelope_b_n(n: int, rho: float, kind: Kind = DEFAULT_KIND) -> LogReal:
 
 
 # ---------------------------------------------------------------------------
-# Reference constants
+# The a/b scan
 # ---------------------------------------------------------------------------
 
 
-def sphere_reference(n: int) -> LogReal:
-    """sigma_n / pi^n — the value the round sphere's antipodal map attains."""
-    n = _check_dim(n, minimum=1)
-    return LogReal.from_log(_log_sphere_area(n) - n * LOG_PI)
-
-
-def mean_curvature_constant(n: int) -> LogReal:
-    """P_n = n^(n-1) sigma_n / pi."""
-    n = _check_dim(n, minimum=1)
-    return LogReal.from_log((n - 1) * math.log(n) + _log_sphere_area(n) - LOG_PI)
-
-
-def suboptimality_factor(n: int, kind: Kind = DEFAULT_KIND) -> LogReal:
-    """h_n / (sigma_n / pi^n): how far the pipeline constant sits below the
-    sphere-optimal one."""
-    n = _check_dim(n)
-    return LogReal.from_log(
-        solve_crossing(n, kind).log_h - sphere_reference(n).log_magnitude
-    )
-
-
-def quoted_closed_form_h2() -> float:
-    """The quoted radical closed form for n = 2: (pi/6)^(1/3) / (1 + (pi/6)^(1/6))^2.
-
-    Computed independently of the crossing pipeline; the two disagree (this
-    expression equals the first-branch crossing against a halved j_2) and are
-    always reported side by side.  See README for the comparison.
-    """
-    r = (math.pi / 6.0) ** (1.0 / 6.0)
-    return r * r / (1.0 + r) ** 2
-
-
-# ---------------------------------------------------------------------------
-# Row assembly and the a/b scan
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstantsRow:
-    """One dimension's worth of crossing data (linear scale where safe)."""
-
-    n: int
-    rho_n: float
-    a_n: float
-    b_n: float
-    c_n: float
-    rho_star: float
-    log_h_n: float
-    branch: str
-    pal_constant_kind: str
-
-
-def constants_row(n: int, kind: Kind = DEFAULT_KIND) -> ConstantsRow:
-    result = solve_crossing(n, kind)
-    return ConstantsRow(
-        n=int(n),
-        rho_n=rho_n(n),
-        a_n=a_n(n, kind).to_float(),
-        b_n=b_n(n).to_float(),
-        c_n=c_n(n, kind).to_float(),
-        rho_star=result.rho_star,
-        log_h_n=result.log_h,
-        branch=result.branch,
-        pal_constant_kind=kind,
-    )
+#: scan_ab works in chunks of this many dimensions, to bound its memory
+SCAN_CHUNK = 250_000
+#: scan_ab keeps the per-n ratios only for ranges shorter than this
+SCAN_KEEP_RATIOS_BELOW = 2_001
 
 
 @dataclass(frozen=True)
@@ -488,17 +508,12 @@ class AbScan:
         return abs(self.ratio_at_max - 2.0 * math.sqrt(math.e))
 
 
-def scan_ab(
-    n_min: int = 2,
-    n_max: int = 100_000,
-    keep_ratios_below: int = 2_001,
-    chunk: int = 250_000,
-) -> AbScan:
-    """Vectorized scan of the ratio a_n/b_n over n = n_min..n_max.
+def scan_ab(n_min: int = 2, n_max: int = 100_000) -> AbScan:
+    """Vectorized scan of the Pal-Firey ratio a_n/b_n over n = n_min..n_max.
 
-    Work proceeds in fixed-size chunks so results are independent of any
-    parallel split.  Per-n ratios are retained only when the range is small
-    enough to be worth printing.
+    Only ln a_n and ln b_n are computed, SCAN_CHUNK dimensions at a time so
+    that memory stays bounded up to n = 1e6.  Per-n ratios are retained only
+    when the range is short enough to be worth printing.
     """
     n_min, n_max = _check_dim(n_min), _check_dim(n_max)
     if n_max < n_min:
@@ -506,34 +521,21 @@ def scan_ab(
     if n_max > 10**6:
         raise ConfigurationError(f"scan range capped at 1e6, got n_max={n_max}")
 
-    keep = (n_max - n_min + 1) < keep_ratios_below
+    keep = (n_max - n_min + 1) < SCAN_KEEP_RATIOS_BELOW
     kept: list[np.ndarray] = []
     violations = 0
     min_ratio = math.inf
     argmin_n = n_min
-    ratio_at_max = math.nan
-    for start in range(n_min, n_max + 1, chunk):
-        stop = min(start + chunk - 1, n_max)
+    for start in range(n_min, n_max + 1, SCAN_CHUNK):
+        stop = min(start + SCAN_CHUNK - 1, n_max)
         ns = np.arange(start, stop + 1, dtype=np.int64)
-        nf = ns.astype(float)
-        lv_nm1 = log_unit_ball_volume_array(ns - 1)
-        lv_nm2 = log_unit_ball_volume_array(ns - 2)
-        lv_np1 = log_unit_ball_volume_array(ns + 1)
-        # pal-firey constant in dimension n+1: ln(2/(sqrt(3) (n+1)!))
-        log_k = LOG_2 - 0.5 * math.log(3.0) - log_gamma_array(nf + 2.0)
-        log_a = ((nf - 1.0) * LOG_2 + LOG_PI + np.log(nf)) / nf + (
-            log_k - lv_np1
-        ) / (nf + 1.0)
-        g = np.log(nf - 1.0) + lv_nm1 - lv_nm2
-        log_b = -(g + np.log1p(-np.exp(-g)))
+        log_a, log_b = _log_a_b(ns, DEFAULT_KIND)[:2]
         ratios = np.exp(log_a - log_b)
         violations += int(np.count_nonzero(ratios <= 1.0))
         idx = int(np.argmin(ratios))
         if ratios[idx] < min_ratio:
             min_ratio = float(ratios[idx])
             argmin_n = int(ns[idx])
-        if stop == n_max:
-            ratio_at_max = float(ratios[-1])
         if keep:
             kept.append(ratios)
     return AbScan(
@@ -542,6 +544,6 @@ def scan_ab(
         violations=violations,
         min_ratio=min_ratio,
         argmin_n=argmin_n,
-        ratio_at_max=ratio_at_max,
+        ratio_at_max=float(ratios[-1]),
         ratios=np.concatenate(kept) if keep else None,
     )

@@ -378,6 +378,12 @@ def test_compare_bezdek_quantity_pins_kind():
     assert a.exact == pytest.approx(solve_crossing(100, "bezdek").log_h, abs=1e-12)
 
 
+def test_compare_ab_ratio_pins_pal_firey():
+    (a,) = compare([100], "ab_ratio", kind="bezdek")
+    (b,) = compare([100], "ab_ratio")
+    assert a == b
+
+
 def test_compare_validation():
     with pytest.raises(ConfigurationError):
         compare([10], "h_n")

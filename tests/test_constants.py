@@ -14,6 +14,7 @@ from dispbound.constants import (
     b_n,
     c_n,
     constants_row,
+    constants_table,
     envelope_b_n,
     h_n,
     i_bar_n,
@@ -30,7 +31,7 @@ from dispbound.constants import (
     sphere_reference,
     suboptimality_factor,
 )
-from dispbound.errors import ConfigurationError, DomainError
+from dispbound.errors import ConfigurationError, DomainError, NumericalError
 
 TWO_SQRT_E = 2.0 * math.sqrt(math.e)
 
@@ -442,3 +443,73 @@ def test_scan_validation():
         scan_ab(5, 4)
     with pytest.raises(ConfigurationError):
         scan_ab(2, 10**6 + 1)
+
+
+# ---------------------------------------------------------------------------
+# the constants table
+# ---------------------------------------------------------------------------
+
+TABLE_NS = np.array(list(range(2, 401)) + [1000, 5000])
+
+# ln h_n as computed by the scalar per-n pipeline this table replaced
+SCALAR_LOG_H = {
+    2: -1.2431233256961758,
+    3: -2.9520264550055977,
+    45: -135.4965696188905,
+    354: -1748.4551574595241,
+    1000: -5949.181598177608,
+    5000: -37678.65907624153,
+    10_000: -82234.58272743683,
+    100_000: -1051708.0855953703,
+}
+
+
+@pytest.mark.parametrize("kind", ["pal_firey", "bezdek"])
+def test_table_rows_equal_tables_of_one(kind):
+    # exact equality: a row must not depend on the batch it was computed in
+    table = constants_table(TABLE_NS, kind)
+    assert table.kind == kind and list(table.n) == list(TABLE_NS)
+    for i, n in enumerate(TABLE_NS):
+        assert table.row(i) == constants_row(int(n), kind)
+        assert table.crossing(i) == solve_crossing(int(n), kind)
+
+
+def test_table_keeps_input_order():
+    forward = constants_table(np.array([7, 300, 2]))
+    backward = constants_table(np.array([2, 300, 7]))
+    assert list(forward.log_h) == list(backward.log_h[::-1])
+
+
+def test_scan_ratios_are_the_table_ratios():
+    table = constants_table(np.arange(2, 1501))
+    scan = scan_ab(2, 1500)
+    assert scan.ratios.tobytes() == table.ab_ratio.tobytes()
+
+
+@pytest.mark.parametrize("n, expected", sorted(SCALAR_LOG_H.items()))
+def test_log_h_within_two_ulp_of_scalar_pipeline(n, expected):
+    (log_h,) = constants_table(np.array([n])).log_h
+    assert abs(log_h - expected) <= 2 * math.ulp(expected)
+
+
+def test_table_residual_failure_names_first_n():
+    ns = np.arange(2, 60)
+    tol = 0.5 * float(constants_table(ns).residual.max())
+    first = int(ns[np.flatnonzero(constants_table(ns).residual > tol)[0]])
+    with pytest.raises(NumericalError) as excinfo:
+        constants_table(ns, tol=tol)
+    assert excinfo.value.diagnostics["n"] == first
+    with pytest.raises(NumericalError) as excinfo:
+        solve_crossing(first, tol=tol)
+    assert excinfo.value.diagnostics["n"] == first
+
+
+def test_table_validation():
+    for bad in ([1, 2], [2.0, 3.0], [[2, 3]], [True, True]):
+        with pytest.raises(DomainError):
+            constants_table(np.array(bad))
+    with pytest.raises(ConfigurationError):
+        constants_table(np.array([2, 3]), kind="improved")
+    with pytest.raises(ConfigurationError):
+        constants_table(np.array([2, 3]), tol=0.0)
+    assert len(constants_table(np.array([], dtype=np.int64)).log_h) == 0
