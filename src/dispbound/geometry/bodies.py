@@ -45,6 +45,57 @@ def _as_point(p, dim: int) -> np.ndarray:
     return q
 
 
+# The batch paths below use ``np.vecdot`` wherever a dot product of two
+# vectors is taken: it runs the same inner loop as a 1-D ``a @ b``, so a row
+# of a batch has the bits the same vector would have on its own (``d @ N.T``
+# and ``einsum`` do not).
+
+
+def _as_rows(x, dim: int) -> tuple[np.ndarray, bool]:
+    """Rows of a ``(k, dim)`` array, or of one ``(dim,)`` vector, checked for
+    shape and finiteness, and whether a single vector came in."""
+    rows = np.asarray(x, dtype=np.float64)
+    single = rows.ndim == 1
+    if single:
+        rows = rows[None, :]
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise DomainError(f"expected vectors of dimension {dim}, got shape {np.shape(x)}")
+    if not np.all(np.isfinite(rows)):
+        raise DomainError("vectors have non-finite coordinates")
+    return rows, single
+
+
+def _as_directions(direction, dim: int) -> tuple[np.ndarray, bool]:
+    """Unit rows from one ``(dim,)`` direction or a ``(k, dim)`` array of
+    them, and whether a single direction came in."""
+    d, single = _as_rows(direction, dim)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(d, d))
+    if not np.all((norms > 0.0) & np.isfinite(norms)):
+        raise DomainError("direction must have a nonzero finite length")
+    return d / norms[:, None], single
+
+
+def _nearest_exit(numerators: np.ndarray, normals: np.ndarray,
+                  d: np.ndarray) -> np.ndarray:
+    """Smallest positive ``numerator / (normal . d)`` per row of ``d`` over
+    the planes whose normal faces along ``d``; inf where there is none."""
+    denom = np.vecdot(d[:, None, :], normals)
+    t = np.full(denom.shape, np.inf)
+    np.divide(numerators, denom, out=t, where=denom > 1e-15)
+    t[t <= 0.0] = np.inf
+    return t.min(axis=1)
+
+
+def _exit_points(o: np.ndarray, d: np.ndarray, t: np.ndarray, single: bool,
+                 body: str) -> np.ndarray:
+    """``o + t d`` per row, or the one point for a single direction."""
+    if not np.all(np.isfinite(t)):
+        raise DomainError(f"ray does not exit the {body}; origin must be interior")
+    out = o + t[:, None] * d
+    return out[0] if single else out
+
+
 def _wrap_angle(delta: float | np.ndarray):
     """Fold an angle difference into [0, pi]."""
     return np.abs((np.asarray(delta) + np.pi) % (2.0 * np.pi) - np.pi)
@@ -90,7 +141,11 @@ class ConvexBody(abc.ABC):
 
     @abc.abstractmethod
     def ray_exit(self, origin: np.ndarray, direction: np.ndarray) -> np.ndarray:
-        """Boundary point where the ray from an interior origin leaves the body."""
+        """Boundary point where the ray from an interior origin leaves the body.
+
+        ``direction`` is one ``(dim,)`` vector, giving one point, or a
+        ``(k, dim)`` array, giving a ``(k, dim)`` array of exit points.
+        """
 
     @property
     def scale(self) -> float:
@@ -178,15 +233,13 @@ class SphereBody(ConvexBody):
 
     def ray_exit(self, origin, direction) -> np.ndarray:
         o = _as_point(origin, self.ambient_dimension)
-        d = _as_point(direction, self.ambient_dimension)
-        d = d / np.linalg.norm(d)
+        d, single = _as_directions(direction, self.ambient_dimension)
         w = o - self.center
-        beta = float(d @ w)
         gamma = self.radius**2 - float(w @ w)
         if gamma <= 0.0:
             raise DomainError("ray origin must be strictly inside the sphere")
-        t = -beta + math.sqrt(beta * beta + gamma)
-        return o + t * d
+        beta = np.vecdot(d, w)
+        return _exit_points(o, d, -beta + np.sqrt(beta * beta + gamma), single, "sphere")
 
 
 # ---------------------------------------------------------------------------
@@ -358,34 +411,27 @@ class CylinderBody(ConvexBody):
 
     def ray_exit(self, origin, direction) -> np.ndarray:
         o = _as_point(origin, self.ambient_dimension)
-        d = _as_point(direction, self.ambient_dimension)
-        d = d / np.linalg.norm(d)
+        d, single = _as_directions(direction, self.ambient_dimension)
         r, h = self.base_radius, self.height
-        best = math.inf
+        best = np.full(len(d), np.inf)
         # caps
-        if abs(d[-1]) > 1e-15:
-            for cap_z in (0.5 * h, -0.5 * h):
-                t = (cap_z - o[-1]) / d[-1]
-                if t > 0:
-                    hit = o + t * d
-                    if np.linalg.norm(hit[:-1]) <= r + 1e-12 * r and t < best:
-                        best = t
+        rows = np.flatnonzero(np.abs(d[:, -1]) > 1e-15)
+        for cap_z in (0.5 * h, -0.5 * h):
+            t = (cap_z - o[-1]) / d[rows, -1]
+            hit = o[:-1] + t[:, None] * d[rows, :-1]
+            ok = (t > 0) & (np.sqrt(np.vecdot(hit, hit)) <= r + 1e-12 * r)
+            best[rows[ok]] = np.minimum(best[rows[ok]], t[ok])
         # lateral piece
-        op, dp = o[:-1], d[:-1]
-        aa = float(dp @ dp)
-        if aa > 1e-30:
-            bb = float(op @ dp)
-            cc = float(op @ op) - r * r
-            disc = bb * bb - aa * cc
-            if disc >= 0.0:
-                t = (-bb + math.sqrt(disc)) / aa
-                if t > 0:
-                    hit = o + t * d
-                    if abs(hit[-1]) <= 0.5 * h + 1e-12 * h and t < best:
-                        best = t
-        if not math.isfinite(best):
-            raise DomainError("ray does not exit the cylinder; origin must be interior")
-        return o + best * d
+        op, dp = o[:-1], d[:, :-1]
+        aa = np.vecdot(dp, dp)
+        bb = np.vecdot(dp, op)
+        cc = float(op @ op) - r * r
+        disc = bb * bb - aa * cc
+        rows = np.flatnonzero((aa > 1e-30) & (disc >= 0.0))
+        t = (-bb[rows] + np.sqrt(disc[rows])) / aa[rows]
+        ok = (t > 0) & (np.abs(o[-1] + t * d[rows, -1]) <= 0.5 * h + 1e-12 * h)
+        best[rows[ok]] = np.minimum(best[rows[ok]], t[ok])
+        return _exit_points(o, d, best, single, "cylinder")
 
 
 # ---------------------------------------------------------------------------
@@ -491,19 +537,13 @@ class PolygonBoundary(ConvexBody):
 
     def ray_exit(self, origin, direction) -> np.ndarray:
         o = _as_point(origin, 2)
-        d = _as_point(direction, 2)
-        d = d / np.linalg.norm(d)
-        best = math.inf
-        for v, e, length in zip(self.vertices, self._edges, self._edge_lengths):
-            outward = np.array([e[1], -e[0]]) / length
-            denom = float(outward @ d)
-            if denom > 1e-15:
-                t = float(outward @ (v - o)) / denom
-                if 0.0 < t < best:
-                    best = t
-        if not math.isfinite(best):
-            raise DomainError("ray does not exit the polygon; origin must be interior")
-        return o + best * d
+        d, single = _as_directions(direction, 2)
+        outward = (
+            np.column_stack([self._edges[:, 1], -self._edges[:, 0]])
+            / self._edge_lengths[:, None]
+        )
+        best = _nearest_exit(np.vecdot(outward, self.vertices - o), outward, d)
+        return _exit_points(o, d, best, single, "polygon")
 
 
 def equilateral_triangle(side: float = 1.0, body_id: str | None = None) -> PolygonBoundary:
@@ -658,20 +698,26 @@ class Polytope3(ConvexBody):
 
     # -- boundary geometry ---------------------------------------------------
 
-    def faces_containing(self, point: np.ndarray) -> list[int]:
-        """Indices of faces whose closed polygon contains the point."""
-        p = _as_point(point, 3)
+    def faces_containing(self, point: np.ndarray) -> list[int] | np.ndarray:
+        """Indices of faces whose closed polygon contains the point.
+
+        For an ``(m, 3)`` array of points, the ``(m, F)`` boolean matrix
+        whose row i marks the faces containing point i.
+        """
+        p, single = _as_rows(point, 3)
         tol = 1e-9 * self._scale
-        hits = []
+        member = np.zeros((len(p), len(self.faces)), dtype=bool)
         for fi, face in enumerate(self.faces):
-            if abs(float(face.normal @ p) - face.offset) > tol:
+            near = np.flatnonzero(np.abs(np.vecdot(p, face.normal) - face.offset) <= tol)
+            if not len(near):
                 continue
             pts = self.vertices[list(face.indices)]
             edges = np.roll(pts, -1, axis=0) - pts
-            rel = p - pts
-            if np.all(np.cross(edges, rel) @ face.normal >= -tol * self._scale):
-                hits.append(fi)
-        return hits
+            rel = p[near, None, :] - pts
+            member[near, fi] = np.all(
+                np.cross(edges, rel) @ face.normal >= -tol * self._scale, axis=1
+            )
+        return np.flatnonzero(member[0]).tolist() if single else member
 
     def intrinsic_distance(self, x, y, subdivision: int | None = None) -> tuple[float, str]:
         values, kind = self.intrinsic_distances_batch(
@@ -717,18 +763,11 @@ class Polytope3(ConvexBody):
 
     def ray_exit(self, origin, direction) -> np.ndarray:
         o = _as_point(origin, 3)
-        d = _as_point(direction, 3)
-        d = d / np.linalg.norm(d)
-        best = math.inf
-        for face in self.faces:
-            denom = float(face.normal @ d)
-            if denom > 1e-15:
-                t = (face.offset - float(face.normal @ o)) / denom
-                if 0.0 < t < best:
-                    best = t
-        if not math.isfinite(best):
-            raise DomainError("ray does not exit the polytope; origin must be interior")
-        return o + best * d
+        d, single = _as_directions(direction, 3)
+        normals = np.array([f.normal for f in self.faces])
+        offsets = np.array([f.offset for f in self.faces])
+        best = _nearest_exit(offsets - np.vecdot(normals, o), normals, d)
+        return _exit_points(o, d, best, single, "polytope")
 
 
 def cube(edge: float = 1.0, body_id: str | None = None,

@@ -48,25 +48,28 @@ class GeodesicGraph:
                 ids.extend(edge_node_ids[(min(a, b), max(a, b))])
             self.face_node_ids.append(np.array(sorted(ids)))
 
-        weights: dict[tuple[int, int], float] = {}
+        # base edges: every node pair sharing a face, in first-seen order;
+        # an edge shared by two faces is kept once, as a dict would keep it
+        rows, cols, vals = [], [], []
         for ids in self.face_node_ids:
             pts = self.nodes[ids]
             dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
             iu, ju = np.triu_indices(len(ids), k=1)
-            for i, j, w in zip(ids[iu], ids[ju], dists[iu, ju]):
-                weights[(int(i), int(j))] = float(w)
-        self._base_weights = weights
+            rows.append(ids[iu])
+            cols.append(ids[ju])
+            vals.append(dists[iu, ju])
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+        _, first = np.unique(rows * len(self.nodes) + cols, return_index=True)
+        first.sort()
+        self._rows, self._cols, self._vals = rows[first], cols[first], vals[first]
+
+        self._incidence = np.zeros((len(polytope.faces), len(self.nodes)), dtype=bool)
+        for f, ids in enumerate(self.face_node_ids):
+            self._incidence[f, ids] = True
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-    def _assemble(self, extra: dict[tuple[int, int], float], total: int) -> csr_matrix:
-        pairs = list(self._base_weights.items()) + list(extra.items())
-        rows = np.fromiter((p[0][0] for p in pairs), dtype=np.int64, count=len(pairs))
-        cols = np.fromiter((p[0][1] for p in pairs), dtype=np.int64, count=len(pairs))
-        vals = np.fromiter((p[1] for p in pairs), dtype=np.float64, count=len(pairs))
-        return csr_matrix((vals, (rows, cols)), shape=(total, total))
 
     def pairwise_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Row-wise boundary-path distances between query point arrays."""
@@ -79,28 +82,23 @@ class GeodesicGraph:
         total = base + 2 * k
         queries = np.concatenate([xs, ys], axis=0)
 
-        extra: dict[tuple[int, int], float] = {}
-        query_faces: list[set[int]] = []
-        for qi, point in enumerate(queries):
-            faces = self.polytope.faces_containing(point)
-            if not faces:
-                raise DomainError(
-                    f"query point is not on the polytope boundary: {point!r}"
-                )
-            query_faces.append(set(faces))
-            node_ids = np.unique(
-                np.concatenate([self.face_node_ids[f] for f in faces])
+        member = self.polytope.faces_containing(queries)
+        off = np.flatnonzero(~member.any(axis=1))
+        if len(off):
+            raise DomainError(
+                f"query point is not on the polytope boundary: {queries[off[0]]!r}"
             )
-            lengths = np.linalg.norm(self.nodes[node_ids] - point, axis=1)
-            for nid, w in zip(node_ids, lengths):
-                extra[(int(nid), base + qi)] = float(w)
-        for i in range(k):
-            if query_faces[i] & query_faces[k + i]:
-                extra[(base + i, base + k + i)] = float(
-                    np.linalg.norm(xs[i] - ys[i])
-                )
+        # query edges: each query to every node of its faces, by query and
+        # then by node id, then the direct edge of each same-face pair
+        q_idx, n_idx = np.nonzero(member @ self._incidence)
+        lengths = np.linalg.norm(self.nodes[n_idx] - queries[q_idx], axis=1)
+        same = np.flatnonzero(np.any(member[:k] & member[k:], axis=1))
+        gaps = xs[same] - ys[same]
+        rows = np.concatenate([self._rows, n_idx, base + same])
+        cols = np.concatenate([self._cols, base + q_idx, base + k + same])
+        vals = np.concatenate([self._vals, lengths, np.sqrt(np.vecdot(gaps, gaps))])
 
-        graph = self._assemble(extra, total)
+        graph = csr_matrix((vals, (rows, cols)), shape=(total, total))
         sources = np.arange(base, base + k)
         dist = dijkstra(graph, directed=False, indices=sources)
         return dist[np.arange(k), base + k + np.arange(k)]

@@ -59,14 +59,11 @@ def central_point_map(through=None, map_id: str | None = None) -> DisplacementMa
 
     def apply(body: ConvexBody, points: np.ndarray) -> np.ndarray:
         p = body.interior_point() if through is None else np.asarray(through, float)
-        out = np.empty_like(points)
-        for i, x in enumerate(points):
-            chord = p - x
-            norm = np.linalg.norm(chord)
-            if norm <= 1e-14 * max(1.0, np.linalg.norm(p)):
-                raise DomainError("central point must not lie on the boundary")
-            out[i] = body.ray_exit(p, chord / norm)
-        return out
+        chords = p - points
+        norms = np.sqrt(np.vecdot(chords, chords))  # bit-equal to 1-D norms
+        if np.any(norms <= 1e-14 * max(1.0, np.linalg.norm(p))):
+            raise DomainError("central point must not lie on the boundary")
+        return body.ray_exit(p, chords / norms[:, None])
 
     return DisplacementMap(map_id or "central-point", apply)
 

@@ -648,12 +648,12 @@ def check_chord_projection(
     dirs = unit_directions(rng, directions, 3)
     center = body.solid_centroid()
     lhs = body.enclosed_volume()
+    ends = body.ray_exit(center, np.concatenate([dirs, -dirs]))
+    spans = ends[:directions] - ends[directions:]
+    chords = np.sqrt(np.vecdot(spans, spans))  # bit-equal to 1-D norms
     worst_rhs = -math.inf
     worst_index = -1
-    for k, u in enumerate(dirs):
-        chord = float(
-            np.linalg.norm(body.ray_exit(center, u) - body.ray_exit(center, -u))
-        )
+    for k, (u, chord) in enumerate(zip(dirs, chords.tolist())):
         # exact projected area: 2-d hull of the projected vertex cloud
         basis = np.linalg.svd(u[None, :])[2][1:]
         shadow = body.vertices @ basis.T

@@ -430,3 +430,198 @@ def test_load_rejects_malformed_files(tmp_path):
     path.write_text("dispbound-body v1\ntype klein-bottle\n")
     with pytest.raises(ConfigurationError):
         load_body(path)
+
+
+# ---------------------------------------------------------------------------
+# batch paths: a batch equals its rows one at a time, bit for bit
+# ---------------------------------------------------------------------------
+
+BATCH_BODIES = (
+    [SphereBody(1.3, center=np.linspace(0.1, 0.4, d)) for d in (2, 3, 4, 5)]
+    + [CylinderBody(n, r, h) for n in (2, 3, 4) for r, h in ((0.7, 1.9), (0.2, 3.0))]
+    + [regular_polygon(s, 1.4) for s in (3, 4, 5, 6, 8, 12)]
+    + [equilateral_triangle(2.0), cube(1.0)]
+    + [random_polytope(seed, v) for seed, v in ((1, 14), (2, 20), (3, 27), (4, 33), (5, 40))]
+)
+
+
+def _batch_directions(body, count: int = 400) -> np.ndarray:
+    """Random directions of mixed lengths plus the signed coordinate axes,
+    which hit cylinder caps and rims and polytope faces head on."""
+    dim = body.ambient_dimension
+    rng = substream(RNG_SEED, "batch-dirs", body.body_id)
+    dirs = unit_directions(rng, count, dim) * (0.1 + 3.0 * rng.random((count, 1)))
+    return np.concatenate([dirs, np.eye(dim), -np.eye(dim)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body", BATCH_BODIES, ids=lambda b: b.body_id)
+def test_batched_ray_exit_equals_single_rays(body):
+    dim = body.ambient_dimension
+    dirs = _batch_directions(body)
+    shift = 0.05 * unit_directions(substream(RNG_SEED, "origin", body.body_id), 1, dim)[0]
+    for origin in (body.interior_point(), body.interior_point() + shift):
+        batch = body.ray_exit(origin, dirs)
+        singles = np.array([body.ray_exit(origin, u) for u in dirs])
+        assert batch.shape == (len(dirs), dim)
+        assert np.array_equal(batch, singles)
+    assert body.ray_exit(origin, dirs[:0]).shape == (0, dim)
+
+
+def _scalar_polytope_exit(body, origin, direction):
+    """One ray, one face at a time, as the scalar route computed it."""
+    d = direction / np.linalg.norm(direction)
+    best = math.inf
+    for face in body.faces:
+        denom = float(face.normal @ d)
+        if denom > 1e-15:
+            t = (face.offset - float(face.normal @ origin)) / denom
+            if 0.0 < t < best:
+                best = t
+    return origin + best * d
+
+
+@pytest.mark.parametrize("body", [b for b in BATCH_BODIES if isinstance(b, Polytope3)],
+                         ids=lambda b: b.body_id)
+def test_batched_polytope_ray_exit_equals_face_loop(body):
+    origin = body.interior_point()
+    dirs = _batch_directions(body)
+    expected = np.array([_scalar_polytope_exit(body, origin, u) for u in dirs])
+    assert np.array_equal(body.ray_exit(origin, dirs), expected)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "body, outside",
+    [
+        (SphereBody(1.0), [2.0, 0.0, 0.0]),
+        (CylinderBody(2, 0.5, 1.0), [0.0, 0.0, 5.0]),
+        (regular_polygon(5), [5.0, 0.0]),
+        (cube(1.0), [5.0, 0.0, 0.0]),
+    ],
+    ids=["sphere", "cylinder", "polygon", "polytope"],
+)
+def test_ray_exit_error_paths_raise_without_warnings(body, outside):
+    dim = body.ambient_dimension
+    inside = body.interior_point()
+    away = np.zeros(dim)
+    away[np.flatnonzero(outside)[0]] = 1.0
+    # an origin outside the body, alone and as one row of a batch
+    with pytest.raises(DomainError):
+        body.ray_exit(np.array(outside), away)
+    with pytest.raises(DomainError):
+        body.ray_exit(np.array(outside), np.stack([-away, away, -away]))
+    # bad directions: zero, non-finite, wrong dimension
+    for bad in (np.zeros(dim), np.full(dim, np.nan), np.full(dim, np.inf),
+                np.ones(dim + 1), np.ones((2, dim + 1)), np.ones((2, 2, dim))):
+        with pytest.raises(DomainError):
+            body.ray_exit(inside, bad)
+    with pytest.raises(DomainError):
+        body.ray_exit(inside, np.stack([away, np.zeros(dim)]))
+    # a bad origin
+    with pytest.raises(DomainError):
+        body.ray_exit(np.ones(dim + 1), away)
+    with pytest.raises(DomainError):
+        body.ray_exit(np.full(dim, np.nan), away)
+
+
+@pytest.mark.parametrize("seed, vertices", [(1, 14), (6, 25), (9, 40)])
+def test_batched_faces_containing_equals_single_points(seed, vertices):
+    body = random_polytope(seed, vertices)
+    samples = body.sample_boundary(seed, 200)
+    a, b = np.array(body.edges).T
+    midpoints = 0.5 * (body.vertices[a] + body.vertices[b])
+    centre = body.interior_point()
+    off = np.concatenate([centre + 0.9 * (samples[:40] - centre),
+                          centre + 1.1 * (samples[40:80] - centre)])
+    points = np.concatenate([samples, body.vertices, midpoints, off])
+    member = body.faces_containing(points)
+    assert member.shape == (len(points), len(body.faces)) and member.dtype == bool
+    singles = [body.faces_containing(p) for p in points]
+    assert all(type(s) is list for s in singles)
+    assert [np.flatnonzero(row).tolist() for row in member] == singles
+    # strata: at least one face per sample, two per edge midpoint, three per
+    # vertex, none off the boundary
+    counts = member.sum(axis=1)
+    assert np.all(counts[:200] >= 1)
+    assert np.all(counts[200:200 + len(body.vertices)] >= 3)
+    assert np.all(counts[200 + len(body.vertices):len(points) - 80] == 2)
+    assert not member[len(points) - 80:].any()
+
+
+def test_batched_faces_containing_validation():
+    box = cube(1.0)
+    for bad in (np.ones((4, 2)), np.ones((2, 2, 3)), np.array([[0.5, 0.0, np.nan]])):
+        with pytest.raises(DomainError):
+            box.faces_containing(bad)
+    assert box.faces_containing(np.empty((0, 3))).shape == (0, len(box.faces))
+
+
+def _scalar_faces_containing(body, p):
+    """Per-point, per-face membership as the scalar route computed it."""
+    tol = 1e-9 * body._scale
+    hits = []
+    for fi, face in enumerate(body.faces):
+        if abs(float(face.normal @ p) - face.offset) > tol:
+            continue
+        pts = body.vertices[list(face.indices)]
+        edges = np.roll(pts, -1, axis=0) - pts
+        if np.all(np.cross(edges, p - pts) @ face.normal >= -tol * body._scale):
+            hits.append(fi)
+    return hits
+
+
+def _dict_route_distances(graph, xs, ys):
+    """The geodesic query route built from Python dicts, one query at a
+    time: kept as the oracle for the array-built route."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    weights = {}
+    for ids in graph.face_node_ids:
+        pts = graph.nodes[ids]
+        dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        iu, ju = np.triu_indices(len(ids), k=1)
+        for i, j, w in zip(ids[iu], ids[ju], dists[iu, ju]):
+            weights[(int(i), int(j))] = float(w)
+    k, base = len(xs), graph.node_count
+    queries = np.concatenate([xs, ys], axis=0)
+    extra, query_faces = {}, []
+    for qi, point in enumerate(queries):
+        faces = _scalar_faces_containing(graph.polytope, point)
+        query_faces.append(set(faces))
+        node_ids = np.unique(np.concatenate([graph.face_node_ids[f] for f in faces]))
+        lengths = np.linalg.norm(graph.nodes[node_ids] - point, axis=1)
+        for nid, w in zip(node_ids, lengths):
+            extra[(int(nid), base + qi)] = float(w)
+    for i in range(k):
+        if query_faces[i] & query_faces[k + i]:
+            extra[(base + i, base + k + i)] = float(np.linalg.norm(xs[i] - ys[i]))
+    pairs = list(weights.items()) + list(extra.items())
+    rows = np.array([p[0][0] for p in pairs])
+    cols = np.array([p[0][1] for p in pairs])
+    vals = np.array([p[1] for p in pairs])
+    matrix = csr_matrix((vals, (rows, cols)), shape=(base + 2 * k, base + 2 * k))
+    dist = dijkstra(matrix, directed=False, indices=np.arange(base, base + k))
+    return dist[np.arange(k), base + k + np.arange(k)]
+
+
+@pytest.mark.parametrize("seed, vertices", [(2, 14), (8, 22), (12, 30)])
+def test_pairwise_distances_equal_dict_route(seed, vertices):
+    body = random_polytope(seed, vertices)
+    xs = body.sample_boundary(seed + 1, 200)
+    ys = body.sample_boundary(seed + 2, 200)
+    # include vertices, edge points and same-face pairs
+    xs[:5] = body.vertices[:5]
+    a, b = np.array(body.edges[:5]).T
+    ys[5:10] = 0.5 * (body.vertices[a] + body.vertices[b])
+    face = body.faces[0]
+    xs[10:15] = face.centroid
+    ys[10:15] = face.centroid + np.linspace(0.2, 0.9, 5)[:, None] * (
+        body.vertices[face.indices[0]] - face.centroid
+    )
+    for m in (0, 6, 8):
+        graph = GeodesicGraph(body, m)
+        assert np.array_equal(
+            graph.pairwise_distances(xs, ys), _dict_route_distances(graph, xs, ys)
+        )

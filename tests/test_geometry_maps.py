@@ -276,3 +276,54 @@ def test_coverage_validation():
     ball = SphereBody(1.0)
     with pytest.raises(ConfigurationError):
         chordal_gauss_coverage(ball, euclidean_antipode_map(), samples=4)
+
+
+# ---------------------------------------------------------------------------
+# the central-point map as one batch
+# ---------------------------------------------------------------------------
+
+
+def _central_map_per_point(body, points, through=None):
+    """The central-point map one sample at a time: one chord, one ray."""
+    p = body.interior_point() if through is None else np.asarray(through, float)
+    out = np.empty_like(points)
+    for i, x in enumerate(points):
+        chord = p - x
+        out[i] = body.ray_exit(p, chord / np.linalg.norm(chord))
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "body",
+    [
+        SphereBody(1.2, center=[0.1, 0.2, 0.3]),
+        SphereBody(0.8, ambient_dimension=5),
+        CylinderBody(2, 0.6, 1.7),
+        CylinderBody(4, 0.3, 2.5),
+        regular_polygon(7, 1.3),
+        equilateral_triangle(1.0),
+        cube(1.0),
+        random_polytope(21, 18),
+        random_polytope(22, 36),
+    ],
+    ids=lambda b: b.body_id,
+)
+def test_central_map_batch_equals_per_point_rays(body):
+    points = body.sample_boundary(5, 500)
+    cmap = central_point_map()
+    assert np.array_equal(cmap.apply(body, points), _central_map_per_point(body, points))
+    through = body.interior_point() + 0.02 * np.arange(1, body.ambient_dimension + 1)
+    shifted = central_point_map(through=through)
+    assert np.array_equal(
+        shifted.apply(body, points), _central_map_per_point(body, points, through)
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_central_map_rejects_a_boundary_centre_in_any_row():
+    square = PolygonBoundary([[0, 0], [1, 0], [1, 1], [0, 1]])
+    cmap = central_point_map(through=[1.0, 0.5])
+    points = np.array([[0.0, 0.5], [0.5, 0.0], [1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(DomainError):
+        cmap.apply(square, points)

@@ -377,3 +377,21 @@ def test_audit_flags_silent_approximations(small_suite):
     silent = dataclasses.replace(sampled, bound_orientation_notes="")
     assert audit_orientation_notes([rec, silent]) == (1,)
     assert audit_orientation_notes(small_suite.records) == ()
+
+
+def test_chord_projection_rhs_equals_two_rays_per_direction():
+    from scipy.spatial import ConvexHull
+
+    from dispbound.geometry import substream, unit_directions
+
+    body = random_polytope(55, 24)
+    rec = check_chord_projection(body, directions=12, seed=4)
+    dirs = unit_directions(substream(4, "chord-projection", body.body_id), 12, 3)
+    center = body.solid_centroid()
+    rhs = []
+    for u in dirs:
+        chord = float(np.linalg.norm(body.ray_exit(center, u) - body.ray_exit(center, -u)))
+        basis = np.linalg.svd(u[None, :])[2][1:]
+        rhs.append(chord * float(ConvexHull(body.vertices @ basis.T).volume) / 3.0)
+    assert rec.rhs == max(rhs)
+    assert dict(rec.params)["worst_direction_index"] == int(np.argmax(rhs))
