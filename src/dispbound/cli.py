@@ -2,11 +2,12 @@
 
 Subcommands expose the constants table, the a/b crossing scan, exact-versus-
 asymptotic comparisons, the geometric verification suite, single geodesic
-queries, and record format conversion.  The shell itself is single threaded;
-``--threads`` is forwarded to the verification suite, which is the only
-parallel consumer.
+queries, record format conversion, and record diffs.  The shell itself is
+single threaded; ``--threads`` is forwarded to the verification suite,
+which is the only parallel consumer.
 
-Exit codes: 0 all checks pass, 1 an inequality was violated, 2 usage error,
+Exit codes: 0 all checks pass, 1 an inequality was violated (for ``diff``:
+a status or pass flip, an added or a dropped record), 2 usage error,
 3 numerical failure.
 """
 
@@ -40,6 +41,7 @@ from .verify import (
     SuiteConfig,
     SuiteReport,
     VerificationRecord,
+    diff_records,
     load_records_csv,
     load_records_jsonl,
     records_to_csv,
@@ -536,14 +538,16 @@ def _pretty_records(records: Sequence[VerificationRecord]) -> str:
     return _render_pretty(rows)
 
 
-def cmd_export(args: argparse.Namespace) -> int:
-    input_format = args.input_format
+def _load_records(path: Path, input_format: str = "auto") -> tuple[VerificationRecord, ...]:
     if input_format == "auto":
-        input_format = "csv" if args.input.suffix.lower() == ".csv" else "json-lines"
+        input_format = "csv" if path.suffix.lower() == ".csv" else "json-lines"
     if input_format == "csv":
-        records = load_records_csv(args.input)
-    else:
-        records = load_records_jsonl(args.input)
+        return load_records_csv(path)
+    return load_records_jsonl(path)
+
+
+def cmd_export(args: argparse.Namespace) -> int:
+    records = _load_records(args.input, args.input_format)
     if args.format == "csv":
         text = records_to_csv(records)
     elif args.format == "json-lines":
@@ -552,6 +556,14 @@ def cmd_export(args: argparse.Namespace) -> int:
         text = _pretty_records(records)
     _emit(args, text)
     return EXIT_PASS
+
+
+def cmd_diff(args: argparse.Namespace) -> int:
+    diff = diff_records(_load_records(args.before), _load_records(args.after))
+    _emit(args, _render(list(diff.rows), args.format, [diff.summary()]))
+    if args.format != "pretty":
+        print(diff.summary(), file=sys.stderr)
+    return EXIT_PASS if diff.clean else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +661,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_output_options(p)
     p.set_defaults(handler=cmd_export)
+
+    p = sub.add_parser(
+        "diff",
+        help="margin drift, status and pass flips, and added or dropped "
+        "records between two record files (exit 1 on a flip, an added or "
+        "a dropped record)",
+    )
+    p.add_argument("before", type=Path, help="records before (.jsonl or .csv)")
+    p.add_argument("after", type=Path, help="records after (.jsonl or .csv)")
+    _add_output_options(p)
+    p.set_defaults(handler=cmd_diff)
 
     return parser
 

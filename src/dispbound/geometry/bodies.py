@@ -35,6 +35,13 @@ __all__ = [
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
 
+# cylinder pieces
+TOP, BOTTOM, LATERAL = 0, 1, 2
+# rim angles of the cylinder's candidate paths: two-leg paths (cap to
+# barrel) use the fine grid, three-leg paths a 49 x 49 grid of pairs
+_CAP_ANGLES = np.linspace(-math.pi, math.pi, 257)
+_RIM_ANGLES = np.linspace(-math.pi, math.pi, 49)
+
 
 def _as_point(p, dim: int) -> np.ndarray:
     q = np.asarray(p, dtype=np.float64)
@@ -101,6 +108,29 @@ def _wrap_angle(delta: float | np.ndarray):
     return np.abs((np.asarray(delta) + np.pi) % (2.0 * np.pi) - np.pi)
 
 
+# float64 cells per temporary array of a chunked batch (1 MiB)
+BATCH_CELLS = 1 << 17
+
+
+def face_membership(p: np.ndarray, faces, vertices: np.ndarray, scale: float) -> np.ndarray:
+    """The ``(m, F)`` boolean matrix whose row i marks the faces (closed
+    convex polygons with outward normals over ``vertices``) that contain
+    point i of the checked ``(m, 3)`` float array ``p``."""
+    tol = 1e-9 * scale
+    member = np.zeros((len(p), len(faces)), dtype=bool)
+    for fi, face in enumerate(faces):
+        near = np.flatnonzero(np.abs(np.vecdot(p, face.normal) - face.offset) <= tol)
+        if not len(near):
+            continue
+        pts = vertices[list(face.indices)]
+        edges = np.roll(pts, -1, axis=0) - pts
+        rel = p[near, None, :] - pts
+        member[near, fi] = np.all(
+            np.cross(edges, rel) @ face.normal >= -tol * scale, axis=1
+        )
+    return member
+
+
 class ConvexBody(abc.ABC):
     """A compact convex body, described through its boundary hypersurface."""
 
@@ -152,17 +182,11 @@ class ConvexBody(abc.ABC):
         """Rough linear size, used for relative tolerances."""
         return max(abs(self.support(e)) for e in np.eye(self.ambient_dimension)) or 1.0
 
+    @abc.abstractmethod
     def intrinsic_distances_batch(
         self, xs: np.ndarray, ys: np.ndarray
     ) -> tuple[np.ndarray, str]:
         """Pairwise-row distances; tag is exact only when every row is exact."""
-        values = np.empty(len(xs))
-        kind = EXACT
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            values[i], k = self.intrinsic_distance(x, y)
-            if k == UPPER_BOUND:
-                kind = UPPER_BOUND
-        return values, kind
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} {self.body_id}>"
@@ -294,91 +318,126 @@ class CylinderBody(ConvexBody):
 
     # -- boundary classification ------------------------------------------
 
-    def _classify(self, p: np.ndarray) -> tuple[str, float, float]:
-        """Return (piece, perp_norm, z); piece in {cap_top, cap_bottom, lateral}."""
-        tol = 1e-9 * max(self.base_radius, self.height)
-        perp = float(np.linalg.norm(p[:-1]))
-        z = float(p[-1])
-        on_top = abs(z - 0.5 * self.height) <= tol and perp <= self.base_radius + tol
-        on_bottom = abs(z + 0.5 * self.height) <= tol and perp <= self.base_radius + tol
-        on_lateral = abs(perp - self.base_radius) <= tol and abs(z) <= 0.5 * self.height + tol
-        if on_top:
-            return "cap_top", perp, z
-        if on_bottom:
-            return "cap_bottom", perp, z
-        if on_lateral:
-            return "lateral", perp, z
-        raise DomainError(f"point is not on the cylinder boundary: {p!r}")
-
-    def _perp_angle_gap(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Angle between the cross-section projections, in [0, pi]."""
-        u, v = x[:-1], y[:-1]
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if nu < 1e-14 or nv < 1e-14:
-            return 0.0  # a cap center is angle-free; callers exploit radial symmetry
-        return math.acos(float(np.clip(u @ v / (nu * nv), -1.0, 1.0)))
+    def _classify(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Piece (TOP, BOTTOM or LATERAL), distance from the axis and height
+        of each row of ``p``; a rim point counts as a cap point."""
+        r, h = self.base_radius, self.height
+        tol = 1e-9 * max(r, h)
+        perp = np.sqrt(np.vecdot(p[:, :-1], p[:, :-1]))
+        z = p[:, -1]
+        in_disc = perp <= r + tol
+        piece = np.select(
+            [(np.abs(z - 0.5 * h) <= tol) & in_disc,
+             (np.abs(z + 0.5 * h) <= tol) & in_disc,
+             (np.abs(perp - r) <= tol) & (np.abs(z) <= 0.5 * h + tol)],
+            [TOP, BOTTOM, LATERAL], default=-1,
+        )
+        off = np.flatnonzero(piece < 0)
+        if len(off):
+            raise DomainError(f"point is not on the cylinder boundary: {p[off[0]]!r}")
+        return piece, perp, z
 
     def intrinsic_distance(self, x, y) -> tuple[float, str]:
+        values, kind = self.intrinsic_distances_batch(
+            _as_point(x, self.ambient_dimension)[None, :],
+            _as_point(y, self.ambient_dimension)[None, :],
+        )
+        return float(values[0]), kind
+
+    def intrinsic_distances_batch(self, xs, ys) -> tuple[np.ndarray, str]:
         """Exact for same-cap pairs and opposite cap centers; otherwise the
-        minimum over a family of unrolled candidate paths (an upper bound)."""
-        p = _as_point(x, self.ambient_dimension)
-        q = _as_point(y, self.ambient_dimension)
-        piece_p, a, _ = self._classify(p)
-        piece_q, b, _ = self._classify(q)
+        minimum over a family of unrolled candidate paths (an upper bound).
+
+        Each pair is classified by its pieces, and each class is one closed
+        form evaluated over a fixed grid of rim angles, in chunks of rows
+        that keep every temporary near ``BATCH_CELLS`` cells.
+        """
+        p, _ = _as_rows(xs, self.ambient_dimension)
+        q, _ = _as_rows(ys, self.ambient_dimension)
+        if p.shape != q.shape:
+            raise DomainError("query arrays must have matching shapes")
+        piece_p, a, z_p = self._classify(p)
+        piece_q, b, z_q = self._classify(q)
         r, h = self.base_radius, self.height
         tol = 1e-9 * max(r, h)
 
-        if piece_p == piece_q and piece_p.startswith("cap"):
-            # the cap is flat and convex: the straight segment is a
-            # boundary path and the chord is a global lower bound
-            return float(np.linalg.norm(p - q)), EXACT
-        if (
-            {piece_p, piece_q} == {"cap_top", "cap_bottom"}
-            and a <= tol
-            and b <= tol
-        ):
-            return 2.0 * r + h, EXACT  # radial + vertical + radial, by symmetry
+        # angle between the cross-section projections, in [0, pi]; a cap
+        # center is angle-free, and the candidates exploit radial symmetry
+        gamma = np.zeros(len(p))
+        has_angle = (a >= 1e-14) & (b >= 1e-14)
+        cosine = np.vecdot(p[has_angle, :-1], q[has_angle, :-1]) / (
+            a[has_angle] * b[has_angle]
+        )
+        gamma[has_angle] = np.arccos(np.clip(cosine, -1.0, 1.0))
 
-        gamma = self._perp_angle_gap(p, q)
-        z_p, z_q = float(p[-1]), float(q[-1])
-        candidates: list[float] = []
+        dist = np.empty(len(p))
+        cap_p, cap_q = piece_p != LATERAL, piece_q != LATERAL
+        same_cap = cap_p & (piece_p == piece_q)
+        centers = cap_p & cap_q & ~same_cap & (a <= tol) & (b <= tol)
+        # the cap is flat and convex: the straight segment is a boundary
+        # path and the chord is a global lower bound
+        gap = p[same_cap] - q[same_cap]
+        dist[same_cap] = np.sqrt(np.vecdot(gap, gap))
+        dist[centers] = 2.0 * r + h  # radial + vertical + radial, by symmetry
 
-        def cap_leg(rho_from: float, phi: np.ndarray) -> np.ndarray:
-            # straight in-cap segment from radius rho_from (at angle 0)
-            # to the rim point at angle phi
-            return np.sqrt(rho_from**2 + r**2 - 2.0 * rho_from * r * np.cos(phi))
+        u = _RIM_ANGLES[:, None]  # leave the first point's piece at rim angle u
+        w = _RIM_ANGLES[None, :]  # enter the second point's piece at rim angle w
+        cross = 2.0 * r * np.sin(_wrap_angle(w - u) / 2.0)  # chord across a cap
+        climb_run = (r * _wrap_angle(u)) ** 2
 
-        if piece_p == "lateral" and piece_q == "lateral":
-            candidates.append(math.hypot(r * gamma, z_p - z_q))
-            # over either cap: climb to rim at angle u, straight across
-            # the cap, descend from rim at angle w (both measured from p)
-            u = np.linspace(-math.pi, math.pi, 49)[:, None]
-            w = np.linspace(-math.pi, math.pi, 49)[None, :]
+        def cap_leg(rho_from, phi):
+            # straight in-cap segment from radius rho_from (at angle 0) to
+            # the rim point at angle phi; the law of cosines written without
+            # the cancellation that rho_from^2 + r^2 - 2 rho_from r cos(phi)
+            # suffers near the rim, where it can even turn negative
+            return np.sqrt((r - rho_from) ** 2 + 4.0 * rho_from * r * np.sin(phi / 2.0) ** 2)
+
+        def around_or_over(i):
+            # unrolled around the barrel, or over either cap: climb to the
+            # rim at angle u, straight across the cap, descend from the rim
+            # at angle w (both measured from the first point)
+            best = np.hypot(r * gamma[i], z_p[i] - z_q[i])
+            g = gamma[i, None, None]
             for cap_z in (0.5 * h, -0.5 * h):
-                climb = np.sqrt((r * _wrap_angle(u)) ** 2 + (cap_z - z_p) ** 2)
-                cross = 2.0 * r * np.sin(_wrap_angle(w - u) / 2.0)
-                descend = np.sqrt((r * _wrap_angle(gamma - w)) ** 2 + (cap_z - z_q) ** 2)
-                candidates.append(float(np.min(climb + cross + descend)))
-        elif piece_p.startswith("cap") != piece_q.startswith("cap"):
-            if piece_q.startswith("cap"):  # normalize: p on the cap
-                p, q = q, p
-                a, b = b, a
-                piece_p, piece_q = piece_q, piece_p
-                z_p, z_q = z_q, z_p
-            cap_z = 0.5 * h if piece_p == "cap_top" else -0.5 * h
-            phi = np.linspace(-math.pi, math.pi, 257)
-            leg1 = cap_leg(a, phi)
-            leg2 = np.sqrt((r * _wrap_angle(gamma - phi)) ** 2 + (cap_z - z_q) ** 2)
-            candidates.append(float(np.min(leg1 + leg2)))
-        else:  # opposite caps, general points
-            phi = np.linspace(-math.pi, math.pi, 49)[:, None]
-            psi = np.linspace(-math.pi, math.pi, 49)[None, :]
-            leg1 = cap_leg(a, phi)
-            lateral = np.sqrt((r * _wrap_angle(gamma - phi - psi)) ** 2 + h**2)
-            leg3 = cap_leg(b, psi)
-            candidates.append(float(np.min(leg1 + lateral + leg3)))
+                climb = np.sqrt(climb_run + ((cap_z - z_p[i]) ** 2)[:, None, None])
+                descend = np.sqrt(
+                    (r * _wrap_angle(g - w)) ** 2 + ((cap_z - z_q[i]) ** 2)[:, None, None]
+                )
+                best = np.minimum(best, (climb + cross + descend).min(axis=(1, 2)))
+            return best
 
-        return min(candidates), UPPER_BOUND
+        def cap_to_lateral(i):
+            # the cap point is p or q; leave its cap at the rim angle phi
+            on_cap = cap_p[i]
+            rho = np.where(on_cap, a[i], b[i])[:, None]
+            cap_z = np.where(np.where(on_cap, piece_p[i], piece_q[i]) == TOP,
+                             0.5 * h, -0.5 * h)
+            z = np.where(on_cap, z_q[i], z_p[i])
+            phi = _CAP_ANGLES[None, :]
+            leg1 = cap_leg(rho, phi)
+            leg2 = np.sqrt(
+                (r * _wrap_angle(gamma[i, None] - phi)) ** 2 + ((cap_z - z) ** 2)[:, None]
+            )
+            return (leg1 + leg2).min(axis=1)
+
+        def across_caps(i):
+            # opposite caps: to the rim at angle u, down the barrel, and
+            # from the rim at angle w across the other cap
+            leg1 = cap_leg(a[i, None, None], u)
+            lateral = np.sqrt((r * _wrap_angle(gamma[i, None, None] - u - w)) ** 2 + h**2)
+            leg3 = cap_leg(b[i, None, None], w)
+            return (leg1 + lateral + leg3).min(axis=(1, 2))
+
+        step = max(1, BATCH_CELLS // (len(_RIM_ANGLES) ** 2))
+        for rows, candidates in (
+            (~cap_p & ~cap_q, around_or_over),
+            (cap_p != cap_q, cap_to_lateral),
+            (cap_p & cap_q & ~same_cap & ~centers, across_caps),
+        ):
+            rows = np.flatnonzero(rows)
+            for s in range(0, len(rows), step):
+                dist[rows[s:s + step]] = candidates(rows[s:s + step])
+        return dist, EXACT if np.all(same_cap | centers) else UPPER_BOUND
 
     def sample_boundary(self, seed: int, count: int) -> np.ndarray:
         rng = substream(seed, "sample-boundary", self.body_id)
@@ -705,18 +764,7 @@ class Polytope3(ConvexBody):
         whose row i marks the faces containing point i.
         """
         p, single = _as_rows(point, 3)
-        tol = 1e-9 * self._scale
-        member = np.zeros((len(p), len(self.faces)), dtype=bool)
-        for fi, face in enumerate(self.faces):
-            near = np.flatnonzero(np.abs(np.vecdot(p, face.normal) - face.offset) <= tol)
-            if not len(near):
-                continue
-            pts = self.vertices[list(face.indices)]
-            edges = np.roll(pts, -1, axis=0) - pts
-            rel = p[near, None, :] - pts
-            member[near, fi] = np.all(
-                np.cross(edges, rel) @ face.normal >= -tol * self._scale, axis=1
-            )
+        member = face_membership(p, self.faces, self.vertices, self._scale)
         return np.flatnonzero(member[0]).tolist() if single else member
 
     def intrinsic_distance(self, x, y, subdivision: int | None = None) -> tuple[float, str]:

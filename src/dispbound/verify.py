@@ -16,6 +16,7 @@ import json
 import math
 import time
 import zlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,6 +73,7 @@ __all__ = [
     "check_pal_firey",
     "check_point_pair_bound",
     "check_volume_bound",
+    "diff_records",
     "load_records_csv",
     "load_records_jsonl",
     "run_suite",
@@ -1100,4 +1102,99 @@ def _record_from_dict(data: dict) -> VerificationRecord:
         bound_orientation_notes=data["bound_orientation_notes"],
         seed=int(data["seed"]),
         params=tuple(data["params"].items()),
+    )
+
+
+# ---------------------------------------------------------------------------
+# record diff
+# ---------------------------------------------------------------------------
+
+
+def _ordered_bits(x: float) -> int:
+    """An integer per double that keeps their order; neighbours differ by 1."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+@dataclass(frozen=True)
+class RecordDiff:
+    """Two record streams matched on (theorem, body, map) and the rank of
+    a record among those with the same triple, in stream order."""
+
+    rows: tuple[dict, ...]  # one per moved, flipped, added or dropped record
+    compared: int  # records present in both streams
+    moved: int  # of those, records whose margin changed
+    flips: int  # of those, records whose status or pass changed
+    added: int
+    dropped: int
+    worst_ulps: int
+    worst_relative: float
+
+    @property
+    def clean(self) -> bool:
+        """No status or pass flip and no added or dropped record."""
+        return not (self.flips or self.added or self.dropped)
+
+    def summary(self) -> str:
+        return (
+            f"{self.compared} records matched, {self.moved} margins moved "
+            f"(worst {self.worst_ulps} ulp, {self.worst_relative:.1e} relative), "
+            f"{self.flips} status or pass flips, {self.added} added, "
+            f"{self.dropped} dropped"
+        )
+
+
+def diff_records(before, after) -> RecordDiff:
+    """Margin drift, status and pass flips, and added and dropped records
+    between two record streams.  A margin's relative change is
+    (after - before) / max(|before|, |after|)."""
+
+    def keyed(records) -> dict[tuple, VerificationRecord]:
+        rank: Counter = Counter()
+        out = {}
+        for rec in records:
+            triple = (rec.theorem_id, rec.body_id, rec.map_id)
+            out[(*triple, rank[triple])] = rec
+            rank[triple] += 1
+        return out
+
+    old, new = keyed(before), keyed(after)
+    rows: list[dict] = []
+    moved = flips = 0
+    worst_ulps, worst_relative = 0, 0.0
+    for key in [*old, *(key for key in new if key not in old)]:
+        a, b = old.get(key), new.get(key)
+        row = {"theorem": key[0], "body": key[1], "map": key[2] or "-", "rank": key[3]}
+        if a is None or b is None:
+            rows.append({**row, "change": "added" if a is None else "dropped"})
+            continue
+        flipped = a.status != b.status or a.passed != b.passed
+        if a.margin == b.margin and not flipped:
+            continue
+        ulps = abs(_ordered_bits(b.margin) - _ordered_bits(a.margin))
+        scale = max(abs(a.margin), abs(b.margin))
+        relative = (b.margin - a.margin) / scale if scale else 0.0
+        moved += a.margin != b.margin
+        flips += flipped
+        worst_ulps = max(worst_ulps, ulps)
+        worst_relative = max(worst_relative, abs(relative))
+        rows.append({
+            **row,
+            "change": "flip" if flipped else "margin",
+            "margin_before": a.margin,
+            "margin_after": b.margin,
+            "ulps": ulps,
+            "relative": relative,
+            "status": a.status if a.status == b.status else f"{a.status}->{b.status}",
+            "pass": a.passed if a.passed == b.passed else f"{a.passed}->{b.passed}".lower(),
+        })
+    return RecordDiff(
+        rows=tuple(rows),
+        compared=len(old.keys() & new.keys()),
+        moved=moved,
+        flips=flips,
+        added=len(new.keys() - old.keys()),
+        dropped=len(old.keys() - new.keys()),
+        worst_ulps=worst_ulps,
+        worst_relative=worst_relative,
     )

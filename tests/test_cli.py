@@ -340,6 +340,64 @@ def test_export_rejects_wrong_schema(capsys, tmp_path):
     assert code == 2
 
 
+# ---------------------------------------------------------------------------
+# diff
+# ---------------------------------------------------------------------------
+
+
+def _write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return path
+
+
+def test_diff_of_a_file_with_itself_is_clean(capsys, records_file):
+    code, out, _ = run_cli(capsys, "diff", str(records_file), str(records_file))
+    assert code == 0
+    count = len(records_file.read_text().splitlines())
+    assert f"note: {count} records matched, 0 margins moved" in out
+    assert "0 status or pass flips, 0 added, 0 dropped" in out
+
+
+def test_diff_reports_margin_drift_in_ulps(capsys, records_file, tmp_path):
+    rows = parse_jsonl(records_file.read_text())
+    moved = [dict(row) for row in rows]
+    moved[3]["margin"] = math.nextafter(math.nextafter(rows[3]["margin"], math.inf), math.inf)
+    after = _write_jsonl(tmp_path / "after.jsonl", moved)
+    code, out, err = run_cli(
+        capsys, "diff", str(records_file), str(after), "--format", "json-lines"
+    )
+    assert code == 0  # drift alone is not a failure
+    (row,) = parse_jsonl(out)
+    assert (row["theorem"], row["change"], row["ulps"]) == (rows[3]["theorem_id"], "margin", 2)
+    assert row["relative"] == pytest.approx(2 * 2.0**-52, rel=1.0)
+    assert "1 margins moved (worst 2 ulp" in err
+
+
+def test_diff_fails_on_flips_and_on_added_or_dropped_records(capsys, records_file, tmp_path):
+    rows = parse_jsonl(records_file.read_text())
+    flipped = [dict(row) for row in rows]
+    flipped[0]["pass"] = not rows[0]["pass"]
+    flipped[1]["status"] = "advisory" if rows[1]["status"] != "advisory" else "strict"
+    after = _write_jsonl(tmp_path / "flipped.jsonl", flipped)
+    code, out, _ = run_cli(capsys, "diff", str(records_file), str(after))
+    assert code == 1
+    assert "2 status or pass flips" in out
+    dropped = _write_jsonl(tmp_path / "dropped.jsonl", rows[:-1])
+    code, out, _ = run_cli(capsys, "diff", str(records_file), str(dropped))
+    assert code == 1 and "0 added, 1 dropped" in out
+    code, out, _ = run_cli(capsys, "diff", str(dropped), str(records_file))
+    assert code == 1 and "1 added, 0 dropped" in out
+
+
+def test_diff_reads_csv_records(capsys, records_file, tmp_path):
+    as_csv = tmp_path / "suite.csv"
+    assert cli.main(["export", "--input", str(records_file), "--format", "csv",
+                     "--output", str(as_csv)]) == 0
+    code, out, _ = run_cli(capsys, "diff", str(as_csv), str(records_file))
+    assert code == 0
+    assert "0 margins moved" in out
+
+
 def test_numerical_failures_exit_three(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise NumericalError("synthetic blow-up", diagnostics={"n": 7})

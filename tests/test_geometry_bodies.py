@@ -193,6 +193,149 @@ def test_cylinder_distance_dominates_chord_on_samples():
     assert np.all(values >= chords - 1e-9)
 
 
+def _scalar_cylinder_distance(body, p, q):
+    """The per-pair cylinder route the batch replaced, kept as its oracle:
+    scalar classification and libm acos, hypot and pow.  Its cap leg is the
+    batch's cancellation-free form; the old rho^2 + r^2 - 2 rho r cos(phi)
+    lost ~1e-8 near the rim and could return NaN there."""
+    r, h = body.base_radius, body.height
+    tol = 1e-9 * max(r, h)
+
+    def classify(x):
+        perp, z = float(np.linalg.norm(x[:-1])), float(x[-1])
+        if abs(z - 0.5 * h) <= tol and perp <= r + tol:
+            return "cap_top", perp, z
+        if abs(z + 0.5 * h) <= tol and perp <= r + tol:
+            return "cap_bottom", perp, z
+        assert abs(perp - r) <= tol and abs(z) <= 0.5 * h + tol
+        return "lateral", perp, z
+
+    def wrap(delta):
+        return np.abs((np.asarray(delta) + np.pi) % (2.0 * np.pi) - np.pi)
+
+    def cap_leg(rho_from, phi):
+        return np.sqrt((r - rho_from) ** 2 + 4.0 * rho_from * r * np.sin(phi / 2.0) ** 2)
+
+    piece_p, a, z_p = classify(p)
+    piece_q, b, z_q = classify(q)
+    if piece_p == piece_q and piece_p.startswith("cap"):
+        return float(np.linalg.norm(p - q)), "exact"
+    if {piece_p, piece_q} == {"cap_top", "cap_bottom"} and a <= tol and b <= tol:
+        return 2.0 * r + h, "exact"
+    if a < 1e-14 or b < 1e-14:
+        gamma = 0.0
+    else:
+        gamma = math.acos(float(np.clip(p[:-1] @ q[:-1] / (a * b), -1.0, 1.0)))
+    candidates = []
+    if piece_p == "lateral" and piece_q == "lateral":
+        candidates.append(math.hypot(r * gamma, z_p - z_q))
+        u = np.linspace(-math.pi, math.pi, 49)[:, None]
+        w = np.linspace(-math.pi, math.pi, 49)[None, :]
+        for cap_z in (0.5 * h, -0.5 * h):
+            climb = np.sqrt((r * wrap(u)) ** 2 + (cap_z - z_p) ** 2)
+            cross = 2.0 * r * np.sin(wrap(w - u) / 2.0)
+            descend = np.sqrt((r * wrap(gamma - w)) ** 2 + (cap_z - z_q) ** 2)
+            candidates.append(float(np.min(climb + cross + descend)))
+    elif piece_p.startswith("cap") != piece_q.startswith("cap"):
+        if piece_q.startswith("cap"):
+            a, b, piece_p, z_q = b, a, piece_q, z_p
+        cap_z = 0.5 * h if piece_p == "cap_top" else -0.5 * h
+        phi = np.linspace(-math.pi, math.pi, 257)
+        leg2 = np.sqrt((r * wrap(gamma - phi)) ** 2 + (cap_z - z_q) ** 2)
+        candidates.append(float(np.min(cap_leg(a, phi) + leg2)))
+    else:
+        phi = np.linspace(-math.pi, math.pi, 49)[:, None]
+        psi = np.linspace(-math.pi, math.pi, 49)[None, :]
+        lateral = np.sqrt((r * wrap(gamma - phi - psi)) ** 2 + h**2)
+        candidates.append(float(np.min(cap_leg(a, phi) + lateral + cap_leg(b, psi))))
+    return min(candidates), "upper_bound"
+
+
+def _cylinder_piece_points(body, count):
+    """Points on each piece: top cap, bottom cap (centers and rims among
+    them) and the barrel (its two rim circles among them)."""
+    n, r, h = body.n, body.base_radius, body.height
+    rng = substream(RNG_SEED, "cylinder-pieces", body.body_id)
+    pieces = {}
+    for name, z in (("top", 0.5 * h), ("bottom", -0.5 * h)):
+        pts = np.empty((count, n + 1))
+        pts[:, :-1] = unit_directions(rng, count, n) * (r * rng.random((count, 1)))
+        pts[:, -1] = z
+        pts[0, :-1] = 0.0  # the cap center
+        pts[1, :-1] *= r / np.linalg.norm(pts[1, :-1])  # a rim point
+        pieces[name] = pts
+    lateral = np.empty((count, n + 1))
+    lateral[:, :-1] = r * unit_directions(rng, count, n)
+    lateral[:, -1] = h * (rng.random(count) - 0.5)
+    lateral[0, -1], lateral[1, -1] = 0.5 * h, -0.5 * h
+    pieces["lateral"] = lateral
+    return pieces
+
+
+# Against the scalar route the batch takes arccos, hypot and squares from
+# numpy instead of libm, each within an ulp or two of it.
+CYLINDER_ULP_BOUND = 8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("r, h", [(0.7, 1.9), (1.0, 0.1), (0.375, 0.25)])
+def test_cylinder_batch_equals_scalar_route_on_every_piece_pairing(n, r, h):
+    body = CylinderBody(n, r, h)
+    pieces = _cylinder_piece_points(body, 24)
+    for first in pieces:
+        for second in pieces:
+            xs, ys = pieces[first], pieces[second][::-1].copy()
+            batch, kind = body.intrinsic_distances_batch(xs, ys)
+            singles = [body.intrinsic_distance(x, y) for x, y in zip(xs, ys)]
+            assert np.array_equal(batch, [v for v, _ in singles])
+            oracle = [_scalar_cylinder_distance(body, x, y) for x, y in zip(xs, ys)]
+            assert [k for _, k in singles] == [k for _, k in oracle]
+            assert kind == ("exact" if all(k == "exact" for _, k in oracle)
+                            else "upper_bound")
+            expected = np.array([v for v, _ in oracle])
+            spacing = np.spacing(np.maximum(batch, expected))
+            assert np.all(np.abs(batch - expected) <= CYLINDER_ULP_BOUND * spacing)
+    # a mixed batch answers each row as the same row alone
+    xs = np.concatenate(list(pieces.values()))
+    ys = np.concatenate([pieces[k][::-1] for k in ("lateral", "top", "bottom")])
+    batch, _ = body.intrinsic_distances_batch(xs, ys)
+    assert np.array_equal(batch, [body.intrinsic_distance(x, y)[0] for x, y in zip(xs, ys)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cylinder_rim_to_barrel_distances_are_finite(n):
+    # the law of cosines in its cancelling form returned NaN for about a
+    # quarter of these pairs on this cylinder
+    body = CylinderBody(n, 0.375, 0.25)
+    rng = substream(RNG_SEED, "rim", str(n))
+    xs = np.empty((300, n + 1))
+    xs[:, :-1] = 0.375 * unit_directions(rng, 300, n)
+    xs[:, -1] = 0.125
+    ys = np.empty((300, n + 1))
+    ys[:, :-1] = 0.375 * unit_directions(rng, 300, n)
+    ys[:, -1] = 0.25 * (rng.random(300) - 0.5)
+    values, _ = body.intrinsic_distances_batch(xs, ys)
+    assert np.all(np.isfinite(values))
+    assert np.all(values >= np.linalg.norm(xs - ys, axis=1) * (1.0 - 1e-12))
+    # straight down the barrel from a rim point
+    rim = np.zeros(n + 1)
+    rim[0], rim[-1] = 0.375, 0.125
+    below = rim.copy()
+    below[-1] = -0.0625
+    assert body.intrinsic_distance(rim, below)[0] == 0.1875
+
+
+def test_cylinder_batch_rejects_off_boundary_points():
+    body = CylinderBody(2, 1.0, 2.0)
+    on = np.array([[1.0, 0.0, 0.0]])
+    with pytest.raises(DomainError):
+        body.intrinsic_distances_batch(on, np.array([[0.5, 0.0, 0.0]]))
+    with pytest.raises(DomainError):
+        body.intrinsic_distances_batch(on, np.ones((2, 3)))
+    assert body.intrinsic_distances_batch(on[:0], on[:0])[0].shape == (0,)
+
+
 def test_cylinder_sampling_distribution_and_membership():
     body = CylinderBody(3, 0.5, 2.0)
     pts = body.sample_boundary(21, 4000)
@@ -571,12 +714,8 @@ def _scalar_faces_containing(body, p):
     return hits
 
 
-def _dict_route_distances(graph, xs, ys):
-    """The geodesic query route built from Python dicts, one query at a
-    time: kept as the oracle for the array-built route."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
+def _dict_base_weights(graph):
+    """Base-graph edge weights built in a Python dict, first-seen order."""
     weights = {}
     for ids in graph.face_node_ids:
         pts = graph.nodes[ids]
@@ -584,11 +723,21 @@ def _dict_route_distances(graph, xs, ys):
         iu, ju = np.triu_indices(len(ids), k=1)
         for i, j, w in zip(ids[iu], ids[ju], dists[iu, ju]):
             weights[(int(i), int(j))] = float(w)
+    return weights
+
+
+def _dict_route_distances(body, graph, xs, ys, weights=None):
+    """The geodesic query route built from Python dicts, one query at a
+    time: kept as the oracle for the array-built route."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    weights = _dict_base_weights(graph) if weights is None else weights
     k, base = len(xs), graph.node_count
     queries = np.concatenate([xs, ys], axis=0)
     extra, query_faces = {}, []
     for qi, point in enumerate(queries):
-        faces = _scalar_faces_containing(graph.polytope, point)
+        faces = _scalar_faces_containing(body, point)
         query_faces.append(set(faces))
         node_ids = np.unique(np.concatenate([graph.face_node_ids[f] for f in faces]))
         lengths = np.linalg.norm(graph.nodes[node_ids] - point, axis=1)
@@ -606,12 +755,10 @@ def _dict_route_distances(graph, xs, ys):
     return dist[np.arange(k), base + k + np.arange(k)]
 
 
-@pytest.mark.parametrize("seed, vertices", [(2, 14), (8, 22), (12, 30)])
-def test_pairwise_distances_equal_dict_route(seed, vertices):
-    body = random_polytope(seed, vertices)
-    xs = body.sample_boundary(seed + 1, 200)
-    ys = body.sample_boundary(seed + 2, 200)
-    # include vertices, edge points and same-face pairs
+def _oracle_pairs(body, seed, count):
+    """Boundary pairs plus vertices, edge points and same-face pairs."""
+    xs = body.sample_boundary(seed + 1, count)
+    ys = body.sample_boundary(seed + 2, count)
     xs[:5] = body.vertices[:5]
     a, b = np.array(body.edges[:5]).T
     ys[5:10] = 0.5 * (body.vertices[a] + body.vertices[b])
@@ -620,8 +767,76 @@ def test_pairwise_distances_equal_dict_route(seed, vertices):
     ys[10:15] = face.centroid + np.linspace(0.2, 0.9, 5)[:, None] * (
         body.vertices[face.indices[0]] - face.centroid
     )
+    return xs, ys
+
+
+@pytest.mark.parametrize("seed, vertices", [(2, 14), (8, 22), (12, 30)])
+def test_pairwise_distances_equal_dict_route(seed, vertices):
+    # the one-source route, called directly: a batch of 200 pairs would
+    # take the table route through pairwise_distances
+    body = random_polytope(seed, vertices)
+    xs, ys = _oracle_pairs(body, seed, 200)
     for m in (0, 6, 8):
         graph = GeodesicGraph(body, m)
         assert np.array_equal(
-            graph.pairwise_distances(xs, ys), _dict_route_distances(graph, xs, ys)
+            graph._one_source_route(graph._query_edges(xs, ys)),
+            _dict_route_distances(body, graph, xs, ys),
         )
+
+
+# The table route sums (|x - a| + D[a, b]) + |b - y| where the one-source
+# route accumulates the same path from x, so the two may round apart by
+# about one ulp per edge of the path; 2 ulps is the most seen here.
+TABLE_ULP_BOUND = 16
+
+
+@pytest.mark.parametrize("seed, vertices", [(2, 14), (8, 22), (12, 30)])
+def test_table_route_matches_dict_route_pair_by_pair(seed, vertices):
+    body = random_polytope(seed, vertices)
+    xs, ys = _oracle_pairs(body, seed, 60)
+    chords = np.linalg.norm(xs - ys, axis=1)
+    for m in (0, 6):
+        graph = GeodesicGraph(body, m)
+        # 300 pairs pay for the table on these graphs
+        got = graph.pairwise_distances(np.repeat(xs, 5, axis=0), np.repeat(ys, 5, axis=0))
+        assert graph._table is not None
+        got = got[::5]
+        # each pair alone: no other query point can shorten its path
+        weights = _dict_base_weights(graph)
+        oracle = np.array([
+            _dict_route_distances(body, graph, xs[i:i + 1], ys[i:i + 1], weights)[0]
+            for i in range(len(xs))
+        ])
+        spacing = np.spacing(np.maximum(got, oracle))
+        assert np.all(np.abs(got - oracle) <= TABLE_ULP_BOUND * spacing)
+        assert np.all(got >= chords)
+        # a pair's answer does not depend on the rest of its batch
+        singles = np.array([graph.distance(x, y) for x, y in zip(xs, ys)])
+        assert np.array_equal(singles, got)
+        assert np.array_equal(graph.pairwise_distances(xs[::-1], ys[::-1]), got[::-1])
+
+
+def test_fresh_single_pair_query_builds_no_table():
+    body = Polytope3(unit_directions(substream(RNG_SEED, "cold"), 25, 3))
+    x, y = body.sample_boundary(4, 2)
+    value, _ = body.intrinsic_distance(x, y, subdivision=32)
+    graph = body._graphs[32]
+    assert graph._table is None
+    assert value == graph._one_source_route(graph._query_edges(x[None], y[None]))[0]
+
+
+def test_dropping_a_queried_polytope_frees_its_graph():
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        body = random_polytope(3, 16, geodesic_subdivision=4)
+        body.intrinsic_distances_batch(body.sample_boundary(1, 300),
+                                       body.sample_boundary(2, 300))
+        graph = weakref.ref(body._graphs[4])
+        assert graph()._table is not None
+        del body
+        assert graph() is None
+    finally:
+        gc.enable()
