@@ -490,9 +490,8 @@ def cmd_geodesic(args: argparse.Namespace) -> int:
     start = _resolve_point(body, getattr(args, "from"))
     stop = _resolve_point(body, args.to)
     if isinstance(body, Polytope3):
-        distance, kind = body.intrinsic_distance(
-            start, stop, subdivision=args.subdiv
-        )
+        values, kind = body.intrinsic_distances_batch(start[None], stop[None], args.subdiv)
+        distance = float(values[0])
         subdivision = args.subdiv
     else:
         if args.subdiv is not None:

@@ -18,18 +18,14 @@ from .maps import (  # noqa: F401
     DisplacementMap,
     MapDisplacementStats,
     central_point_map,
-    custom_map,
     displacement_stats,
     euclidean_antipode_map,
     half_perimeter_map,
 )
 from .measures import (  # noqa: F401
-    GaussCoverage,
     MeanWidthResult,
     WidthResult,
-    chordal_gauss_coverage,
     mean_width,
     min_width,
-    width,
 )
 from .sampling import fibonacci_sphere, substream, unit_directions  # noqa: F401

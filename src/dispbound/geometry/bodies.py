@@ -83,6 +83,18 @@ def _as_directions(direction, dim: int) -> tuple[np.ndarray, bool]:
     return d / norms[:, None], single
 
 
+def _as_pairs(xs, ys, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two query arrays of a batch distance call as ``(k, dim)`` rows,
+    checked for dimension, finiteness and matching shapes."""
+    p, _ = _as_rows(xs, dim)
+    q, _ = _as_rows(ys, dim)
+    if p.shape != q.shape:
+        raise DomainError(
+            f"query arrays must have matching shapes, got {p.shape} and {q.shape}"
+        )
+    return p, q
+
+
 def _nearest_exit(numerators: np.ndarray, normals: np.ndarray,
                   d: np.ndarray) -> np.ndarray:
     """Smallest positive ``numerator / (normal . d)`` per row of ``d`` over
@@ -132,7 +144,11 @@ def face_membership(p: np.ndarray, faces, vertices: np.ndarray, scale: float) ->
 
 
 class ConvexBody(abc.ABC):
-    """A compact convex body, described through its boundary hypersurface."""
+    """A compact convex body, described through its boundary hypersurface.
+
+    Each boundary primitive has one batch implementation per body; the
+    scalar ``support`` and ``intrinsic_distance`` are batches of one.
+    """
 
     ambient_dimension: int
     body_id: str
@@ -141,9 +157,10 @@ class ConvexBody(abc.ABC):
     def surface_dimension(self) -> int:
         return self.ambient_dimension - 1
 
-    @abc.abstractmethod
     def support(self, direction) -> float:
         """Support function h(u) = max over the body of <x, u> (homogeneous)."""
+        u = _as_point(direction, self.ambient_dimension)
+        return float(self.support_batch(u[None, :])[0])
 
     @abc.abstractmethod
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
@@ -157,9 +174,13 @@ class ConvexBody(abc.ABC):
     def enclosed_volume(self) -> float:
         """(n+1)-dimensional measure of the enclosed region."""
 
-    @abc.abstractmethod
     def intrinsic_distance(self, x, y) -> tuple[float, str]:
         """Length of a shortest boundary path, with an exact/upper-bound tag."""
+        values, kind = self.intrinsic_distances_batch(
+            _as_point(x, self.ambient_dimension)[None, :],
+            _as_point(y, self.ambient_dimension)[None, :],
+        )
+        return float(values[0]), kind
 
     @abc.abstractmethod
     def sample_boundary(self, seed: int, count: int) -> np.ndarray:
@@ -180,13 +201,16 @@ class ConvexBody(abc.ABC):
     @property
     def scale(self) -> float:
         """Rough linear size, used for relative tolerances."""
-        return max(abs(self.support(e)) for e in np.eye(self.ambient_dimension)) or 1.0
+        axes = np.eye(self.ambient_dimension)
+        return float(np.max(np.abs(self.support_batch(axes)))) or 1.0
 
     @abc.abstractmethod
     def intrinsic_distances_batch(
         self, xs: np.ndarray, ys: np.ndarray
     ) -> tuple[np.ndarray, str]:
-        """Pairwise-row distances; tag is exact only when every row is exact."""
+        """Distances between matching rows of ``xs`` and ``ys``, boundary
+        points of equal ``(k, dim)`` shapes; the tag is exact only when every
+        row is exact."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} {self.body_id}>"
@@ -213,10 +237,6 @@ class SphereBody(ConvexBody):
         self.radius = float(radius)
         self.body_id = body_id or f"sphere-r{self.radius:g}-d{self.ambient_dimension}"
 
-    def support(self, direction) -> float:
-        u = _as_point(direction, self.ambient_dimension)
-        return float(self.center @ u + self.radius * np.linalg.norm(u))
-
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
         d = np.asarray(directions, dtype=np.float64)
         return d @ self.center + self.radius * np.linalg.norm(d, axis=1)
@@ -229,21 +249,17 @@ class SphereBody(ConvexBody):
         d = self.ambient_dimension
         return math.exp(log_unit_ball_volume(d) + d * math.log(self.radius))
 
-    def _validate_on_sphere(self, p: np.ndarray) -> np.ndarray:
-        v = p - self.center
-        if abs(np.linalg.norm(v) - self.radius) > 1e-9 * self.radius:
-            raise DomainError(f"point is not on the sphere: {p!r}")
-        return v / np.linalg.norm(v)
-
-    def intrinsic_distance(self, x, y) -> tuple[float, str]:
-        u = self._validate_on_sphere(_as_point(x, self.ambient_dimension))
-        v = self._validate_on_sphere(_as_point(y, self.ambient_dimension))
-        angle = math.acos(float(np.clip(u @ v, -1.0, 1.0)))
-        return self.radius * angle, EXACT
-
-    def intrinsic_distances_batch(self, xs, ys):
-        u = (np.asarray(xs) - self.center) / self.radius
-        v = (np.asarray(ys) - self.center) / self.radius
+    def intrinsic_distances_batch(self, xs, ys) -> tuple[np.ndarray, str]:
+        """Great-circle arc lengths; exact."""
+        p, q = _as_pairs(xs, ys, self.ambient_dimension)
+        points = np.concatenate([p, q])
+        rel = points - self.center
+        off = np.flatnonzero(
+            np.abs(np.sqrt(np.vecdot(rel, rel)) - self.radius) > 1e-9 * self.radius
+        )
+        if len(off):
+            raise DomainError(f"point is not on the sphere: {points[off[0]]!r}")
+        u, v = np.split(rel / self.radius, 2)
         dots = np.clip(np.einsum("ij,ij->i", u, v), -1.0, 1.0)
         return self.radius * np.arccos(dots), EXACT
 
@@ -295,12 +311,6 @@ class CylinderBody(ConvexBody):
             f"cylinder-n{self.n}-r{self.base_radius:g}-h{self.height:g}"
         )
 
-    def support(self, direction) -> float:
-        u = _as_point(direction, self.ambient_dimension)
-        return float(
-            self.base_radius * np.linalg.norm(u[:-1]) + 0.5 * self.height * abs(u[-1])
-        )
-
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
         d = np.asarray(directions, dtype=np.float64)
         return self.base_radius * np.linalg.norm(d[:, :-1], axis=1) + (
@@ -337,13 +347,6 @@ class CylinderBody(ConvexBody):
             raise DomainError(f"point is not on the cylinder boundary: {p[off[0]]!r}")
         return piece, perp, z
 
-    def intrinsic_distance(self, x, y) -> tuple[float, str]:
-        values, kind = self.intrinsic_distances_batch(
-            _as_point(x, self.ambient_dimension)[None, :],
-            _as_point(y, self.ambient_dimension)[None, :],
-        )
-        return float(values[0]), kind
-
     def intrinsic_distances_batch(self, xs, ys) -> tuple[np.ndarray, str]:
         """Exact for same-cap pairs and opposite cap centers; otherwise the
         minimum over a family of unrolled candidate paths (an upper bound).
@@ -352,10 +355,7 @@ class CylinderBody(ConvexBody):
         form evaluated over a fixed grid of rim angles, in chunks of rows
         that keep every temporary near ``BATCH_CELLS`` cells.
         """
-        p, _ = _as_rows(xs, self.ambient_dimension)
-        q, _ = _as_rows(ys, self.ambient_dimension)
-        if p.shape != q.shape:
-            raise DomainError("query arrays must have matching shapes")
+        p, q = _as_pairs(xs, ys, self.ambient_dimension)
         piece_p, a, z_p = self._classify(p)
         piece_q, b, z_q = self._classify(q)
         r, h = self.base_radius, self.height
@@ -523,10 +523,6 @@ class PolygonBoundary(ConvexBody):
         self.perimeter = float(self._cum[-1])
         self.body_id = body_id or f"polygon-{len(v)}gon"
 
-    def support(self, direction) -> float:
-        u = _as_point(direction, 2)
-        return float(np.max(self.vertices @ u))
-
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
         return np.max(np.asarray(directions) @ self.vertices.T, axis=1)
 
@@ -546,11 +542,6 @@ class PolygonBoundary(ConvexBody):
         t = (s - self._cum[idx]) / self._edge_lengths[idx]
         return self.vertices[idx] + t[..., None] * self._edges[idx]
 
-    def arclength_of(self, point) -> float:
-        p = _as_point(point, 2)
-        s = self.arclengths_of(p[None, :])
-        return float(s[0])
-
     def arclengths_of(self, points: np.ndarray) -> np.ndarray:
         """Arc-length parameters of on-boundary points (vectorized)."""
         p = np.asarray(points, dtype=np.float64)
@@ -567,13 +558,10 @@ class PolygonBoundary(ConvexBody):
             raise DomainError(f"point is not on the polygon boundary: {bad!r}")
         return self._cum[best] + t[rows, best] * self._edge_lengths[best]
 
-    def intrinsic_distance(self, x, y) -> tuple[float, str]:
-        sx, sy = self.arclength_of(x), self.arclength_of(y)
-        gap = abs(sx - sy)
-        return min(gap, self.perimeter - gap), EXACT
-
-    def intrinsic_distances_batch(self, xs, ys):
-        gaps = np.abs(self.arclengths_of(xs) - self.arclengths_of(ys))
+    def intrinsic_distances_batch(self, xs, ys) -> tuple[np.ndarray, str]:
+        """The shorter of the two arcs between the points; exact."""
+        p, q = _as_pairs(xs, ys, 2)
+        gaps = np.abs(self.arclengths_of(p) - self.arclengths_of(q))
         return np.minimum(gaps, self.perimeter - gaps), EXACT
 
     def sample_boundary(self, seed: int, count: int) -> np.ndarray:
@@ -582,17 +570,6 @@ class PolygonBoundary(ConvexBody):
 
     def interior_point(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
-
-    def min_width_exact(self) -> float:
-        """Rotating-calipers minimum width (exact for convex polygons)."""
-        best = math.inf
-        for i, (v, e, length) in enumerate(
-            zip(self.vertices, self._edges, self._edge_lengths)
-        ):
-            normal = np.array([-e[1], e[0]]) / length  # inward for ccw order
-            heights = (self.vertices - v) @ normal
-            best = min(best, float(np.max(heights)))
-        return best
 
     def ray_exit(self, origin, direction) -> np.ndarray:
         o = _as_point(origin, 2)
@@ -748,10 +725,6 @@ class Polytope3(ConvexBody):
                 total += vol
         return acc / total
 
-    def support(self, direction) -> float:
-        u = _as_point(direction, 3)
-        return float(np.max(self.vertices @ u))
-
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
         return np.max(np.asarray(directions) @ self.vertices.T, axis=1)
 
@@ -767,20 +740,16 @@ class Polytope3(ConvexBody):
         member = face_membership(p, self.faces, self.vertices, self._scale)
         return np.flatnonzero(member[0]).tolist() if single else member
 
-    def intrinsic_distance(self, x, y, subdivision: int | None = None) -> tuple[float, str]:
-        values, kind = self.intrinsic_distances_batch(
-            np.asarray(x)[None, :], np.asarray(y)[None, :], subdivision
-        )
-        return float(values[0]), kind
-
     def intrinsic_distances_batch(self, xs, ys, subdivision: int | None = None):
+        """Steiner-graph distances (upper bounds) on the graph of the given
+        subdivision, by default the polytope's own ``geodesic_subdivision``."""
         from .geodesic import GeodesicGraph  # local import to avoid a cycle
 
         m = self.geodesic_subdivision if subdivision is None else int(subdivision)
         if m not in self._graphs:
             self._graphs[m] = GeodesicGraph(self, m)
         graph: GeodesicGraph = self._graphs[m]  # type: ignore[assignment]
-        return graph.pairwise_distances(np.asarray(xs), np.asarray(ys)), UPPER_BOUND
+        return graph.pairwise_distances(xs, ys), UPPER_BOUND
 
     def sample_boundary(self, seed: int, count: int) -> np.ndarray:
         rng = substream(seed, "sample-boundary", self.body_id)

@@ -43,7 +43,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ..errors import DomainError
-from .bodies import BATCH_CELLS, _as_rows, face_membership
+from .bodies import BATCH_CELLS, _as_pairs, face_membership
 
 __all__ = ["GeodesicGraph"]
 
@@ -134,15 +134,9 @@ class GeodesicGraph:
             return self._one_source_route(q)
         return self._table_route(q)
 
-    def distance(self, x, y) -> float:
-        return float(self.pairwise_distances(np.asarray(x)[None], np.asarray(y)[None])[0])
-
     def _query_edges(self, xs, ys) -> _QueryEdges:
-        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-        if xs.shape != ys.shape:
-            raise DomainError("query arrays must have matching shapes")
-        queries, _ = _as_rows(np.concatenate([xs, ys], axis=0), 3)
+        xs, ys = _as_pairs(xs, ys, 3)
+        queries = np.concatenate([xs, ys], axis=0)
         member = face_membership(queries, self._faces, self._vertices, self._scale)
         off = np.flatnonzero(~member.any(axis=1))
         if len(off):

@@ -15,14 +15,13 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigurationError, DomainError, FixedPointError
-from .bodies import ConvexBody, PolygonBoundary, Polytope3, SphereBody
+from .bodies import ConvexBody, PolygonBoundary, SphereBody
 from .sampling import fibonacci_sphere, unit_directions, substream
 
 __all__ = [
     "DisplacementMap",
     "MapDisplacementStats",
     "central_point_map",
-    "custom_map",
     "displacement_stats",
     "euclidean_antipode_map",
     "half_perimeter_map",
@@ -120,15 +119,6 @@ def half_perimeter_map(map_id: str | None = None) -> DisplacementMap:
     return DisplacementMap(map_id or "half-perimeter", apply, critical)
 
 
-def custom_map(
-    map_id: str,
-    apply: Callable[[ConvexBody, np.ndarray], np.ndarray],
-    critical_points: Callable[[ConvexBody], np.ndarray | None] | None = None,
-) -> DisplacementMap:
-    """Wrap a user-supplied boundary self-map."""
-    return DisplacementMap(map_id, apply, critical_points or (lambda body: None))
-
-
 @dataclass(frozen=True)
 class MapDisplacementStats:
     """Sampled displacement summary for one (body, map) pair.
@@ -160,13 +150,13 @@ def displacement_stats(
     samples: int = 2000,
     seed: int = 0,
     distance_cap: int = 300,
-    subdivision: int | None = None,
 ) -> MapDisplacementStats:
     """Sample the boundary, apply the map, and summarize displacements.
 
     Bodies with slow per-pair distance routines (cylinders, polytopes) only
     evaluate a capped subset of the samples; any map-declared critical
-    points are always part of that subset.
+    points are always part of that subset.  A polytope's distances come
+    from the graph of its own ``geodesic_subdivision``.
     """
     if samples < 1:
         raise ConfigurationError(f"need at least one sample, got {samples}")
@@ -191,12 +181,7 @@ def displacement_stats(
         subset = np.arange(len(points))
     else:
         subset = np.arange(distance_cap)  # critical points were prepended
-    if isinstance(body, Polytope3):
-        dists, kind = body.intrinsic_distances_batch(
-            points[subset], images[subset], subdivision
-        )
-    else:
-        dists, kind = body.intrinsic_distances_batch(points[subset], images[subset])
+    dists, kind = body.intrinsic_distances_batch(points[subset], images[subset])
     if np.any(dists < chords[subset] * (1.0 - 1e-9)):
         i = int(np.argmin(dists - chords[subset]))
         raise DomainError(

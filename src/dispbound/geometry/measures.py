@@ -1,4 +1,4 @@
-"""Width, mean width, and chord-direction coverage for convex bodies.
+"""Minimum width and mean width of convex bodies.
 
 Everything here is derived from the support function, so it works for any
 ``ConvexBody``.  Exact shortcuts (polygon calipers, the polytope edge
@@ -13,32 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError, DomainError
+from ..errors import ConfigurationError
 from .bodies import ConvexBody, PolygonBoundary, Polytope3
-from .maps import DisplacementMap
 from .sampling import fibonacci_sphere, substream, unit_directions
 
 __all__ = [
-    "GaussCoverage",
     "MeanWidthResult",
     "WidthResult",
-    "chordal_gauss_coverage",
     "mean_width",
     "min_width",
-    "width",
 ]
 
 _DIRECTION_STREAM_TAG = 74_843_121  # fixed tag so refinement is reproducible
-
-
-def width(body: ConvexBody, direction) -> float:
-    """Distance between the two supporting hyperplanes orthogonal to ``direction``."""
-    u = np.asarray(direction, dtype=np.float64)
-    norm = float(np.linalg.norm(u))
-    if norm <= 0.0 or not math.isfinite(norm):
-        raise DomainError(f"direction must be a nonzero finite vector, got {direction!r}")
-    u = u / norm
-    return body.support(u) + body.support(-u)
 
 
 @dataclass(frozen=True)
@@ -146,60 +132,3 @@ def mean_width(
             raise ConfigurationError("the perimeter identity needs a polygon")
         return MeanWidthResult(body.perimeter / math.pi, 0.0, method, 0)
     raise ConfigurationError(f"unknown mean width method {method!r}")
-
-
-@dataclass(frozen=True)
-class GaussCoverage:
-    """How thoroughly the chord directions of a map cover the sphere."""
-
-    max_gap: float  # largest angle from any probe direction to a chord direction
-    mean_gap: float
-    winding_number: int | None  # only defined for closed planar curves
-    chord_samples: int
-    probe_count: int
-
-
-def chordal_gauss_coverage(
-    body: ConvexBody,
-    disp_map: DisplacementMap,
-    samples: int = 2048,
-    probes: int = 512,
-    seed: int = 0,
-) -> GaussCoverage:
-    """Sample chord directions x -> map(x) and measure their angular coverage.
-
-    For polygon boundaries the samples traverse the curve in parameter
-    order, so the turning number of the chord field is also reported.
-    """
-    if samples < 8 or probes < 8:
-        raise ConfigurationError("need at least 8 samples and 8 probes")
-    winding: int | None = None
-    if isinstance(body, PolygonBoundary):
-        s = np.linspace(0.0, body.perimeter, samples, endpoint=False)
-        points = body.point_at(s)
-    else:
-        points = body.sample_boundary(seed, samples)
-    images = disp_map.apply(body, points)
-    chords = images - points
-    norms = np.linalg.norm(chords, axis=1)
-    if np.any(norms <= 0.0):
-        raise DomainError("chord field vanished at a sample point")
-    chords = chords / norms[:, None]
-
-    if isinstance(body, PolygonBoundary):
-        angles = np.unwrap(np.arctan2(chords[:, 1], chords[:, 0]))
-        closing = math.remainder(
-            math.atan2(chords[0, 1], chords[0, 0]) - angles[-1], 2.0 * math.pi
-        )
-        winding = int(round((angles[-1] + closing - angles[0]) / (2.0 * math.pi)))
-
-    probe_dirs = _direction_grid(body, probes)
-    dots = np.clip(probe_dirs @ chords.T, -1.0, 1.0)
-    gaps = np.arccos(np.max(dots, axis=1))
-    return GaussCoverage(
-        max_gap=float(np.max(gaps)),
-        mean_gap=float(np.mean(gaps)),
-        winding_number=winding,
-        chord_samples=samples,
-        probe_count=probes,
-    )

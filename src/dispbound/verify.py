@@ -207,7 +207,6 @@ def _stats_for(
     samples: int,
     seed: int,
     distance_cap: int,
-    subdivision: int | None,
     stats: MapDisplacementStats | None,
 ) -> MapDisplacementStats:
     if stats is not None:
@@ -218,7 +217,6 @@ def _stats_for(
         samples=samples,
         seed=seed,
         distance_cap=distance_cap,
-        subdivision=subdivision,
     )
 
 
@@ -247,14 +245,13 @@ def check_main_theorem(
     samples: int = 10_000,
     seed: int = 0,
     distance_cap: int = 300,
-    subdivision: int | None = None,
     stats: MapDisplacementStats | None = None,
 ) -> VerificationRecord:
     """Boundary area against the crossing constant times displacement^n."""
     n = body.surface_dimension
     if n < 2:
         raise DomainError("the area bound needs surface dimension at least 2")
-    stats = _stats_for(body, disp_map, samples, seed, distance_cap, subdivision, stats)
+    stats = _stats_for(body, disp_map, samples, seed, distance_cap, stats)
     lhs = body.boundary_area()
     rhs = h_n(n, constants_kind).to_float() * stats.mu_hat**n
     return _record(
@@ -358,11 +355,10 @@ def check_volume_bound(
     samples: int = 10_000,
     seed: int = 0,
     distance_cap: int = 300,
-    subdivision: int | None = None,
     stats: MapDisplacementStats | None = None,
 ) -> VerificationRecord:
     """Enclosed volume against the width constant times (mu/rho)^(n+1)."""
-    stats = _stats_for(body, disp_map, samples, seed, distance_cap, subdivision, stats)
+    stats = _stats_for(body, disp_map, samples, seed, distance_cap, stats)
     d = body.ambient_dimension
     lhs = body.enclosed_volume()
     ratio = stats.mu_hat / max(stats.rho_hat, 1.0)
@@ -409,14 +405,13 @@ def check_area_via_isoperimetric(
     samples: int = 10_000,
     seed: int = 0,
     distance_cap: int = 300,
-    subdivision: int | None = None,
     stats: MapDisplacementStats | None = None,
 ) -> VerificationRecord:
     """Area against the isoperimetric-route constant at the sampled distortion."""
     n = body.surface_dimension
     if n < 2:
         raise DomainError("the isoperimetric area bound needs dimension at least 2")
-    stats = _stats_for(body, disp_map, samples, seed, distance_cap, subdivision, stats)
+    stats = _stats_for(body, disp_map, samples, seed, distance_cap, stats)
     lhs = body.boundary_area()
     rho_hat = max(stats.rho_hat, 1.0)
     rhs = j_n(n, rho_hat, kind).to_float() * stats.mu_hat**n
@@ -543,11 +538,10 @@ def check_mean_width(
     samples: int = 10_000,
     seed: int = 0,
     distance_cap: int = 300,
-    subdivision: int | None = None,
     stats: MapDisplacementStats | None = None,
 ) -> VerificationRecord:
     """Mean width against (2/pi) times the sampled minimum displacement."""
-    stats = _stats_for(body, disp_map, samples, seed, distance_cap, subdivision, stats)
+    stats = _stats_for(body, disp_map, samples, seed, distance_cap, stats)
     if isinstance(body, PolygonBoundary):
         mw = mean_width(body, method="crofton_curve")
     else:
@@ -687,7 +681,6 @@ def check_envelope(
     samples: int = 10_000,
     seed: int = 0,
     distance_cap: int = 300,
-    subdivision: int | None = None,
     stats: MapDisplacementStats | None = None,
 ) -> VerificationRecord:
     """Area against the two-branch envelope at the sampled distortion.
@@ -700,7 +693,7 @@ def check_envelope(
     n = body.surface_dimension
     if n < 2:
         raise DomainError("the envelope bound needs surface dimension at least 2")
-    stats = _stats_for(body, disp_map, samples, seed, distance_cap, subdivision, stats)
+    stats = _stats_for(body, disp_map, samples, seed, distance_cap, stats)
     rho_hat = max(stats.rho_hat, 1.0)
     crossing, branch = rho_star(n, kind)
     lhs = body.boundary_area()
@@ -878,7 +871,6 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
                     samples=config.samples,
                     seed=seed_pair,
                     distance_cap=config.distance_cap,
-                    subdivision=config.subdivision if isinstance(body, Polytope3) else None,
                 )
             except (ConfigurationError, DomainError, NumericalError) as exc:
                 skipped.append((body.body_id, map_id, str(exc)))

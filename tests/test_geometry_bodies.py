@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dispbound.constants import i_bar_n
 from dispbound.errors import ConfigurationError, DomainError
 from dispbound.geometry import (
+    ConvexBody,
     CylinderBody,
     GeodesicGraph,
     PolygonBoundary,
@@ -19,12 +20,14 @@ from dispbound.geometry import (
     equilateral_triangle,
     fibonacci_sphere,
     load_body,
+    min_width,
     random_polytope,
     regular_polygon,
     save_body,
     substream,
     unit_directions,
 )
+from dispbound.verify import SuiteConfig, _suite_bodies
 
 RNG_SEED = 90125
 
@@ -379,7 +382,7 @@ def test_triangle_closed_form_measurements():
     assert tri.perimeter == pytest.approx(6.0, rel=1e-15)
     assert tri.boundary_area() == pytest.approx(6.0, rel=1e-15)
     assert tri.enclosed_volume() == pytest.approx(math.sqrt(3.0), rel=1e-14)
-    assert tri.min_width_exact() == pytest.approx(math.sqrt(3.0), rel=1e-14)
+    assert min_width(tri).value == pytest.approx(math.sqrt(3.0), rel=1e-14)
 
 
 def test_polygon_arclength_and_point_roundtrip():
@@ -388,7 +391,7 @@ def test_polygon_arclength_and_point_roundtrip():
     pts = hexagon.point_at(s_values)
     np.testing.assert_allclose(hexagon.arclengths_of(pts), s_values, atol=1e-10)
     with pytest.raises(DomainError):
-        hexagon.arclength_of([10.0, 10.0])
+        hexagon.arclengths_of([[10.0, 10.0]])
 
 
 def test_polygon_intrinsic_distance_wraps_around():
@@ -496,7 +499,7 @@ def test_cube_face_center_distance_tightens_to_two_edges():
     values = []
     for m in (1, 3, 7, 15):
         graph = GeodesicGraph(box, m)
-        values.append(graph.distance(start, goal))
+        values.append(graph.pairwise_distances(start[None], goal[None])[0])
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     # odd subdivisions include edge midpoints, so the exact answer appears
     assert values[-1] == pytest.approx(2.0, abs=1e-12)
@@ -508,7 +511,8 @@ def test_geodesic_distance_is_exact_on_shared_faces():
     graph = GeodesicGraph(box, 2)
     x = np.array([0.5, 0.1, -0.2])
     y = np.array([0.5, -0.3, 0.4])
-    assert graph.distance(x, y) == pytest.approx(np.linalg.norm(x - y), rel=1e-12)
+    value = graph.pairwise_distances(x[None], y[None])[0]
+    assert value == pytest.approx(np.linalg.norm(x - y), rel=1e-12)
 
 
 def test_geodesic_batch_matches_single_queries():
@@ -517,7 +521,7 @@ def test_geodesic_batch_matches_single_queries():
     ys = body.sample_boundary(2, 6)
     graph = GeodesicGraph(body, 4)
     batch = graph.pairwise_distances(xs, ys)
-    singles = [graph.distance(x, y) for x, y in zip(xs, ys)]
+    singles = [graph.pairwise_distances(x[None], y[None])[0] for x, y in zip(xs, ys)]
     np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
 
@@ -525,7 +529,7 @@ def test_geodesic_rejects_off_boundary_queries():
     box = cube(1.0)
     graph = GeodesicGraph(box, 1)
     with pytest.raises(DomainError):
-        graph.distance(np.zeros(3), np.array([0.5, 0.0, 0.0]))
+        graph.pairwise_distances(np.zeros((1, 3)), np.array([[0.5, 0.0, 0.0]]))
 
 
 def test_polytope_distance_dominates_chord():
@@ -811,7 +815,8 @@ def test_table_route_matches_dict_route_pair_by_pair(seed, vertices):
         assert np.all(np.abs(got - oracle) <= TABLE_ULP_BOUND * spacing)
         assert np.all(got >= chords)
         # a pair's answer does not depend on the rest of its batch
-        singles = np.array([graph.distance(x, y) for x, y in zip(xs, ys)])
+        singles = np.array([graph.pairwise_distances(x[None], y[None])[0]
+                            for x, y in zip(xs, ys)])
         assert np.array_equal(singles, got)
         assert np.array_equal(graph.pairwise_distances(xs[::-1], ys[::-1]), got[::-1])
 
@@ -819,7 +824,8 @@ def test_table_route_matches_dict_route_pair_by_pair(seed, vertices):
 def test_fresh_single_pair_query_builds_no_table():
     body = Polytope3(unit_directions(substream(RNG_SEED, "cold"), 25, 3))
     x, y = body.sample_boundary(4, 2)
-    value, _ = body.intrinsic_distance(x, y, subdivision=32)
+    values, _ = body.intrinsic_distances_batch(x[None], y[None], 32)
+    value = values[0]
     graph = body._graphs[32]
     assert graph._table is None
     assert value == graph._one_source_route(graph._query_edges(x[None], y[None]))[0]
@@ -840,3 +846,70 @@ def test_dropping_a_queried_polytope_frees_its_graph():
         assert graph() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# one implementation per boundary primitive
+# ---------------------------------------------------------------------------
+
+STRUCTURE_BODIES = (
+    [SphereBody(1.3, center=np.linspace(0.1, 0.4, d)) for d in (2, 3, 4, 5)]
+    + [CylinderBody(n, 0.7, 1.9) for n in (2, 3, 4)]
+    + [b for b in _suite_bodies(SuiteConfig(polytope_count=0))
+       if isinstance(b, PolygonBoundary)]
+    + [random_polytope(seed, v) for seed, v in ((3, 14), (8, 22))]
+)
+
+
+@pytest.mark.parametrize("body", STRUCTURE_BODIES, ids=lambda b: b.body_id)
+def test_scalar_primitives_are_batches_of_one(body):
+    assert len(ConvexBody.__abstractmethods__) == 7
+    for cls in (SphereBody, CylinderBody, PolygonBoundary, Polytope3):
+        assert "support" not in vars(cls)
+        assert "intrinsic_distance" not in vars(cls)
+    for u in _batch_directions(body, 40):
+        assert body.support(u) == body.support_batch(u[None])[0]
+    # 300 pairs build a polytope's distance table, so every later answer,
+    # one pair alone included, is independent of its batch
+    xs, ys = body.sample_boundary(1, 300), body.sample_boundary(2, 300)
+    batch, _ = body.intrinsic_distances_batch(xs, ys)
+    for i in range(0, 300, 10):
+        value, kind = body.intrinsic_distance(xs[i], ys[i])
+        assert value == batch[i]
+        one, one_kind = body.intrinsic_distances_batch(xs[i:i + 1], ys[i:i + 1])
+        assert (value, kind) == (one[0], one_kind)
+
+
+def _distance_domain_case(body, case):
+    """A query that every batch distance route must refuse: each body
+    supplies two boundary points and one point off its boundary."""
+    on_x, on_y, off = {
+        SphereBody: ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 0.0]),
+        CylinderBody: ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.0]),
+        PolygonBoundary: ([0.5, 0.0], [1.0, 0.5], [0.5, 0.5]),
+        Polytope3: ([0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]),
+    }[type(body)]
+    x, y = np.array([on_x]), np.array([on_y])
+    if case == "off-boundary":
+        return np.array([off]), y
+    if case == "mismatched-shapes":
+        return x, np.repeat(y, 3, axis=0)
+    if case == "non-finite":
+        x[0, 0] = math.nan
+        return x, y
+    return np.append(x, [[0.0]], axis=1), np.append(y, [[0.0]], axis=1)
+
+
+@pytest.mark.parametrize(
+    "case", ["off-boundary", "mismatched-shapes", "non-finite", "wrong-dimension"]
+)
+@pytest.mark.parametrize(
+    "body",
+    [SphereBody(1.0), CylinderBody(2, 1.0, 2.0),
+     PolygonBoundary([[0, 0], [1, 0], [1, 1], [0, 1]]), cube(1.0)],
+    ids=lambda b: type(b).__name__,
+)
+def test_batch_distances_reject_bad_queries(body, case):
+    xs, ys = _distance_domain_case(body, case)
+    with pytest.raises(DomainError):
+        body.intrinsic_distances_batch(xs, ys)

@@ -8,12 +8,11 @@ import pytest
 from dispbound.errors import ConfigurationError, DomainError, FixedPointError
 from dispbound.geometry import (
     CylinderBody,
+    DisplacementMap,
     PolygonBoundary,
     SphereBody,
     central_point_map,
-    chordal_gauss_coverage,
     cube,
-    custom_map,
     displacement_stats,
     equilateral_triangle,
     euclidean_antipode_map,
@@ -22,7 +21,6 @@ from dispbound.geometry import (
     min_width,
     random_polytope,
     regular_polygon,
-    width,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -80,7 +78,7 @@ def test_half_perimeter_map_shifts_arclength():
 
 def test_fixed_point_detection_fires():
     square = PolygonBoundary([[0, 0], [1, 0], [1, 1], [0, 1]])
-    identity = custom_map("identity", lambda body, pts: pts)
+    identity = DisplacementMap("identity", lambda body, pts: pts)
     with pytest.raises(FixedPointError):
         displacement_stats(square, identity, samples=10, seed=0)
 
@@ -110,7 +108,7 @@ def test_triangle_half_perimeter_stats_are_exact():
     assert stats.rho_hat == pytest.approx(2.0, abs=1e-9)
     # those quarter points are declared critical, so the peak is always seen
     x = np.array(stats.argmax_ratio_point)
-    s = tri.arclength_of(x)
+    s = tri.arclengths_of(x[None])[0]
     assert min(s % 1.0, 1.0 - s % 1.0) == pytest.approx(0.25, abs=1e-9)
 
 
@@ -144,13 +142,14 @@ def test_cylinder_antipode_min_displacement_is_lateral_girdle():
 
 
 def test_polytope_stats_use_geodesic_cap_and_subdivision():
-    body = random_polytope(41, 16)
     cmap = central_point_map()
     coarse = displacement_stats(
-        body, cmap, samples=400, seed=2, distance_cap=60, subdivision=1
+        random_polytope(41, 16, geodesic_subdivision=1),
+        cmap, samples=400, seed=2, distance_cap=60,
     )
     fine = displacement_stats(
-        body, cmap, samples=400, seed=2, distance_cap=60, subdivision=7
+        random_polytope(41, 16, geodesic_subdivision=7),
+        cmap, samples=400, seed=2, distance_cap=60,
     )
     assert coarse.distance_samples == 60
     assert fine.mu_hat <= coarse.mu_hat + 1e-12  # finer graph can only shrink
@@ -172,11 +171,14 @@ def test_stats_validation():
 
 
 def test_width_matches_hand_values():
+    # the width along u is h(u) + h(-u)
     box = cube(1.0)
-    assert width(box, [1, 0, 0]) == pytest.approx(1.0, rel=1e-14)
-    assert width(box, [1, 1, 1]) == pytest.approx(SQRT3, rel=1e-14)
+    u = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    widths = box.support_batch(u) + box.support_batch(-u)
+    np.testing.assert_allclose(widths, [1.0, SQRT3], rtol=1e-14)
     with pytest.raises(DomainError):
-        width(box, [0, 0, 0])
+        box.support([0.0, math.inf, 0.0])
 
 
 def test_min_width_polygon_is_exact_calipers():
@@ -238,44 +240,6 @@ def test_mean_width_method_validation():
         mean_width(ball, method="crofton_curve")
     with pytest.raises(ConfigurationError):
         mean_width(ball, method="compass-and-straightedge")
-
-
-# ---------------------------------------------------------------------------
-# chord-direction coverage
-# ---------------------------------------------------------------------------
-
-
-def test_polygon_central_map_chords_wind_once():
-    hexagon = regular_polygon(6)
-    cov = chordal_gauss_coverage(hexagon, central_point_map(), samples=1024, probes=256)
-    assert cov.winding_number == 1
-    assert cov.max_gap < 0.05
-
-
-def test_polygon_half_perimeter_chords_wind_once():
-    tri = equilateral_triangle(1.0)
-    cov = chordal_gauss_coverage(tri, half_perimeter_map(), samples=1024, probes=256)
-    assert cov.winding_number == 1
-    assert cov.max_gap < 0.05
-
-
-def test_sphere_antipode_chords_cover_the_sphere():
-    ball = SphereBody(1.0)
-    loose = chordal_gauss_coverage(
-        ball, euclidean_antipode_map(), samples=256, probes=128, seed=7
-    )
-    tight = chordal_gauss_coverage(
-        ball, euclidean_antipode_map(), samples=4096, probes=128, seed=7
-    )
-    assert tight.max_gap < loose.max_gap
-    assert tight.max_gap < 0.12
-    assert loose.winding_number is None
-
-
-def test_coverage_validation():
-    ball = SphereBody(1.0)
-    with pytest.raises(ConfigurationError):
-        chordal_gauss_coverage(ball, euclidean_antipode_map(), samples=4)
 
 
 # ---------------------------------------------------------------------------

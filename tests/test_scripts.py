@@ -36,3 +36,11 @@ def test_ab_scan_demo(monkeypatch, capsys):
     assert "min ratio 1.26964245125 at n=2" in out
     assert "limit 2*sqrt(e) = 3.2974425414" in out
     assert len([line for line in out.splitlines() if line.strip()[:1].isdigit()]) == 6
+
+
+def test_run_suite_report_writes_both_record_files(monkeypatch, capsys, tmp_path):
+    out = run_script(monkeypatch, capsys, "run_suite_report.py", "--samples", "200",
+                     "--polytopes", "0", "--out-dir", str(tmp_path))
+    assert out.startswith("suite PASS")
+    assert (tmp_path / "records.jsonl").is_file()
+    assert (tmp_path / "records.csv").is_file()
