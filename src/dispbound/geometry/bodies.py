@@ -72,6 +72,14 @@ def _as_rows(x, dim: int) -> tuple[np.ndarray, bool]:
     return rows, single
 
 
+def _as_batch(x, dim: int) -> np.ndarray:
+    """A checked ``(k, dim)`` array; a single vector is refused."""
+    rows, single = _as_rows(x, dim)
+    if single:
+        raise DomainError(f"expected a (k, {dim}) array, got shape {np.shape(x)}")
+    return rows
+
+
 def _as_directions(direction, dim: int) -> tuple[np.ndarray, bool]:
     """Unit rows from one ``(dim,)`` direction or a ``(k, dim)`` array of
     them, and whether a single direction came in."""
@@ -164,7 +172,8 @@ class ConvexBody(abc.ABC):
 
     @abc.abstractmethod
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
-        """Vectorized support over rows of ``directions``."""
+        """Support values over the rows of a ``(k, dim)`` array of finite
+        directions; anything else raises ``DomainError``."""
 
     @abc.abstractmethod
     def boundary_area(self) -> float:
@@ -238,7 +247,7 @@ class SphereBody(ConvexBody):
         self.body_id = body_id or f"sphere-r{self.radius:g}-d{self.ambient_dimension}"
 
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
-        d = np.asarray(directions, dtype=np.float64)
+        d = _as_batch(directions, self.ambient_dimension)
         return d @ self.center + self.radius * np.linalg.norm(d, axis=1)
 
     def boundary_area(self) -> float:
@@ -260,8 +269,13 @@ class SphereBody(ConvexBody):
         if len(off):
             raise DomainError(f"point is not on the sphere: {points[off[0]]!r}")
         u, v = np.split(rel / self.radius, 2)
-        dots = np.clip(np.einsum("ij,ij->i", u, v), -1.0, 1.0)
-        return self.radius * np.arccos(dots), EXACT
+        # the angle from half-chords, well conditioned where arccos of the
+        # dot product is not (near antipodal and near coincident pairs)
+        apart, toward = u - v, u + v
+        angle = 2.0 * np.arctan2(
+            np.sqrt(np.vecdot(apart, apart)), np.sqrt(np.vecdot(toward, toward))
+        )
+        return self.radius * angle, EXACT
 
     def sample_boundary(self, seed: int, count: int) -> np.ndarray:
         rng = substream(seed, "sample-boundary", self.body_id)
@@ -312,7 +326,7 @@ class CylinderBody(ConvexBody):
         )
 
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
-        d = np.asarray(directions, dtype=np.float64)
+        d = _as_batch(directions, self.ambient_dimension)
         return self.base_radius * np.linalg.norm(d[:, :-1], axis=1) + (
             0.5 * self.height
         ) * np.abs(d[:, -1])
@@ -519,12 +533,16 @@ class PolygonBoundary(ConvexBody):
         self.ambient_dimension = 2
         self._edges = np.roll(v, -1, axis=0) - v
         self._edge_lengths = np.linalg.norm(self._edges, axis=1)
+        self._normals = (  # outward unit normal of the edge from each vertex
+            np.column_stack([self._edges[:, 1], -self._edges[:, 0]])
+            / self._edge_lengths[:, None]
+        )
         self._cum = np.concatenate([[0.0], np.cumsum(self._edge_lengths)])
         self.perimeter = float(self._cum[-1])
         self.body_id = body_id or f"polygon-{len(v)}gon"
 
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
-        return np.max(np.asarray(directions) @ self.vertices.T, axis=1)
+        return np.max(_as_batch(directions, 2) @ self.vertices.T, axis=1)
 
     def boundary_area(self) -> float:
         return self.perimeter
@@ -574,11 +592,7 @@ class PolygonBoundary(ConvexBody):
     def ray_exit(self, origin, direction) -> np.ndarray:
         o = _as_point(origin, 2)
         d, single = _as_directions(direction, 2)
-        outward = (
-            np.column_stack([self._edges[:, 1], -self._edges[:, 0]])
-            / self._edge_lengths[:, None]
-        )
-        best = _nearest_exit(np.vecdot(outward, self.vertices - o), outward, d)
+        best = _nearest_exit(np.vecdot(self._normals, self.vertices - o), self._normals, d)
         return _exit_points(o, d, best, single, "polygon")
 
 
@@ -726,7 +740,7 @@ class Polytope3(ConvexBody):
         return acc / total
 
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
-        return np.max(np.asarray(directions) @ self.vertices.T, axis=1)
+        return np.max(_as_batch(directions, 3) @ self.vertices.T, axis=1)
 
     # -- boundary geometry ---------------------------------------------------
 

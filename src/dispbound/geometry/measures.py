@@ -1,9 +1,12 @@
-"""Minimum width and mean width of convex bodies.
+"""Minimum width and mean width of convex bodies: one exact route per body
+type, with the body as the only argument.
 
-Everything here is derived from the support function, so it works for any
-``ConvexBody``.  Exact shortcuts (polygon calipers, the polytope edge
-formula, the planar perimeter identity) are used when available and
-labelled as such in the result records.
+Polygons use rotating calipers and (1/pi) times the support function
+integrated between consecutive outward edge normals; spheres and cylinders
+use closed forms; 3-polytopes use the face normals and edge-pair cross
+products (Houle and Toussaint, IEEE TPAMI 10, 1988: the minimum width is
+attained by a face-vertex or an edge-edge antipodal pair) and the edge
+formula (1/(4 pi)) * sum of edge length times exterior dihedral angle.
 """
 
 from __future__ import annotations
@@ -13,9 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from .bodies import ConvexBody, PolygonBoundary, Polytope3
-from .sampling import fibonacci_sphere, substream, unit_directions
+from ..errors import ConfigurationError, DomainError
+from .bodies import (
+    BATCH_CELLS,
+    ConvexBody,
+    CylinderBody,
+    PolygonBoundary,
+    Polytope3,
+    SphereBody,
+)
 
 __all__ = [
     "MeanWidthResult",
@@ -24,111 +33,111 @@ __all__ = [
     "min_width",
 ]
 
-_DIRECTION_STREAM_TAG = 74_843_121  # fixed tag so refinement is reproducible
-
 
 @dataclass(frozen=True)
 class WidthResult:
     value: float
-    kind: str  # "exact" or "upper_bound"
     direction: tuple[float, ...]
-
-
-def _direction_grid(body: ConvexBody, count: int) -> np.ndarray:
-    dim = body.ambient_dimension
-    if dim == 2:
-        angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-        return np.column_stack([np.cos(angles), np.sin(angles)])
-    if dim == 3:
-        return fibonacci_sphere(count)
-    rng = substream(_DIRECTION_STREAM_TAG, "direction-grid", body.body_id)
-    return unit_directions(rng, count, dim)
-
-
-def min_width(body: ConvexBody, grid: int = 20_000, refinements: int = 50) -> WidthResult:
-    """Smallest width over all directions.
-
-    Convex polygons use rotating calipers and are exact; everything else
-    scans a deterministic direction grid and then polishes locally with a
-    shrinking jitter, which can only overshoot (an upper bound).
-    """
-    if isinstance(body, PolygonBoundary):
-        best = math.inf
-        best_dir = (1.0, 0.0)
-        for v, e, length in zip(body.vertices, body._edges, body._edge_lengths):
-            normal = np.array([-e[1], e[0]]) / length
-            reach = float(np.max((body.vertices - v) @ normal))
-            if reach < best:
-                best = reach
-                best_dir = tuple(normal)
-        return WidthResult(best, "exact", best_dir)
-
-    dirs = _direction_grid(body, grid)
-    widths = body.support_batch(dirs) + body.support_batch(-dirs)
-    i = int(np.argmin(widths))
-    best, best_dir = float(widths[i]), dirs[i]
-
-    rng = substream(_DIRECTION_STREAM_TAG, "min-width-refine", body.body_id)
-    sigma = math.pi / math.sqrt(max(grid, 2))
-    for _ in range(refinements):
-        cloud = best_dir + sigma * rng.standard_normal((64, body.ambient_dimension))
-        cloud /= np.linalg.norm(cloud, axis=1)[:, None]
-        w = body.support_batch(cloud) + body.support_batch(-cloud)
-        j = int(np.argmin(w))
-        if w[j] < best:
-            best, best_dir = float(w[j]), cloud[j]
-        sigma *= 0.7
-    return WidthResult(best, "upper_bound", tuple(best_dir))
 
 
 @dataclass(frozen=True)
 class MeanWidthResult:
     value: float
-    stderr: float
     method: str
-    samples: int
 
 
-def mean_width(
-    body: ConvexBody,
-    method: str = "monte_carlo",
-    samples: int = 100_000,
-    seed: int = 0,
-) -> MeanWidthResult:
-    """Average width over uniformly random directions.
+def _narrowest(body: ConvexBody, dirs: np.ndarray) -> WidthResult:
+    """Smallest width h(u) + h(-u) over the unit rows of ``dirs``."""
+    widths = body.support_batch(dirs) + body.support_batch(-dirs)
+    i = int(np.argmin(widths))
+    return WidthResult(float(widths[i]), tuple(dirs[i].tolist()))
 
-    ``monte_carlo`` works in any dimension and reports a standard error.
-    ``polytope_edge_formula`` is the exact edge-length/exterior-angle sum
-    for 3-polytopes.  ``crofton_curve`` is the exact planar identity
-    (perimeter over pi).
-    """
-    if method == "monte_carlo":
-        if samples < 2:
-            raise ConfigurationError(f"need at least two samples, got {samples}")
-        rng = substream(seed, "mean-width", body.body_id)
-        dirs = unit_directions(rng, samples, body.ambient_dimension)
-        widths = body.support_batch(dirs) + body.support_batch(-dirs)
-        value = float(np.mean(widths))
-        stderr = float(np.std(widths, ddof=1) / math.sqrt(samples))
-        return MeanWidthResult(value, stderr, method, samples)
-    if method == "polytope_edge_formula":
-        if not isinstance(body, Polytope3):
-            raise ConfigurationError("edge formula needs a 3-polytope")
-        total = 0.0
-        for a, b in body.edges:
-            shared = [
-                f for f in body.faces if a in f.indices and b in f.indices
-            ]
-            if len(shared) != 2:
-                raise ConfigurationError(
-                    f"edge ({a},{b}) is not shared by exactly two faces"
-                )
-            cosang = float(np.clip(shared[0].normal @ shared[1].normal, -1.0, 1.0))
-            length = float(np.linalg.norm(body.vertices[a] - body.vertices[b]))
-            total += length * math.acos(cosang)
-        return MeanWidthResult(total / (4.0 * math.pi), 0.0, method, len(body.edges))
-    if method == "crofton_curve":
-        if not isinstance(body, PolygonBoundary):
-            raise ConfigurationError("the perimeter identity needs a polygon")
-        return MeanWidthResult(body.perimeter / math.pi, 0.0, method, 0)
-    raise ConfigurationError(f"unknown mean width method {method!r}")
+
+def min_width(body: ConvexBody) -> WidthResult:
+    """Smallest width over all directions, with a direction attaining it."""
+    if isinstance(body, PolygonBoundary):  # calipers: edge against far vertex
+        return _narrowest(body, body._normals)
+    if isinstance(body, SphereBody):
+        axis = (1.0,) + (0.0,) * (body.ambient_dimension - 1)
+        return WidthResult(2.0 * body.radius, axis)
+    if isinstance(body, CylinderBody):
+        across = 2.0 * body.base_radius
+        along = (0.0,) * body.n + (1.0,)
+        if body.height <= across:
+            return WidthResult(body.height, along)
+        return WidthResult(across, along[::-1])
+    if not isinstance(body, Polytope3):
+        raise DomainError(f"no exact minimum width for {type(body).__name__}")
+    best = _narrowest(body, np.array([f.normal for f in body.faces]))
+    a, b = np.array(body.edges).T
+    edges = body.vertices[b] - body.vertices[a]
+    # blocks of edges crossed with every edge, each block's directions times
+    # the vertices within BATCH_CELLS; every block meets a non-parallel edge
+    block = max(1, BATCH_CELLS // (len(edges) * len(body.vertices)))
+    for start in range(0, len(edges), block):
+        normals = np.cross(edges[start : start + block, None], edges).reshape(-1, 3)
+        norms = np.sqrt(np.vecdot(normals, normals))
+        keep = norms > 0.0  # parallel edges span no direction
+        found = _narrowest(body, normals[keep] / norms[keep, None])
+        best = min(best, found, key=lambda w: w.value)
+    return best
+
+
+def _polygon_support_integral(body: PolygonBoundary) -> float:
+    """Integral of h over the circle: on the normal cone of vertex (x, y),
+    between the outward normal angles a0 < a1 of its edges, h integrates to
+    x (sin a1 - sin a0) - y (cos a1 - cos a0).  Vertices are taken about
+    their mean, which keeps the sum from cancelling far from the origin."""
+    v = body.vertices - body.vertices.mean(axis=0)
+    angle = np.arctan2(body._normals[:, 1], body._normals[:, 0])  # edge from v_i
+    cos, sin = np.cos(angle), np.sin(angle)
+    d_sin, d_cos = sin - np.roll(sin, 1), cos - np.roll(cos, 1)
+    return float(np.sum(v[:, 0] * d_sin - v[:, 1] * d_cos))
+
+
+def _polytope_edge_sum(body: Polytope3) -> float:
+    """Sum over edges of length times the angle between the face normals."""
+    open_edges: dict[tuple[int, int], np.ndarray] = {}
+    total = 0.0
+    for face in body.faces:
+        for a, b in zip(face.indices, face.indices[1:] + face.indices[:1]):
+            other = open_edges.pop((min(a, b), max(a, b)), None)
+            if other is None:
+                open_edges[(min(a, b), max(a, b))] = face.normal
+                continue
+            across = np.linalg.norm(np.cross(other, face.normal))
+            angle = math.atan2(across, other @ face.normal)
+            total += np.linalg.norm(body.vertices[a] - body.vertices[b]) * angle
+    if open_edges:
+        raise ConfigurationError(f"edges {sorted(open_edges)} lie on only one face")
+    return float(total)
+
+
+def _ball_ratio(k: int) -> float:
+    """kappa_k / kappa_(k-1), the ratio of consecutive unit-ball volumes."""
+    log_ratio = math.lgamma((k + 1) / 2) - math.lgamma(k / 2 + 1)
+    return math.sqrt(math.pi) * math.exp(log_ratio)
+
+
+def mean_width(body: ConvexBody) -> MeanWidthResult:
+    """Average width over uniformly distributed directions, in closed form."""
+    if isinstance(body, PolygonBoundary):
+        return MeanWidthResult(
+            _polygon_support_integral(body) / math.pi, "polygon_support_integral"
+        )
+    if isinstance(body, SphereBody):
+        return MeanWidthResult(2.0 * body.radius, "sphere_diameter")
+    if isinstance(body, CylinderBody):
+        # 2 kappa_n / ((n+1) kappa_(n+1)) * V_1, where the first intrinsic
+        # volume of the product is V_1 = h + n kappa_n r / kappa_(n-1)
+        n, r, h = body.n, body.base_radius, body.height
+        first_volume = h + n * _ball_ratio(n) * r
+        return MeanWidthResult(
+            2.0 / ((n + 1) * _ball_ratio(n + 1)) * first_volume,
+            "cylinder_intrinsic_volume",
+        )
+    if isinstance(body, Polytope3):
+        return MeanWidthResult(
+            _polytope_edge_sum(body) / (4.0 * math.pi), "polytope_edge_formula"
+        )
+    raise DomainError(f"no exact mean width for {type(body).__name__}")

@@ -46,7 +46,7 @@ from dispbound.geometry import (
     min_width,
     regular_polygon,
 )
-from dispbound.verify import SuiteConfig, run_suite
+from dispbound.verify import _CLOSED_FORM_TOL, SuiteConfig, run_suite
 
 
 def report(number: int, ok: bool, detail: str) -> str:
@@ -265,28 +265,27 @@ def test_criterion_09_triangle_suite():
 
 def test_criterion_10_equality_cases():
     ball = SphereBody(1.0)
-    xi = mean_width(ball, method="monte_carlo", samples=10**6, seed=0)
+    xi = mean_width(ball).value
     mu, kind = ball.intrinsic_distance(
         np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])
     )
     assert kind == "exact" and mu == math.pi
-    sphere_gap = abs(xi.value - (2.0 * mu) / math.pi)
-    sphere_ok = sphere_gap <= 3.0 * xi.stderr
+    sphere_gap = abs(xi - (2.0 * mu) / math.pi)
     worst_poly = 0.0
     for poly in (
         equilateral_triangle(1.0),
         regular_polygon(4, 1.0),
         regular_polygon(5, 1.0),
     ):
-        est = mean_width(poly, method="monte_carlo", samples=200_000, seed=11)
         length = poly.boundary_area()
-        worst_poly = max(worst_poly, abs(length - math.pi * est.value) / length)
-    ok = sphere_ok and worst_poly <= 5e-3
+        xi_poly = mean_width(poly).value
+        worst_poly = max(worst_poly, abs(length - math.pi * xi_poly) / length)
+    # both sides are exact, so both identities hold at the closed-form tolerance
+    ok = sphere_gap <= _CLOSED_FORM_TOL * xi and worst_poly <= _CLOSED_FORM_TOL
     line = report(
         10, ok,
-        f"sphere |Xi - 2mu/pi| = {sphere_gap:.3g} <= 3*stderr = "
-        f"{3 * xi.stderr:.3g}; worst polygon |L - pi*Xi|/L = {worst_poly:.3g} "
-        "(<= 0.5%)",
+        f"sphere |Xi - 2mu/pi| = {sphere_gap:.3g}; worst polygon "
+        f"|L - pi*Xi|/L = {worst_poly:.3g} (both <= {_CLOSED_FORM_TOL:g} relative)",
     )
     assert ok, line
 

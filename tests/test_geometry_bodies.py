@@ -92,6 +92,22 @@ def test_sphere_intrinsic_distance_is_arc_length():
         s.intrinsic_distance(x, off)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_sphere_antipodal_distances_are_half_great_circles(dim):
+    # arccos of the dot product loses ~1e-8 next to -1; the half-chord
+    # form keeps antipodal pairs at pi r to a few ulp
+    for center, radius in ((np.zeros(dim), 1.0), (np.linspace(-0.3, 0.6, dim), 2.7)):
+        s = SphereBody(radius, center=center)
+        u = unit_directions(substream(RNG_SEED, "antipodes", str(dim)), 2000, dim)
+        x, y = center + radius * u, center - radius * u
+        values, kind = s.intrinsic_distances_batch(x, y)
+        assert kind == "exact"
+        assert np.max(np.abs(values - math.pi * radius)) <= 4 * np.spacing(math.pi * radius)
+        for p, q in ((x, y), (x, s.sample_boundary(dim, 2000))):
+            arcs, _ = s.intrinsic_distances_batch(p, q)
+            assert np.all(arcs >= np.linalg.norm(p - q, axis=1))
+
+
 def test_sphere_sampling_is_on_boundary_and_deterministic():
     s = SphereBody(1.5, center=[0.0, 0.0, 1.0])
     pts = s.sample_boundary(11, 400)
@@ -859,6 +875,24 @@ STRUCTURE_BODIES = (
        if isinstance(b, PolygonBoundary)]
     + [random_polytope(seed, v) for seed, v in ((3, 14), (8, 22))]
 )
+
+
+BAD_DIRECTIONS = {
+    "nan": lambda dim: np.where(np.eye(2, dim) == 1.0, np.nan, 0.5),
+    "wrong-dimension": lambda dim: np.ones((2, dim + 1)),
+    "one-dimensional": lambda dim: np.ones(dim),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_DIRECTIONS))
+@pytest.mark.parametrize(
+    "body",
+    [SphereBody(1.0), CylinderBody(2, 0.5, 1.0), regular_polygon(5), cube(1.0)],
+    ids=lambda b: type(b).__name__,
+)
+def test_support_batch_rejects_bad_directions(body, bad):
+    with pytest.raises(DomainError):
+        body.support_batch(BAD_DIRECTIONS[bad](body.ambient_dimension))
 
 
 @pytest.mark.parametrize("body", STRUCTURE_BODIES, ids=lambda b: b.body_id)

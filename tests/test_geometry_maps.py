@@ -4,24 +4,30 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.spatial import ConvexHull
 
 from dispbound.errors import ConfigurationError, DomainError, FixedPointError
 from dispbound.geometry import (
+    ConvexBody,
     CylinderBody,
     DisplacementMap,
     PolygonBoundary,
+    Polytope3,
     SphereBody,
     central_point_map,
     cube,
     displacement_stats,
     equilateral_triangle,
     euclidean_antipode_map,
+    fibonacci_sphere,
     half_perimeter_map,
     mean_width,
     min_width,
     random_polytope,
     regular_polygon,
 )
+from dispbound.verify import SuiteConfig, _suite_bodies
 
 SQRT3 = math.sqrt(3.0)
 
@@ -184,62 +190,148 @@ def test_width_matches_hand_values():
 def test_min_width_polygon_is_exact_calipers():
     tri = equilateral_triangle(2.0)
     result = min_width(tri)
-    assert result.kind == "exact"
     assert result.value == pytest.approx(SQRT3, rel=1e-14)
-    # the attaining direction is an inward edge normal
+    # the attaining direction is an edge normal
     assert abs(np.linalg.norm(result.direction) - 1.0) < 1e-12
 
 
-def test_min_width_cube_grid_estimate_is_tight_upper_bound():
-    box = cube(1.0)
-    result = min_width(box, grid=4000, refinements=30)
-    assert result.kind == "upper_bound"
-    assert 1.0 <= result.value < 1.0001
+def _width_at(body, direction):
+    u = np.asarray(direction)
+    return body.support(u) + body.support(-u)
+
+
+def test_min_width_cube_and_box_are_face_normal_widths():
+    assert min_width(cube(1.0)).value == 1.0
+    box = Polytope3(
+        np.array([[x, y, z] for x in (-1.5, 1.5) for y in (-0.4, 0.4) for z in (0.0, 0.7)])
+    )
+    result = min_width(box)
+    assert result.value == pytest.approx(0.7, rel=1e-15)
+    np.testing.assert_allclose(np.abs(result.direction), [0.0, 0.0, 1.0], atol=1e-15)
+
+
+def _rotation(seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def test_min_width_regular_tetrahedron_is_an_edge_edge_width():
+    # width a/sqrt(2) between opposite edges, below the face-to-vertex
+    # height a*sqrt(2/3): only an edge-pair candidate reaches it
+    a = 1.3
+    corners = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
+    for seed in range(3):
+        tet = Polytope3(corners * (a / math.sqrt(8.0)) @ _rotation(seed).T + 0.25)
+        result = min_width(tet)
+        assert result.value == pytest.approx(a / math.sqrt(2.0), rel=1e-14)
+        assert _width_at(tet, result.direction) == pytest.approx(result.value, rel=1e-15)
+
+
+def test_min_width_polytopes_at_most_a_dense_direction_scan():
+    dirs = fibonacci_sphere(20_000)
+    for seed, vertices in ((1, 14), (2, 25), (3, 40)):
+        body = random_polytope(seed, vertices)
+        result = min_width(body)
+        scan = float(np.min(body.support_batch(dirs) + body.support_batch(-dirs)))
+        assert result.value <= scan
+        assert result.value > 0.98 * scan
+        # the value is the width of a direction, so not below the true minimum
+        assert _width_at(body, result.direction) == pytest.approx(result.value, rel=1e-14)
 
 
 def test_min_width_sphere_any_direction():
-    ball = SphereBody(0.7, ambient_dimension=4)
-    result = min_width(ball, grid=500, refinements=5)
-    assert result.value == pytest.approx(1.4, rel=1e-12)
+    for dim in (2, 3, 4, 5):
+        ball = SphereBody(0.7, ambient_dimension=dim)
+        result = min_width(ball)
+        assert result.value == pytest.approx(1.4, rel=1e-15)
+        assert _width_at(ball, result.direction) == pytest.approx(1.4, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_min_width_cylinder_is_the_thinner_of_diameter_and_height(n):
+    for r, h in ((0.25, 0.3), (0.25, 0.7)):
+        body = CylinderBody(n, r, h)
+        result = min_width(body)
+        assert result.value == min(2.0 * r, h)
+        assert _width_at(body, result.direction) == result.value
 
 
 def test_mean_width_cube_edge_formula_is_exact():
     box = cube(1.0)
-    result = mean_width(box, method="polytope_edge_formula")
-    assert result.value == pytest.approx(1.5, rel=1e-13)
-    assert result.stderr == 0.0
+    result = mean_width(box)
+    assert result.value == pytest.approx(1.5, rel=1e-15)
+    assert result.method == "polytope_edge_formula"
 
 
-def test_mean_width_monte_carlo_agrees_with_edge_formula():
-    box = cube(1.0)
-    mc = mean_width(box, method="monte_carlo", samples=40_000, seed=10)
-    assert abs(mc.value - 1.5) <= 4.0 * mc.stderr
-    assert mc.stderr < 0.01
+def test_mean_width_edge_formula_agrees_with_a_direction_average():
+    dirs = fibonacci_sphere(20_000)
+    for seed, vertices in ((4, 14), (5, 25), (6, 40)):
+        body = random_polytope(seed, vertices)
+        average = float(np.mean(body.support_batch(dirs) + body.support_batch(-dirs)))
+        assert mean_width(body).value == pytest.approx(average, rel=1e-5)
 
 
-def test_mean_width_sphere_monte_carlo_has_zero_variance():
-    ball = SphereBody(3.0)
-    result = mean_width(ball, method="monte_carlo", samples=100, seed=0)
-    assert result.value == pytest.approx(6.0, rel=1e-14)
-    assert result.stderr < 1e-12
+def test_mean_width_sphere_is_the_diameter():
+    for dim in (2, 3, 4, 5):
+        result = mean_width(SphereBody(3.0, ambient_dimension=dim))
+        assert result.value == 6.0
+        assert result.method == "sphere_diameter"
+
+
+def _cylinder_mean_width_by_quadrature(n, r, h):
+    """Average of 2r|u'| + h|t| over the unit n-sphere, where the last
+    coordinate t has density proportional to (1 - t^2)^((n - 2)/2)."""
+    weight = lambda t: (1.0 - t * t) ** ((n - 2) / 2.0)  # noqa: E731
+    total = integrate.quad(
+        lambda t: (2.0 * r * math.sqrt(1.0 - t * t) + h * abs(t)) * weight(t),
+        -1.0, 1.0, points=[0.0], epsabs=0.0, epsrel=1e-13,
+    )[0]
+    return total / integrate.quad(weight, -1.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+
+
+def test_mean_width_cylinder_closed_form():
+    for r, h in ((0.25, 0.5), (0.475, 0.05), (1.0, 3.0)):
+        value = mean_width(CylinderBody(2, r, h)).value
+        assert value == pytest.approx((h + math.pi * r) / 2.0, rel=2e-15)
+        for n in (3, 4):
+            value = mean_width(CylinderBody(n, r, h)).value
+            assert value == pytest.approx(
+                _cylinder_mean_width_by_quadrature(n, r, h), rel=1e-12
+            )
+
+
+def _random_convex_polygon(seed, count, offset):
+    pts = np.random.default_rng(seed).standard_normal((count, 2))
+    return PolygonBoundary(pts[ConvexHull(pts).vertices] + offset)
 
 
 def test_mean_width_crofton_curve_is_perimeter_over_pi():
-    pent = regular_polygon(5)
-    result = mean_width(pent, method="crofton_curve")
-    assert result.value == pytest.approx(pent.perimeter / math.pi, rel=1e-15)
-    mc = mean_width(pent, method="monte_carlo", samples=60_000, seed=3)
-    assert abs(mc.value - result.value) <= 4.0 * mc.stderr
+    suite = [b for b in _suite_bodies(SuiteConfig(polytope_count=0))
+             if isinstance(b, PolygonBoundary)]
+    assert len(suite) == 5
+    randoms = [_random_convex_polygon(seed, 8 + 10 * seed, 0.0) for seed in range(6)]
+    # far from the origin, where the uncentred sum loses ~1e-12
+    randoms += [_random_convex_polygon(seed, 6 + 4 * seed, (1e5, -2e5)) for seed in (0, 2, 4, 5)]
+    for poly in suite + randoms:
+        result = mean_width(poly)
+        assert result.method == "polygon_support_integral"
+        assert abs(math.pi * result.value - poly.perimeter) <= 1e-12 * poly.perimeter
 
 
 def test_mean_width_method_validation():
-    ball = SphereBody(1.0)
-    with pytest.raises(ConfigurationError):
-        mean_width(ball, method="polytope_edge_formula")
-    with pytest.raises(ConfigurationError):
-        mean_width(ball, method="crofton_curve")
-    with pytest.raises(ConfigurationError):
-        mean_width(ball, method="compass-and-straightedge")
+    # the body is the only argument, and a body type without a route is refused
+    with pytest.raises(TypeError):
+        mean_width(SphereBody(1.0), method="monte_carlo")
+
+    class Shapeless(ConvexBody):
+        ambient_dimension = 3
+        body_id = "shapeless"
+
+    Shapeless.__abstractmethods__ = frozenset()
+    with pytest.raises(DomainError):
+        mean_width(Shapeless())
+    with pytest.raises(DomainError):
+        min_width(Shapeless())
 
 
 # ---------------------------------------------------------------------------
