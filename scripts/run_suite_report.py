@@ -22,7 +22,6 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1729)
     parser.add_argument("--samples", type=int, default=10_000)
     parser.add_argument("--polytopes", type=int, default=20)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out-dir", type=Path, default=Path("reports"))
     args = parser.parse_args()
 
@@ -30,7 +29,6 @@ def main() -> None:
         seed=args.seed,
         samples=args.samples,
         polytope_count=args.polytopes,
-        threads=args.threads,
     )
     report = run_suite(config)
 

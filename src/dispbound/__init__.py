@@ -8,6 +8,6 @@ harness plus CLI (`verify`, `cli`).
 
 __version__ = "0.1.0"
 
-from .numerics import BinetConfig, LogReal  # noqa: F401
+from .numerics import LogReal  # noqa: F401
 from .constants import ConstantsRow, CrossingResult  # noqa: F401
 from .verify import SuiteConfig, SuiteReport, VerificationRecord, run_suite  # noqa: F401

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import DEFAULT_KIND, Kind, _check_dim, _check_kind, constants_table
 from .errors import ConfigurationError, DivergenceError, DomainError
-from .numerics import LogReal, log_gamma, log_gamma_array
+from .numerics import LogReal, log_gamma_array
 
 __all__ = [
     "QUANTITIES",
@@ -28,8 +28,6 @@ __all__ = [
     "asymptotic_ab_ratio",
     "asymptotic_c_n",
     "asymptotic_log_h_n",
-    "asymptotic_log_h_n_factorial_form",
-    "asymptotic_log_suboptimality",
     "asymptotic_rho_star",
     "compare",
     "evaluate_inverse",
@@ -294,17 +292,6 @@ def asymptotic_log_h_n(n: int, kind: Kind = DEFAULT_KIND) -> float:
     return base + math.log1p(bracket)
 
 
-def asymptotic_log_h_n_factorial_form(n: int) -> float:
-    """Alternative factorial form of the log crossing value approximation."""
-    n = _check_dim(n)
-    return (
-        math.e / math.pi
-        - log_gamma(n + 1.0)
-        + 0.5 * math.log(8.0 * math.pi * n / (3.0 * math.e))
-        - math.sqrt(2.0 * math.e * n / math.pi)
-    )
-
-
 def asymptotic_ab_ratio(n: int) -> float:
     """Approximation of the coefficient ratio a_n/b_n near its limit 2*sqrt(e)."""
     n = _check_dim(n)
@@ -312,22 +299,6 @@ def asymptotic_ab_ratio(n: int) -> float:
         math.log(2.0 * math.sqrt(math.e))
         + math.log(n) / (2.0 * n)
         - 1.0 / math.sqrt(2.0 * math.pi * n)
-    )
-
-
-def asymptotic_log_suboptimality(n: int) -> float:
-    """Approximation of the log ratio of the crossing value to the sphere reference."""
-    n = _check_dim(n)
-    bracket = -math.sqrt(2.0 * math.e / math.pi) * math.log(n) / math.sqrt(n)
-    if bracket <= -1.0:  # never triggers for n >= 2, kept for symmetry
-        raise DomainError(f"correction exceeds leading term at n={n}")
-    return (
-        math.log(2.0) + math.e / math.pi - 0.5 * math.log(6.0 * math.e)
-        - math.sqrt(2.0 * math.e * n / math.pi)
-        + 0.5 * n * math.log(math.pi / 2.0)
-        + 0.25 * math.log(2.0 * math.pi * n)
-        - 0.5 * log_gamma(n + 1.0)
-        + math.log1p(bracket)
     )
 
 

@@ -2,9 +2,8 @@
 
 Subcommands expose the constants table, the a/b crossing scan, exact-versus-
 asymptotic comparisons, the geometric verification suite, single geodesic
-queries, record format conversion, and record diffs.  The shell itself is
-single threaded; ``--threads`` is forwarded to the verification suite,
-which is the only parallel consumer.
+queries, record format conversion, and record diffs.  Everything runs in
+one thread.
 
 Exit codes: 0 all checks pass, 1 an inequality was violated (for ``diff``:
 a status or pass flip, an added or a dropped record), 2 usage error,
@@ -18,7 +17,6 @@ import csv as csv_module
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from collections.abc import Sequence
@@ -55,7 +53,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 FORMATS = ("pretty", "csv", "json-lines")
-THREADS_ENV = "DISPBOUND_THREADS"
 MACHINE_DIGITS = 17
 PRETTY_DIGITS = 6
 
@@ -185,18 +182,6 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
         "--output", type=Path, default=None, metavar="PATH",
         help="write to PATH instead of standard output",
     )
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"environment variable {THREADS_ENV} must be an integer, got {raw!r}"
-        ) from None
 
 
 def _check_range(n_min: int, n_max: int) -> None:
@@ -388,7 +373,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"unknown suite {args.suite!r}; only 'default' is defined"
         )
-    threads = args.threads if args.threads is not None else _default_threads()
     config = SuiteConfig(
         seed=args.seed,
         samples=args.samples,
@@ -397,7 +381,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         subdivision=args.subdiv,
         chakerian_directions=args.directions,
         kind=args.kind,
-        threads=threads,
     )
     report = run_suite(config)
     if args.format == "csv":
@@ -620,10 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance-cap", type=int, default=300)
     p.add_argument("--directions", type=int, default=10)
     p.add_argument("--kind", choices=KINDS, default=DEFAULT_KIND)
-    p.add_argument(
-        "--threads", type=int, default=None,
-        help=f"worker threads (default: ${THREADS_ENV} or 1)",
-    )
     _add_output_options(p)
     p.set_defaults(handler=cmd_verify)
 

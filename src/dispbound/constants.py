@@ -33,7 +33,7 @@ from .numerics import (
     LOG_2,
     LOG_PI,
     LogReal,
-    log_double_factorial,
+    log_double_factorial_array,
     log_gamma_array,
     log_unit_ball_volume,
     log_unit_ball_volume_array,
@@ -106,16 +106,11 @@ def _log_width_constant(d: np.ndarray, kind: str) -> np.ndarray:
     df = d.astype(float)
     if kind == "pal_firey":
         return LOG_2 - 0.5 * LOG_3 - log_gamma_array(df + 1.0)
-    # exact double factorials, each distinct argument summed once
-    ks = np.unique(np.concatenate((d - 1, d, d + 1, d + 2)))
-    log_dfs = np.array([log_double_factorial(k) for k in ks.tolist()])
-
-    def ldf(k: np.ndarray) -> np.ndarray:
-        return log_dfs[np.searchsorted(ks, k)]
-
+    # ln (d-1)!!, d!!, (d+1)!!, (d+2)!! from one pass over 2..d+2
+    ldm1, ld, ldp1, ldp2 = log_double_factorial_array(d[:, None] + np.arange(-1, 3)).T
     head = LOG_3 + (df - 3.0) * LOG_PI
-    even = head + ldf(d + 2) - 2.0 * np.log(df + 1.0) - 2.0 * ldf(d) - 3.0 * ldf(d - 1)
-    odd = head + ldf(d + 1) - (df - 2.0) * LOG_2 - 5.0 * ldf(d)
+    even = head + ldp2 - 2.0 * np.log(df + 1.0) - 2.0 * ld - 3.0 * ldm1
+    odd = head + ldp1 - (df - 2.0) * LOG_2 - 5.0 * ld
     return 0.5 * np.where(d % 2 == 0, even, odd)
 
 
@@ -242,19 +237,23 @@ def _solve_second_branch(ns: np.ndarray, log_c: np.ndarray, kind: str) -> np.nda
     return v + log_c
 
 
-def constants_table(ns, kind: Kind = DEFAULT_KIND, tol: float = 1e-10) -> ConstantsTable:
+#: the crossing residual may reach this many units of float64 rounding
+#: (eps) of its terms' summed magnitude; over 2..10^6 both kinds stay below 1
+RESIDUAL_EPS = 4.0
+
+
+def constants_table(ns, kind: Kind = DEFAULT_KIND) -> ConstantsTable:
     """Every per-dimension constant and the crossing, over an integer array.
 
     The crossing is the unique rho > 1 with i_n(rho) = j_n(rho).  If
     a_n <= b_n it lies on the first branch and is the closed form
     rho* = 1 + a_n; otherwise it lies past the branch point (see
     :func:`_solve_second_branch`).  Raises NumericalError naming the first n
-    whose crossing cannot be bracketed or whose residual exceeds tol.
+    whose crossing cannot be bracketed or whose residual exceeds
+    RESIDUAL_EPS units of rounding (eps) of its terms' summed magnitude.
     """
     ns = _check_dims(ns)
     _check_kind(kind)
-    if not (tol > 0.0):
-        raise ConfigurationError(f"tol must be positive, got {tol!r}")
     nf = ns.astype(float)
     log_a, log_b, log_nm1, lv_nm1, lv_nm2, log_width = _log_a_b(ns, kind)
     # right side of rho (rho-1)^(n-1) = pi n (n-1) 2^(n-1) (w_{n-1}/w_{n-2})
@@ -272,18 +271,32 @@ def constants_table(ns, kind: Kind = DEFAULT_KIND, tol: float = 1e-10) -> Consta
     delta = np.exp(log_delta)
     log1p_delta = np.log1p(delta)
     # ln j_n(rho*), with ln rho* = log1p(delta)
-    log_h = log_unit_sphere_area_array(ns) + log_kind_ratio - nf * log1p_delta
-    # past the branch point ln i_n - ln j_n collapses to g(v) exactly
-    residual = np.abs((nf - 1.0) * log_delta + log1p_delta - log_rhs)
-    for i in np.flatnonzero(~second):
-        residual[i] = abs(
-            _log_i_branch1(int(ns[i]), log_delta[i] - log1p_delta[i]) - log_h[i]
-        )
-    failed = np.flatnonzero(residual > tol)
+    log_sphere = log_unit_sphere_area_array(ns)
+    log_h = log_sphere + log_kind_ratio - nf * log1p_delta
+    # The defect ln i_n(rho*) - ln j_n(rho*) is a sum of terms that cancel at
+    # the crossing, so rounding alone keeps it within a few eps of their
+    # summed magnitude.  Past the branch point it collapses to the solver's
+    # (n-1) ln delta + ln rho* - (n-1) ln c_n; on the first branch it is
+    # ln i_n(1 + a_n) - ln h_n, both sides spelled out term by term.
+    def defect(*terms):
+        return np.abs(sum(terms)), sum(np.abs(t) for t in terms)
+
+    residual, scale = defect((nf - 1.0) * log_delta, log1p_delta, -(nf - 1.0) * log_c)
+    f = ~second
+    residual[f], scale[f] = defect(
+        lv_nm1[f], -np.log(nf[f]), -(nf[f] - 2.0) * LOG_2,
+        nf[f] * (log_delta[f] - log1p_delta[f]),
+        -log_sphere[f], -log_kind_ratio[f], nf[f] * log1p_delta[f],
+    )
+    bound = RESIDUAL_EPS * np.finfo(float).eps * scale
+    failed = np.flatnonzero(residual > bound)
     if failed.size:
         i = failed[0]
-        diagnostics = {"n": int(ns[i]), "kind": kind, "residual": float(residual[i]), "tol": tol}
-        raise NumericalError("crossing residual exceeds tolerance", diagnostics=diagnostics)
+        diagnostics = {
+            "n": int(ns[i]), "kind": kind,
+            "residual": float(residual[i]), "bound": float(bound[i]),
+        }
+        raise NumericalError("crossing residual exceeds its rounding bound", diagnostics=diagnostics)
     # rho_n = 1/(1 - t) with t = w_{n-2} / ((n-1) w_{n-1}) < 1
     rho_n = 1.0 / (1.0 - np.exp(lv_nm2 - log_nm1 - lv_nm1))
     return ConstantsTable(
@@ -337,18 +350,14 @@ def c_n(n: int, kind: Kind = DEFAULT_KIND) -> LogReal:
     return LogReal.from_log(_table_of_one(_check_dim(n), _check_kind(kind)).log_c[0])
 
 
-def solve_crossing(
-    n: int, kind: Kind = DEFAULT_KIND, tol: float = 1e-10
-) -> CrossingResult:
+def solve_crossing(n: int, kind: Kind = DEFAULT_KIND) -> CrossingResult:
     """Locate the unique rho > 1 with i_n(rho) = j_n(rho) (a table of one)."""
-    return constants_table(np.array([_check_dim(n)]), kind, tol).crossing(0)
+    return constants_table(np.array([_check_dim(n)]), kind).crossing(0)
 
 
-def rho_star(
-    n: int, kind: Kind = DEFAULT_KIND, tol: float = 1e-10
-) -> tuple[float, str]:
+def rho_star(n: int, kind: Kind = DEFAULT_KIND) -> tuple[float, str]:
     """Crossing location and branch flag ("first" iff a_n <= b_n)."""
-    result = solve_crossing(n, kind, tol)
+    result = solve_crossing(n, kind)
     return result.rho_star, result.branch
 
 
@@ -365,12 +374,6 @@ def sphere_reference(n: int) -> LogReal:
     """sigma_n / pi^n — the value the round sphere's antipodal map attains."""
     n = _check_dim(n, minimum=1)
     return LogReal.from_log(log_unit_sphere_area(n) - n * LOG_PI)
-
-
-def mean_curvature_constant(n: int) -> LogReal:
-    """P_n = n^(n-1) sigma_n / pi."""
-    n = _check_dim(n, minimum=1)
-    return LogReal.from_log((n - 1) * math.log(n) + log_unit_sphere_area(n) - LOG_PI)
 
 
 def suboptimality_factor(n: int, kind: Kind = DEFAULT_KIND) -> LogReal:
@@ -476,7 +479,7 @@ def envelope_b_n(n: int, rho: float, kind: Kind = DEFAULT_KIND) -> LogReal:
     if rho == 1.0:
         return j_val
     i_val = i_n(n, rho)
-    return i_val if i_val > j_val else j_val
+    return i_val if i_val.log_magnitude > j_val.log_magnitude else j_val
 
 
 # ---------------------------------------------------------------------------

@@ -259,7 +259,7 @@ class SphereBody(ConvexBody):
         return math.exp(log_unit_ball_volume(d) + d * math.log(self.radius))
 
     def intrinsic_distances_batch(self, xs, ys) -> tuple[np.ndarray, str]:
-        """Great-circle arc lengths; exact."""
+        """Great-circle arc lengths; exact, and never below the chord."""
         p, q = _as_pairs(xs, ys, self.ambient_dimension)
         points = np.concatenate([p, q])
         rel = points - self.center
@@ -275,7 +275,9 @@ class SphereBody(ConvexBody):
         angle = 2.0 * np.arctan2(
             np.sqrt(np.vecdot(apart, apart)), np.sqrt(np.vecdot(toward, toward))
         )
-        return self.radius * angle, EXACT
+        # the arc exceeds the chord by ~chord^3/(24 r^2), below rounding for
+        # nearly coincident points, where r * angle can land an ulp short
+        return np.maximum(self.radius * angle, np.linalg.norm(p - q, axis=1)), EXACT
 
     def sample_boundary(self, seed: int, count: int) -> np.ndarray:
         rng = substream(seed, "sample-boundary", self.body_id)

@@ -1,28 +1,26 @@
-"""Signed log-domain arithmetic and the special functions everything else uses.
+"""Log-domain values and the special functions everything else uses.
 
 All factorial-scale quantities in this package (unit-ball volumes, unit-sphere
 areas, width-volume constants, the dimensional constants of the displacement
-bounds) are carried as natural logarithms inside :class:`LogReal` values.
-Linear-scale decoding is only offered while ``|ln x| < 700``; beyond that a
-float64 either overflows or degrades to a subnormal with no relative accuracy.
+bounds) are carried as natural logarithms, and the public constants hand them
+out as :class:`LogReal` values.  Linear-scale decoding is only offered while
+``|ln x| < 700``; beyond that a float64 either overflows or degrades to a
+subnormal with no relative accuracy.
 
-The log-gamma here is a Stirling/Binet series with exact rational Bernoulli
+The log-gamma here is a Stirling/Binet series with five fixed Bernoulli
 coefficients and an upward recurrence shift for small arguments.  It is the
-basis for ball volumes, sphere areas, and double factorials; an independent
-oracle for it in tests is plain summation of ``ln k``.
+basis for ball volumes and sphere areas; double factorials are exact sums of
+``ln k``, rounded once.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 
 LOG_2 = math.log(2.0)
 LOG_PI = math.log(math.pi)
@@ -32,8 +30,6 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 # relative precision on the other), so LogReal refuses to decode there.
 DECODE_LIMIT = 700.0
 
-_MAX_BERNOULLI_COUNT = 30
-
 
 # ---------------------------------------------------------------------------
 # LogReal
@@ -42,255 +38,45 @@ _MAX_BERNOULLI_COUNT = 30
 
 @dataclass(frozen=True)
 class LogReal:
-    """A real number stored as a sign and the natural log of its magnitude.
+    """A positive real number stored as the natural log of its magnitude."""
 
-    ``sign`` is -1, 0, or +1.  When ``sign == 0`` the ``log_magnitude`` field
-    carries no information (it is normalized to ``-inf`` so equal zeros
-    compare equal).
-    """
-
-    sign: int
     log_magnitude: float
 
     def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise DomainError(f"sign must be -1, 0, or +1, got {self.sign!r}")
-        if self.sign == 0:
-            object.__setattr__(self, "log_magnitude", float("-inf"))
-        elif not math.isfinite(self.log_magnitude):
-            raise DomainError(
-                f"log magnitude must be finite for nonzero values, got {self.log_magnitude!r}"
-            )
-
-    # -- construction -------------------------------------------------------
+        if not math.isfinite(self.log_magnitude):
+            raise DomainError(f"log magnitude must be finite, got {self.log_magnitude!r}")
 
     @classmethod
-    def from_float(cls, x: float) -> "LogReal":
-        x = float(x)
-        if not math.isfinite(x):
-            raise DomainError(f"cannot encode non-finite value {x!r}")
-        if x == 0.0:
-            return cls(0, float("-inf"))
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    @classmethod
-    def from_log(cls, log_magnitude: float, sign: int = 1) -> "LogReal":
-        return cls(sign, float(log_magnitude))
-
-    @classmethod
-    def zero(cls) -> "LogReal":
-        return cls(0, float("-inf"))
-
-    @classmethod
-    def one(cls) -> "LogReal":
-        return cls(1, 0.0)
-
-    # -- decoding -----------------------------------------------------------
+    def from_log(cls, log_magnitude: float) -> "LogReal":
+        return cls(float(log_magnitude))
 
     def to_float(self) -> float:
         """Decode to a linear-scale float; only valid while |ln x| < 700."""
-        if self.sign == 0:
-            return 0.0
         if abs(self.log_magnitude) >= DECODE_LIMIT:
             raise DomainError(
                 f"refusing to decode log magnitude {self.log_magnitude:.6g} "
                 f"(limit {DECODE_LIMIT:g}); use the log-scale value instead"
             )
-        return self.sign * math.exp(self.log_magnitude)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    def decodable(self) -> bool:
-        return self.sign == 0 or abs(self.log_magnitude) < DECODE_LIMIT
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __mul__(self, other: "LogReal | float | int") -> "LogReal":
-        other = _coerce(other)
-        if self.sign == 0 or other.sign == 0:
-            return LogReal.zero()
-        return LogReal(self.sign * other.sign, self.log_magnitude + other.log_magnitude)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "LogReal | float | int") -> "LogReal":
-        other = _coerce(other)
-        if other.sign == 0:
-            raise DomainError("division by zero LogReal")
-        if self.sign == 0:
-            return LogReal.zero()
-        return LogReal(self.sign * other.sign, self.log_magnitude - other.log_magnitude)
-
-    def __neg__(self) -> "LogReal":
-        if self.sign == 0:
-            return self
-        return LogReal(-self.sign, self.log_magnitude)
-
-    def __abs__(self) -> "LogReal":
-        if self.sign == 0:
-            return self
-        return LogReal(1, self.log_magnitude)
-
-    def __add__(self, other: "LogReal | float | int") -> "LogReal":
-        other = _coerce(other)
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        a, b = self.log_magnitude, other.log_magnitude
-        if self.sign == other.sign:
-            # log-sum-exp: magnitude never drops below the larger input
-            hi, lo = (a, b) if a >= b else (b, a)
-            return LogReal(self.sign, hi + math.log1p(math.exp(lo - hi)))
-        # opposite signs: subtract magnitudes
-        if a == b:
-            return LogReal.zero()
-        if a > b:
-            winner, hi, lo = self.sign, a, b
-        else:
-            winner, hi, lo = other.sign, b, a
-        return LogReal(winner, hi + _log1mexp(hi - lo))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "LogReal | float | int") -> "LogReal":
-        return self + (-_coerce(other))
-
-    def __pow__(self, exponent: float) -> "LogReal":
-        if self.sign == 0:
-            if exponent <= 0:
-                raise DomainError("0 ** non-positive exponent")
-            return self
-        if self.sign < 0:
-            if float(exponent) != int(exponent):
-                raise DomainError("non-integer power of a negative LogReal")
-            sign = -1 if int(exponent) % 2 else 1
-            return LogReal(sign, self.log_magnitude * exponent)
-        return LogReal(1, self.log_magnitude * exponent)
-
-    # -- comparisons --------------------------------------------------------
-
-    def _key(self) -> tuple[int, float]:
-        # orders by true value: sign first, then signed magnitude
-        return (self.sign, self.sign * self.log_magnitude if self.sign else 0.0)
-
-    def __lt__(self, other: "LogReal | float | int") -> bool:
-        return self._key() < _coerce(other)._key()
-
-    def __le__(self, other: "LogReal | float | int") -> bool:
-        return self._key() <= _coerce(other)._key()
-
-    def __gt__(self, other: "LogReal | float | int") -> bool:
-        return self._key() > _coerce(other)._key()
-
-    def __ge__(self, other: "LogReal | float | int") -> bool:
-        return self._key() >= _coerce(other)._key()
-
-    def __repr__(self) -> str:
-        if self.sign == 0:
-            return "LogReal(0)"
-        prefix = "-" if self.sign < 0 else ""
-        return f"LogReal({prefix}exp({self.log_magnitude:.17g}))"
-
-
-def _coerce(value: "LogReal | float | int") -> LogReal:
-    if isinstance(value, LogReal):
-        return value
-    return LogReal.from_float(value)
-
-
-def _log1mexp(delta: float) -> float:
-    """log(1 - exp(-delta)) for delta > 0, stable at both ends."""
-    if delta <= 0:
-        raise DomainError(f"log1mexp needs a positive gap, got {delta!r}")
-    if delta > LOG_2:
-        return math.log1p(-math.exp(-delta))
-    return math.log(-math.expm1(-delta))
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli numbers (exact rationals, cached)
-# ---------------------------------------------------------------------------
-
-_bernoulli_lock = threading.Lock()
-_bernoulli_even: list[Fraction] = []  # B_2, B_4, ..., filled once
-
-
-def bernoulli_numbers(count: int) -> list[Fraction]:
-    """Return [B_2, B_4, ..., B_{2*count}] as exact fractions.
-
-    Uses the defining recurrence sum_{k=0}^{m} binom(m+1, k) B_k = 0 with
-    B_0 = 1.  Only a handful are ever needed, so they are computed once,
-    exactly, and cached behind a lock.
-    """
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise ConfigurationError(f"count must be an integer, got {count!r}")
-    if count < 1 or count > _MAX_BERNOULLI_COUNT:
-        raise ConfigurationError(
-            f"count must be in [1, {_MAX_BERNOULLI_COUNT}], got {count}"
-        )
-    with _bernoulli_lock:
-        if not _bernoulli_even:
-            _bernoulli_even.extend(_compute_even_bernoulli(_MAX_BERNOULLI_COUNT))
-    return list(_bernoulli_even[:count])
-
-
-def _compute_even_bernoulli(count: int) -> list[Fraction]:
-    top = 2 * count
-    all_b: list[Fraction] = [Fraction(1)]
-    for m in range(1, top + 1):
-        acc = Fraction(0)
-        for k in range(m):
-            acc += math.comb(m + 1, k) * all_b[k]
-        all_b.append(-acc / (m + 1))
-    return [all_b[2 * j] for j in range(1, count + 1)]
+        return math.exp(self.log_magnitude)
 
 
 # ---------------------------------------------------------------------------
 # Log-gamma via the Binet/Stirling series
 # ---------------------------------------------------------------------------
 
+#: B_2k / (2k (2k-1)) for k = 1..5, B_2k the Bernoulli numbers 1/6, -1/30,
+#: 1/42, -1/30, 5/66
+BINET_COEFFICIENTS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
 
-@dataclass(frozen=True)
-class BinetConfig:
-    """Parameters of the log-gamma series.
-
-    ``series_terms`` is the number of Bernoulli correction terms; arguments
-    below ``shift_threshold`` are raised with the recurrence
-    Gamma(z+1) = z Gamma(z) before the series is applied.  Defaults: 5 terms
-    and threshold 10, where the remainder is O(z^-11) < 1e-12.
-    """
-
-    series_terms: int = 5
-    shift_threshold: float = 10.0
-
-    def __post_init__(self):
-        if not isinstance(self.series_terms, int) or self.series_terms < 1:
-            raise ConfigurationError(
-                f"series_terms must be a positive integer, got {self.series_terms!r}"
-            )
-        if not (self.shift_threshold >= 8.0):
-            raise ConfigurationError(
-                f"shift_threshold must be >= 8, got {self.shift_threshold!r}"
-            )
+# arguments below this are raised with Gamma(z+1) = z Gamma(z) first; from
+# here on the five-term series' remainder is O(z^-11) < 1e-12
+_BINET_SHIFT = 10.0
 
 
-DEFAULT_BINET = BinetConfig()
-
-
-@lru_cache(maxsize=None)
-def _binet_coefficients(series_terms: int) -> tuple[float, ...]:
-    """Coefficients B_{2k} / (2k (2k-1)) for k = 1..series_terms, as floats."""
-    bern = bernoulli_numbers(series_terms)
-    return tuple(float(b / (2 * k * (2 * k - 1))) for k, b in enumerate(bern, start=1))
-
-
-def log_gamma(z: float, cfg: BinetConfig = DEFAULT_BINET) -> float:
+def log_gamma(z: float) -> float:
     """ln Gamma(z) for z > 0.
 
-    For z >= cfg.shift_threshold this is the Binet expansion
+    For z >= 10 this is the Binet expansion
     (z - 1/2) ln z - z + ln(2 pi)/2 + sum_k B_{2k} / (2k (2k-1) z^{2k-1});
     smaller arguments are shifted up through the recurrence first and the
     logs of the shift factors subtracted at the end.
@@ -302,34 +88,34 @@ def log_gamma(z: float, cfg: BinetConfig = DEFAULT_BINET) -> float:
     if not math.isfinite(z) or z <= 0.0:
         raise DomainError(f"log_gamma is defined for finite z > 0, got {z!r}")
     shift = 0.0
-    while z < cfg.shift_threshold:
+    while z < _BINET_SHIFT:
         shift += math.log(z)
         z += 1.0
     tail = 0.0
     z_sq = z * z
     z_pow = z
-    for coeff in _binet_coefficients(cfg.series_terms):
+    for coeff in BINET_COEFFICIENTS:
         tail += coeff / z_pow
         z_pow *= z_sq
     return (z - 0.5) * math.log(z) - z + 0.5 * LOG_TWO_PI + tail - shift
 
 
-def log_gamma_array(z: np.ndarray, cfg: BinetConfig = DEFAULT_BINET) -> np.ndarray:
+def log_gamma_array(z: np.ndarray) -> np.ndarray:
     """Vectorized log_gamma over a positive float array (same series)."""
     z = np.asarray(z, dtype=float)
     if z.size and (not np.all(np.isfinite(z)) or np.any(z <= 0.0)):
         raise DomainError("log_gamma_array needs finite entries > 0")
     work = z.copy()
     shift = np.zeros_like(work)
-    mask = work < cfg.shift_threshold
+    mask = work < _BINET_SHIFT
     while np.any(mask):
         shift[mask] += np.log(work[mask])
         work[mask] += 1.0
-        mask = work < cfg.shift_threshold
+        mask = work < _BINET_SHIFT
     tail = np.zeros_like(work)
     z_sq = work * work
     z_pow = work.copy()
-    for coeff in _binet_coefficients(cfg.series_terms):
+    for coeff in BINET_COEFFICIENTS:
         tail += coeff / z_pow
         z_pow *= z_sq
     return (work - 0.5) * np.log(work) - work + 0.5 * LOG_TWO_PI + tail - shift
@@ -378,8 +164,29 @@ def log_unit_sphere_area_array(n: np.ndarray) -> np.ndarray:
     return LOG_TWO_PI + log_unit_ball_volume_array(n - 1)
 
 
+def log_double_factorial_array(d) -> np.ndarray:
+    """ln d!! over an integer array of d >= 1: the float logs ln k for
+    k = d, d-2, ..., 2 or 3, summed exactly and rounded once.
+
+    For k >= 2 the float ln k is at least ln 2 > 1/2, so it is an integer
+    multiple of 2^-53.  Integer prefix sums along each parity class are
+    exact, so each value has the same bits as ``math.fsum`` of its logs,
+    for O(max d) work in all instead of O(d) per value.
+    """
+    d = np.asarray(d)
+    if d.dtype.kind not in "iu" or (d.size and d.min() < 1):
+        raise DomainError(f"double factorials need integers >= 1, got {d!r}")
+    top = int(d.max()) if d.size else 1
+    prefix = np.zeros(top + 1)  # prefix[k] = ln k!! * 2^53, rounded once
+    exact = [0, 0]  # running integer sums for even and odd k
+    for k in range(2, top + 1):
+        exact[k & 1] += int(math.ldexp(math.log(k), 53))
+        prefix[k] = float(exact[k & 1])
+    return np.ldexp(prefix, -53)[d]
+
+
 def log_double_factorial(d: int) -> float:
-    """ln d!! as a compensated sum of logs over the parity class of d."""
+    """ln d!! (see :func:`log_double_factorial_array`)."""
     if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
         raise DomainError(f"double factorial needs an integer >= 1, got {d!r}")
-    return math.fsum(math.log(k) for k in range(int(d), 1, -2))
+    return float(log_double_factorial_array(np.array([d]))[0])

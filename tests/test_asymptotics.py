@@ -16,8 +16,6 @@ from dispbound.asymptotics import (
     asymptotic_ab_ratio,
     asymptotic_c_n,
     asymptotic_log_h_n,
-    asymptotic_log_h_n_factorial_form,
-    asymptotic_log_suboptimality,
     asymptotic_rho_star,
     compare,
     evaluate_inverse,
@@ -28,7 +26,7 @@ from dispbound.asymptotics import (
     phi_n,
     term_log_magnitudes,
 )
-from dispbound.constants import c_n, solve_crossing, suboptimality_factor
+from dispbound.constants import c_n, solve_crossing
 from dispbound.errors import ConfigurationError, DivergenceError, DomainError
 
 # ---------------------------------------------------------------------------
@@ -320,26 +318,6 @@ def test_log_h_dominated_by_n_log_n():
     ]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert abs(ratios[-1] - 1.0) < 0.08
-
-
-def test_factorial_form_agrees_to_order_one_over_n():
-    # the two printed forms differ by Stirling's 1/(12n) term
-    for n in (100, 1000, 10000):
-        lead = (
-            -n * math.log(n) + n - math.sqrt(2 * math.e * n / math.pi)
-            + 0.5 * math.log(4 / (3 * math.e)) + math.e / math.pi
-        )
-        alt = asymptotic_log_h_n_factorial_form(n)
-        assert abs(lead - alt) * n == pytest.approx(1.0 / 12.0, abs=2e-4)
-
-
-def test_suboptimality_approximation_tracks_exact():
-    gaps = [
-        abs(asymptotic_log_suboptimality(n) - suboptimality_factor(n).log_magnitude)
-        for n in (100, 400, 1600)
-    ]
-    assert all(b < a for a, b in zip(gaps, gaps[1:]))
-    assert gaps[-1] < 0.01
 
 
 # ---------------------------------------------------------------------------

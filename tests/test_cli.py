@@ -9,7 +9,7 @@ import pytest
 
 from dispbound import cli
 from dispbound.constants import constants_row, quoted_closed_form_h2
-from dispbound.errors import ConfigurationError, NumericalError
+from dispbound.errors import NumericalError
 from dispbound.geometry import SphereBody, regular_polygon, save_body
 from dispbound.verify import load_records_jsonl
 
@@ -80,6 +80,16 @@ def test_constants_underflow_marker_at_n150(capsys):
     (row,) = parse_jsonl(out)
     assert row["h_n"] == "underflow"
     assert math.isfinite(row["log_h_n"])
+
+
+def test_constants_past_the_first_absolute_residual_failure(capsys):
+    # n = 71,784 is where an absolute 1e-10 residual gate first failed
+    code, out, _ = run_cli(
+        capsys, "constants", "--n-min", "71780", "--n-max", "71790",
+        "--format", "json-lines",
+    )
+    assert code == 0
+    assert [row["n"] for row in parse_jsonl(out)] == list(range(71780, 71791))
 
 
 def test_constants_reproducible_byte_identically(capsys):
@@ -209,16 +219,6 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "exotic")
     assert code == 2
     assert "unknown suite" in err
-
-
-def test_thread_env_default(monkeypatch):
-    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
-    assert cli._default_threads() == 1
-    monkeypatch.setenv(cli.THREADS_ENV, "4")
-    assert cli._default_threads() == 4
-    monkeypatch.setenv(cli.THREADS_ENV, "lots")
-    with pytest.raises(ConfigurationError):
-        cli._default_threads()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from dispbound.constants import (
     i_n,
     i_star_n,
     j_n,
-    mean_curvature_constant,
     pal_constant,
     quoted_closed_form_h2,
     rho_n,
@@ -165,7 +165,8 @@ def test_bezdek_small_dimensions():
 
 def test_bezdek_beats_pal_firey():
     for d in range(3, 21):
-        assert pal_constant(d, "bezdek") > pal_constant(d, "pal_firey")
+        bezdek = pal_constant(d, "bezdek").log_magnitude
+        assert bezdek > pal_constant(d, "pal_firey").log_magnitude
 
 
 def test_pal_constant_validation():
@@ -199,7 +200,8 @@ def test_j_n_scaling_homogeneity(rho, n):
 
 def test_j_n_bezdek_dominates_for_n3():
     for rho in (1.0, 1.3, 2.0, 10.0, 1e4):
-        assert j_n(3, rho, "bezdek") > j_n(3, rho, "pal_firey")
+        bezdek = j_n(3, rho, "bezdek").log_magnitude
+        assert bezdek > j_n(3, rho, "pal_firey").log_magnitude
 
 
 def test_j_n_validation():
@@ -255,7 +257,8 @@ def test_rho_star_dim2_residual_oracle():
 def test_crossing_equality_within_tol():
     for n in (2, 3, 5, 17, 101, 1000):
         for kind in ("pal_firey", "bezdek"):
-            result = solve_crossing(n, kind, tol=1e-12)
+            result = solve_crossing(n, kind)
+            assert result.residual <= 1e-12
             gap = abs(
                 i_n(n, result.rho_star).log_magnitude
                 - j_n(n, result.rho_star, kind).log_magnitude
@@ -303,11 +306,6 @@ def test_quoted_display_table():
 
 def test_deep_dimension_log_value():
     assert solve_crossing(150).log_h == pytest.approx(-617.8318009855368, abs=1e-8)
-
-
-def test_solver_tol_validation():
-    with pytest.raises(ConfigurationError):
-        solve_crossing(5, tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +367,6 @@ def test_envelope_minimum_is_h():
 
 def test_sphere_reference_dim2():
     assert sphere_reference(2).to_float() == pytest.approx(4.0 / math.pi, rel=1e-13)
-
-
-def test_mean_curvature_constant_identity():
-    # P_n * pi = n^(n-1) sigma_n
-    from dispbound.numerics import log_unit_sphere_area
-
-    for n in (1, 2, 3, 10, 40):
-        lhs = mean_curvature_constant(n).log_magnitude + math.log(math.pi)
-        rhs = (n - 1) * math.log(n) + log_unit_sphere_area(n)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_suboptimality_times_sqrt_factorial_bounded_on_window():
@@ -492,16 +480,90 @@ def test_log_h_within_two_ulp_of_scalar_pipeline(n, expected):
     assert abs(log_h - expected) <= 2 * math.ulp(expected)
 
 
-def test_table_residual_failure_names_first_n():
-    ns = np.arange(2, 60)
-    tol = 0.5 * float(constants_table(ns).residual.max())
-    first = int(ns[np.flatnonzero(constants_table(ns).residual > tol)[0]])
+def test_table_residual_failure_names_first_n(monkeypatch):
+    # a root off by 1e-12 relative in ln(rho - 1) is hundreds of rounding
+    # bounds away from the crossing, from n = 40 on
+    solve = cmod._solve_second_branch
+
+    def perturbed(ns, log_c, kind):
+        v = solve(ns, log_c, kind)
+        return np.where(ns >= 40, v * (1.0 + 1e-12), v)
+
+    monkeypatch.setattr(cmod, "_solve_second_branch", perturbed)
     with pytest.raises(NumericalError) as excinfo:
-        constants_table(ns, tol=tol)
-    assert excinfo.value.diagnostics["n"] == first
+        constants_table(np.arange(2, 60))
+    assert excinfo.value.diagnostics["n"] == 40
+    assert excinfo.value.diagnostics["residual"] > 100 * excinfo.value.diagnostics["bound"]
     with pytest.raises(NumericalError) as excinfo:
-        solve_crossing(first, tol=tol)
-    assert excinfo.value.diagnostics["n"] == first
+        solve_crossing(41)
+    assert excinfo.value.diagnostics["n"] == 41
+
+
+def test_first_branch_residual_is_gated(monkeypatch):
+    # no n in 2..1e6 has a_n <= b_n, so force the first branch: rho* = 1 + a_n
+    # meets i_n's first branch on j_n by construction of a_n, and a 1e-12
+    # relative error in ln a_n breaks that by far more than rounding
+    log_a_b = cmod._log_a_b
+    scale = {"log_a": 1.0}
+
+    def first_branch(ns, kind):
+        log_a, _, *rest = log_a_b(ns, kind)
+        return (log_a * scale["log_a"], log_a + 1.0, *rest)
+
+    monkeypatch.setattr(cmod, "_log_a_b", first_branch)
+    table = constants_table(np.arange(2, 2001))
+    assert np.all(table.branch == "first")
+    scale["log_a"] = 1.0 + 1e-12
+    with pytest.raises(NumericalError) as excinfo:
+        constants_table(np.arange(2, 2001))
+    assert excinfo.value.diagnostics["n"] == 2
+
+
+def test_residuals_stay_under_their_rounding_bound_to_one_million():
+    # an absolute 1e-10 gate failed first at n = 71,784, where one ulp of
+    # the terms is ~5.8e-11; the gate now scales with the terms.  Chunked
+    # to keep memory down: rows do not depend on each other.
+    for start in range(2, 10**6 + 1, 250_000):
+        table = constants_table(np.arange(start, min(start + 250_000, 10**6 + 1)))
+        assert np.all(table.branch == "second")
+        assert np.all(np.isfinite(table.log_h))
+    assert table.n[-1] == 10**6
+
+
+def _crossing_oracle(n: int) -> tuple[float, float]:
+    """rho* and ln h_n (Pal-Firey) from a 50-digit solve of
+    rho (rho-1)^(n-1) = pi n (n-1) 2^(n-1) (w_{n-1}/w_{n-2}) (C_{n+1}/w_{n+1})^(n/(n+1)),
+    with ln h_n taken from i_n's second branch, not from j_n."""
+    with mpmath.workdps(50):
+        n = mpmath.mpf(n)
+        log_pi, log_2 = mpmath.log(mpmath.pi), mpmath.log(2)
+
+        def log_w(k):  # unit k-ball volume
+            return k / 2 * log_pi - mpmath.loggamma(k / 2 + 1)
+
+        log_c_over_w = log_2 - mpmath.log(3) / 2 - mpmath.loggamma(n + 2) - log_w(n + 1)
+        log_rhs = (
+            log_pi + mpmath.log(n) + mpmath.log(n - 1) + (n - 1) * log_2
+            + log_w(n - 1) - log_w(n - 2) + n / (n + 1) * log_c_over_w
+        )
+        log_delta = mpmath.findroot(
+            lambda u: (n - 1) * u + mpmath.log1p(mpmath.exp(u)) - log_rhs,
+            log_rhs / (n - 1),
+        )
+        rho = 1 + mpmath.exp(log_delta)
+        log_h = (
+            log_w(n - 2) - mpmath.log(n) - mpmath.log(n - 1) - (n - 2) * log_2
+            + (n - 1) * (log_delta - mpmath.log(rho))
+        )
+        return float(rho), float(log_h)
+
+
+@pytest.mark.parametrize("n", [71_784, 10**5, 5 * 10**5, 10**6])
+def test_crossing_matches_fifty_digit_oracle(n):
+    result = solve_crossing(n)
+    rho, log_h = _crossing_oracle(n)
+    assert abs(result.rho_star - rho) <= cmod.RESIDUAL_EPS * math.ulp(rho)
+    assert abs(result.log_h - log_h) <= cmod.RESIDUAL_EPS * math.ulp(log_h)
 
 
 def test_table_validation():
@@ -510,6 +572,4 @@ def test_table_validation():
             constants_table(np.array(bad))
     with pytest.raises(ConfigurationError):
         constants_table(np.array([2, 3]), kind="improved")
-    with pytest.raises(ConfigurationError):
-        constants_table(np.array([2, 3]), tol=0.0)
     assert len(constants_table(np.array([], dtype=np.int64)).log_h) == 0

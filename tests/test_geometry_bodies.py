@@ -95,7 +95,8 @@ def test_sphere_intrinsic_distance_is_arc_length():
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_sphere_antipodal_distances_are_half_great_circles(dim):
     # arccos of the dot product loses ~1e-8 next to -1; the half-chord
-    # form keeps antipodal pairs at pi r to a few ulp
+    # form keeps antipodal pairs at pi r to a few ulp, and no arc is below
+    # its chord
     for center, radius in ((np.zeros(dim), 1.0), (np.linspace(-0.3, 0.6, dim), 2.7)):
         s = SphereBody(radius, center=center)
         u = unit_directions(substream(RNG_SEED, "antipodes", str(dim)), 2000, dim)
@@ -103,7 +104,11 @@ def test_sphere_antipodal_distances_are_half_great_circles(dim):
         values, kind = s.intrinsic_distances_batch(x, y)
         assert kind == "exact"
         assert np.max(np.abs(values - math.pi * radius)) <= 4 * np.spacing(math.pi * radius)
-        for p, q in ((x, y), (x, s.sample_boundary(dim, 2000))):
+        # nearly coincident pairs, where the arc exceeds the chord by far
+        # less than an ulp
+        w = u + 1e-9 * unit_directions(substream(RNG_SEED, "near", str(dim)), 2000, dim)
+        near = center + radius * w / np.linalg.norm(w, axis=1)[:, None]
+        for p, q in ((x, y), (x, s.sample_boundary(dim, 2000)), (x, near)):
             arcs, _ = s.intrinsic_distances_batch(p, q)
             assert np.all(arcs >= np.linalg.norm(p - q, axis=1))
 

@@ -1,21 +1,20 @@
-"""Tests for the log-domain arithmetic and special functions."""
+"""Tests for the log-domain values and special functions."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispbound.errors import ConfigurationError, DomainError
+from dispbound.errors import DomainError
 from dispbound.numerics import (
+    BINET_COEFFICIENTS,
     DECODE_LIMIT,
-    BinetConfig,
     LogReal,
-    bernoulli_numbers,
     log_double_factorial,
+    log_double_factorial_array,
     log_gamma,
     log_gamma_array,
     log_unit_ball_volume,
@@ -45,15 +44,24 @@ def test_log_gamma_large_against_log_factorial_sum():
 @pytest.mark.parametrize("z", [10.0, 50.0, 100.0, 1000.0])
 def test_binet_error_decreases_with_series_terms(z):
     oracle = math.lgamma(z)
-    errors = [
-        abs(log_gamma(z, BinetConfig(series_terms=k)) - oracle) / abs(oracle)
-        for k in range(2, 7)
-    ]
+    stirling = (z - 0.5) * math.log(z) - z + 0.5 * math.log(2.0 * math.pi)
+    errors = []
+    for k in range(2, 6):  # the first k module coefficients
+        tail = sum(c / z ** (2 * j + 1) for j, c in enumerate(BINET_COEFFICIENTS[:k]))
+        errors.append(abs(stirling + tail - oracle) / abs(oracle))
     for prev, cur in zip(errors, errors[1:]):
         if prev <= 1e-13:
             break
         assert cur < prev
-    assert errors[-1] <= 1e-13
+    assert abs(log_gamma(z) - oracle) <= 1e-13 * abs(oracle)
+
+
+def test_binet_coefficients_are_bernoulli_ratios():
+    # B_2k / (2k (2k-1)) for k = 1..5, each the float nearest the rational
+    expected = tuple(
+        float(sympy.bernoulli(2 * k) / (2 * k * (2 * k - 1))) for k in range(1, 6)
+    )
+    assert BINET_COEFFICIENTS == expected
 
 
 def test_log_gamma_matches_stdlib_on_grid():
@@ -72,45 +80,6 @@ def test_log_gamma_array_matches_scalar():
 def test_log_gamma_domain_errors(bad):
     with pytest.raises(DomainError):
         log_gamma(bad)
-
-
-def test_binet_config_validation():
-    with pytest.raises(ConfigurationError):
-        BinetConfig(series_terms=0)
-    with pytest.raises(ConfigurationError):
-        BinetConfig(shift_threshold=7.9)
-    cfg = BinetConfig(series_terms=3, shift_threshold=12.0)
-    assert cfg.series_terms == 3
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli numbers
-# ---------------------------------------------------------------------------
-
-
-def test_bernoulli_first_values():
-    assert bernoulli_numbers(1) == [Fraction(1, 6)]
-    assert bernoulli_numbers(2) == [Fraction(1, 6), Fraction(-1, 30)]
-
-
-def test_bernoulli_eighth_is_minus_one_thirtieth():
-    assert bernoulli_numbers(4)[3] == Fraction(-1, 30)
-
-
-def test_bernoulli_twelfth():
-    assert bernoulli_numbers(6)[5] == Fraction(-691, 2730)
-
-
-def test_bernoulli_count_validation():
-    for bad in (0, -1, 31, 2.0, "3"):
-        with pytest.raises(ConfigurationError):
-            bernoulli_numbers(bad)
-
-
-def test_bernoulli_thread_safety():
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(bernoulli_numbers, [30] * 16))
-    assert all(r == results[0] for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -190,156 +159,59 @@ def test_double_factorial_identity_at_101():
     assert abs(log_double_factorial(101) - oracle) <= 1e-12 * oracle
 
 
+def test_double_factorials_equal_fsum_of_logs():
+    # the integer prefix sums round once, exactly as math.fsum does
+    ds = np.arange(1, 5001)
+    batch = log_double_factorial_array(ds)
+    for d, value in zip(ds.tolist(), batch):
+        assert value == math.fsum(math.log(k) for k in range(d, 1, -2))
+    assert [log_double_factorial(d) for d in (1, 2, 4999, 5000)] == [
+        batch[0], batch[1], batch[4998], batch[4999]
+    ]
+
+
+def test_double_factorial_array_validation():
+    for bad in ([0, 3], [2.0, 3.0], [-1]):
+        with pytest.raises(DomainError):
+            log_double_factorial_array(np.array(bad))
+    ks = np.array([[3, 4], [5, 6]])
+    assert log_double_factorial_array(ks).shape == (2, 2)
+
+
 # ---------------------------------------------------------------------------
 # LogReal
 # ---------------------------------------------------------------------------
 
-signed_floats = st.tuples(
-    st.sampled_from([-1.0, 1.0]),
-    st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False),
-).map(lambda t: t[0] * t[1])
-
-moderate_logs = st.floats(min_value=-230.0, max_value=230.0)  # spans 200 orders
+positive_floats = st.floats(
+    min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False
+)
 
 
-def test_logreal_zero_and_one():
-    assert LogReal.zero().is_zero
-    assert LogReal.from_float(0.0).to_float() == 0.0
-    assert LogReal.one().to_float() == 1.0
-
-
-def test_logreal_sign_validation():
-    with pytest.raises(DomainError):
-        LogReal(2, 0.0)
-    with pytest.raises(DomainError):
-        LogReal(1, math.inf)
-    with pytest.raises(DomainError):
-        LogReal.from_float(math.nan)
+def test_logreal_log_validation():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            LogReal.from_log(bad)
 
 
 def test_logreal_decode_guard():
     ok = LogReal.from_log(DECODE_LIMIT - 1.0)
     assert math.isfinite(ok.to_float())
     for mag in (DECODE_LIMIT, 1200.0, -DECODE_LIMIT, -1200.0):
-        val = LogReal.from_log(mag)
-        assert not val.decodable()
         with pytest.raises(DomainError):
-            val.to_float()
+            LogReal.from_log(mag).to_float()
 
 
-@given(x=signed_floats)
+@given(x=positive_floats)
 @settings(max_examples=300)
 def test_logreal_roundtrip_full_range(x):
-    decoded = LogReal.from_float(x).to_float()
+    decoded = LogReal.from_log(math.log(x)).to_float()
     # one float64 log field carries ~|ln x| * eps/2 of round-trip error,
-    # so the achievable full-range bound is ~1.5e-13 (see decisions ledger)
-    assert abs(decoded - x) <= 1.5e-13 * abs(x)
+    # so the achievable full-range bound is ~1.5e-13
+    assert abs(decoded - x) <= 1.5e-13 * x
 
 
-@given(
-    x=st.tuples(
-        st.sampled_from([-1.0, 1.0]),
-        st.floats(min_value=math.exp(-60.0), max_value=math.exp(60.0)),
-    ).map(lambda t: t[0] * t[1])
-)
+@given(x=st.floats(min_value=math.exp(-60.0), max_value=math.exp(60.0)))
 @settings(max_examples=300)
 def test_logreal_roundtrip_moderate_range(x):
-    decoded = LogReal.from_float(x).to_float()
-    assert abs(decoded - x) <= 1e-14 * abs(x)
-
-
-@given(a=signed_floats, b=signed_floats)
-@settings(max_examples=200)
-def test_logreal_multiplication_is_exact_log_addition(a, b):
-    prod = LogReal.from_float(a) * LogReal.from_float(b)
-    assert prod.sign == int(math.copysign(1, a)) * int(math.copysign(1, b))
-    assert prod.log_magnitude == math.log(abs(a)) + math.log(abs(b))
-
-
-@given(la=moderate_logs, lb=moderate_logs, sign=st.sampled_from([-1, 1]))
-@settings(max_examples=200)
-def test_logreal_same_sign_addition_grows_magnitude(la, lb, sign):
-    total = LogReal(sign, la) + LogReal(sign, lb)
-    assert total.sign == sign
-    assert total.log_magnitude >= max(la, lb)
-
-
-@given(la=moderate_logs, lb=moderate_logs, sa=st.sampled_from([-1, 1]), sb=st.sampled_from([-1, 1]))
-@settings(max_examples=200)
-def test_logreal_addition_commutes_exactly(la, lb, sa, sb):
-    x, y = LogReal(sa, la), LogReal(sb, lb)
-    assert (x + y) == (y + x)  # same magnitude ordering internally, bit-equal
-
-
-@given(la=moderate_logs, lb=moderate_logs, lc=moderate_logs,
-       sa=st.sampled_from([-1, 1]), sb=st.sampled_from([-1, 1]), sc=st.sampled_from([-1, 1]))
-@settings(max_examples=200)
-def test_logreal_addition_associates_up_to_conditioning(la, lb, lc, sa, sb, sc):
-    # near-total cancellation amplifies log-domain rounding like any other
-    # floating-point sum, so the discrepancy bound carries the usual
-    # conditioning factor sum|x_i| / |result|
-    x, y, z = LogReal(sa, la), LogReal(sb, lb), LogReal(sc, lc)
-    scale = max(la, lb, lc)
-    p, q = (x + y) + z, x + (y + z)
-    if p.is_zero or q.is_zero:
-        for v in (p, q):
-            assert v.is_zero or v.log_magnitude <= scale + math.log(1e-12)
-        return
-    assert p.sign == q.sign
-    kappa_log = min(scale - min(p.log_magnitude, q.log_magnitude), 60.0)
-    assert abs(p.log_magnitude - q.log_magnitude) <= 1e-12 * math.exp(max(kappa_log, 0.0))
-
-
-def test_logreal_addition_laws_on_random_triples():
-    # well-conditioned random triples spanning 200 orders of magnitude
-    rng = np.random.default_rng(20240817)
-    logs = rng.uniform(-230.0, 230.0, size=(3000, 3))
-    signs = rng.choice([-1, 1], size=(3000, 3))
-    for (la, lb, lc), (sa, sb, sc) in zip(logs, signs):
-        x, y, z = LogReal(int(sa), la), LogReal(int(sb), lb), LogReal(int(sc), lc)
-        left, right = (x + y) + z, x + (y + z)
-        assert (x + y) == (y + x)
-        assert left.sign == right.sign
-        if not left.is_zero:
-            assert abs(left.log_magnitude - right.log_magnitude) <= 1e-12
-
-
-def test_logreal_subtraction_and_opposite_signs():
-    three = LogReal.from_float(3.0)
-    five = LogReal.from_float(5.0)
-    assert (five - three).to_float() == pytest.approx(2.0, rel=1e-14)
-    assert (three - five).to_float() == pytest.approx(-2.0, rel=1e-14)
-    assert (three - three).is_zero
-    assert (three + (-three)).is_zero
-
-
-def test_logreal_division():
-    x = LogReal.from_float(10.0) / LogReal.from_float(-4.0)
-    assert x.to_float() == pytest.approx(-2.5, rel=1e-14)
-    with pytest.raises(DomainError):
-        LogReal.one() / LogReal.zero()
-
-
-def test_logreal_powers():
-    x = LogReal.from_float(2.0) ** 10
-    assert x.to_float() == pytest.approx(1024.0, rel=1e-13)
-    neg = LogReal.from_float(-2.0) ** 3
-    assert neg.to_float() == pytest.approx(-8.0, rel=1e-13)
-    with pytest.raises(DomainError):
-        LogReal.from_float(-2.0) ** 0.5
-    frac = LogReal.from_float(9.0) ** 0.5
-    assert frac.to_float() == pytest.approx(3.0, rel=1e-13)
-
-
-def test_logreal_comparisons():
-    values = [-3.0, -0.5, 0.0, 0.25, 7.0]
-    encoded = [LogReal.from_float(v) for v in values]
-    for i, x in enumerate(encoded):
-        for j, y in enumerate(encoded):
-            assert (x < y) == (values[i] < values[j])
-            assert (x >= y) == (values[i] >= values[j])
-
-
-def test_logreal_coerces_plain_numbers():
-    assert (LogReal.from_float(2.0) * 3).to_float() == pytest.approx(6.0, rel=1e-14)
-    assert (1 + LogReal.from_float(2.0)).to_float() == pytest.approx(3.0, rel=1e-14)
+    decoded = LogReal.from_log(math.log(x)).to_float()
+    assert abs(decoded - x) <= 1e-14 * x
