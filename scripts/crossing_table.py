@@ -9,7 +9,8 @@ import argparse
 import numpy as np
 
 from dispbound.asymptotics import compare
-from dispbound.constants import constants_table, sphere_reference
+from dispbound.constants import constants_table
+from dispbound.numerics import LOG_PI
 
 ASYMPTOTIC_PROBES = (100, 1_000, 10_000)
 
@@ -25,10 +26,11 @@ def main() -> None:
     print(f"{'n':>4}  {'rho_n':>10}  {'c_n':>12}  {'rho_star':>12}  "
           f"{'log_h_n':>12}  {'log_subopt':>12}")
     table = constants_table(np.arange(args.n_min, args.n_max + 1), args.kind)
-    for row in map(table.row, range(len(table.n))):
-        n = row.n
-        subopt = row.log_h_n - sphere_reference(n).log_magnitude
-        print(f"{n:>4}  {row.rho_n:>10.6f}  {row.c_n:>12.6g}  "
+    # ln(h_n / (sigma_n / pi^n)), sigma_n the unit n-sphere's area
+    log_subopt = table.log_h - (table.log_sphere - table.n * LOG_PI)
+    for i, subopt in enumerate(log_subopt.tolist()):
+        row = table.row(i)
+        print(f"{row.n:>4}  {row.rho_n:>10.6f}  {row.c_n:>12.6g}  "
               f"{row.rho_star:>12.8f}  {row.log_h_n:>12.5f}  {subopt:>12.5f}")
 
     print("\nasymptotic convergence of ln h_n:")

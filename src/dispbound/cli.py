@@ -30,10 +30,10 @@ from .constants import (
     constants_table,
     quoted_closed_form_h2,
     scan_ab,
-    sphere_reference,
 )
 from .errors import ConfigurationError, NumericalError
 from .geometry import PolygonBoundary, Polytope3, cube, load_body
+from .numerics import LOG_PI, decode_logs
 from .verify import (
     SCHEMA_VERSION,
     SuiteConfig,
@@ -101,12 +101,14 @@ def _render_csv(rows: Sequence[dict]) -> str:
     return buf.getvalue()
 
 
+_JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 def _render_jsonl(rows: Sequence[dict]) -> str:
-    lines = []
-    for row in rows:
-        payload = {"schema_version": SCHEMA_VERSION, **row}
-        lines.append(json.dumps(payload, separators=(",", ":"), allow_nan=False))
-    return "".join(line + "\n" for line in lines)
+    encode = _JSONL_ENCODER.encode
+    return "".join(
+        encode({"schema_version": SCHEMA_VERSION, **row}) + "\n" for row in rows
+    )
 
 
 def _render_pretty(rows: Sequence[dict], notes: Sequence[str] = ()) -> str:
@@ -220,27 +222,25 @@ def _linear_or_marker(log_value: float) -> float | str:
 def cmd_constants(args: argparse.Namespace) -> int:
     _check_range(args.n_min, args.n_max)
     table = constants_table(np.arange(args.n_min, args.n_max + 1), args.kind)
-    rows = []
-    for i, n in enumerate(range(args.n_min, args.n_max + 1)):
-        row = table.row(i)
-        log_reference = sphere_reference(n).log_magnitude
-        rows.append(
-            {
-                "n": row.n,
-                "rho_n": row.rho_n,
-                "a_n": row.a_n,
-                "b_n": row.b_n,
-                "c_n": row.c_n,
-                "rho_star": row.rho_star,
-                "branch": row.branch,
-                "log_h_n": row.log_h_n,
-                "h_n": _linear_or_marker(row.log_h_n),
-                "paper_quoted": quoted_closed_form_h2() if n == 2 else None,
-                "log_sphere_reference": log_reference,
-                "log_suboptimality": row.log_h_n - log_reference,
-                "kind": row.pal_constant_kind,
-            }
-        )
+    ns = table.n.tolist()
+    log_h = table.log_h.tolist()
+    log_reference = table.log_sphere - table.n * LOG_PI  # ln(sigma_n / pi^n)
+    columns = {
+        "n": ns,
+        "rho_n": table.rho_n.tolist(),
+        "a_n": decode_logs(table.log_a),
+        "b_n": decode_logs(table.log_b),
+        "c_n": decode_logs(table.log_c),
+        "rho_star": table.rho_star.tolist(),
+        "branch": table.branch.tolist(),
+        "log_h_n": log_h,
+        "h_n": [_linear_or_marker(v) for v in log_h],
+        "paper_quoted": [quoted_closed_form_h2() if n == 2 else None for n in ns],
+        "log_sphere_reference": log_reference.tolist(),
+        "log_suboptimality": (table.log_h - log_reference).tolist(),
+        "kind": [table.kind] * len(ns),
+    }
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     notes = []
     if args.n_min <= 2 <= args.n_max:
         notes.append(

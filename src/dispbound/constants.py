@@ -32,13 +32,13 @@ from .errors import ConfigurationError, DomainError, NumericalError
 from .numerics import (
     LOG_2,
     LOG_PI,
+    LOG_TWO_PI,
     LogReal,
     log_double_factorial_array,
     log_gamma_array,
     log_unit_ball_volume,
     log_unit_ball_volume_array,
     log_unit_sphere_area,
-    log_unit_sphere_area_array,
 )
 
 Kind = Literal["pal_firey", "bezdek"]
@@ -114,13 +114,34 @@ def _log_width_constant(d: np.ndarray, kind: str) -> np.ndarray:
     return 0.5 * np.where(d % 2 == 0, even, odd)
 
 
+#: _log_a_b evaluates ln w_k once over min(ns)-2 .. max(ns)+1 when that
+#: range holds at most this many entries per requested n
+DENSE_SPAN_PER_N = 3
+
+
+def _log_ball_volume_shifts(ns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """ln w_{n-2}, ln w_{n-1} and ln w_{n+1} (w_k = unit k-ball volume).
+
+    A dense input takes all three from one pass over its range; a sparse
+    one, such as [2, 10**9], makes one pass per shift and never allocates
+    the range.  The volumes are elementwise, so both give the same bits.
+    """
+    lv = log_unit_ball_volume_array
+    if ns.size:
+        lo, hi = int(ns.min()) - 2, int(ns.max()) + 1
+        if hi - lo + 1 <= DENSE_SPAN_PER_N * ns.size:
+            span, at = lv(np.arange(lo, hi + 1)), ns - lo  # span[at] = ln w_n
+            return span[at - 2], span[at - 1], span[at + 1]
+    return lv(ns - 2), lv(ns - 1), lv(ns + 1)
+
+
 def _log_a_b(ns: np.ndarray, kind: str) -> tuple[np.ndarray, ...]:
     """ln a_n and ln b_n, then the terms the crossing reuses: ln(n-1),
     ln w_{n-1}, ln w_{n-2} (w_k = unit k-ball volume) and ln(C_{n+1}/w_{n+1})."""
-    lv = log_unit_ball_volume_array
     nf = ns.astype(float)
-    log_nm1, lv_nm1, lv_nm2 = np.log(nf - 1.0), lv(ns - 1), lv(ns - 2)
-    log_width = _log_width_constant(ns + 1, kind) - lv(ns + 1)
+    lv_nm2, lv_nm1, lv_np1 = _log_ball_volume_shifts(ns)
+    log_nm1 = np.log(nf - 1.0)
+    log_width = _log_width_constant(ns + 1, kind) - lv_np1
     # a_n = (2^(n-1) pi n)^(1/n) (C_{n+1}/w_{n+1})^(1/(n+1))
     log_a = ((nf - 1.0) * LOG_2 + LOG_PI + np.log(nf)) / nf + log_width / (nf + 1.0)
     # b_n = 1/expm1(g) with g = ln((n-1) w_{n-1}/w_{n-2}) > 0, so
@@ -173,6 +194,7 @@ class ConstantsTable:
     rho_star: np.ndarray
     residual: np.ndarray  # |ln i_n - ln j_n| at the solution
     log_h: np.ndarray  # ln h_n = ln i_n(rho*) = ln j_n(rho*)
+    log_sphere: np.ndarray  # ln sigma_n, the unit n-sphere's area
 
     @property
     def ab_ratio(self) -> np.ndarray:
@@ -270,8 +292,8 @@ def constants_table(ns, kind: Kind = DEFAULT_KIND) -> ConstantsTable:
     log_delta[second] = _solve_second_branch(ns[second], log_c[second], kind)
     delta = np.exp(log_delta)
     log1p_delta = np.log1p(delta)
-    # ln j_n(rho*), with ln rho* = log1p(delta)
-    log_sphere = log_unit_sphere_area_array(ns)
+    # ln j_n(rho*), with ln rho* = log1p(delta) and sigma_n = 2 pi w_{n-1}
+    log_sphere = LOG_TWO_PI + lv_nm1
     log_h = log_sphere + log_kind_ratio - nf * log1p_delta
     # The defect ln i_n(rho*) - ln j_n(rho*) is a sum of terms that cancel at
     # the crossing, so rounding alone keeps it within a few eps of their
@@ -301,7 +323,7 @@ def constants_table(ns, kind: Kind = DEFAULT_KIND) -> ConstantsTable:
     rho_n = 1.0 / (1.0 - np.exp(lv_nm2 - log_nm1 - lv_nm1))
     return ConstantsTable(
         ns, kind, rho_n, log_a, log_b, log_c, np.where(second, "second", "first"),
-        log_delta, 1.0 + delta, residual, log_h,
+        log_delta, 1.0 + delta, residual, log_h, log_sphere,
     )
 
 

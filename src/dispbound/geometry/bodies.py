@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from ..errors import ConfigurationError, DomainError
 from ..numerics import log_unit_ball_volume, log_unit_sphere_area
@@ -646,6 +645,9 @@ class Polytope3(ConvexBody):
             raise ConfigurationError("need at least four points in R^3")
         if not np.all(np.isfinite(pts)):
             raise ConfigurationError("vertices must be finite")
+        # scipy.spatial costs ~0.3 s to import; load it only to build a hull
+        from scipy.spatial import ConvexHull, QhullError
+
         try:
             hull = ConvexHull(pts)
         except QhullError as exc:
@@ -664,7 +666,7 @@ class Polytope3(ConvexBody):
 
     # -- construction ------------------------------------------------------
 
-    def _merge_faces(self, hull: ConvexHull, remap: dict[int, int]) -> tuple[Face, ...]:
+    def _merge_faces(self, hull, remap: dict[int, int]) -> tuple[Face, ...]:
         groups: dict[tuple, list[int]] = {}
         tol_key = 7  # round normals/offsets to group coplanar simplices
         for simplex, eq in zip(hull.simplices, hull.equations):

@@ -39,8 +39,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from ..errors import DomainError
 from .bodies import BATCH_CELLS, _as_pairs, face_membership
@@ -127,6 +125,9 @@ class GeodesicGraph:
             q.k * (base_edges + len(q.length) + len(q.same))
             >= self.node_count * base_edges
         ):
+            from scipy.sparse import csr_matrix
+            from scipy.sparse.csgraph import dijkstra
+
             base = csr_matrix((self._vals, (self._rows, self._cols)),
                               shape=(self.node_count, self.node_count))
             self._table = dijkstra(base, directed=False)
@@ -154,6 +155,9 @@ class GeodesicGraph:
     def _one_source_route(self, q: _QueryEdges) -> np.ndarray:
         """Dijkstra from each x over the base graph joined by the 2k query
         points; the same-face edges x-y come last."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
         base, k = self.node_count, q.k
         rows = np.concatenate([self._rows, q.node, base + q.same])
         cols = np.concatenate([self._cols, base + q.query, base + k + q.same])

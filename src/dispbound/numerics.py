@@ -60,6 +60,18 @@ class LogReal:
         return math.exp(self.log_magnitude)
 
 
+def decode_logs(log_magnitudes: np.ndarray) -> list[float]:
+    """:meth:`LogReal.to_float` over a column, with one limit check for all.
+
+    The first entry that LogReal would refuse raises the same DomainError;
+    the rest decode with ``math.exp``, so each value has to_float's bits.
+    """
+    refused = np.flatnonzero(~(np.abs(log_magnitudes) < DECODE_LIMIT))
+    if refused.size:
+        LogReal.from_log(log_magnitudes[refused[0]]).to_float()  # raises
+    return [math.exp(x) for x in log_magnitudes.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # Log-gamma via the Binet/Stirling series
 # ---------------------------------------------------------------------------
@@ -155,13 +167,6 @@ def log_unit_ball_volume_array(n: np.ndarray) -> np.ndarray:
     n = n.astype(float)
     out = 0.5 * n * LOG_PI - log_gamma_array(0.5 * n + 1.0)
     return np.where(n == 0, 0.0, out)
-
-
-def log_unit_sphere_area_array(n: np.ndarray) -> np.ndarray:
-    n = np.asarray(n)
-    if n.size and np.any(n < 1):
-        raise DomainError("sphere dimensions must be >= 1")
-    return LOG_TWO_PI + log_unit_ball_volume_array(n - 1)
 
 
 def log_double_factorial_array(d) -> np.ndarray:

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .constants import (
     envelope_b_n,
@@ -611,6 +610,8 @@ def check_chord_projection(
     body: Polytope3, directions: int = 10, seed: int = 0
 ) -> VerificationRecord:
     """Volume against chord-through-centroid times projected area over 3."""
+    from scipy.spatial import ConvexHull  # loaded once a polytope exists
+
     if not isinstance(body, Polytope3):
         raise DomainError("the chord-projection bound is run on 3-polytopes")
     if directions < 1:

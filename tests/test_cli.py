@@ -1,17 +1,29 @@
 """Tests for the command-line front end (in-process via cli.main)."""
 
 import csv
+import dataclasses
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dispbound
 from dispbound import cli
-from dispbound.constants import constants_row, quoted_closed_form_h2
+from dispbound.constants import (
+    constants_row,
+    constants_table,
+    quoted_closed_form_h2,
+    sphere_reference,
+)
 from dispbound.errors import NumericalError
 from dispbound.geometry import SphereBody, regular_polygon, save_body
-from dispbound.verify import load_records_jsonl
+from dispbound.verify import SCHEMA_VERSION, load_records_jsonl
 
 VERIFY_ARGS = ["verify", "--seed", "7", "--samples", "1500", "--polytopes", "3"]
 
@@ -102,6 +114,88 @@ def test_constants_reproducible_byte_identically(capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+ORACLE_N_MAX = 5000
+
+
+@functools.lru_cache(maxsize=None)
+def per_row_constants(kind):
+    """The constants command's rows built one n at a time: a table row, a
+    scalar sphere reference and a dict per n."""
+    table = constants_table(np.arange(2, ORACLE_N_MAX + 1), kind)
+    rows = []
+    for i, n in enumerate(range(2, ORACLE_N_MAX + 1)):
+        row = table.row(i)
+        log_reference = sphere_reference(n).log_magnitude
+        rows.append(
+            {
+                "n": row.n,
+                "rho_n": row.rho_n,
+                "a_n": row.a_n,
+                "b_n": row.b_n,
+                "c_n": row.c_n,
+                "rho_star": row.rho_star,
+                "branch": row.branch,
+                "log_h_n": row.log_h_n,
+                "h_n": cli._linear_or_marker(row.log_h_n),
+                "paper_quoted": quoted_closed_form_h2() if n == 2 else None,
+                "log_sphere_reference": log_reference,
+                "log_suboptimality": row.log_h_n - log_reference,
+                "kind": row.pal_constant_kind,
+            }
+        )
+    return rows
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("kind", ["pal_firey", "bezdek"])
+def test_constants_output_equals_the_per_row_route(capsys, monkeypatch, kind, fmt):
+    render, notes = cli._render, []
+
+    def keep_notes(rows, fmt, row_notes=()):
+        notes.extend(row_notes)
+        return render(rows, fmt, row_notes)
+
+    monkeypatch.setattr(cli, "_render", keep_notes)
+    code, out, _ = run_cli(
+        capsys, "constants", "--n-min", "2", "--n-max", str(ORACLE_N_MAX),
+        "--kind", kind, "--format", fmt,
+    )
+    assert code == 0
+    rows = per_row_constants(kind)
+    if fmt == "json-lines":
+        expected = "".join(
+            json.dumps({"schema_version": SCHEMA_VERSION, **row},
+                       separators=(",", ":"), allow_nan=False) + "\n"
+            for row in rows
+        )
+    else:
+        expected = render(rows, fmt, notes)
+    # the first differing line, not a diff of 5,000 lines
+    got, want = out.splitlines(), expected.splitlines()
+    line = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    assert line is None, (line, got[line], want[line])
+    assert out == expected
+
+
+@pytest.mark.parametrize("column", ["log_a", "log_b", "log_c"])
+@pytest.mark.parametrize("log_value", [700.0, -700.0])
+def test_constants_refuses_to_decode_past_the_limit(capsys, monkeypatch, column, log_value):
+    real = cli.constants_table
+
+    def doctored(ns, kind):
+        table = real(ns, kind)
+        logs = getattr(table, column).copy()
+        logs[1] = log_value
+        return dataclasses.replace(table, **{column: logs})
+
+    monkeypatch.setattr(cli, "constants_table", doctored)
+    code, out, err = run_cli(
+        capsys, "constants", "--n-min", "2", "--n-max", "4", "--format", "json-lines"
+    )
+    assert code == 2 and out == ""
+    assert f"refusing to decode log magnitude {log_value:g}" in err
 
 
 def test_constants_rejects_bad_range(capsys):
@@ -416,6 +510,22 @@ def test_numerical_failures_exit_three(capsys, monkeypatch):
     assert code == 3
     assert "numerical failure" in err
     assert '"n": 7' in err
+
+
+def test_import_leaves_scipy_geometry_unloaded_until_a_polytope():
+    probe = (
+        "import sys, dispbound.cli\n"
+        "print([m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules])\n"
+        "dispbound.cli.cube()\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    src = str(Path(dispbound.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.splitlines() == ["[]", "True"]
 
 
 def test_usage_errors_from_argparse(capsys):

@@ -1,6 +1,7 @@
 """Tests for the closed-form constants and the crossing solver."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -573,3 +574,61 @@ def test_table_validation():
     with pytest.raises(ConfigurationError):
         constants_table(np.array([2, 3]), kind="improved")
     assert len(constants_table(np.array([], dtype=np.int64)).log_h) == 0
+
+
+# ---------------------------------------------------------------------------
+# The ball volumes behind a_n and b_n: one pass over a dense range
+# ---------------------------------------------------------------------------
+
+BALL_VOLUME_INPUTS = {
+    "contiguous": np.arange(2, 3001),
+    "reversed": np.arange(3000, 1, -1),
+    "sparse": np.array([100, 1000, 10_000, 100_000, 1_000_000]),
+    "single": np.array([41]),
+    "two": np.array([2]),  # needs ln w_0 = 0
+    "empty": np.array([], dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BALL_VOLUME_INPUTS))
+def test_dense_ball_volume_pass_equals_one_pass_per_shift(monkeypatch, name):
+    ns = BALL_VOLUME_INPUTS[name]
+    monkeypatch.setattr(cmod, "DENSE_SPAN_PER_N", 10**9)  # every nonempty input dense
+    dense = cmod._log_a_b(ns, "pal_firey")
+    monkeypatch.setattr(cmod, "DENSE_SPAN_PER_N", 0)  # every input per shift
+    per_shift = cmod._log_a_b(ns, "pal_firey")
+    for a, b in zip(dense, per_shift, strict=True):
+        assert a.shape == ns.shape
+        assert np.array_equal(a, b)
+
+
+def test_ball_volume_route_follows_the_input_span(monkeypatch):
+    sizes = []
+    volumes = cmod.log_unit_ball_volume_array
+
+    def counted(n):
+        sizes.append(len(n))
+        return volumes(n)
+
+    monkeypatch.setattr(cmod, "log_unit_ball_volume_array", counted)
+    for ns, expected in (
+        (np.arange(2, 5001), [5002]),  # 2-2 .. 5000+1
+        (np.arange(5000, 1, -1), [5002]),
+        (np.array([2, 2 * 10**6]), [2, 2, 2]),
+        (np.array([7]), [1, 1, 1]),
+    ):
+        sizes.clear()
+        cmod._log_a_b(ns, "pal_firey")
+        assert sizes == expected
+
+
+def test_a_huge_sparse_span_is_never_allocated():
+    # a dense pass over 2 - 2 .. 2e6 + 1 would hold several 16 MB arrays
+    tracemalloc.start()
+    try:
+        table = constants_table(np.array([2, 2 * 10**6]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert list(table.branch) == ["second", "second"]

@@ -8,11 +8,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispbound.constants import constants_table
 from dispbound.errors import DomainError
 from dispbound.numerics import (
     BINET_COEFFICIENTS,
     DECODE_LIMIT,
     LogReal,
+    decode_logs,
     log_double_factorial,
     log_double_factorial_array,
     log_gamma,
@@ -20,7 +22,6 @@ from dispbound.numerics import (
     log_unit_ball_volume,
     log_unit_ball_volume_array,
     log_unit_sphere_area,
-    log_unit_sphere_area_array,
 )
 
 # ---------------------------------------------------------------------------
@@ -110,11 +111,15 @@ def test_dimension_validation():
 
 
 def test_sphere_ball_identity_to_one_million():
-    # area(n+1-sphere) = 2 pi * volume(n-ball), on the log scale
-    n = np.arange(1, 1_000_001, dtype=np.int64)
-    lhs = log_unit_sphere_area_array(n + 1)
-    rhs = math.log(2 * math.pi) + log_unit_ball_volume_array(n)
-    assert float(np.max(np.abs(lhs - rhs))) <= 1e-10
+    # area(n-sphere) = 2 pi * volume((n-1)-ball), on the log scale: the
+    # constants table's sphere column against a separate ball-volume pass.
+    # Chunked to keep memory down: rows do not depend on each other.
+    for start in range(2, 10**6 + 1, 250_000):
+        n = np.arange(start, min(start + 250_000, 10**6 + 1), dtype=np.int64)
+        lhs = constants_table(n).log_sphere
+        rhs = math.log(2 * math.pi) + log_unit_ball_volume_array(n - 1)
+        assert float(np.max(np.abs(lhs - rhs))) <= 1e-10
+    assert n[-1] == 10**6
 
 
 def test_sphere_area_matches_direct_gamma_formula():
@@ -199,6 +204,18 @@ def test_logreal_decode_guard():
     for mag in (DECODE_LIMIT, 1200.0, -DECODE_LIMIT, -1200.0):
         with pytest.raises(DomainError):
             LogReal.from_log(mag).to_float()
+
+
+def test_decode_logs_is_to_float_over_a_column():
+    logs = np.array([0.0, -3.5, 1.0 / 3.0, DECODE_LIMIT - 1.0, -(DECODE_LIMIT - 1.0)])
+    assert decode_logs(logs) == [LogReal.from_log(x).to_float() for x in logs]
+    assert decode_logs(np.array([])) == []
+    for bad in (DECODE_LIMIT, -1200.0, math.inf, math.nan):
+        with pytest.raises(DomainError) as scalar:
+            LogReal.from_log(bad).to_float()
+        with pytest.raises(DomainError) as column:
+            decode_logs(np.array([1.0, bad, 2.0 * DECODE_LIMIT]))
+        assert str(column.value) == str(scalar.value)  # the first refused entry
 
 
 @given(x=positive_floats)
