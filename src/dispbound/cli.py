@@ -357,7 +357,8 @@ def _pretty_suite(report: SuiteReport) -> str:
     for index in report.missing_notes:
         rec = report.records[index]
         lines.append(
-            f"missing orientation notes: {rec.theorem_id} on {rec.body_id}"
+            f"orientation audit (silent notes or unsafe strict input): "
+            f"{rec.theorem_id} on {rec.body_id} / {rec.map_id or '-'}"
         )
     if report.skipped:
         lines.append(f"skipped ({len(report.skipped)}):")

@@ -374,7 +374,7 @@ def c_n(n: int, kind: Kind = DEFAULT_KIND) -> LogReal:
 
 def solve_crossing(n: int, kind: Kind = DEFAULT_KIND) -> CrossingResult:
     """Locate the unique rho > 1 with i_n(rho) = j_n(rho) (a table of one)."""
-    return constants_table(np.array([_check_dim(n)]), kind).crossing(0)
+    return _table_of_one(_check_dim(n), _check_kind(kind)).crossing(0)
 
 
 def rho_star(n: int, kind: Kind = DEFAULT_KIND) -> tuple[float, str]:
@@ -459,6 +459,12 @@ def i_n(n: int, rho: float) -> LogReal:
     if rho <= rho_n(n):
         return LogReal.from_log(_log_i_branch1(n, log_q))
     return LogReal.from_log(_log_i_branch2(n, log_q))
+
+
+def i_n_limit(n: int) -> LogReal:
+    """Supremum of i_n: its limit w_{n-2}/(n (n-1) 2^(n-2)) as rho grows
+    (branch 2 at (rho-1)/rho = 1), which it approaches from below."""
+    return LogReal.from_log(_log_i_branch2(_check_dim(n), 0.0))
 
 
 def i_bar_n(n: int, rho: float) -> LogReal:

@@ -629,6 +629,7 @@ class Face:
     offset: float  # plane equation <normal, x> = offset
     area: float
     centroid: np.ndarray
+    fan_areas: np.ndarray  # triangles (0, i, i+1) of the ordered vertices
 
 
 class Polytope3(ConvexBody):
@@ -699,7 +700,8 @@ class Polytope3(ConvexBody):
             offset = float(np.mean(pts @ normal))
             faces.append(
                 Face(indices=ordered, normal=normal, offset=offset, area=area,
-                     centroid=pts.mean(axis=0))
+                     centroid=pts.mean(axis=0),
+                     fan_areas=0.5 * np.linalg.norm(fans, axis=1))
             )
         faces.sort(key=lambda f: (tuple(np.round(f.normal, 9)), round(f.offset, 9)))
         return tuple(faces)
@@ -779,9 +781,7 @@ class Polytope3(ConvexBody):
             mask = face_pick == fi
             k = int(mask.sum())
             pts = self.vertices[list(face.indices)]
-            tri_areas = 0.5 * np.linalg.norm(
-                np.cross(pts[1:-1] - pts[0], pts[2:] - pts[0]), axis=1
-            )
+            tri_areas = face.fan_areas
             tri_pick = rng.choice(len(tri_areas), size=k, p=tri_areas / tri_areas.sum())
             u = np.sqrt(rng.random(k))
             v = rng.random(k)

@@ -5,7 +5,10 @@ body, evaluates both sides numerically, and emits a ``VerificationRecord``
 stating which side of the comparison used an estimate and in which
 direction that estimate can err.  The governing rule: approximations may
 only make a check harder to pass; when that cannot be arranged the record
-is demoted to advisory rather than reported as a confirmation.
+is demoted to advisory rather than reported as a confirmation.  One table,
+``ORIENTATION``, holds each estimated bound's right side and the direction
+in which it moves with each input; every such record's right side, status
+and notes are derived from it, and the audit re-derives them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from .constants import (
     envelope_b_n,
     h_n,
     i_n,
+    i_n_limit,
     i_star_n,
     j_n,
     pal_constant,
@@ -52,9 +56,10 @@ from .geometry import (
     substream,
     unit_directions,
 )
-from .numerics import log_unit_ball_volume
+from .numerics import LogReal, log_unit_ball_volume
 
 __all__ = [
+    "ORIENTATION",
     "SCHEMA_VERSION",
     "STATUSES",
     "SuiteConfig",
@@ -72,6 +77,7 @@ __all__ = [
     "check_pal_firey",
     "check_point_pair_bound",
     "check_volume_bound",
+    "derive_status",
     "diff_records",
     "load_records_csv",
     "load_records_jsonl",
@@ -204,36 +210,183 @@ def _derived_seed(root: int, *names: str) -> int:
     return value
 
 
-def _stats_for(
-    body: ConvexBody,
-    disp_map,
-    samples: int,
+# ---------------------------------------------------------------------------
+# bound orientation
+# ---------------------------------------------------------------------------
+
+# how a bound's right side moves as one of its inputs grows; ENVELOPE is
+# B_n = max(i_n, j_n), which falls to h_n at the crossing and then rises
+# toward its limit i_n(inf)
+UP, DOWN, ENVELOPE = "up", "down", "envelope"
+
+# where an estimated input sits against its true value
+HIGH, LOW, EITHER, EXACT = (
+    "sits at or above its true value",
+    "sits at or below its true value",
+    "may sit on either side of its true value",
+    "is exact",
+)
+
+
+@dataclass(frozen=True)
+class Orientation:
+    """A bound's right side as a function of a record's params, and the
+    direction in which it moves as each estimated input grows."""
+
+    rhs: Callable[[dict], float]
+    slopes: tuple[tuple[str, str], ...]
+
+
+def _area_rhs(constant: Callable[[dict], LogReal]) -> Callable[[dict], float]:
+    """constant(params) times mu_hat^n."""
+    return lambda p: constant(p).to_float() * p["mu_hat"] ** p["surface_dimension"]
+
+
+def _pair_rhs(constant: Callable[[int, float], LogReal]) -> Callable[[dict], float]:
+    """constant(n, d/chord) times d^n at the pair distance d."""
+    def rhs(p: dict) -> float:
+        n, d = p["surface_dimension"], p["intrinsic_distance"]
+        return constant(n, d / p["chord"]).to_float() * d**n
+    return rhs
+
+
+ORIENTATION: dict[str, Orientation] = {
+    "thm_1_1": Orientation(
+        _area_rhs(lambda p: h_n(p["surface_dimension"], p["constants_kind"])),
+        (("mu_hat", UP),),
+    ),
+    "cor_3_2": Orientation(
+        _area_rhs(lambda p: j_n(p["surface_dimension"], p["rho_hat"], p["constants_kind"])),
+        (("mu_hat", UP), ("rho_hat", DOWN)),
+    ),
+    "prop_4_1": Orientation(
+        _area_rhs(
+            lambda p: envelope_b_n(p["surface_dimension"], p["rho_hat"], p["constants_kind"])
+        ),
+        (("mu_hat", UP), ("rho_hat", ENVELOPE)),
+    ),
+    "prop_3_1": Orientation(
+        lambda p: pal_constant(p["ambient_dimension"], p["constants_kind"]).to_float()
+        * (p["mu_hat"] / max(p["rho_hat"], 1.0)) ** p["ambient_dimension"],
+        (("mu_hat", UP), ("rho_hat", DOWN)),
+    ),
+    "thm_1_4": Orientation(lambda p: 2.0 * p["mu_hat"] / math.pi, (("mu_hat", UP),)),
+    "prop_2_1": Orientation(_pair_rhs(i_n), (("intrinsic_distance", UP),)),
+    "cor_2_7": Orientation(_pair_rhs(i_star_n), (("intrinsic_distance", UP),)),
+}
+
+# how the notes name each input: the estimate, then the quantity
+_INPUT_NAMES = {
+    "mu_hat": ("the sampled minimum displacement", "the displacement"),
+    "rho_hat": ("the sampled distortion", "the distortion"),
+    "intrinsic_distance": ("the pair distance", "the pair distance"),
+}
+
+
+def _errors(params: dict) -> dict[str, str]:
+    """Where each input sits against its true value.  A sampled minimum of
+    exact or upper-bound distances is at or above the true minimum; a
+    sampled maximum of exact distance ratios is at or below the true
+    distortion, while upper-bound distances can push it either way."""
+    exact = params["distance_kind"] == "exact"
+    return {
+        "mu_hat": HIGH,
+        "rho_hat": LOW if exact else EITHER,
+        "intrinsic_distance": EXACT if exact else HIGH,
+    }
+
+
+def _effects(theorem_id: str, params: dict) -> list[tuple[bool, str]]:
+    """Per estimated input: whether it can only push the right side up, and
+    the clause of the notes that says why."""
+    errors = _errors(params)
+    effects = []
+    for name, slope in ORIENTATION[theorem_id].slopes:
+        error = errors[name]
+        if error == EXACT:
+            continue
+        estimate, quantity = _INPUT_NAMES[name]
+        if slope == ENVELOPE:
+            n = params["surface_dimension"]
+            limit = i_n_limit(n)
+            value = envelope_b_n(n, params["rho_hat"], params["constants_kind"])
+            safe = error == LOW and value.log_magnitude >= limit.log_magnitude
+            why = (
+                f"the envelope falls to h_n at the crossing and then rises toward "
+                f"i_n(inf) = {limit.to_float():.6g}; at the estimate it is "
+                f"{value.to_float():.6g}, "
+                + ("at least that limit, so no larger distortion can raise it" if safe
+                   else "so the true distortion could put the right side higher")
+            )
+        else:
+            safe = error != EITHER and (error == HIGH) == (slope == UP)
+            why = (
+                f"the right side {'grows with' if slope == UP else 'decreases in'} "
+                f"{quantity}, so the estimate can "
+                + ("only inflate it" if safe else "deflate it")
+            )
+        effects.append((safe, f"{estimate} {error}, and {why}"))
+    return effects
+
+
+def derive_status(theorem_id: str, params: dict) -> tuple[str, str]:
+    """Status and notes of a record from ORIENTATION: strict when every
+    estimated input can only push the right side up, advisory otherwise."""
+    effects = _effects(theorem_id, params)
+    safe = all(ok for ok, _ in effects)
+    if not effects:
+        ending = "no estimate entered, so the right side is the theorem's own value"
+    elif safe:
+        ending = "every estimate can only make the check harder than the theorem"
+    else:
+        ending = "a pass cannot be certified, so the record is advisory only"
+    exact = params["distance_kind"] == "exact"
+    lead = f"boundary distances are {'exact' if exact else 'upper bounds'}"
+    notes = "; ".join([lead, *(clause for _, clause in effects), ending])
+    return (STRICT if safe else ADVISORY), notes
+
+
+def _oriented_record(
+    theorem_id: str,
+    body_id: str,
+    map_id: str | None,
     seed: int,
-    distance_cap: int,
-    stats: MapDisplacementStats | None,
-) -> MapDisplacementStats:
-    if stats is not None:
-        return stats
-    return displacement_stats(
-        body,
-        disp_map,
-        samples=samples,
-        seed=seed,
-        distance_cap=distance_cap,
-    )
+    lhs: float,
+    params: list[tuple[str, object]],
+    equality_tol: float | None = None,
+) -> VerificationRecord:
+    """A record whose right side, status and notes ORIENTATION derives from
+    its params; with ``equality_tol``, sides that agree within it make an
+    equality record."""
+    p = {key: _clean(value) for key, value in params}
+    rhs = ORIENTATION[theorem_id].rhs(p)
+    status, notes = derive_status(theorem_id, p)
+    if equality_tol is not None and abs(lhs - rhs) <= equality_tol:
+        status = EQUALITY
+        notes += "; the two sides agree within closed-form tolerance (an equality case)"
+    return _record(theorem_id, body_id, map_id, lhs, rhs, status, notes, seed, params,
+                   tolerance=equality_tol or 0.0)
 
 
-def _mu_notes(stats: MapDisplacementStats) -> str:
-    base = (
-        "right side uses the sampled minimum displacement, which can only "
-        "exceed the true minimum over the whole boundary"
-    )
-    if stats.distance_kind == "upper_bound":
-        return base + (
-            "; boundary distances are themselves upper bounds, pushing the "
-            "same way, so the check stays harder than the theorem"
+def _sampled_record(theorem_id, body: ConvexBody, stats: MapDisplacementStats, lhs,
+                    params, equality_tol: float | None = None) -> VerificationRecord:
+    """An oriented record on the body's own displacement statistics."""
+    if stats.body_id != body.body_id:
+        raise ConfigurationError(
+            f"statistics of {stats.body_id!r} passed with body {body.body_id!r}"
         )
-    return base + ", so the check stays harder than the theorem"
+    return _oriented_record(theorem_id, body.body_id, stats.map_id, stats.seed, lhs,
+                            params, equality_tol)
+
+
+def _sample_params(stats: MapDisplacementStats) -> list[tuple[str, object]]:
+    """The params that say how the statistics were sampled."""
+    return [
+        ("mu_source", "sampled"),
+        ("distance_kind", stats.distance_kind),
+        ("sample_count", stats.sample_count),
+        ("distance_samples", stats.distance_samples),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -242,40 +395,18 @@ def _mu_notes(stats: MapDisplacementStats) -> str:
 
 
 def check_main_theorem(
-    body: ConvexBody,
-    disp_map,
-    constants_kind: str = "pal_firey",
-    samples: int = 10_000,
-    seed: int = 0,
-    distance_cap: int = 300,
-    stats: MapDisplacementStats | None = None,
+    body: ConvexBody, stats: MapDisplacementStats, kind: str = "pal_firey"
 ) -> VerificationRecord:
     """Boundary area against the crossing constant times displacement^n."""
     n = body.surface_dimension
     if n < 2:
         raise DomainError("the area bound needs surface dimension at least 2")
-    stats = _stats_for(body, disp_map, samples, seed, distance_cap, stats)
-    lhs = body.boundary_area()
-    rhs = h_n(n, constants_kind).to_float() * stats.mu_hat**n
-    return _record(
-        "thm_1_1",
-        body.body_id,
-        stats.map_id,
-        lhs,
-        rhs,
-        STRICT,
-        _mu_notes(stats),
-        stats.seed,
-        [
-            ("surface_dimension", n),
-            ("constants_kind", constants_kind),
-            ("mu_hat", stats.mu_hat),
-            ("mu_source", "sampled"),
-            ("distance_kind", stats.distance_kind),
-            ("sample_count", stats.sample_count),
-            ("distance_samples", stats.distance_samples),
-        ],
-    )
+    return _sampled_record("thm_1_1", body, stats, body.boundary_area(), [
+        ("surface_dimension", n),
+        ("constants_kind", kind),
+        ("mu_hat", stats.mu_hat),
+        *_sample_params(stats),
+    ])
 
 
 def check_point_pair_bound(body: ConvexBody, x, y, seed: int = 0) -> VerificationRecord:
@@ -321,136 +452,39 @@ def check_point_pair_bound(body: ConvexBody, x, y, seed: int = 0) -> Verificatio
     back_supports = abs(body.support(-direction) - float(x @ -direction)) <= tol
     front_supports = abs(body.support(direction) - float(y @ direction)) <= tol
     starred = back_supports and front_supports
-    theorem_id = "cor_2_7" if starred else "prop_2_1"
-    constant = i_star_n(n, rho_pair) if starred else i_n(n, rho_pair)
-    rhs = constant.to_float() * d_m**n
-
-    if dist_kind == "upper_bound":
-        status = ADVISORY
-        notes = (
-            "intrinsic distance is an upper bound here; it inflates both the "
-            "distortion ratio (the constant grows with it) and the distance "
-            "power on the right, so a pass cannot be certified — advisory only"
-        )
-    else:
-        status = STRICT
-        notes = (
-            "pair distance and chord are exact, so the right side is the "
-            "theorem's own value; no estimate entered"
-        )
-    return _record(
-        theorem_id,
-        body.body_id,
-        None,
-        lhs,
-        rhs,
-        status,
-        notes,
-        seed,
+    return _oriented_record(
+        "cor_2_7" if starred else "prop_2_1", body.body_id, None, seed, lhs,
         base_params + [("supporting_planes", starred)],
     )
 
 
 def check_volume_bound(
-    body: ConvexBody,
-    disp_map,
-    kind: str = "pal_firey",
-    samples: int = 10_000,
-    seed: int = 0,
-    distance_cap: int = 300,
-    stats: MapDisplacementStats | None = None,
+    body: ConvexBody, stats: MapDisplacementStats, kind: str = "pal_firey"
 ) -> VerificationRecord:
     """Enclosed volume against the width constant times (mu/rho)^(n+1)."""
-    stats = _stats_for(body, disp_map, samples, seed, distance_cap, stats)
-    d = body.ambient_dimension
-    lhs = body.enclosed_volume()
-    ratio = stats.mu_hat / max(stats.rho_hat, 1.0)
-    rhs = pal_constant(d, kind).to_float() * ratio**d
-    if stats.distance_kind == "exact":
-        notes = (
-            "sampled minimum displacement over-estimates the true minimum and "
-            "sampled maximum distortion under-estimates the true distortion; "
-            "both inflate the right side, so the check is conservative"
-        )
-    else:
-        notes = (
-            "distances are upper bounds: the displacement estimate stays "
-            "conservative, but the sampled distortion can overshoot the true "
-            "value by the graph overshoot factor and deflate the right side "
-            "by that same bounded factor; both directions are reported"
-        )
-    return _record(
-        "prop_3_1",
-        body.body_id,
-        stats.map_id,
-        lhs,
-        rhs,
-        STRICT,
-        notes,
-        stats.seed,
-        [
-            ("ambient_dimension", d),
-            ("constants_kind", kind),
-            ("mu_hat", stats.mu_hat),
-            ("rho_hat", stats.rho_hat),
-            ("mu_source", "sampled"),
-            ("distance_kind", stats.distance_kind),
-            ("sample_count", stats.sample_count),
-            ("distance_samples", stats.distance_samples),
-        ],
-    )
+    return _sampled_record("prop_3_1", body, stats, body.enclosed_volume(), [
+        ("ambient_dimension", body.ambient_dimension),
+        ("constants_kind", kind),
+        ("mu_hat", stats.mu_hat),
+        ("rho_hat", stats.rho_hat),
+        *_sample_params(stats),
+    ])
 
 
 def check_area_via_isoperimetric(
-    body: ConvexBody,
-    disp_map,
-    kind: str = "pal_firey",
-    samples: int = 10_000,
-    seed: int = 0,
-    distance_cap: int = 300,
-    stats: MapDisplacementStats | None = None,
+    body: ConvexBody, stats: MapDisplacementStats, kind: str = "pal_firey"
 ) -> VerificationRecord:
     """Area against the isoperimetric-route constant at the sampled distortion."""
     n = body.surface_dimension
     if n < 2:
         raise DomainError("the isoperimetric area bound needs dimension at least 2")
-    stats = _stats_for(body, disp_map, samples, seed, distance_cap, stats)
-    lhs = body.boundary_area()
-    rho_hat = max(stats.rho_hat, 1.0)
-    rhs = j_n(n, rho_hat, kind).to_float() * stats.mu_hat**n
-    if stats.distance_kind == "exact":
-        notes = (
-            "the constant decreases in the distortion, so the sampled "
-            "(under-estimated) distortion inflates it; together with the "
-            "over-estimated displacement the right side can only be too big"
-        )
-    else:
-        notes = (
-            "displacement over-estimate inflates the right side; the sampled "
-            "distortion rests on upper-bound distances and may overshoot, "
-            "deflating the constant by the bounded graph overshoot — both "
-            "directions are reported"
-        )
-    return _record(
-        "cor_3_2",
-        body.body_id,
-        stats.map_id,
-        lhs,
-        rhs,
-        STRICT,
-        notes,
-        stats.seed,
-        [
-            ("surface_dimension", n),
-            ("constants_kind", kind),
-            ("mu_hat", stats.mu_hat),
-            ("rho_hat", rho_hat),
-            ("mu_source", "sampled"),
-            ("distance_kind", stats.distance_kind),
-            ("sample_count", stats.sample_count),
-            ("distance_samples", stats.distance_samples),
-        ],
-    )
+    return _sampled_record("cor_3_2", body, stats, body.boundary_area(), [
+        ("surface_dimension", n),
+        ("constants_kind", kind),
+        ("mu_hat", stats.mu_hat),
+        ("rho_hat", max(stats.rho_hat, 1.0)),
+        *_sample_params(stats),
+    ])
 
 
 def check_pal_firey(
@@ -528,55 +562,21 @@ def check_cone_vs_ball(d: int, seed: int = 0) -> VerificationRecord:
     )
 
 
-def check_mean_width(
-    body: ConvexBody,
-    disp_map,
-    samples: int = 10_000,
-    seed: int = 0,
-    distance_cap: int = 300,
-    stats: MapDisplacementStats | None = None,
-) -> VerificationRecord:
+def check_mean_width(body: ConvexBody, stats: MapDisplacementStats) -> VerificationRecord:
     """Exact mean width against (2/pi) times the sampled minimum
     displacement; an equality case is judged at the closed-form tolerance."""
-    stats = _stats_for(body, disp_map, samples, seed, distance_cap, stats)
     mw = mean_width(body)
-    lhs = mw.value
-    rhs = (2.0 * stats.mu_hat) / math.pi
-    margin = lhs - rhs
-    tol = _CLOSED_FORM_TOL * max(1.0, abs(lhs))
-    params: list[tuple[str, object]] = [
-        ("mu_hat", stats.mu_hat),
-        ("mu_source", "sampled"),
-        ("distance_kind", stats.distance_kind),
-        ("mean_width_method", mw.method),
-        *_RETIRED_WIDTH_PARAMS,
-        ("sample_count", stats.sample_count),
-    ]
-    notes = f"mean width is exact ({mw.method}); " + _mu_notes(stats)
-    if abs(margin) <= tol:
-        return _record(
-            "thm_1_4",
-            body.body_id,
-            stats.map_id,
-            lhs,
-            rhs,
-            EQUALITY,
-            notes + "; the two sides agree within closed-form tolerance "
-            "(an equality case of the bound)",
-            stats.seed,
-            params,
-            tolerance=tol,
-        )
-    return _record(
-        "thm_1_4",
-        body.body_id,
-        stats.map_id,
-        lhs,
-        rhs,
-        STRICT,
-        notes,
-        stats.seed,
-        params,
+    return _sampled_record(
+        "thm_1_4", body, stats, mw.value,
+        [
+            ("mu_hat", stats.mu_hat),
+            ("mu_source", "sampled"),
+            ("distance_kind", stats.distance_kind),
+            ("mean_width_method", mw.method),
+            *_RETIRED_WIDTH_PARAMS,
+            ("sample_count", stats.sample_count),
+        ],
+        equality_tol=_CLOSED_FORM_TOL * max(1.0, abs(mw.value)),
     )
 
 
@@ -651,68 +651,29 @@ def check_chord_projection(
 
 
 def check_envelope(
-    body: ConvexBody,
-    disp_map,
-    kind: str = "pal_firey",
-    samples: int = 10_000,
-    seed: int = 0,
-    distance_cap: int = 300,
-    stats: MapDisplacementStats | None = None,
+    body: ConvexBody, stats: MapDisplacementStats, kind: str = "pal_firey"
 ) -> VerificationRecord:
     """Area against the two-branch envelope at the sampled distortion.
 
-    The envelope is non-increasing up to the crossing point, where an
-    under-estimated distortion keeps the right side inflated; beyond the
-    crossing the envelope increases and the same estimate could deflate
-    it, so those records are advisory.
+    The envelope falls to h_n at the crossing and then rises toward its
+    limit i_n(inf), so an under-estimated distortion keeps the right side
+    inflated only where the envelope is at least that limit; elsewhere the
+    record is advisory (see ORIENTATION).
     """
     n = body.surface_dimension
     if n < 2:
         raise DomainError("the envelope bound needs surface dimension at least 2")
-    stats = _stats_for(body, disp_map, samples, seed, distance_cap, stats)
-    rho_hat = max(stats.rho_hat, 1.0)
     crossing, branch = rho_star(n, kind)
-    lhs = body.boundary_area()
-    rhs = envelope_b_n(n, rho_hat, kind).to_float() * stats.mu_hat**n
-    if rho_hat <= crossing:
-        status = STRICT
-        notes = (
-            "sampled distortion sits at or below the envelope crossing, on "
-            "the non-increasing branch, where an under-estimated distortion "
-            "inflates the right side; with the over-estimated displacement "
-            "the check is conservative"
-        )
-    else:
-        status = ADVISORY
-        notes = (
-            "sampled distortion exceeds the envelope crossing, on the "
-            "increasing branch, where an under-estimate would deflate the "
-            "right side; no conservative orientation exists, so the result "
-            "is advisory"
-        )
-    return _record(
-        "prop_4_1",
-        body.body_id,
-        stats.map_id,
-        lhs,
-        rhs,
-        status,
-        notes,
-        stats.seed,
-        [
-            ("surface_dimension", n),
-            ("constants_kind", kind),
-            ("mu_hat", stats.mu_hat),
-            ("rho_hat", rho_hat),
-            ("rho_hat_exceeds_one", stats.rho_hat > 1.0),
-            ("crossing", crossing),
-            ("crossing_branch", branch),
-            ("mu_source", "sampled"),
-            ("distance_kind", stats.distance_kind),
-            ("sample_count", stats.sample_count),
-            ("distance_samples", stats.distance_samples),
-        ],
-    )
+    return _sampled_record("prop_4_1", body, stats, body.boundary_area(), [
+        ("surface_dimension", n),
+        ("constants_kind", kind),
+        ("mu_hat", stats.mu_hat),
+        ("rho_hat", max(stats.rho_hat, 1.0)),
+        ("rho_hat_exceeds_one", stats.rho_hat > 1.0),
+        ("crossing", crossing),
+        ("crossing_branch", branch),
+        *_sample_params(stats),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +708,7 @@ class SuiteReport:
     strict_failures: tuple[tuple[str, str, str], ...]
     equality_failures: tuple[tuple[str, str, str], ...]
     skipped: tuple[tuple[str, str, str], ...]
-    missing_notes: tuple[int, ...]
+    missing_notes: tuple[int, ...]  # indices that audit_orientation_notes flags
     min_central_rho_hat: float
     elapsed_seconds: float
     schema_version: int = SCHEMA_VERSION
@@ -821,22 +782,16 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     skipped: list[tuple[str, str, str]] = []
     central_rho_hats: list[float] = []
 
-    def add(fn, *args, **kwargs):
-        records.append(fn(*args, **kwargs))
-
     for body in bodies:
         n = body.surface_dimension
         seed_body = _derived_seed(config.seed, "body", body.body_id)
-        add(check_pal_firey, body, kind=config.kind, seed=seed_body)
+        records.append(check_pal_firey(body, kind=config.kind, seed=seed_body))
         if isinstance(body, PolygonBoundary):
-            add(check_crofton, body, seed=seed_body)
+            records.append(check_crofton(body, seed=seed_body))
         if isinstance(body, Polytope3):
-            add(
-                check_chord_projection,
-                body,
-                directions=config.chakerian_directions,
-                seed=seed_body,
-            )
+            records.append(check_chord_projection(
+                body, directions=config.chakerian_directions, seed=seed_body
+            ))
 
         for map_id, disp_map in maps.items():
             if map_id == "half-perimeter" and not isinstance(body, PolygonBoundary):
@@ -856,50 +811,36 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
             if map_id == "central-point":
                 central_rho_hats.append(stats.rho_hat)
 
-            common = dict(
-                samples=config.samples,
-                seed=seed_pair,
-                distance_cap=config.distance_cap,
-                stats=stats,
-            )
             if n >= 2:
-                add(check_main_theorem, body, disp_map,
-                    constants_kind=config.kind, **common)
-                add(check_area_via_isoperimetric, body, disp_map,
-                    kind=config.kind, **common)
-                add(check_envelope, body, disp_map, kind=config.kind, **common)
-            add(check_volume_bound, body, disp_map, kind=config.kind, **common)
-            add(check_mean_width, body, disp_map, **common)
+                records.append(check_main_theorem(body, stats, config.kind))
+                records.append(check_area_via_isoperimetric(body, stats, config.kind))
+                records.append(check_envelope(body, stats, config.kind))
+            records.append(check_volume_bound(body, stats, config.kind))
+            records.append(check_mean_width(body, stats))
 
             if map_id == "central-point" and n >= 2:
-                add(
-                    check_point_pair_bound,
+                records.append(check_point_pair_bound(
                     body,
                     np.array(stats.argmax_ratio_point),
                     np.array(stats.argmax_ratio_image),
                     seed=seed_pair,
-                )
+                ))
 
     # closed-form point pairs with exact distances on the analytic bodies
     sphere = bodies[0]
-    add(
-        check_point_pair_bound,
+    records.append(check_point_pair_bound(
         sphere,
         np.array([1.0, 0.0, 0.0]),
         np.array([-1.0, 0.0, 0.0]),
         seed=_derived_seed(config.seed, "pair", "sphere-unit"),
-    )
+    ))
     for body in bodies[1:3]:
         top = np.array([0.0, 0.0, body.height / 2.0])
-        add(
-            check_point_pair_bound,
-            body,
-            top,
-            -top,
-            seed=_derived_seed(config.seed, "pair", body.body_id),
-        )
+        records.append(check_point_pair_bound(
+            body, top, -top, seed=_derived_seed(config.seed, "pair", body.body_id)
+        ))
     for d in (3, 4, 5, 6):
-        add(check_cone_vs_ball, d, seed=_derived_seed(config.seed, "cone", str(d)))
+        records.append(check_cone_vs_ball(d, seed=_derived_seed(config.seed, "cone", str(d))))
 
     records.sort(key=lambda r: r.sort_key())
 
@@ -930,24 +871,18 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
 # audits and serialization
 # ---------------------------------------------------------------------------
 
-_APPROXIMATION_KEYS = {
-    "mu_source": "sampled",
-    "distance_kind": "upper_bound",
-}
-
-
-def _is_approximate(record: VerificationRecord) -> bool:
-    params = dict(record.params)
-    if record.status == ADVISORY:
-        return True
-    return any(params.get(key) == marker for key, marker in _APPROXIMATION_KEYS.items())
-
-
 def audit_orientation_notes(records) -> tuple[int, ...]:
-    """Indices of records where an estimate entered but the notes are silent."""
+    """Indices of records whose notes are silent although an estimate
+    entered, and of strict records with an input on the unsafe side, as
+    ORIENTATION re-derives it from their params."""
     bad = []
     for idx, record in enumerate(records):
-        if _is_approximate(record) and not record.bound_orientation_notes.strip():
+        effects = []
+        if record.theorem_id in ORIENTATION:
+            effects = _effects(record.theorem_id, dict(record.params))
+        estimated = record.status == ADVISORY or bool(effects)
+        unsafe = record.status == STRICT and not all(safe for safe, _ in effects)
+        if unsafe or (estimated and not record.bound_orientation_notes.strip()):
             bad.append(idx)
     return tuple(bad)
 
@@ -1078,10 +1013,11 @@ class RecordDiff:
     """Two record streams matched on (theorem, body, map) and the rank of
     a record among those with the same triple, in stream order."""
 
-    rows: tuple[dict, ...]  # one per moved, flipped, added or dropped record
+    rows: tuple[dict, ...]  # one per changed, added or dropped record
     compared: int  # records present in both streams
     moved: int  # of those, records whose margin changed
     flips: int  # of those, records whose status or pass changed
+    relabelled: int  # of those, records whose notes or params changed
     added: int
     dropped: int
     worst_ulps: int
@@ -1097,14 +1033,14 @@ class RecordDiff:
             f"{self.compared} records matched, {self.moved} margins moved "
             f"(worst {self.worst_ulps} ulp, {self.worst_relative:.1e} relative), "
             f"{self.flips} status or pass flips, {self.added} added, "
-            f"{self.dropped} dropped"
+            f"{self.dropped} dropped, {self.relabelled} notes or params changed"
         )
 
 
 def diff_records(before, after) -> RecordDiff:
-    """Margin drift, status and pass flips, and added and dropped records
-    between two record streams.  A margin's relative change is
-    (after - before) / max(|before|, |after|)."""
+    """Margin drift, status and pass flips, notes and params changes, and
+    added and dropped records between two record streams.  A margin's
+    relative change is (after - before) / max(|before|, |after|)."""
 
     def keyed(records) -> dict[tuple, VerificationRecord]:
         rank: Counter = Counter()
@@ -1117,7 +1053,7 @@ def diff_records(before, after) -> RecordDiff:
 
     old, new = keyed(before), keyed(after)
     rows: list[dict] = []
-    moved = flips = 0
+    moved = flips = relabelled = 0
     worst_ulps, worst_relative = 0, 0.0
     for key in [*old, *(key for key in new if key not in old)]:
         a, b = old.get(key), new.get(key)
@@ -1126,18 +1062,22 @@ def diff_records(before, after) -> RecordDiff:
             rows.append({**row, "change": "added" if a is None else "dropped"})
             continue
         flipped = a.status != b.status or a.passed != b.passed
-        if a.margin == b.margin and not flipped:
+        relabel = (a.bound_orientation_notes, a.params) != (b.bound_orientation_notes, b.params)
+        if a.margin == b.margin and not (flipped or relabel):
             continue
         ulps = abs(_ordered_bits(b.margin) - _ordered_bits(a.margin))
         scale = max(abs(a.margin), abs(b.margin))
         relative = (b.margin - a.margin) / scale if scale else 0.0
         moved += a.margin != b.margin
         flips += flipped
+        relabelled += relabel
         worst_ulps = max(worst_ulps, ulps)
         worst_relative = max(worst_relative, abs(relative))
         rows.append({
             **row,
-            "change": "flip" if flipped else "margin",
+            "change": (
+                "flip" if flipped else "margin" if a.margin != b.margin else "notes or params"
+            ),
             "margin_before": a.margin,
             "margin_after": b.margin,
             "ulps": ulps,
@@ -1150,6 +1090,7 @@ def diff_records(before, after) -> RecordDiff:
         compared=len(old.keys() & new.keys()),
         moved=moved,
         flips=flips,
+        relabelled=relabelled,
         added=len(new.keys() - old.keys()),
         dropped=len(old.keys() - new.keys()),
         worst_ulps=worst_ulps,

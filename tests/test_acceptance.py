@@ -46,7 +46,7 @@ from dispbound.geometry import (
     min_width,
     regular_polygon,
 )
-from dispbound.verify import _CLOSED_FORM_TOL, SuiteConfig, run_suite
+from dispbound.verify import _CLOSED_FORM_TOL
 
 
 def report(number: int, ok: bool, detail: str) -> str:
@@ -290,16 +290,16 @@ def test_criterion_10_equality_cases():
     assert ok, line
 
 
-def test_criterion_11_default_suite_green():
-    start = time.perf_counter()
-    suite = run_suite(SuiteConfig())
-    elapsed = time.perf_counter() - start
+def test_criterion_11_default_suite_green(default_suite):
+    suite = default_suite.report  # dispbound verify at its defaults, seed 1729
+    elapsed = suite.elapsed_seconds
     body_ids = {rec.body_id for rec in suite.records}
     analytic = {"sphere-unit", "cylinder-rho2", "cylinder-rho20"}
     polytopes = {b for b in body_ids if b.startswith("polytope-")}
     map_ids = {rec.map_id for rec in suite.records if rec.map_id}
     ok = (
-        suite.passed
+        default_suite.code == 0
+        and suite.passed
         and not suite.strict_failures
         and not suite.missing_notes
         and analytic <= body_ids

@@ -492,6 +492,23 @@ def test_diff_fails_on_flips_and_on_added_or_dropped_records(capsys, records_fil
     assert code == 1 and "1 added, 0 dropped" in out
 
 
+def test_diff_counts_a_notes_only_change(capsys, records_file, tmp_path):
+    rows = parse_jsonl(records_file.read_text())
+    edited = [dict(row) for row in rows]
+    edited[2]["bound_orientation_notes"] = rows[2]["bound_orientation_notes"] + " (edited)"
+    after = _write_jsonl(tmp_path / "edited.jsonl", edited)
+    code, out, err = run_cli(
+        capsys, "diff", str(records_file), str(after), "--format", "json-lines"
+    )
+    assert code == 0  # notes alone are not a failure
+    (row,) = parse_jsonl(out)
+    assert (row["theorem"], row["change"], row["ulps"]) == (
+        rows[2]["theorem_id"], "notes or params", 0
+    )
+    assert "0 margins moved" in err and "0 status or pass flips" in err
+    assert "0 dropped, 1 notes or params changed" in err
+
+
 def test_diff_reads_csv_records(capsys, records_file, tmp_path):
     as_csv = tmp_path / "suite.csv"
     assert cli.main(["export", "--input", str(records_file), "--format", "csv",

@@ -267,6 +267,15 @@ def test_crossing_equality_within_tol():
             assert gap <= 1e-10
 
 
+def test_solve_crossing_is_the_cached_table_of_one():
+    for n in (2, 3, 40):
+        for kind in ("pal_firey", "bezdek"):
+            assert solve_crossing(n, kind) == constants_table(np.array([n]), kind).crossing(0)
+    calls = cmod._table_of_one.cache_info().hits
+    solve_crossing(7), h_n(7), rho_star(7), suboptimality_factor(7)
+    assert cmod._table_of_one.cache_info().hits >= calls + 3
+
+
 def test_branch_flag_matches_coefficient_comparison():
     for n in range(2, 1001):
         result = solve_crossing(n)
@@ -495,6 +504,9 @@ def test_table_residual_failure_names_first_n(monkeypatch):
         constants_table(np.arange(2, 60))
     assert excinfo.value.diagnostics["n"] == 40
     assert excinfo.value.diagnostics["residual"] > 100 * excinfo.value.diagnostics["bound"]
+    # solve_crossing reads the cached table of one: drop any entry for n = 41
+    # that an earlier test computed with the unpatched solver
+    cmod._table_of_one.cache_clear()
     with pytest.raises(NumericalError) as excinfo:
         solve_crossing(41)
     assert excinfo.value.diagnostics["n"] == 41

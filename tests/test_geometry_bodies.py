@@ -508,6 +508,14 @@ def test_polytope_sampling_stays_on_faces():
         assert body.faces_containing(p), f"sample off the boundary: {p}"
 
 
+def test_polytope_fan_areas_sum_to_face_areas():
+    body = random_polytope(5, 25)
+    for face in body.faces:
+        pts = body.vertices[list(face.indices)]
+        assert face.fan_areas.shape == (len(pts) - 2,)
+        assert face.fan_areas.sum() == pytest.approx(face.area, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # geodesic graph
 # ---------------------------------------------------------------------------

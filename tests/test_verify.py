@@ -1,17 +1,19 @@
 """Tests for the inequality verification harness."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from dispbound.constants import h_n, i_star_n, j_n, pal_constant
+from dispbound.constants import envelope_b_n, h_n, i_n_limit, i_star_n, j_n, pal_constant, rho_star
 from dispbound.errors import ConfigurationError, DomainError
 from dispbound.geometry import (
     CylinderBody,
     SphereBody,
     central_point_map,
+    displacement_stats,
     equilateral_triangle,
     euclidean_antipode_map,
     half_perimeter_map,
@@ -19,6 +21,7 @@ from dispbound.geometry import (
     regular_polygon,
 )
 from dispbound.verify import (
+    ORIENTATION,
     SuiteConfig,
     VerificationRecord,
     audit_orientation_notes,
@@ -32,6 +35,7 @@ from dispbound.verify import (
     check_pal_firey,
     check_point_pair_bound,
     check_volume_bound,
+    derive_status,
     load_records_csv,
     load_records_jsonl,
     records_to_csv,
@@ -56,7 +60,8 @@ def normalized_cylinder(rho: float) -> CylinderBody:
 
 def test_main_theorem_sphere_margin_matches_hand_value():
     ball = SphereBody(1.0)
-    rec = check_main_theorem(ball, euclidean_antipode_map(), samples=500, seed=3)
+    stats = displacement_stats(ball, euclidean_antipode_map(), samples=500, seed=3)
+    rec = check_main_theorem(ball, stats)
     assert rec.theorem_id == "thm_1_1"
     assert rec.status == "strict" and rec.passed
     assert rec.lhs == pytest.approx(4.0 * math.pi, rel=1e-12)
@@ -72,7 +77,7 @@ def test_main_theorem_sphere_margin_matches_hand_value():
 def test_main_theorem_rejects_curves():
     tri = equilateral_triangle(1.0)
     with pytest.raises(DomainError):
-        check_main_theorem(tri, half_perimeter_map(), samples=50, seed=0)
+        check_main_theorem(tri, displacement_stats(tri, half_perimeter_map(), samples=50, seed=0))
 
 
 def test_point_pair_sphere_antipodes_take_starred_branch():
@@ -122,19 +127,22 @@ def test_point_pair_degenerate_ratio_is_not_applicable():
     assert "ratio 1" in rec.bound_orientation_notes
 
 
-def test_point_pair_on_polytope_is_advisory():
+def test_point_pair_on_polytope_is_strict():
+    # the right side i_n(d/chord) d^n grows with d, so an upper-bound graph
+    # distance can only make the check harder
     body = random_polytope(23, 18)
     pts = body.sample_boundary(1, 2)
     rec = check_point_pair_bound(body, pts[0], pts[1])
-    assert rec.status in ("advisory", "not_applicable")
-    if rec.status == "advisory":
-        assert dict(rec.params)["distance_kind"] == "upper_bound"
-        assert "advisory" in rec.bound_orientation_notes
+    assert rec.theorem_id == "prop_2_1"
+    assert rec.status == "strict" and rec.passed
+    assert dict(rec.params)["distance_kind"] == "upper_bound"
+    assert "pair distance sits at or above" in rec.bound_orientation_notes
 
 
 def test_volume_bound_triangle_ratio_is_four_thirds():
     tri = equilateral_triangle(1.0)
-    rec = check_volume_bound(tri, half_perimeter_map(), samples=300, seed=5)
+    stats = displacement_stats(tri, half_perimeter_map(), samples=300, seed=5)
+    rec = check_volume_bound(tri, stats)
     assert rec.theorem_id == "prop_3_1"
     assert rec.passed
     # area (sqrt3/4) against (1/sqrt3)(3L/2 / 2)^2 = 9/(16 sqrt3): ratio 4/3
@@ -146,7 +154,8 @@ def test_volume_bound_triangle_ratio_is_four_thirds():
 
 def test_volume_bound_sphere_hand_value():
     ball = SphereBody(1.0)
-    rec = check_volume_bound(ball, euclidean_antipode_map(), samples=400, seed=1)
+    stats = displacement_stats(ball, euclidean_antipode_map(), samples=400, seed=1)
+    rec = check_volume_bound(ball, stats)
     assert rec.lhs == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
     expected = pal_constant(3).to_float() * 2.0**3  # mu/rho = pi/(pi/2) = 2
     assert rec.rhs == pytest.approx(expected, rel=1e-6)
@@ -155,7 +164,8 @@ def test_volume_bound_sphere_hand_value():
 
 def test_isoperimetric_area_bound_sphere():
     ball = SphereBody(1.0)
-    rec = check_area_via_isoperimetric(ball, central_point_map(), samples=400, seed=2)
+    stats = displacement_stats(ball, central_point_map(), samples=400, seed=2)
+    rec = check_area_via_isoperimetric(ball, stats)
     assert rec.theorem_id == "cor_3_2"
     # J_2 scales as rho^-2, so J_2(pi/2) mu^2 = J_2(1) * 4 exactly
     assert rec.rhs == pytest.approx(j_n(2, 1.0).to_float() * 4.0, rel=1e-6)
@@ -200,7 +210,8 @@ def test_cone_vs_ball_closed_forms():
 
 def test_mean_width_sphere_is_equality_case():
     ball = SphereBody(1.0)
-    rec = check_mean_width(ball, euclidean_antipode_map(), samples=2000, seed=9)
+    stats = displacement_stats(ball, euclidean_antipode_map(), samples=2000, seed=9)
+    rec = check_mean_width(ball, stats)
     assert rec.theorem_id == "thm_1_4"
     assert rec.status == "equality" and rec.passed
     assert rec.lhs == 2.0
@@ -209,7 +220,8 @@ def test_mean_width_sphere_is_equality_case():
 
 def test_mean_width_polygon_half_perimeter_equality_is_closed_form():
     pent = regular_polygon(5, 1.0)
-    rec = check_mean_width(pent, half_perimeter_map(), samples=500, seed=4)
+    stats = displacement_stats(pent, half_perimeter_map(), samples=500, seed=4)
+    rec = check_mean_width(pent, stats)
     assert rec.status == "equality" and rec.passed
     assert abs(rec.margin) <= 1e-12
     assert dict(rec.params)["mean_width_method"] == "polygon_support_integral"
@@ -217,7 +229,8 @@ def test_mean_width_polygon_half_perimeter_equality_is_closed_form():
 
 def test_mean_width_polygon_central_map_is_strict():
     tri = equilateral_triangle(1.0)
-    rec = check_mean_width(tri, central_point_map(), samples=500, seed=4)
+    stats = displacement_stats(tri, central_point_map(), samples=500, seed=4)
+    rec = check_mean_width(tri, stats)
     assert rec.status == "strict" and rec.passed
     assert rec.lhs == pytest.approx(3.0 / math.pi, rel=1e-12)
 
@@ -249,21 +262,67 @@ def test_chord_projection_bound_on_polytopes():
 
 
 def test_envelope_status_follows_crossing():
-    # low-distortion body: sampled distortion below the crossing -> strict
+    # low-distortion body: exact distances, and the envelope at the sampled
+    # distortion pi/2 (below the crossing) is above its limit -> strict
     ball = SphereBody(1.0)
-    rec = check_envelope(ball, euclidean_antipode_map(), samples=400, seed=6)
+    stats = displacement_stats(ball, euclidean_antipode_map(), samples=400, seed=6)
+    rec = check_envelope(ball, stats)
     assert rec.theorem_id == "prop_4_1"
     params = dict(rec.params)
     assert params["rho_hat"] <= params["crossing"]
     assert rec.status == "strict" and rec.passed
     assert params["rho_hat_exceeds_one"] is True
-    # squat cylinder: cap-center style pairs push the distortion past it
+    # squat cylinder: cap-center style pairs push the distortion past the
+    # crossing, where the envelope is below its limit -> advisory
     squat = normalized_cylinder(20.0)
-    rec2 = check_envelope(squat, central_point_map(), samples=4000, seed=6)
+    stats = displacement_stats(squat, central_point_map(), samples=4000, seed=6)
+    rec2 = check_envelope(squat, stats)
     params2 = dict(rec2.params)
     assert params2["rho_hat"] > params2["crossing"]
     assert rec2.status == "advisory"
     assert "advisory" in rec2.bound_orientation_notes
+
+
+# where the envelope, j_n(1) rho^-n below the crossing, meets its limit
+# i_n(inf); from n = 6 on, j_n(1) itself is below the limit
+ENVELOPE_CERTIFIES_UP_TO = {2: 1.795546, 3: 1.543147, 4: 1.269077, 5: 1.071526, 6: None}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_envelope_certifies_only_at_or_above_its_limit(n):
+    limit = i_n_limit(n).to_float()
+    w = math.pi ** ((n - 2) / 2) / math.gamma(n / 2)  # the unit (n-2)-ball volume
+    assert limit == pytest.approx(w / (n * (n - 1) * 2 ** (n - 2)), rel=1e-12)
+    assert h_n(n).to_float() < limit  # the envelope's minimum, at the crossing
+    grid = np.concatenate([[1.0], np.geomspace(1.0 + 1e-6, 1e6, 500)])
+    values = np.array([envelope_b_n(n, rho).to_float() for rho in grid])
+    assert values[-1] < limit and values[-1] == pytest.approx(limit, rel=1e-5)
+    reach = ENVELOPE_CERTIFIES_UP_TO[n]
+    if reach is not None:
+        assert (j_n(n, 1.0).to_float() / limit) ** (1.0 / n) == pytest.approx(reach, abs=1e-6)
+        assert reach < rho_star(n)[0]
+    for k, rho in enumerate(grid):
+        params = {"surface_dimension": n, "constants_kind": "pal_firey",
+                  "rho_hat": rho, "distance_kind": "exact"}
+        status = derive_status("prop_4_1", params)[0]
+        assert (status == "strict") == (values[k] >= limit)
+        if reach is None or abs(rho - reach) > 1e-5:
+            assert (status == "strict") == (reach is not None and rho < reach)
+        if status == "strict":  # no larger distortion raises the envelope
+            assert values[k:].max() == values[k]
+        upper = derive_status("prop_4_1", {**params, "distance_kind": "upper_bound"})
+        assert upper[0] == "advisory"
+    if n == 2:  # the sphere's exact distortion pi/2 still certifies
+        assert envelope_b_n(2, math.pi / 2).to_float() == pytest.approx(0.6533, abs=1e-4)
+
+
+def test_sampled_checks_refuse_statistics_of_another_body():
+    ball, other = SphereBody(1.0, body_id="ball"), SphereBody(2.0, body_id="other")
+    stats = displacement_stats(other, euclidean_antipode_map(), samples=50, seed=1)
+    for check in (check_main_theorem, check_volume_bound, check_area_via_isoperimetric,
+                  check_mean_width, check_envelope):
+        with pytest.raises(ConfigurationError):
+            check(ball, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +344,57 @@ def test_suite_passes_and_audits_clean(small_suite):
     assert counts["strict"] > 50
     assert counts["equality"] >= 10
     assert counts["advisory"] >= 5
+
+
+def _toward_true_values(name, params):
+    """Values of one input from its estimate toward where the true value can
+    sit: a smaller minimum displacement, a larger distortion (up to 1e6) on
+    exact distances, a smaller pair distance (down to the chord)."""
+    steps = np.linspace(0.0, 1.0, 9)
+    if name == "mu_hat":
+        return params["mu_hat"] * (1.0 - steps)
+    if name == "rho_hat":
+        assert params["distance_kind"] == "exact"
+        return np.geomspace(params["rho_hat"], 1e6, 25)
+    d, chord = params["intrinsic_distance"], params["chord"]
+    if params["distance_kind"] == "exact":
+        return np.array([d])
+    return d - (d - chord * (1.0 + 1e-9)) * steps
+
+
+def test_strict_right_sides_never_rise_toward_the_true_inputs(small_suite):
+    checked = 0
+    for rec in small_suite.records:
+        entry = ORIENTATION.get(rec.theorem_id)
+        if entry is None or rec.status == "not_applicable":
+            continue
+        params = dict(rec.params)
+        assert entry.rhs(params) == rec.rhs  # the checks' right side is the table's
+        assert derive_status(rec.theorem_id, params)[1] in rec.bound_orientation_notes
+        if rec.status != "strict":
+            continue
+        names = [name for name, _ in entry.slopes]
+        grids = [_toward_true_values(name, params) for name in names]
+        for values in itertools.product(*grids):
+            moved = {**params, **{name: float(v) for name, v in zip(names, values)}}
+            assert entry.rhs(moved) <= rec.rhs, (rec.theorem_id, rec.body_id, moved)
+        checked += 1
+    assert checked > 50
+
+
+def test_audit_flags_strict_records_with_an_unsafe_input(small_suite):
+    import dataclasses
+
+    records = list(small_suite.records)
+    advisory = next(i for i, r in enumerate(records) if r.status == "advisory")
+    records[advisory] = dataclasses.replace(records[advisory], status="strict")
+    exact = next(
+        i for i, r in enumerate(records)
+        if r.theorem_id == "cor_3_2" and dict(r.params)["distance_kind"] == "exact"
+    )
+    params = {**dict(records[exact].params), "distance_kind": "upper_bound"}
+    records[exact] = dataclasses.replace(records[exact], params=tuple(params.items()))
+    assert audit_orientation_notes(records) == tuple(sorted((advisory, exact)))
 
 
 def test_suite_records_are_sorted_and_typed(small_suite):
