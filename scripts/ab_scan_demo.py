@@ -7,7 +7,9 @@ import argparse
 import math
 import time
 
-from dispbound.constants import a_n, b_n, scan_ab
+import numpy as np
+
+from dispbound.constants import constants_table, scan_ab
 
 CHECKPOINTS = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
 
@@ -28,8 +30,8 @@ def main() -> None:
     limit = 2.0 * math.sqrt(math.e)
     print(f"\nlimit 2*sqrt(e) = {limit:.12g}")
     print(f"{'n':>9}  {'a_n/b_n':>16}  {'gap to limit':>13}")
-    for n in CHECKPOINTS:
-        ratio = math.exp(a_n(n).log_magnitude - b_n(n).log_magnitude)
+    ratios = constants_table(np.array(CHECKPOINTS)).ab_ratio
+    for n, ratio in zip(CHECKPOINTS, ratios.tolist()):
         print(f"{n:>9}  {ratio:>16.12f}  {abs(ratio - limit):>13.3e}")
 
 

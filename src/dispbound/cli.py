@@ -339,7 +339,7 @@ def _suite_summary(report: SuiteReport) -> str:
         f"not_applicable {counts.get('not_applicable', 0)}); "
         f"{len(report.strict_failures)} strict failures, "
         f"{len(report.equality_failures)} equality failures, "
-        f"{len(report.missing_notes)} missing notes, "
+        f"{len(report.missing_notes)} orientation-audit flags, "
         f"{len(report.skipped)} skipped; "
         f"min central distortion {report.min_central_rho_hat:.6g}; "
         f"{report.elapsed_seconds:.1f} s"
@@ -370,10 +370,6 @@ def _pretty_suite(report: SuiteReport) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite != "default":
-        raise ConfigurationError(
-            f"unknown suite {args.suite!r}; only 'default' is defined"
-        )
     config = SuiteConfig(
         seed=args.seed,
         samples=args.samples,
@@ -381,7 +377,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         distance_cap=args.distance_cap,
         subdivision=args.subdiv,
         chakerian_directions=args.directions,
-        kind=args.kind,
     )
     report = run_suite(config)
     if args.format == "csv":
@@ -596,14 +591,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", help="run the geometric verification suite"
     )
-    p.add_argument("--suite", default="default")
     p.add_argument("--seed", type=int, default=1729)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--polytopes", type=int, default=20)
     p.add_argument("--subdiv", type=int, default=6)
     p.add_argument("--distance-cap", type=int, default=300)
     p.add_argument("--directions", type=int, default=10)
-    p.add_argument("--kind", choices=KINDS, default=DEFAULT_KIND)
     _add_output_options(p)
     p.set_defaults(handler=cmd_verify)
 

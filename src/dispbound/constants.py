@@ -10,8 +10,9 @@ the crossing coefficients ``a_n``/``b_n``/``c_n``, and the crossing point
 dimensional constant of the main area bound.
 
 Every per-dimension constant is computed array-first by
-:func:`constants_table`; ``rho_n``, ``a_n``, ``b_n``, ``c_n``,
-``solve_crossing`` and the other scalar functions of n are tables of one.
+:func:`constants_table`; ``a_n``, ``b_n`` and ``c_n`` are its ``log_a``,
+``log_b`` and ``log_c`` columns.  ``rho_n``, ``solve_crossing`` and the
+other scalar functions of n are tables of one.
 
 The crossing is solved on ``u = ln(rho - 1)`` where the defining equation
 ``rho (rho-1)^(n-1) = RHS`` becomes ``log1p(e^u) + (n-1) (u - ln c_n) = 0``,
@@ -355,21 +356,6 @@ def pal_constant(d: int, kind: Kind = DEFAULT_KIND) -> LogReal:
     if _check_kind(kind) == "bezdek" and d < 3:
         raise DomainError(f"bezdek constant needs d >= 3, got {d}")
     return LogReal.from_log(_log_width_constant(np.array([d]), kind)[0])
-
-
-def a_n(n: int, kind: Kind = DEFAULT_KIND) -> LogReal:
-    """(2^(n-1) pi n)^(1/n) * (C_{n+1}/w_{n+1})^(1/(n+1))."""
-    return LogReal.from_log(_table_of_one(_check_dim(n), _check_kind(kind)).log_a[0])
-
-
-def b_n(n: int) -> LogReal:
-    """1 / ((n-1) w_{n-1}/w_{n-2} - 1), evaluated as 1/expm1 of the log."""
-    return LogReal.from_log(_table_of_one(_check_dim(n), DEFAULT_KIND).log_b[0])
-
-
-def c_n(n: int, kind: Kind = DEFAULT_KIND) -> LogReal:
-    """(n-1)-st root of the crossing equation's right-hand side."""
-    return LogReal.from_log(_table_of_one(_check_dim(n), _check_kind(kind)).log_c[0])
 
 
 def solve_crossing(n: int, kind: Kind = DEFAULT_KIND) -> CrossingResult:

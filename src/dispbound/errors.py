@@ -2,7 +2,7 @@
 
 The split mirrors how callers need to react: bad mathematical input
 (DomainError), bad configuration of an algorithm (ConfigurationError), and
-runtime numerical trouble (NumericalError and its DivergenceError subtype).
+runtime numerical trouble (NumericalError).
 The CLI maps these onto distinct exit codes.
 """
 
@@ -35,6 +35,3 @@ class NumericalError(RuntimeError):
             return f"{base} [{details}]"
         return base
 
-
-class DivergenceError(NumericalError):
-    """A series evaluation was requested outside its radius of convergence."""

@@ -9,8 +9,9 @@ subnormal with no relative accuracy.
 
 The log-gamma here is a Stirling/Binet series with five fixed Bernoulli
 coefficients and an upward recurrence shift for small arguments.  It is the
-basis for ball volumes and sphere areas; double factorials are exact sums of
-``ln k``, rounded once.
+basis for ball volumes and sphere areas.  Double factorials come only as an
+array (:func:`log_double_factorial_array`): exact sums of ``ln k``, rounded
+once, for every requested d in one pass.
 """
 
 from __future__ import annotations
@@ -189,9 +190,3 @@ def log_double_factorial_array(d) -> np.ndarray:
         prefix[k] = float(exact[k & 1])
     return np.ldexp(prefix, -53)[d]
 
-
-def log_double_factorial(d: int) -> float:
-    """ln d!! (see :func:`log_double_factorial_array`)."""
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
-        raise DomainError(f"double factorial needs an integer >= 1, got {d!r}")
-    return float(log_double_factorial_array(np.array([d]))[0])

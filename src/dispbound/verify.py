@@ -689,7 +689,6 @@ class SuiteConfig:
     distance_cap: int = 300
     subdivision: int = 6
     chakerian_directions: int = 10
-    kind: str = "pal_firey"
     # not a setting: the suite runs in one thread.  Kept only because the
     # benchmark's workload reads it; the next benchmark change drops it.
     threads: ClassVar[int] = 1
@@ -785,7 +784,7 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     for body in bodies:
         n = body.surface_dimension
         seed_body = _derived_seed(config.seed, "body", body.body_id)
-        records.append(check_pal_firey(body, kind=config.kind, seed=seed_body))
+        records.append(check_pal_firey(body, seed=seed_body))
         if isinstance(body, PolygonBoundary):
             records.append(check_crofton(body, seed=seed_body))
         if isinstance(body, Polytope3):
@@ -812,10 +811,10 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
                 central_rho_hats.append(stats.rho_hat)
 
             if n >= 2:
-                records.append(check_main_theorem(body, stats, config.kind))
-                records.append(check_area_via_isoperimetric(body, stats, config.kind))
-                records.append(check_envelope(body, stats, config.kind))
-            records.append(check_volume_bound(body, stats, config.kind))
+                records.append(check_main_theorem(body, stats))
+                records.append(check_area_via_isoperimetric(body, stats))
+                records.append(check_envelope(body, stats))
+            records.append(check_volume_bound(body, stats))
             records.append(check_mean_width(body, stats))
 
             if map_id == "central-point" and n >= 2:

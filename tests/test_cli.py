@@ -309,10 +309,13 @@ def test_verify_passes_where_a_monte_carlo_width_once_failed(capsys):
     assert code == 0, out
 
 
-def test_verify_unknown_suite_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "exotic")
-    assert code == 2
-    assert "unknown suite" in err
+def test_verify_has_no_suite_or_kind_option(capsys):
+    # the default suite is the only one, and it checks the Pal-Firey
+    # constants: --kind bezdek could never pass on its polygons (d = 2)
+    for argv in (("--suite", "exotic"), ("--suite", "default"), ("--kind", "pal_firey")):
+        code, _, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" in err
 
 
 # ---------------------------------------------------------------------------

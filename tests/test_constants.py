@@ -12,9 +12,6 @@ from hypothesis import strategies as st
 from dispbound import constants as cmod
 from dispbound.constants import (
     AbScan,
-    a_n,
-    b_n,
-    c_n,
     constants_row,
     constants_table,
     envelope_b_n,
@@ -216,18 +213,17 @@ def test_j_n_validation():
 
 
 def test_a_b_small_values():
-    assert a_n(2).to_float() == pytest.approx(1.2696424512501422, rel=1e-12)
-    assert b_n(2).to_float() == pytest.approx(1.0, rel=1e-12)
-    assert b_n(3).to_float() == pytest.approx(1.0 / (math.pi - 1.0), rel=1e-12)
+    table = constants_table(np.array([2, 3]))
+    a, b = np.exp(table.log_a), np.exp(table.log_b)
+    assert a[0] == pytest.approx(1.2696424512501422, rel=1e-12)
+    assert b[0] == pytest.approx(1.0, rel=1e-12)
+    assert b[1] == pytest.approx(1.0 / (math.pi - 1.0), rel=1e-12)
 
 
 def test_ab_ratio_trend_toward_limit():
     # approach is from below and (past n ~ 10^3) the gap shrinks steadily;
     # between 10^2 and 10^3 a log-term hump makes the gap grow briefly
-    ratios = [
-        math.exp(a_n(n).log_magnitude - b_n(n).log_magnitude)
-        for n in (1_000, 10_000, 100_000)
-    ]
+    ratios = constants_table(np.array([1_000, 10_000, 100_000])).ab_ratio
     assert all(r < TWO_SQRT_E for r in ratios)
     gaps = [TWO_SQRT_E - r for r in ratios]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -238,7 +234,8 @@ def test_c_n_solves_crossing_equation_dim2():
     # at n = 2, c_2 equals the right-hand side rho(rho-1) itself
     k3_over_w3 = 1.0 / (4 * math.sqrt(3) * math.pi)
     rhs = 8 * math.pi * k3_over_w3 ** (2.0 / 3.0)
-    assert c_n(2).to_float() == pytest.approx(rhs, rel=1e-12)
+    log_c2 = constants_table(np.array([2])).log_c[0]
+    assert math.exp(log_c2) == pytest.approx(rhs, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +274,18 @@ def test_solve_crossing_is_the_cached_table_of_one():
 
 
 def test_branch_flag_matches_coefficient_comparison():
-    for n in range(2, 1001):
+    table = constants_table(np.arange(2, 1001))
+    for n, expects_second in zip(range(2, 1001), table.log_a > table.log_b):
         result = solve_crossing(n)
-        expects_second = a_n(n).log_magnitude > b_n(n).log_magnitude
         assert (result.branch == "second") == expects_second
         # equivalent characterization: past the branch point iff second branch
         assert (result.rho_star > rho_n(n)) == expects_second
 
 
 def test_rho_star_bracketed_by_c_n():
-    for n in (50, 500, 5000):
-        c = c_n(n).to_float()
+    ns = (50, 500, 5000)
+    for n, log_c in zip(ns, constants_table(np.array(ns)).log_c):
+        c = math.exp(log_c)
         rho, _ = rho_star(n)
         assert 1.0 + c - c * c / (n - 1.0) <= rho <= 1.0 + c + 1e-15
 
@@ -422,7 +420,7 @@ def test_scan_ab_no_violations_and_min_at_two():
 
 def test_scan_ab_matches_scalar_endpoints():
     scan = scan_ab(2, 5000)
-    scalar = math.exp(a_n(5000).log_magnitude - b_n(5000).log_magnitude)
+    scalar = constants_table(np.array([5000])).ab_ratio[0]
     assert scan.ratio_at_max == pytest.approx(scalar, rel=1e-12)
     assert scan.ratios is None  # range too large to retain
 
@@ -430,9 +428,10 @@ def test_scan_ab_matches_scalar_endpoints():
 def test_scan_branch_criterion_sampled_to_1e5():
     scan = scan_ab(2, 100_000)
     assert scan.violations == 0
-    for n in (2, 3, 17, 1_000, 31_623, 100_000):
+    ns = (2, 3, 17, 1_000, 31_623, 100_000)
+    table = constants_table(np.array(ns))
+    for n, ratio_positive in zip(ns, table.log_a > table.log_b):
         _, branch = rho_star(n)
-        ratio_positive = a_n(n).log_magnitude > b_n(n).log_magnitude
         assert (branch == "second") == ratio_positive
 
 

@@ -15,7 +15,6 @@ from dispbound.numerics import (
     DECODE_LIMIT,
     LogReal,
     decode_logs,
-    log_double_factorial,
     log_double_factorial_array,
     log_gamma,
     log_gamma_array,
@@ -107,7 +106,7 @@ def test_dimension_validation():
     with pytest.raises(DomainError):
         log_unit_sphere_area(0)
     with pytest.raises(DomainError):
-        log_double_factorial(0)
+        log_double_factorial_array(np.array([0]))
 
 
 def test_sphere_ball_identity_to_one_million():
@@ -150,18 +149,20 @@ def test_consecutive_ball_volume_recurrence():
 
 
 def test_double_factorial_small():
-    assert log_double_factorial(1) == 0.0
-    assert log_double_factorial(5) == pytest.approx(math.log(15.0), rel=1e-14)
-    assert log_double_factorial(6) == pytest.approx(math.log(48.0), rel=1e-14)
+    one, five, six = log_double_factorial_array(np.array([1, 5, 6]))
+    assert one == 0.0
+    assert five == pytest.approx(math.log(15.0), rel=1e-14)
+    assert six == pytest.approx(math.log(48.0), rel=1e-14)
 
 
 def test_double_factorial_identity_at_101():
     # 100!! = 2^50 * 50!, and 101!! = 101!/100!!
     log_100_dfact = 50 * math.log(2.0) + math.fsum(math.log(k) for k in range(1, 51))
     log_101_fact = math.fsum(math.log(k) for k in range(1, 102))
-    assert abs(log_double_factorial(100) - log_100_dfact) <= 1e-12 * log_100_dfact
+    at_100, at_101 = log_double_factorial_array(np.array([100, 101]))
+    assert abs(at_100 - log_100_dfact) <= 1e-12 * log_100_dfact
     oracle = log_101_fact - log_100_dfact
-    assert abs(log_double_factorial(101) - oracle) <= 1e-12 * oracle
+    assert abs(at_101 - oracle) <= 1e-12 * oracle
 
 
 def test_double_factorials_equal_fsum_of_logs():
@@ -170,7 +171,8 @@ def test_double_factorials_equal_fsum_of_logs():
     batch = log_double_factorial_array(ds)
     for d, value in zip(ds.tolist(), batch):
         assert value == math.fsum(math.log(k) for k in range(d, 1, -2))
-    assert [log_double_factorial(d) for d in (1, 2, 4999, 5000)] == [
+    # a batch of one has the bits of the same d in a long batch
+    assert [log_double_factorial_array(np.array([d]))[0] for d in (1, 2, 4999, 5000)] == [
         batch[0], batch[1], batch[4998], batch[4999]
     ]
 

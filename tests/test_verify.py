@@ -438,6 +438,8 @@ def test_suite_config_validation():
     assert SuiteConfig().threads == 1
     with pytest.raises(TypeError):
         SuiteConfig(threads=4)
+    with pytest.raises(TypeError):  # the suite checks the Pal-Firey constants only
+        SuiteConfig(kind="bezdek")
 
 
 # ---------------------------------------------------------------------------
