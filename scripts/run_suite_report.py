@@ -9,12 +9,7 @@ Usage: python3 scripts/run_suite_report.py [--seed 1729] [--samples 10000]
 import argparse
 from pathlib import Path
 
-from dispbound.verify import (
-    SuiteConfig,
-    run_suite,
-    write_records_csv,
-    write_records_jsonl,
-)
+from dispbound.verify import SuiteConfig, records_to_csv, records_to_jsonl, run_suite
 
 
 def main() -> None:
@@ -33,8 +28,8 @@ def main() -> None:
     report = run_suite(config)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    write_records_jsonl(report.records, args.out_dir / "records.jsonl")
-    write_records_csv(report.records, args.out_dir / "records.csv")
+    (args.out_dir / "records.jsonl").write_text(records_to_jsonl(report.records), encoding="utf-8")
+    (args.out_dir / "records.csv").write_text(records_to_csv(report.records), encoding="utf-8")
 
     print(f"suite {'PASS' if report.passed else 'FAIL'} "
           f"in {report.elapsed_seconds:.1f}s, {len(report.records)} records")

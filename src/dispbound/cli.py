@@ -370,15 +370,9 @@ def _pretty_suite(report: SuiteReport) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = SuiteConfig(
-        seed=args.seed,
-        samples=args.samples,
-        polytope_count=args.polytopes,
-        distance_cap=args.distance_cap,
-        subdivision=args.subdiv,
-        chakerian_directions=args.directions,
+    report = run_suite(
+        SuiteConfig(seed=args.seed, samples=args.samples, polytope_count=args.polytopes)
     )
-    report = run_suite(config)
     if args.format == "csv":
         text = records_to_csv(report.records)
     elif args.format == "json-lines":
@@ -456,16 +450,9 @@ def _point_text(point: np.ndarray) -> str:
 
 def cmd_geodesic(args: argparse.Namespace) -> int:
     if args.body_file is not None:
-        body = load_body(args.body_file)
-        body_name = str(args.body_file)
-    elif args.body == "cube":
-        body = cube(args.edge)
-        body_name = f"cube(edge={args.edge:g})"
+        body, body_name = load_body(args.body_file), str(args.body_file)
     else:
-        raise ConfigurationError(
-            f"unknown body {args.body!r}; built-ins: cube (use --body-file "
-            "for saved bodies)"
-        )
+        body, body_name = cube(1.0), "cube(edge=1)"
     start = _resolve_point(body, getattr(args, "from"))
     stop = _resolve_point(body, args.to)
     if isinstance(body, Polytope3):
@@ -516,16 +503,14 @@ def _pretty_records(records: Sequence[VerificationRecord]) -> str:
     return _render_pretty(rows)
 
 
-def _load_records(path: Path, input_format: str = "auto") -> tuple[VerificationRecord, ...]:
-    if input_format == "auto":
-        input_format = "csv" if path.suffix.lower() == ".csv" else "json-lines"
-    if input_format == "csv":
+def _load_records(path: Path) -> tuple[VerificationRecord, ...]:
+    if path.suffix.lower() == ".csv":
         return load_records_csv(path)
     return load_records_jsonl(path)
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    records = _load_records(args.input, args.input_format)
+    records = _load_records(args.input)
     if args.format == "csv":
         text = records_to_csv(records)
     elif args.format == "json-lines":
@@ -594,9 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1729)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--polytopes", type=int, default=20)
-    p.add_argument("--subdiv", type=int, default=6)
-    p.add_argument("--distance-cap", type=int, default=300)
-    p.add_argument("--directions", type=int, default=10)
     _add_output_options(p)
     p.set_defaults(handler=cmd_verify)
 
@@ -604,13 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
         "geodesic", help="one intrinsic-distance query on a convex body"
     )
     p.add_argument(
-        "--body", default="cube", help="built-in body name (default: cube)"
-    )
-    p.add_argument(
         "--body-file", type=Path, default=None,
-        help="load the body from a saved body file instead",
+        help="load the body from a saved body file (default: the unit cube)",
     )
-    p.add_argument("--edge", type=float, default=1.0, help="cube edge length")
     endpoint_help = (
         "'face-center:I', 'vertex:I', 'arclength:T', or coordinates 'x,y[,z]' "
         "(write --to=-1,0,0 when the value starts with '-')"
@@ -627,9 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "export", help="convert verification record files between formats"
     )
-    p.add_argument("--input", type=Path, required=True)
     p.add_argument(
-        "--input-format", choices=("auto", "csv", "json-lines"), default="auto"
+        "--input", type=Path, required=True, help="records to convert (.jsonl or .csv)"
     )
     _add_output_options(p)
     p.set_defaults(handler=cmd_export)

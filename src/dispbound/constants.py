@@ -159,7 +159,7 @@ class CrossingResult:
     n: int
     kind: str
     rho_star: float
-    branch: str  # "first" (rho* <= rho_n) or "second" (rho* > rho_n)
+    branch: str  # always "second": rho* > rho_n at every n
     log_delta: float  # ln(rho_star - 1), the solver's native variable
     log_h: float  # ln of the common crossing value
     residual: float  # log-scale defect |ln i_n - ln j_n| at the solution
@@ -190,7 +190,7 @@ class ConstantsTable:
     log_a: np.ndarray
     log_b: np.ndarray
     log_c: np.ndarray
-    branch: np.ndarray  # "first" (a_n <= b_n, rho* = 1 + a_n) or "second"
+    branch: np.ndarray  # always "second" (a_n > b_n, rho* > rho_n)
     log_delta: np.ndarray  # ln(rho_star - 1)
     rho_star: np.ndarray
     residual: np.ndarray  # |ln i_n - ln j_n| at the solution
@@ -268,12 +268,12 @@ RESIDUAL_EPS = 4.0
 def constants_table(ns, kind: Kind = DEFAULT_KIND) -> ConstantsTable:
     """Every per-dimension constant and the crossing, over an integer array.
 
-    The crossing is the unique rho > 1 with i_n(rho) = j_n(rho).  If
-    a_n <= b_n it lies on the first branch and is the closed form
-    rho* = 1 + a_n; otherwise it lies past the branch point (see
-    :func:`_solve_second_branch`).  Raises NumericalError naming the first n
-    whose crossing cannot be bracketed or whose residual exceeds
-    RESIDUAL_EPS units of rounding (eps) of its terms' summed magnitude.
+    The crossing is the unique rho > 1 with i_n(rho) = j_n(rho).  Since
+    a_n > b_n at every n (``scan_ab`` checks it to 10^6), it lies past the
+    branch point (see :func:`_solve_second_branch`).  Raises NumericalError
+    naming the first n with a_n <= b_n, whose crossing cannot be bracketed,
+    or whose residual exceeds RESIDUAL_EPS units of rounding (eps) of its
+    terms' summed magnitude.
     """
     ns = _check_dims(ns)
     _check_kind(kind)
@@ -288,30 +288,29 @@ def constants_table(ns, kind: Kind = DEFAULT_KIND) -> ConstantsTable:
     )
     log_c = log_rhs / (nf - 1.0)
 
-    second = log_a > log_b
-    log_delta = log_a.copy()
-    log_delta[second] = _solve_second_branch(ns[second], log_c[second], kind)
+    first = np.flatnonzero(log_a <= log_b)
+    if first.size:
+        i = first[0]
+        raise NumericalError(
+            f"a_n <= b_n at n = {int(ns[i])}: the crossing would lie on the first branch",
+            diagnostics={
+                "n": int(ns[i]), "kind": kind,
+                "log_a": float(log_a[i]), "log_b": float(log_b[i]),
+            },
+        )
+    log_delta = _solve_second_branch(ns, log_c, kind)
     delta = np.exp(log_delta)
     log1p_delta = np.log1p(delta)
     # ln j_n(rho*), with ln rho* = log1p(delta) and sigma_n = 2 pi w_{n-1}
     log_sphere = LOG_TWO_PI + lv_nm1
     log_h = log_sphere + log_kind_ratio - nf * log1p_delta
-    # The defect ln i_n(rho*) - ln j_n(rho*) is a sum of terms that cancel at
-    # the crossing, so rounding alone keeps it within a few eps of their
-    # summed magnitude.  Past the branch point it collapses to the solver's
-    # (n-1) ln delta + ln rho* - (n-1) ln c_n; on the first branch it is
-    # ln i_n(1 + a_n) - ln h_n, both sides spelled out term by term.
-    def defect(*terms):
-        return np.abs(sum(terms)), sum(np.abs(t) for t in terms)
-
-    residual, scale = defect((nf - 1.0) * log_delta, log1p_delta, -(nf - 1.0) * log_c)
-    f = ~second
-    residual[f], scale[f] = defect(
-        lv_nm1[f], -np.log(nf[f]), -(nf[f] - 2.0) * LOG_2,
-        nf[f] * (log_delta[f] - log1p_delta[f]),
-        -log_sphere[f], -log_kind_ratio[f], nf[f] * log1p_delta[f],
-    )
-    bound = RESIDUAL_EPS * np.finfo(float).eps * scale
+    # The defect ln i_n(rho*) - ln j_n(rho*) collapses past the branch point
+    # to the solver's (n-1) ln delta + ln rho* - (n-1) ln c_n, a sum of terms
+    # that cancel at the crossing, so rounding alone keeps it within a few
+    # eps of their summed magnitude.
+    terms = ((nf - 1.0) * log_delta, log1p_delta, -(nf - 1.0) * log_c)
+    residual = np.abs(sum(terms))
+    bound = RESIDUAL_EPS * np.finfo(float).eps * sum(np.abs(t) for t in terms)
     failed = np.flatnonzero(residual > bound)
     if failed.size:
         i = failed[0]
@@ -323,7 +322,7 @@ def constants_table(ns, kind: Kind = DEFAULT_KIND) -> ConstantsTable:
     # rho_n = 1/(1 - t) with t = w_{n-2} / ((n-1) w_{n-1}) < 1
     rho_n = 1.0 / (1.0 - np.exp(lv_nm2 - log_nm1 - lv_nm1))
     return ConstantsTable(
-        ns, kind, rho_n, log_a, log_b, log_c, np.where(second, "second", "first"),
+        ns, kind, rho_n, log_a, log_b, log_c, np.full(len(ns), "second"),
         log_delta, 1.0 + delta, residual, log_h, log_sphere,
     )
 
@@ -364,7 +363,7 @@ def solve_crossing(n: int, kind: Kind = DEFAULT_KIND) -> CrossingResult:
 
 
 def rho_star(n: int, kind: Kind = DEFAULT_KIND) -> tuple[float, str]:
-    """Crossing location and branch flag ("first" iff a_n <= b_n)."""
+    """Crossing location and branch flag (always "second", see constants_table)."""
     result = solve_crossing(n, kind)
     return result.rho_star, result.branch
 

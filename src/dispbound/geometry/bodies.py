@@ -247,7 +247,7 @@ class SphereBody(ConvexBody):
 
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
         d = _as_batch(directions, self.ambient_dimension)
-        return d @ self.center + self.radius * np.linalg.norm(d, axis=1)
+        return np.vecdot(d, self.center) + self.radius * np.linalg.norm(d, axis=1)
 
     def boundary_area(self) -> float:
         n = self.surface_dimension
@@ -543,7 +543,8 @@ class PolygonBoundary(ConvexBody):
         self.body_id = body_id or f"polygon-{len(v)}gon"
 
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
-        return np.max(_as_batch(directions, 2) @ self.vertices.T, axis=1)
+        d = _as_batch(directions, 2)
+        return np.max(np.vecdot(d[:, None, :], self.vertices), axis=1)
 
     def boundary_area(self) -> float:
         return self.perimeter
@@ -746,7 +747,8 @@ class Polytope3(ConvexBody):
         return acc / total
 
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
-        return np.max(_as_batch(directions, 3) @ self.vertices.T, axis=1)
+        d = _as_batch(directions, 3)
+        return np.max(np.vecdot(d[:, None, :], self.vertices), axis=1)
 
     # -- boundary geometry ---------------------------------------------------
 

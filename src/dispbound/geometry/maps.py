@@ -51,7 +51,7 @@ class DisplacementMap:
         return self._critical(body)
 
 
-def central_point_map(through=None, map_id: str | None = None) -> DisplacementMap:
+def central_point_map(through=None) -> DisplacementMap:
     """Send x to the far boundary intersection of the line through a fixed
     interior point.  This is an involution without fixed points for any
     interior choice (the line meets the boundary in exactly two points)."""
@@ -64,10 +64,10 @@ def central_point_map(through=None, map_id: str | None = None) -> DisplacementMa
             raise DomainError("central point must not lie on the boundary")
         return body.ray_exit(p, chords / norms[:, None])
 
-    return DisplacementMap(map_id or "central-point", apply)
+    return DisplacementMap("central-point", apply)
 
 
-def euclidean_antipode_map(map_id: str | None = None) -> DisplacementMap:
+def euclidean_antipode_map() -> DisplacementMap:
     """Send x to its reflection through the body's center; requires the body
     to be centrally symmetric (checked through the support function)."""
 
@@ -91,10 +91,10 @@ def euclidean_antipode_map(map_id: str | None = None) -> DisplacementMap:
             )
         return 2.0 * c - points
 
-    return DisplacementMap(map_id or "euclidean-antipode", apply)
+    return DisplacementMap("euclidean-antipode", apply)
 
 
-def half_perimeter_map(map_id: str | None = None) -> DisplacementMap:
+def half_perimeter_map() -> DisplacementMap:
     """Advance every polygon boundary point half the perimeter along the
     curve.  The intrinsic displacement is exactly half the perimeter at
     every point, which makes this the equality case for curve bounds."""
@@ -116,7 +116,7 @@ def half_perimeter_map(map_id: str | None = None) -> DisplacementMap:
         s = (starts[:, None] + fractions[None, :] * lengths[:, None]).ravel()
         return body.point_at(s)
 
-    return DisplacementMap(map_id or "half-perimeter", apply, critical)
+    return DisplacementMap("half-perimeter", apply, critical)
 
 
 @dataclass(frozen=True)

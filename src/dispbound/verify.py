@@ -27,6 +27,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .constants import (
+    DEFAULT_KIND,
     envelope_b_n,
     h_n,
     i_n,
@@ -82,8 +83,6 @@ __all__ = [
     "load_records_csv",
     "load_records_jsonl",
     "run_suite",
-    "write_records_csv",
-    "write_records_jsonl",
 ]
 
 SCHEMA_VERSION = 1
@@ -108,6 +107,16 @@ NOT_APPLICABLE = "not_applicable"
 STATUSES = (STRICT, EQUALITY, ADVISORY, NOT_APPLICABLE)
 
 _CLOSED_FORM_TOL = 1e-12
+
+# the checks compare against the Pal-Firey constants only; records still
+# name the kind, since ORIENTATION reads it back from loaded records
+_KIND_PARAM = ("constants_kind", DEFAULT_KIND)
+
+# edge subdivision of the suite's polytope geodesic graphs
+SUITE_SUBDIVISION = 6
+
+# sampled directions of the chord-projection check
+CHORD_DIRECTIONS = 10
 
 # constant params of the retired Monte Carlo widths, kept because the
 # benchmark's record key names them; the next benchmark change drops them
@@ -394,16 +403,14 @@ def _sample_params(stats: MapDisplacementStats) -> list[tuple[str, object]]:
 # ---------------------------------------------------------------------------
 
 
-def check_main_theorem(
-    body: ConvexBody, stats: MapDisplacementStats, kind: str = "pal_firey"
-) -> VerificationRecord:
+def check_main_theorem(body: ConvexBody, stats: MapDisplacementStats) -> VerificationRecord:
     """Boundary area against the crossing constant times displacement^n."""
     n = body.surface_dimension
     if n < 2:
         raise DomainError("the area bound needs surface dimension at least 2")
     return _sampled_record("thm_1_1", body, stats, body.boundary_area(), [
         ("surface_dimension", n),
-        ("constants_kind", kind),
+        _KIND_PARAM,
         ("mu_hat", stats.mu_hat),
         *_sample_params(stats),
     ])
@@ -458,13 +465,11 @@ def check_point_pair_bound(body: ConvexBody, x, y, seed: int = 0) -> Verificatio
     )
 
 
-def check_volume_bound(
-    body: ConvexBody, stats: MapDisplacementStats, kind: str = "pal_firey"
-) -> VerificationRecord:
+def check_volume_bound(body: ConvexBody, stats: MapDisplacementStats) -> VerificationRecord:
     """Enclosed volume against the width constant times (mu/rho)^(n+1)."""
     return _sampled_record("prop_3_1", body, stats, body.enclosed_volume(), [
         ("ambient_dimension", body.ambient_dimension),
-        ("constants_kind", kind),
+        _KIND_PARAM,
         ("mu_hat", stats.mu_hat),
         ("rho_hat", stats.rho_hat),
         *_sample_params(stats),
@@ -472,7 +477,7 @@ def check_volume_bound(
 
 
 def check_area_via_isoperimetric(
-    body: ConvexBody, stats: MapDisplacementStats, kind: str = "pal_firey"
+    body: ConvexBody, stats: MapDisplacementStats
 ) -> VerificationRecord:
     """Area against the isoperimetric-route constant at the sampled distortion."""
     n = body.surface_dimension
@@ -480,21 +485,19 @@ def check_area_via_isoperimetric(
         raise DomainError("the isoperimetric area bound needs dimension at least 2")
     return _sampled_record("cor_3_2", body, stats, body.boundary_area(), [
         ("surface_dimension", n),
-        ("constants_kind", kind),
+        _KIND_PARAM,
         ("mu_hat", stats.mu_hat),
         ("rho_hat", max(stats.rho_hat, 1.0)),
         *_sample_params(stats),
     ])
 
 
-def check_pal_firey(
-    body: ConvexBody, kind: str = "pal_firey", seed: int = 0
-) -> VerificationRecord:
+def check_pal_firey(body: ConvexBody, seed: int = 0) -> VerificationRecord:
     """Enclosed volume against the width constant times min-width^d."""
     d = body.ambient_dimension
     result = min_width(body)
     lhs = body.enclosed_volume()
-    rhs = pal_constant(d, kind).to_float() * result.value**d
+    rhs = pal_constant(d).to_float() * result.value**d
     margin = lhs - rhs
     tol = _CLOSED_FORM_TOL * max(1.0, abs(lhs))
     if abs(margin) <= tol:
@@ -517,7 +520,7 @@ def check_pal_firey(
         seed,
         [
             ("ambient_dimension", d),
-            ("constants_kind", kind),
+            _KIND_PARAM,
             ("min_width", result.value),
             ("min_width_kind", "exact"),  # retired like _RETIRED_WIDTH_PARAMS
         ],
@@ -606,22 +609,18 @@ def check_crofton(body: PolygonBoundary, seed: int = 0) -> VerificationRecord:
     )
 
 
-def check_chord_projection(
-    body: Polytope3, directions: int = 10, seed: int = 0
-) -> VerificationRecord:
+def check_chord_projection(body: Polytope3, seed: int = 0) -> VerificationRecord:
     """Volume against chord-through-centroid times projected area over 3."""
     from scipy.spatial import ConvexHull  # loaded once a polytope exists
 
     if not isinstance(body, Polytope3):
         raise DomainError("the chord-projection bound is run on 3-polytopes")
-    if directions < 1:
-        raise ConfigurationError("need at least one direction")
     rng = substream(seed, "chord-projection", body.body_id)
-    dirs = unit_directions(rng, directions, 3)
+    dirs = unit_directions(rng, CHORD_DIRECTIONS, 3)
     center = body.solid_centroid()
     lhs = body.enclosed_volume()
     ends = body.ray_exit(center, np.concatenate([dirs, -dirs]))
-    spans = ends[:directions] - ends[directions:]
+    spans = ends[:CHORD_DIRECTIONS] - ends[CHORD_DIRECTIONS:]
     chords = np.sqrt(np.vecdot(spans, spans))  # bit-equal to 1-D norms
     worst_rhs = -math.inf
     worst_index = -1
@@ -644,15 +643,13 @@ def check_chord_projection(
         "side is the largest over the sampled directions, the hardest case",
         seed,
         [
-            ("directions", directions),
+            ("directions", CHORD_DIRECTIONS),
             ("worst_direction_index", worst_index),
         ],
     )
 
 
-def check_envelope(
-    body: ConvexBody, stats: MapDisplacementStats, kind: str = "pal_firey"
-) -> VerificationRecord:
+def check_envelope(body: ConvexBody, stats: MapDisplacementStats) -> VerificationRecord:
     """Area against the two-branch envelope at the sampled distortion.
 
     The envelope falls to h_n at the crossing and then rises toward its
@@ -663,10 +660,10 @@ def check_envelope(
     n = body.surface_dimension
     if n < 2:
         raise DomainError("the envelope bound needs surface dimension at least 2")
-    crossing, branch = rho_star(n, kind)
+    crossing, branch = rho_star(n)
     return _sampled_record("prop_4_1", body, stats, body.boundary_area(), [
         ("surface_dimension", n),
-        ("constants_kind", kind),
+        _KIND_PARAM,
         ("mu_hat", stats.mu_hat),
         ("rho_hat", max(stats.rho_hat, 1.0)),
         ("rho_hat_exceeds_one", stats.rho_hat > 1.0),
@@ -686,9 +683,6 @@ class SuiteConfig:
     seed: int = 1729
     samples: int = 10_000
     polytope_count: int = 20
-    distance_cap: int = 300
-    subdivision: int = 6
-    chakerian_directions: int = 10
     # not a setting: the suite runs in one thread.  Kept only because the
     # benchmark's workload reads it; the next benchmark change drops it.
     threads: ClassVar[int] = 1
@@ -696,8 +690,6 @@ class SuiteConfig:
     def __post_init__(self):
         if self.samples < 1 or self.polytope_count < 0:
             raise ConfigurationError("samples must be >= 1 and polytope count >= 0")
-        if self.distance_cap < 1 or self.subdivision < 0:
-            raise ConfigurationError("invalid cap or subdivision")
 
 
 @dataclass(frozen=True)
@@ -751,7 +743,7 @@ def _suite_bodies(config: SuiteConfig) -> list[ConvexBody]:
             Polytope3(
                 dirs * radii[:, None] * np.asarray(squash),
                 body_id=tag,
-                geodesic_subdivision=config.subdivision,
+                geodesic_subdivision=SUITE_SUBDIVISION,
             )
         )
 
@@ -760,7 +752,7 @@ def _suite_bodies(config: SuiteConfig) -> list[ConvexBody]:
             random_polytope(
                 _derived_seed(config.seed, "suite-polytope", str(i)),
                 14 + (i % 12),
-                geodesic_subdivision=config.subdivision,
+                geodesic_subdivision=SUITE_SUBDIVISION,
             )
         )
     return bodies
@@ -788,9 +780,7 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
         if isinstance(body, PolygonBoundary):
             records.append(check_crofton(body, seed=seed_body))
         if isinstance(body, Polytope3):
-            records.append(check_chord_projection(
-                body, directions=config.chakerian_directions, seed=seed_body
-            ))
+            records.append(check_chord_projection(body, seed=seed_body))
 
         for map_id, disp_map in maps.items():
             if map_id == "half-perimeter" and not isinstance(body, PolygonBoundary):
@@ -798,11 +788,7 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
             seed_pair = _derived_seed(config.seed, "stats", body.body_id, map_id)
             try:
                 stats = displacement_stats(
-                    body,
-                    disp_map,
-                    samples=config.samples,
-                    seed=seed_pair,
-                    distance_cap=config.distance_cap,
+                    body, disp_map, samples=config.samples, seed=seed_pair
                 )
             except (ConfigurationError, DomainError, NumericalError) as exc:
                 skipped.append((body.body_id, map_id, str(exc)))
@@ -910,10 +896,6 @@ def records_to_jsonl(records) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_records_jsonl(records, path) -> None:
-    Path(path).write_text(records_to_jsonl(records), encoding="utf-8")
-
-
 def load_records_jsonl(path) -> tuple[VerificationRecord, ...]:
     records = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
@@ -945,10 +927,6 @@ def records_to_csv(records) -> str:
             ]
         )
     return buffer.getvalue()
-
-
-def write_records_csv(records, path) -> None:
-    Path(path).write_text(records_to_csv(records), encoding="utf-8")
 
 
 def load_records_csv(path) -> tuple[VerificationRecord, ...]:

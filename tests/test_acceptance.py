@@ -291,7 +291,7 @@ def test_criterion_12_byte_identical_reruns(tmp_path):
                  "--format", "json-lines"],
         "asymptotics": ["asymptotics", "--n", "100,1000",
                         "--format", "json-lines"],
-        "geodesic": ["geodesic", "--body", "cube", "--from", "face-center:0",
+        "geodesic": ["geodesic", "--from", "face-center:0",
                      "--to", "face-center:5", "--subdiv", "16",
                      "--format", "csv"],
         "verify": ["verify", "--seed", "7", "--samples", "1500",

@@ -1,5 +1,6 @@
 """Tests for the command-line front end (in-process via cli.main)."""
 
+import argparse
 import csv
 import dataclasses
 import functools
@@ -325,11 +326,12 @@ def test_verify_has_no_suite_or_kind_option(capsys):
 
 def test_geodesic_cube_face_centers_near_unfolded_length(capsys):
     code, out, _ = run_cli(
-        capsys, "geodesic", "--body", "cube", "--from", "face-center:0",
+        capsys, "geodesic", "--from", "face-center:0",
         "--to", "face-center:5", "--subdiv", "32", "--format", "json-lines",
     )
     assert code == 0
     (row,) = parse_jsonl(out)
+    assert row["body"] == "cube(edge=1)"
     assert row["kind"] == "upper_bound"
     assert 2.0 - 1e-9 <= row["distance"] <= 2.0 * 1.01
     assert row["chord"] == 1.0
@@ -390,12 +392,6 @@ def test_geodesic_rejects_misfit_endpoint_kinds(capsys):
     )
     assert code == 2
     assert "polygon" in err
-    code, _, err = run_cli(
-        capsys, "geodesic", "--body", "banana", "--from", "vertex:0",
-        "--to", "vertex:1",
-    )
-    assert code == 2
-    assert "unknown body" in err
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +542,67 @@ def test_import_leaves_scipy_geometry_unloaded_until_a_polytope():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.splitlines() == ["[]", "True"]
+
+
+# every option each subcommand takes; a setting no caller varies is a
+# constant, so an option comes back only with a change to this table
+OPTION_SURFACE = {
+    "constants": {"--n-min", "--n-max", "--kind", "--format", "--output"},
+    "scan-ab": {"--n-min", "--n-max", "--format", "--output"},
+    "asymptotics": {"--quantity", "--n", "--kind", "--format", "--output"},
+    "verify": {"--seed", "--samples", "--polytopes", "--format", "--output"},
+    "geodesic": {"--body-file", "--from", "--to", "--subdiv", "--format", "--output"},
+    "export": {"--input", "--format", "--output"},
+    "diff": {"before", "after", "--format", "--output"},
+}
+
+
+def test_option_surface_is_pinned():
+    (commands,) = [
+        action.choices for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    surface = {
+        name: {
+            option
+            for action in parser._actions if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings or [action.dest]
+        }
+        for name, parser in commands.items()
+    }
+    assert surface == OPTION_SURFACE
+
+
+REMOVED_OPTIONS = {
+    "verify --subdiv": ["verify", "--samples", "200", "--polytopes", "0", "--subdiv", "6"],
+    "verify --distance-cap": [
+        "verify", "--samples", "200", "--polytopes", "0", "--distance-cap", "300",
+    ],
+    "verify --directions": [
+        "verify", "--samples", "200", "--polytopes", "0", "--directions", "10",
+    ],
+    "export --input-format": [
+        "export", "--input", str(Path(__file__).parent / "data" / "default-suite-1729.jsonl"),
+        "--input-format", "auto",
+    ],
+    "geodesic --body": [
+        "geodesic", "--from", "face-center:0", "--to", "face-center:5", "--body", "cube",
+    ],
+    "geodesic --edge": [
+        "geodesic", "--from", "face-center:0", "--to", "face-center:5", "--edge", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", REMOVED_OPTIONS.values(), ids=list(REMOVED_OPTIONS))
+def test_removed_options_are_usage_errors(capsys, tmp_path, argv):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, "--output", str(out))
+    assert code == 2 and not out.exists()
+    if argv[-2] == "--body":  # argparse reads it as an abbreviated --body-file
+        assert "No such file or directory: 'cube'" in err
+    else:
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 def test_usage_errors_from_argparse(capsys):

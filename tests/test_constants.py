@@ -511,24 +511,21 @@ def test_table_residual_failure_names_first_n(monkeypatch):
     assert excinfo.value.diagnostics["n"] == 41
 
 
-def test_first_branch_residual_is_gated(monkeypatch):
-    # no n in 2..1e6 has a_n <= b_n, so force the first branch: rho* = 1 + a_n
-    # meets i_n's first branch on j_n by construction of a_n, and a 1e-12
-    # relative error in ln a_n breaks that by far more than rounding
+def test_a_first_branch_crossing_is_refused(monkeypatch):
+    # no n in 2..1e6 has a_n <= b_n (scan-ab reports one as a violation), so
+    # the table refuses such an n instead of solving the first branch
     log_a_b = cmod._log_a_b
-    scale = {"log_a": 1.0}
 
     def first_branch(ns, kind):
         log_a, _, *rest = log_a_b(ns, kind)
-        return (log_a * scale["log_a"], log_a + 1.0, *rest)
+        return (log_a, log_a + 1.0, *rest)
 
     monkeypatch.setattr(cmod, "_log_a_b", first_branch)
-    table = constants_table(np.arange(2, 2001))
-    assert np.all(table.branch == "first")
-    scale["log_a"] = 1.0 + 1e-12
-    with pytest.raises(NumericalError) as excinfo:
+    with pytest.raises(NumericalError, match="n = 2") as excinfo:
         constants_table(np.arange(2, 2001))
-    assert excinfo.value.diagnostics["n"] == 2
+    diagnostics = excinfo.value.diagnostics
+    assert (diagnostics["n"], diagnostics["kind"]) == (2, "pal_firey")
+    assert diagnostics["log_b"] == diagnostics["log_a"] + 1.0
 
 
 def test_residuals_stay_under_their_rounding_bound_to_one_million():

@@ -908,6 +908,20 @@ def test_support_batch_rejects_bad_directions(body, bad):
         body.support_batch(BAD_DIRECTIONS[bad](body.ambient_dimension))
 
 
+@pytest.mark.parametrize(
+    "body",
+    [SphereBody(1.3, center=[0.3, -0.7, 0.11, 2.9, -1.7]), CylinderBody(3, 0.7, 1.9),
+     regular_polygon(7, 1.0), random_polytope(5, 40)],
+    ids=lambda b: type(b).__name__,
+)
+def test_support_batch_is_row_independent(body):
+    # row i of a 200-row batch has the bits of direction i alone; a matrix
+    # product (d @ vertices.T) broke this in the last bit on all but the cylinder
+    dirs = _batch_directions(body, 200)
+    batch = body.support_batch(dirs)
+    assert [body.support(u) for u in dirs] == batch.tolist()
+
+
 @pytest.mark.parametrize("body", STRUCTURE_BODIES, ids=lambda b: b.body_id)
 def test_scalar_primitives_are_batches_of_one(body):
     assert len(ConvexBody.__abstractmethods__) == 7

@@ -1,5 +1,6 @@
 """Tests for the inequality verification harness."""
 
+import inspect
 import itertools
 import json
 import math
@@ -21,6 +22,7 @@ from dispbound.geometry import (
     regular_polygon,
 )
 from dispbound.verify import (
+    CHORD_DIRECTIONS,
     ORIENTATION,
     SuiteConfig,
     VerificationRecord,
@@ -41,8 +43,6 @@ from dispbound.verify import (
     records_to_csv,
     records_to_jsonl,
     run_suite,
-    write_records_csv,
-    write_records_jsonl,
 )
 
 # small but fully passing configuration (verified deterministic)
@@ -190,9 +190,10 @@ def test_pal_firey_ball_and_polytope_strict():
     assert rec.lhs == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
     assert rec.rhs == pytest.approx(pal_constant(3).to_float() * 8.0, rel=1e-6)
     body = random_polytope(77, 20)
-    rec2 = check_pal_firey(body, kind="bezdek")
+    rec2 = check_pal_firey(body)
     assert rec2.status == "strict" and rec2.passed
     assert dict(rec2.params)["min_width_kind"] == "exact"
+    assert dict(rec2.params)["constants_kind"] == "pal_firey"
     assert "no estimate entered" in rec2.bound_orientation_notes
 
 
@@ -251,10 +252,11 @@ def test_crofton_identity_at_closed_form_tolerance():
 
 def test_chord_projection_bound_on_polytopes():
     body = random_polytope(55, 24)
-    rec = check_chord_projection(body, directions=10, seed=3)
+    rec = check_chord_projection(body, seed=3)
     assert rec.theorem_id == "lem_2_7"
     assert rec.status == "strict" and rec.passed
     assert rec.lhs == pytest.approx(body.enclosed_volume(), rel=1e-12)
+    assert dict(rec.params)["directions"] == 10
     assert 0 <= dict(rec.params)["worst_direction_index"] < 10
     ball = SphereBody(1.0)
     with pytest.raises(DomainError):
@@ -440,6 +442,32 @@ def test_suite_config_validation():
         SuiteConfig(threads=4)
     with pytest.raises(TypeError):  # the suite checks the Pal-Firey constants only
         SuiteConfig(kind="bezdek")
+    # fixed: subdivision 6, displacement_stats' distance cap, 10 chord directions
+    for removed in ("subdivision", "distance_cap", "chakerian_directions"):
+        with pytest.raises(TypeError):
+            SuiteConfig(**{removed: 1})
+
+
+def test_checks_and_map_factories_take_no_settings():
+    # the constants kind, the chord directions and the map ids are constants;
+    # records keep constants_kind and directions in their params
+    functions = (
+        check_main_theorem, check_volume_bound, check_area_via_isoperimetric,
+        check_envelope, check_mean_width, check_pal_firey, check_chord_projection,
+        central_point_map, euclidean_antipode_map, half_perimeter_map,
+    )
+    assert {f.__name__: list(inspect.signature(f).parameters) for f in functions} == {
+        "check_main_theorem": ["body", "stats"],
+        "check_volume_bound": ["body", "stats"],
+        "check_area_via_isoperimetric": ["body", "stats"],
+        "check_envelope": ["body", "stats"],
+        "check_mean_width": ["body", "stats"],
+        "check_pal_firey": ["body", "seed"],
+        "check_chord_projection": ["body", "seed"],
+        "central_point_map": ["through"],
+        "euclidean_antipode_map": [],
+        "half_perimeter_map": [],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +478,8 @@ def test_suite_config_validation():
 def test_jsonl_and_csv_roundtrip_exactly(small_suite, tmp_path):
     jpath = tmp_path / "records.jsonl"
     cpath = tmp_path / "records.csv"
-    write_records_jsonl(small_suite.records, jpath)
-    write_records_csv(small_suite.records, cpath)
+    jpath.write_text(records_to_jsonl(small_suite.records), encoding="utf-8")
+    cpath.write_text(records_to_csv(small_suite.records), encoding="utf-8")
     assert load_records_jsonl(jpath) == small_suite.records
     assert load_records_csv(cpath) == small_suite.records
 
@@ -498,8 +526,8 @@ def test_chord_projection_rhs_equals_two_rays_per_direction():
     from dispbound.geometry import substream, unit_directions
 
     body = random_polytope(55, 24)
-    rec = check_chord_projection(body, directions=12, seed=4)
-    dirs = unit_directions(substream(4, "chord-projection", body.body_id), 12, 3)
+    rec = check_chord_projection(body, seed=4)
+    dirs = unit_directions(substream(4, "chord-projection", body.body_id), CHORD_DIRECTIONS, 3)
     center = body.solid_centroid()
     rhs = []
     for u in dirs:
