@@ -535,8 +535,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False throughout: a prefix of an option is an error, not
+    # that option
     parser = argparse.ArgumentParser(
         prog="dispbound",
+        allow_abbrev=False,
         description=(
             "Displacement-based area, volume, and width bounds for convex "
             "hypersurfaces: constants, asymptotics, and geometric verification."
@@ -544,26 +547,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "constants", help="per-dimension crossing constants table"
-    )
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    p = command("constants", "per-dimension crossing constants table")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--kind", choices=KINDS, default=DEFAULT_KIND)
     _add_output_options(p)
     p.set_defaults(handler=cmd_constants)
 
-    p = sub.add_parser(
-        "scan-ab", help="scan the crossing-ordering ratio a_n/b_n over a range"
-    )
+    p = command("scan-ab", "scan the crossing-ordering ratio a_n/b_n over a range")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=100_000)
     _add_output_options(p)
     p.set_defaults(handler=cmd_scan_ab)
 
-    p = sub.add_parser(
-        "asymptotics", help="exact pipeline values against large-n formulas"
-    )
+    p = command("asymptotics", "exact pipeline values against large-n formulas")
     p.add_argument("--quantity", choices=QUANTITIES, default="log_h_n")
     p.add_argument(
         "--n", default="100,1000,10000", metavar="N1,N2,...",
@@ -573,18 +573,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
     p.set_defaults(handler=cmd_asymptotics)
 
-    p = sub.add_parser(
-        "verify", help="run the geometric verification suite"
-    )
+    p = command("verify", "run the geometric verification suite")
     p.add_argument("--seed", type=int, default=1729)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--polytopes", type=int, default=20)
     _add_output_options(p)
     p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser(
-        "geodesic", help="one intrinsic-distance query on a convex body"
-    )
+    p = command("geodesic", "one intrinsic-distance query on a convex body")
     p.add_argument(
         "--body-file", type=Path, default=None,
         help="load the body from a saved body file (default: the unit cube)",
@@ -602,18 +598,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
     p.set_defaults(handler=cmd_geodesic)
 
-    p = sub.add_parser(
-        "export", help="convert verification record files between formats"
-    )
+    p = command("export", "convert verification record files between formats")
     p.add_argument(
         "--input", type=Path, required=True, help="records to convert (.jsonl or .csv)"
     )
     _add_output_options(p)
     p.set_defaults(handler=cmd_export)
 
-    p = sub.add_parser(
+    p = command(
         "diff",
-        help="margin drift, status and pass flips, and added or dropped "
+        "margin drift, status and pass flips, and added or dropped "
         "records between two record files (exit 1 on a flip, an added or "
         "a dropped record)",
     )

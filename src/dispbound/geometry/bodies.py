@@ -134,19 +134,24 @@ BATCH_CELLS = 1 << 17
 def face_membership(p: np.ndarray, faces, vertices: np.ndarray, scale: float) -> np.ndarray:
     """The ``(m, F)`` boolean matrix whose row i marks the faces (closed
     convex polygons with outward normals over ``vertices``) that contain
-    point i of the checked ``(m, 3)`` float array ``p``."""
+    point i of the checked ``(m, 3)`` float array ``p``: one plane test for
+    all points and faces, then the edge test per face size on the pairs
+    near a face's plane."""
     tol = 1e-9 * scale
-    member = np.zeros((len(p), len(faces)), dtype=bool)
-    for fi, face in enumerate(faces):
-        near = np.flatnonzero(np.abs(np.vecdot(p, face.normal) - face.offset) <= tol)
-        if not len(near):
+    normals = np.array([face.normal for face in faces])
+    offsets = np.array([face.offset for face in faces])
+    member = np.abs(np.vecdot(p[:, None, :], normals) - offsets) <= tol
+    sizes = np.array([len(face.indices) for face in faces])
+    for size in np.unique(sizes):
+        group = np.flatnonzero(sizes == size)
+        point, g = np.nonzero(member[:, group])
+        if not len(point):
             continue
-        pts = vertices[list(face.indices)]
-        edges = np.roll(pts, -1, axis=0) - pts
-        rel = p[near, None, :] - pts
-        member[near, fi] = np.all(
-            np.cross(edges, rel) @ face.normal >= -tol * scale, axis=1
-        )
+        pts = vertices[np.array([faces[f].indices for f in group])]
+        edges = np.roll(pts, -1, axis=1) - pts
+        side = np.vecdot(np.cross(edges[g], p[point, None, :] - pts[g]),
+                         normals[group[g], None, :])
+        member[point, group[g]] = np.all(side >= -tol * scale, axis=1)
     return member
 
 
@@ -764,14 +769,38 @@ class Polytope3(ConvexBody):
 
     def intrinsic_distances_batch(self, xs, ys, subdivision: int | None = None):
         """Steiner-graph distances (upper bounds) on the graph of the given
-        subdivision, by default the polytope's own ``geodesic_subdivision``."""
+        subdivision, by default the polytope's own ``geodesic_subdivision``.
+
+        A single pair at a subdivision with no cached graph is answered on
+        the pruned graph of ``_fresh_pair_distance``, which is not cached."""
+        m = self.geodesic_subdivision if subdivision is None else int(subdivision)
+        xs, ys = _as_pairs(xs, ys, 3)
+        if m in self._graphs or len(xs) != 1:
+            return self._graph(m).pairwise_distances(xs, ys), UPPER_BOUND
+        return self._fresh_pair_distance(xs, ys, m), UPPER_BOUND
+
+    def _graph(self, m: int):
+        """The cached full graph at subdivision m, built on first use."""
         from .geodesic import GeodesicGraph  # local import to avoid a cycle
 
-        m = self.geodesic_subdivision if subdivision is None else int(subdivision)
         if m not in self._graphs:
             self._graphs[m] = GeodesicGraph(self, m)
-        graph: GeodesicGraph = self._graphs[m]  # type: ignore[assignment]
-        return graph.pairwise_distances(xs, ys), UPPER_BOUND
+        return self._graphs[m]
+
+    def _fresh_pair_distance(self, xs, ys, m: int) -> np.ndarray:
+        """The one-source answer of the full subdivision-m graph for one
+        pair, bit for bit: the cached vertex graph answers at m = 0;
+        otherwise the answer at the next coarser nested subdivision bounds
+        the path, and the graph at m keeps only the nodes within that bound
+        (see ``geodesic``)."""
+        from .geodesic import GeodesicGraph, coarser_subdivision
+
+        if m == 0:
+            graph = self._graph(0)
+        else:
+            bound = self._fresh_pair_distance(xs, ys, coarser_subdivision(m))[0]
+            graph = GeodesicGraph(self, m, within=(xs[0], ys[0], bound))
+        return graph._one_source_route(graph._query_edges(xs, ys))
 
     def sample_boundary(self, seed: int, count: int) -> np.ndarray:
         rng = substream(seed, "sample-boundary", self.body_id)

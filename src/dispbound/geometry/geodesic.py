@@ -29,13 +29,34 @@ The table is built by the first batch for which
 ``k (E_base + E_query) >= V E_base``, where V and E_base count the base
 graph's nodes and edges and E_query the batch's query edges; both sides
 estimate the edge relaxations of the two Dijkstra runs.  Once built, it
-answers every later batch.  A single pair on a fresh graph therefore
-keeps the one-source route, which costs a fraction of the table on a
-fine subdivision.
+answers every later batch.
+
+A single pair at a subdivision m whose graph is not cached (one
+``dispbound geodesic`` command) is answered without building that graph,
+on the part of it that a shortest path can use:
+
+* **Bound.**  For m' = ``coarser_subdivision(m)``, (m' + 1) divides
+  (m + 1), so every node of the graph at m' is a node of the graph at m
+  with the same coordinates (equal fractions i / (m' + 1) and j / (m + 1)
+  round to the same float), and every edge is an edge there with the
+  same length.  Scipy's Dijkstra returns the least float prefix sum over
+  all paths, and float addition is monotone, so the answer UB at m'
+  bounds the answer at m exactly.  UB comes from the same rule one level
+  down; the recursion ends at the vertex graph (m = 0), which is cached.
+* **Prune.**  By the triangle inequality every node u of a path no
+  longer than UB has |x - u| + |u - y| <= UB, up to the rounding of a
+  float path sum (relative 1e-12 over a few thousand edges).  The graph
+  at m keeps only the nodes with |x - u| + |u - y| <= UB (1 +
+  PRUNE_MARGIN) and the edges between them, so it still holds a shortest
+  path of the full graph.
+* **Solve.**  The one-source route on that subgraph returns the full
+  graph's answer bit for bit: the least prefix sum over a subset of the
+  paths that still holds a least one.  The pruned graphs are not cached.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +65,19 @@ from ..errors import DomainError
 from .bodies import BATCH_CELLS, _as_pairs, face_membership
 
 __all__ = ["GeodesicGraph"]
+
+# relative slack on the pruning bound of a single pair: far above the
+# rounding of a float path sum over a few thousand edges (about 1e-12)
+PRUNE_MARGIN = 1e-9
+
+
+def coarser_subdivision(m: int) -> int:
+    """The largest m' < m whose graph's nodes are nodes of the graph at m,
+    bit for bit: (m' + 1) divides (m + 1), and equal fractions i / (m' + 1)
+    and j / (m + 1) round to the same float t."""
+    n = m + 1
+    p = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+    return n // p - 1
 
 
 class _QueryEdges(NamedTuple):
@@ -65,52 +99,65 @@ class GeodesicGraph:
     to it, so a polytope that caches its graphs forms no reference cycle.
     """
 
-    def __init__(self, polytope, subdivision: int):
-        self.subdivision = int(subdivision)
-        m = self.subdivision
-        self._faces = polytope.faces
-        self._vertices = polytope.vertices
+    def __init__(self, polytope, subdivision: int, within=None):
+        """The graph at ``subdivision``; ``within = (x, y, bound)`` keeps
+        only the nodes u with |x - u| + |u - y| <= bound (1 + PRUNE_MARGIN)
+        and the edges between them (node ids stay those of the full graph)."""
+        self.subdivision = m = int(subdivision)
+        self._faces = faces = polytope.faces
+        self._vertices = vertices = polytope.vertices
         self._scale = polytope._scale
 
-        nodes = [polytope.vertices]
-        # node ids: polytope vertices first, then m interior points per edge
-        edge_node_ids: dict[tuple[int, int], np.ndarray] = {}
-        next_id = len(polytope.vertices)
-        for a, b in polytope.edges:
-            if m:
-                t = (np.arange(1, m + 1) / (m + 1))[:, None]
-                nodes.append(polytope.vertices[a] * (1 - t) + polytope.vertices[b] * t)
-            edge_node_ids[(a, b)] = np.arange(next_id, next_id + m)
-            next_id += m
-        self.nodes = np.concatenate(nodes, axis=0)
+        # node ids: polytope vertices first, then m interior points per edge,
+        # edge e of polytope.edges holding V + e m, ..., V + e m + m - 1
+        ends = np.array(polytope.edges, dtype=np.intp).reshape(-1, 2)
+        t = (np.arange(1, m + 1) / (m + 1))[:, None]
+        inner = vertices[ends[:, 0], None] * (1 - t) + vertices[ends[:, 1], None] * t
+        self.nodes = np.concatenate([vertices, inner.reshape(-1, 3)], axis=0)
+        n = len(self.nodes)
+        keep = np.ones(n + 1, dtype=bool)  # the last entry marks padding
+        keep[-1] = False
+        if within is not None:
+            x, y, bound = within
+            keep[:n] = (
+                np.linalg.norm(self.nodes - x, axis=1)
+                + np.linalg.norm(self.nodes - y, axis=1)
+            ) <= bound * (1.0 + PRUNE_MARGIN)
 
-        self.face_node_ids: list[np.ndarray] = []
-        for face in polytope.faces:
-            ids = list(face.indices)
-            k = len(face.indices)
-            for i in range(k):
-                a, b = face.indices[i], face.indices[(i + 1) % k]
-                ids.extend(edge_node_ids[(min(a, b), max(a, b))])
-            self.face_node_ids.append(np.array(sorted(ids)))
+        # one row per face: its node ids ascending, padded with n up to the
+        # largest face; pruned nodes become padding too
+        width = max(len(face.indices) for face in faces)
+        corner = np.full((len(faces), width), n)
+        after = np.full((len(faces), width), n)  # the next vertex round the face
+        for f, face in enumerate(faces):
+            corner[f, :len(face.indices)] = face.indices
+            after[f, :len(face.indices)] = face.indices[1:] + face.indices[:1]
+        # polytope.edges is sorted, so its keys a V + b (a < b) are too
+        keys = ends[:, 0] * len(vertices) + ends[:, 1]
+        side = np.searchsorted(keys, np.minimum(corner, after) * len(vertices)
+                               + np.maximum(corner, after))
+        interior = np.where((corner < n)[:, :, None],
+                            len(vertices) + m * side[:, :, None] + np.arange(m), n)
+        ids = np.concatenate([corner, interior.reshape(len(faces), -1)], axis=1)
+        ids[~keep[ids]] = n
+        ids.sort(axis=1)
+        ids = ids[:, :int((ids < n).sum(axis=1).max())]
 
         # base edges: every node pair sharing a face, in first-seen order;
         # an edge shared by two faces is kept once, as a dict would keep it
-        rows, cols, vals = [], [], []
-        for ids in self.face_node_ids:
-            pts = self.nodes[ids]
-            dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-            iu, ju = np.triu_indices(len(ids), k=1)
-            rows.append(ids[iu])
-            cols.append(ids[ju])
-            vals.append(dists[iu, ju])
-        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-        _, first = np.unique(rows * len(self.nodes) + cols, return_index=True)
+        iu, ju = np.triu_indices(ids.shape[1], k=1)
+        rows, cols = ids[:, iu].ravel(), ids[:, ju].ravel()
+        real = cols < n  # a pair with padding has it in its later slot
+        rows, cols = rows[real], cols[real]
+        _, first = np.unique(rows * n + cols, return_index=True)
         first.sort()
-        self._rows, self._cols, self._vals = rows[first], cols[first], vals[first]
+        self._rows, self._cols = rows[first], cols[first]
+        gaps = self.nodes[self._rows] - self.nodes[self._cols]
+        self._vals = np.linalg.norm(gaps, axis=1)
 
-        self._incidence = np.zeros((len(polytope.faces), len(self.nodes)), dtype=bool)
-        for f, ids in enumerate(self.face_node_ids):
-            self._incidence[f, ids] = True
+        face, slot = np.nonzero(ids < n)
+        self._incidence = np.zeros((len(faces), n), dtype=bool)
+        self._incidence[face, ids[face, slot]] = True
         self._table: np.ndarray | None = None
 
     @property
@@ -144,8 +191,12 @@ class GeodesicGraph:
             raise DomainError(
                 f"query point is not on the polytope boundary: {queries[off[0]]!r}"
             )
-        # each query to every node of its faces, by query and then by node id
-        query, node = np.nonzero(member @ self._incidence)
+        # each query to every node of its faces, by query and then by node id;
+        # in float32 the product counts shared faces exactly, on BLAS rather
+        # than numpy's boolean loop
+        query, node = np.nonzero(
+            np.matmul(member, self._incidence, dtype=np.float32) > 0
+        )
         length = np.linalg.norm(self.nodes[node] - queries[query], axis=1)
         k = len(xs)
         same = np.flatnonzero(np.any(member[:k] & member[k:], axis=1))

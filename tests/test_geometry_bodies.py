@@ -733,6 +733,51 @@ def test_batched_faces_containing_validation():
     assert box.faces_containing(np.empty((0, 3))).shape == (0, len(box.faces))
 
 
+def _per_face_membership(p, faces, vertices, scale):
+    """Face membership as a Python loop over faces: kept as the oracle for
+    the broadcast ``face_membership``."""
+    tol = 1e-9 * scale
+    member = np.zeros((len(p), len(faces)), dtype=bool)
+    for fi, face in enumerate(faces):
+        near = np.flatnonzero(np.abs(np.vecdot(p, face.normal) - face.offset) <= tol)
+        if not len(near):
+            continue
+        pts = vertices[list(face.indices)]
+        edges = np.roll(pts, -1, axis=0) - pts
+        rel = p[near, None, :] - pts
+        member[near, fi] = np.all(
+            np.cross(edges, rel) @ face.normal >= -tol * scale, axis=1
+        )
+    return member
+
+
+def test_face_membership_equals_per_face_loop():
+    from dispbound.geometry.bodies import face_membership
+
+    rng = substream(RNG_SEED, "membership-hulls")
+    bodies = [b for b in _suite_bodies(SuiteConfig(seed=1729))
+              if isinstance(b, Polytope3)]
+    bodies += [cube(1.0), random_polytope(2, 40)] + _mixed_face_polytopes() + [
+        Polytope3(unit_directions(rng, count, 3)) for count in (14, 20, 25)
+    ]
+    for i, body in enumerate(bodies):
+        samples = body.sample_boundary(i, 300)
+        a, b = np.array(body.edges).T
+        t = substream(i, "membership-edges").random((len(a), 1))
+        centre = body.interior_point()
+        points = np.concatenate([
+            samples, body.vertices, 0.5 * (body.vertices[a] + body.vertices[b]),
+            body.vertices[a] * (1 - t) + body.vertices[b] * t,
+            np.array([f.centroid for f in body.faces]),
+            # off the boundary, some within a few tolerances of it
+            *(centre + s * (samples[:50] - centre) for s in (0.9, 1.1, 1 + 1e-10, 1 + 1e-8)),
+        ])
+        assert np.array_equal(
+            face_membership(points, body.faces, body.vertices, body._scale),
+            _per_face_membership(points, body.faces, body.vertices, body._scale),
+        ), body.body_id
+
+
 def _scalar_faces_containing(body, p):
     """Per-point, per-face membership as the scalar route computed it."""
     tol = 1e-9 * body._scale
@@ -747,10 +792,15 @@ def _scalar_faces_containing(body, p):
     return hits
 
 
+def _face_node_ids(graph):
+    """Each face's node ids, ascending, from the graph's incidence matrix."""
+    return [np.flatnonzero(row) for row in graph._incidence]
+
+
 def _dict_base_weights(graph):
     """Base-graph edge weights built in a Python dict, first-seen order."""
     weights = {}
-    for ids in graph.face_node_ids:
+    for ids in _face_node_ids(graph):
         pts = graph.nodes[ids]
         dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         iu, ju = np.triu_indices(len(ids), k=1)
@@ -768,11 +818,11 @@ def _dict_route_distances(body, graph, xs, ys, weights=None):
     weights = _dict_base_weights(graph) if weights is None else weights
     k, base = len(xs), graph.node_count
     queries = np.concatenate([xs, ys], axis=0)
-    extra, query_faces = {}, []
+    extra, query_faces, face_ids = {}, [], _face_node_ids(graph)
     for qi, point in enumerate(queries):
         faces = _scalar_faces_containing(body, point)
         query_faces.append(set(faces))
-        node_ids = np.unique(np.concatenate([graph.face_node_ids[f] for f in faces]))
+        node_ids = np.unique(np.concatenate([face_ids[f] for f in faces]))
         lengths = np.linalg.norm(graph.nodes[node_ids] - point, axis=1)
         for nid, w in zip(node_ids, lengths):
             extra[(int(nid), base + qi)] = float(w)
@@ -853,11 +903,119 @@ def test_table_route_matches_dict_route_pair_by_pair(seed, vertices):
 def test_fresh_single_pair_query_builds_no_table():
     body = Polytope3(unit_directions(substream(RNG_SEED, "cold"), 25, 3))
     x, y = body.sample_boundary(4, 2)
-    values, _ = body.intrinsic_distances_batch(x[None], y[None], 32)
-    value = values[0]
-    graph = body._graphs[32]
-    assert graph._table is None
-    assert value == graph._one_source_route(graph._query_edges(x[None], y[None]))[0]
+    values, kind = body.intrinsic_distances_batch(x[None], y[None], 32)
+    full = GeodesicGraph(body, 32)
+    assert kind == "upper_bound" and 32 not in body._graphs
+    assert values[0] == full._one_source_route(full._query_edges(x[None], y[None]))[0]
+
+
+# A fresh single pair runs on the part of the graph its shortest path can
+# use (see geometry/geodesic.py); it must return the full graph's one-source
+# answer bit for bit.  The bodies are those of the geodesic benchmark (the
+# cube and sphere hulls with 14-25 vertices), a 40-vertex polytope and two
+# polytopes with faces of mixed sizes.
+
+
+def _mixed_face_polytopes():
+    """A triangular prism and a cube with one corner cut off: faces of
+    three, four and five vertices."""
+    angles = np.arange(3) * 2 * np.pi / 3
+    prism = [[np.cos(a), np.sin(a), z] for a in angles for z in (-1.0, 1.0)]
+    corners = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)][:-1]
+    cut = corners + [[1, 1, 0.5], [1, 0.5, 1], [0.5, 1, 1]]
+    return [Polytope3(np.array(prism)), Polytope3(np.array(cut, dtype=float))]
+
+
+def _fresh_pair_bodies(seed):
+    rng = substream(seed, "fresh-pair-bodies")
+    return [cube(1.0)] + [
+        Polytope3(unit_directions(rng, count, 3)) for count in (14, 18, 25)
+    ] + [random_polytope(seed, 40)] + _mixed_face_polytopes()
+
+
+def _fresh_pairs(body, seed):
+    """Sampled pairs plus the cases a rounding slip would show in: vertices,
+    points on one edge (their chords equal their path lengths), edge
+    midpoints, face centres and same-face pairs."""
+    rng = substream(seed, "fresh-pairs", body.body_id)
+    v, (a, b) = body.vertices, np.array(body.edges).T
+    e = rng.integers(0, len(a), 3)
+    t = rng.random((3, 2))
+    face = body.faces[int(rng.integers(len(body.faces)))]
+    centres = np.array([f.centroid for f in body.faces])
+    xs = np.concatenate([
+        body.sample_boundary(seed, 2),
+        v[a[e]] * (1 - t[:, :1]) + v[b[e]] * t[:, :1],  # same edge
+        v[a[e[:1]]],  # an edge's two ends
+        v[rng.integers(0, len(v), 1)],  # a vertex
+        0.5 * (v[a[e[1:2]]] + v[b[e[1:2]]]),  # an edge midpoint
+        centres[rng.integers(0, len(centres), 1)],
+        face.centroid[None],  # same face
+    ])
+    ys = np.concatenate([
+        body.sample_boundary(seed + 1, 2),
+        v[a[e]] * (1 - t[:, 1:]) + v[b[e]] * t[:, 1:],
+        v[b[e[:1]]],
+        body.sample_boundary(seed + 2, 1),
+        v[rng.integers(0, len(v), 1)],
+        centres[rng.integers(0, len(centres), 1)],
+        (0.3 * face.centroid + 0.7 * v[face.indices[0]])[None],
+    ])
+    return xs, ys
+
+
+@pytest.mark.parametrize("seed", [1729, 4242])
+def test_fresh_single_pair_equals_full_graph_bit_for_bit(seed):
+    for body in _fresh_pair_bodies(seed):
+        xs, ys = _fresh_pairs(body, seed)
+        for m in (1, 6, 8, 15, 32):
+            full = GeodesicGraph(body, m)
+            for x, y in zip(xs, ys):
+                got, _ = body.intrinsic_distances_batch(x[None], y[None], m)
+                want = full._one_source_route(full._query_edges(x[None], y[None]))
+                assert got[0] == want[0], (body.body_id, m, x, y)
+            assert set(body._graphs) == {0}  # only the vertex graph is kept
+
+
+def test_fresh_single_pair_refuses_off_boundary_points_as_the_full_graph():
+    body = random_polytope(5, 20)
+    on = body.sample_boundary(1, 1)[0]
+    off = 0.5 * on
+    full = GeodesicGraph(body, 32)
+    for x, y in ((off, on), (on, off)):
+        with pytest.raises(DomainError) as fresh:
+            body.intrinsic_distances_batch(x[None], y[None], 32)
+        with pytest.raises(DomainError) as built:
+            full.pairwise_distances(x[None], y[None])
+        assert str(fresh.value) == str(built.value)
+    assert 32 not in body._graphs
+
+
+def test_coarser_subdivision_nodes_are_nodes_of_the_finer_graph():
+    from dispbound.geometry.geodesic import coarser_subdivision
+
+    assert [coarser_subdivision(m) for m in (1, 2, 5, 6, 8, 15, 32, 63)] == [
+        0, 0, 2, 0, 2, 7, 10, 31,
+    ]
+    for m in range(1, 100):
+        c = coarser_subdivision(m)
+        assert (m + 1) % (c + 1) == 0
+        assert not any((m + 1) % (d + 1) == 0 for d in range(c + 1, m))
+    body = random_polytope(7, 25)
+    v = len(body.vertices)
+    for m in (8, 15, 32):
+        c = coarser_subdivision(m)
+        fine, coarse = GeodesicGraph(body, m), GeodesicGraph(body, c)
+        step = (m + 1) // (c + 1)
+        # interior node i of edge e: v + e m + i - 1
+        picks = (v + m * np.arange(len(body.edges))[:, None]
+                 + step * np.arange(1, c + 1) - 1).ravel()
+        assert np.array_equal(coarse.nodes[v:], fine.nodes[picks])
+        # so every coarse edge is a fine edge with the same length
+        ids = np.concatenate([np.arange(v), picks])
+        fine_vals = dict(zip(zip(fine._rows.tolist(), fine._cols.tolist()), fine._vals))
+        for r, c_, w in zip(ids[coarse._rows], ids[coarse._cols], coarse._vals):
+            assert fine_vals[min(r, c_), max(r, c_)] == w
 
 
 def test_dropping_a_queried_polytope_frees_its_graph():
