@@ -4,6 +4,7 @@ from .bodies import (  # noqa: F401
     ConvexBody,
     CylinderBody,
     Face,
+    FaceTables,
     PolygonBoundary,
     Polytope3,
     SphereBody,

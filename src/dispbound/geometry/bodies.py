@@ -11,6 +11,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "ConvexBody",
     "CylinderBody",
     "Face",
+    "FaceTables",
     "PolygonBoundary",
     "Polytope3",
     "SphereBody",
@@ -131,23 +133,22 @@ def _wrap_angle(delta: float | np.ndarray):
 BATCH_CELLS = 1 << 17
 
 
-def face_membership(p: np.ndarray, faces, vertices: np.ndarray, scale: float) -> np.ndarray:
+def face_membership(p: np.ndarray, faces: FaceTables, vertices: np.ndarray,
+                    scale: float) -> np.ndarray:
     """The ``(m, F)`` boolean matrix whose row i marks the faces (closed
     convex polygons with outward normals over ``vertices``) that contain
     point i of the checked ``(m, 3)`` float array ``p``: one plane test for
     all points and faces, then the edge test per face size on the pairs
     near a face's plane."""
     tol = 1e-9 * scale
-    normals = np.array([face.normal for face in faces])
-    offsets = np.array([face.offset for face in faces])
-    member = np.abs(np.vecdot(p[:, None, :], normals) - offsets) <= tol
-    sizes = np.array([len(face.indices) for face in faces])
-    for size in np.unique(sizes):
-        group = np.flatnonzero(sizes == size)
+    normals = faces.normals
+    member = np.abs(np.vecdot(p[:, None, :], normals) - faces.offsets) <= tol
+    for size in np.unique(faces.sizes).tolist():
+        group = np.flatnonzero(faces.sizes == size)
         point, g = np.nonzero(member[:, group])
         if not len(point):
             continue
-        pts = vertices[np.array([faces[f].indices for f in group])]
+        pts = vertices[faces.ids[group, :size]]
         edges = np.roll(pts, -1, axis=1) - pts
         side = np.vecdot(np.cross(edges[g], p[point, None, :] - pts[g]),
                          normals[group[g], None, :])
@@ -638,11 +639,111 @@ class Face:
     fan_areas: np.ndarray  # triangles (0, i, i+1) of the ordered vertices
 
 
+class FaceTables(NamedTuple):
+    """A polytope's faces as read-only arrays, row f for face f.  Each
+    ``Face``'s normal is a view of its row of ``normals``; its centroid and
+    fan areas are views of read-only tables too."""
+
+    ids: np.ndarray  # (F, W) vertex ids in angle order, padded with V
+    after: np.ndarray  # (F, W) the next vertex id round the face, padded with V
+    sizes: np.ndarray  # (F,) vertex count
+    normals: np.ndarray  # (F, 3) outward unit normals
+    offsets: np.ndarray  # (F,) plane offsets: <normal, x> = offset
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _polytope_faces(vertices: np.ndarray, hull) -> tuple[tuple[Face, ...], FaceTables]:
+    """Merge coplanar hull simplices into faces, one array pass per face size.
+
+    Simplices whose equations agree to 7 digits form one face; its vertices
+    are ordered by angle about their mean in the plane of the first such
+    equation, and the plane is refit from the fan of the ordered vertices
+    (qhull's equations are loose by ~1e-8, too coarse for our tolerances).
+    Faces are sorted by (normal, offset) rounded to 9 digits, so face
+    indices are stable and documented.  Each step repeats the reduction of
+    a per-face loop bit for bit: ``(k, 3) @ (3,)`` products as stacked
+    ``matmul``, 1-D norms as ``sqrt(vecdot)``.
+    """
+    nv = len(vertices)
+    remap = np.zeros(len(hull.points), dtype=np.intp)
+    remap[hull.vertices] = np.arange(nv)
+    rounded = np.round(hull.equations, 7)
+    _, first, group = np.unique(rounded, axis=0, return_index=True, return_inverse=True)
+    # label the groups in the order their first simplex appears, whose
+    # rounded equation orients the face, as a dict keeps its first key
+    seen = np.argsort(first)
+    label = np.empty(len(seen), dtype=np.intp)
+    label[seen] = np.arange(len(seen))
+    planes = rounded[first[seen], :3]
+    # each group's distinct vertex ids, ascending, in contiguous runs
+    runs = np.unique(label[group.ravel(), None] * nv + remap[hull.simplices])
+    owner, vid = np.divmod(runs, nv)
+    sizes = np.bincount(owner, minlength=len(seen))
+    starts = np.cumsum(sizes) - sizes
+
+    count, width = len(seen), int(sizes.max())
+    ids = np.full((count, width), nv)
+    normals, centroids = np.empty((count, 3)), np.empty((count, 3))
+    offsets, areas = np.empty(count), np.empty(count)
+    fan_areas = np.zeros((count, width - 2))  # padded with zeros
+    for k in np.unique(sizes).tolist():
+        faces = np.flatnonzero(sizes == k)
+        unique = vid[starts[faces, None] + np.arange(k)]
+        coords = vertices[unique]
+        centre = coords.mean(axis=1)
+        plane = planes[faces] / np.sqrt(np.vecdot(planes[faces], planes[faces]))[:, None]
+        basis_u = coords[:, 0] - centre
+        basis_u = basis_u / np.sqrt(np.vecdot(basis_u, basis_u))[:, None]
+        basis_v = np.cross(plane, basis_u)
+        rel = coords - centre[:, None]
+        angle = np.arctan2(np.matmul(rel, basis_v[:, :, None])[..., 0],
+                           np.matmul(rel, basis_u[:, :, None])[..., 0])
+        ordered = np.take_along_axis(unique, np.argsort(angle, axis=1), axis=1)
+        pts = vertices[ordered]
+        fans = np.cross(pts[:, 1:-1] - pts[:, :1], pts[:, 2:] - pts[:, :1])
+        refit = fans.sum(axis=1)
+        refit_norm = np.sqrt(np.vecdot(refit, refit))
+        if np.any((refit_norm <= 0.0) | (np.vecdot(refit, plane) <= 0.0)):
+            raise ConfigurationError("degenerate (zero-area) face in hull")
+        normal = refit / refit_norm[:, None]
+        ids[faces, :k] = ordered
+        normals[faces] = normal
+        areas[faces] = 0.5 * np.matmul(fans, normal[:, :, None])[..., 0].sum(axis=1)
+        offsets[faces] = np.matmul(pts, normal[:, :, None])[..., 0].mean(axis=1)
+        centroids[faces] = pts.mean(axis=1)
+        fan_areas[faces, :k - 2] = 0.5 * np.linalg.norm(fans, axis=2)
+
+    # a stable sort of the first-seen order, as a sort of the face list was
+    order = np.lexsort((
+        np.array([round(o, 9) for o in offsets.tolist()]),
+        *np.round(normals, 9).T[::-1],
+    ))
+    sizes, ids, normals, offsets = sizes[order], ids[order], normals[order], offsets[order]
+    areas, centroids, fan_areas = areas[order], centroids[order], fan_areas[order]
+    slot = np.arange(width)
+    after = np.where(slot < sizes[:, None],
+                     np.take_along_axis(ids, (slot + 1) % sizes[:, None], axis=1), nv)
+    tables = FaceTables(ids, after, sizes, normals, offsets)
+    _read_only(*tables, centroids, fan_areas)
+    faces = tuple(
+        Face(indices=tuple(ids[f, :k].tolist()), normal=normals[f],
+             offset=float(offsets[f]), area=float(areas[f]),
+             centroid=centroids[f], fan_areas=fan_areas[f, :k - 2])
+        for f, k in enumerate(sizes.tolist())
+    )
+    return faces, tables
+
+
 class Polytope3(ConvexBody):
     """Convex polytope in R^3 built from a vertex cloud via its hull.
 
-    Coplanar hull simplices are merged into true faces; faces are sorted
-    by (normal, offset) so face indices are stable and documented.
+    Coplanar hull simplices are merged into true faces (``_polytope_faces``);
+    faces are sorted by (normal, offset) so face indices are stable and
+    documented.
     """
 
     def __init__(self, vertices, body_id: str | None = None,
@@ -652,7 +753,8 @@ class Polytope3(ConvexBody):
             raise ConfigurationError("need at least four points in R^3")
         if not np.all(np.isfinite(pts)):
             raise ConfigurationError("vertices must be finite")
-        # scipy.spatial costs ~0.3 s to import; load it only to build a hull
+        # scipy.spatial takes 0.3-0.4 s to import, most of it scipy.sparse,
+        # which the geodesic graphs load too; import it only to build a hull
         from scipy.spatial import ConvexHull, QhullError
 
         try:
@@ -660,71 +762,34 @@ class Polytope3(ConvexBody):
         except QhullError as exc:
             raise ConfigurationError(f"degenerate vertex cloud: {exc}") from exc
         self.vertices = pts[hull.vertices]
-        remap = {old: new for new, old in enumerate(hull.vertices)}
         self.ambient_dimension = 3
         if geodesic_subdivision < 0:
             raise ConfigurationError("geodesic subdivision must be nonnegative")
         self.geodesic_subdivision = int(geodesic_subdivision)
         self.body_id = body_id or f"polytope-{len(self.vertices)}v"
         self._scale = float(np.max(np.linalg.norm(self.vertices, axis=1))) or 1.0
-        self.faces = self._merge_faces(hull, remap)
-        self._check_euler()
+        self.faces, self.face_tables = _polytope_faces(self.vertices, hull)
+        self.edges = self._check_euler()
         self._graphs: dict[int, object] = {}
 
     # -- construction ------------------------------------------------------
 
-    def _merge_faces(self, hull, remap: dict[int, int]) -> tuple[Face, ...]:
-        groups: dict[tuple, list[int]] = {}
-        tol_key = 7  # round normals/offsets to group coplanar simplices
-        for simplex, eq in zip(hull.simplices, hull.equations):
-            key = tuple(np.round(eq, tol_key))
-            groups.setdefault(key, []).extend(remap[i] for i in simplex)
-        faces = []
-        for eq_key, idx in groups.items():
-            normal = np.array(eq_key[:3])
-            normal = normal / np.linalg.norm(normal)
-            unique = sorted(set(idx))
-            coords = self.vertices[unique]
-            centroid = coords.mean(axis=0)
-            # order vertices by angle in the face plane
-            basis_u = coords[0] - centroid
-            basis_u = basis_u / np.linalg.norm(basis_u)
-            basis_v = np.cross(normal, basis_u)
-            rel = coords - centroid
-            order = np.argsort(np.arctan2(rel @ basis_v, rel @ basis_u))
-            ordered = tuple(unique[i] for i in order)
-            pts = self.vertices[list(ordered)]
-            # refit the plane from the vertices themselves: qhull's facet
-            # equations are loose by ~1e-8, too coarse for our tolerances
-            fans = np.cross(pts[1:-1] - pts[0], pts[2:] - pts[0])
-            refit = fans.sum(axis=0)
-            refit_norm = float(np.linalg.norm(refit))
-            if refit_norm <= 0.0 or refit @ normal <= 0.0:
-                raise ConfigurationError("degenerate (zero-area) face in hull")
-            normal = refit / refit_norm
-            area = 0.5 * float(np.sum(fans @ normal))
-            offset = float(np.mean(pts @ normal))
-            faces.append(
-                Face(indices=ordered, normal=normal, offset=offset, area=area,
-                     centroid=pts.mean(axis=0),
-                     fan_areas=0.5 * np.linalg.norm(fans, axis=1))
-            )
-        faces.sort(key=lambda f: (tuple(np.round(f.normal, 9)), round(f.offset, 9)))
-        return tuple(faces)
-
-    def _check_euler(self) -> None:
-        edges = set()
-        for face in self.faces:
-            k = len(face.indices)
-            for i in range(k):
-                a, b = face.indices[i], face.indices[(i + 1) % k]
-                edges.add((min(a, b), max(a, b)))
-        v, e, f = len(self.vertices), len(edges), len(self.faces)
+    def _check_euler(self) -> np.ndarray:
+        """The ``(E, 2)`` edges (a, b), a < b, sorted; the hull must satisfy
+        V - E + F = 2."""
+        t = self.face_tables
+        v = len(self.vertices)
+        real = t.ids < v
+        a, b = t.ids[real], t.after[real]
+        keys = np.unique(np.minimum(a, b) * v + np.maximum(a, b))
+        e, f = len(keys), len(self.faces)
         if v - e + f != 2:
             raise ConfigurationError(
                 f"hull fails the Euler relation: V={v}, E={e}, F={f}"
             )
-        self.edges = tuple(sorted(edges))
+        edges = np.column_stack(np.divmod(keys, v))
+        _read_only(edges)
+        return edges
 
     # -- measurements -------------------------------------------------------
 
@@ -764,7 +829,7 @@ class Polytope3(ConvexBody):
         whose row i marks the faces containing point i.
         """
         p, single = _as_rows(point, 3)
-        member = face_membership(p, self.faces, self.vertices, self._scale)
+        member = face_membership(p, self.face_tables, self.vertices, self._scale)
         return np.flatnonzero(member[0]).tolist() if single else member
 
     def intrinsic_distances_batch(self, xs, ys, subdivision: int | None = None):
@@ -772,9 +837,12 @@ class Polytope3(ConvexBody):
         subdivision, by default the polytope's own ``geodesic_subdivision``.
 
         A single pair at a subdivision with no cached graph is answered on
-        the pruned graph of ``_fresh_pair_distance``, which is not cached."""
+        the pruned graph of ``_fresh_pair_distance``, which is not cached;
+        an empty batch builds no graph."""
         m = self.geodesic_subdivision if subdivision is None else int(subdivision)
         xs, ys = _as_pairs(xs, ys, 3)
+        if not len(xs):
+            return np.empty(0), UPPER_BOUND
         if m in self._graphs or len(xs) != 1:
             return self._graph(m).pairwise_distances(xs, ys), UPPER_BOUND
         return self._fresh_pair_distance(xs, ys, m), UPPER_BOUND
@@ -830,9 +898,8 @@ class Polytope3(ConvexBody):
     def ray_exit(self, origin, direction) -> np.ndarray:
         o = _as_point(origin, 3)
         d, single = _as_directions(direction, 3)
-        normals = np.array([f.normal for f in self.faces])
-        offsets = np.array([f.offset for f in self.faces])
-        best = _nearest_exit(offsets - np.vecdot(normals, o), normals, d)
+        t = self.face_tables
+        best = _nearest_exit(t.offsets - np.vecdot(t.normals, o), t.normals, d)
         return _exit_points(o, d, best, single, "polytope")
 
 

@@ -104,13 +104,13 @@ class GeodesicGraph:
         only the nodes u with |x - u| + |u - y| <= bound (1 + PRUNE_MARGIN)
         and the edges between them (node ids stay those of the full graph)."""
         self.subdivision = m = int(subdivision)
-        self._faces = faces = polytope.faces
+        self._faces = faces = polytope.face_tables
         self._vertices = vertices = polytope.vertices
         self._scale = polytope._scale
 
         # node ids: polytope vertices first, then m interior points per edge,
         # edge e of polytope.edges holding V + e m, ..., V + e m + m - 1
-        ends = np.array(polytope.edges, dtype=np.intp).reshape(-1, 2)
+        ends = polytope.edges
         t = (np.arange(1, m + 1) / (m + 1))[:, None]
         inner = vertices[ends[:, 0], None] * (1 - t) + vertices[ends[:, 1], None] * t
         self.nodes = np.concatenate([vertices, inner.reshape(-1, 3)], axis=0)
@@ -126,27 +126,27 @@ class GeodesicGraph:
 
         # one row per face: its node ids ascending, padded with n up to the
         # largest face; pruned nodes become padding too
-        width = max(len(face.indices) for face in faces)
-        corner = np.full((len(faces), width), n)
-        after = np.full((len(faces), width), n)  # the next vertex round the face
-        for f, face in enumerate(faces):
-            corner[f, :len(face.indices)] = face.indices
-            after[f, :len(face.indices)] = face.indices[1:] + face.indices[:1]
+        count, padding = len(faces.ids), faces.ids == len(vertices)
+        corner = np.where(padding, n, faces.ids)
+        after = np.where(padding, n, faces.after)  # the next vertex round the face
         # polytope.edges is sorted, so its keys a V + b (a < b) are too
         keys = ends[:, 0] * len(vertices) + ends[:, 1]
         side = np.searchsorted(keys, np.minimum(corner, after) * len(vertices)
                                + np.maximum(corner, after))
         interior = np.where((corner < n)[:, :, None],
                             len(vertices) + m * side[:, :, None] + np.arange(m), n)
-        ids = np.concatenate([corner, interior.reshape(len(faces), -1)], axis=1)
+        ids = np.concatenate([corner, interior.reshape(count, -1)], axis=1)
         ids[~keep[ids]] = n
         ids.sort(axis=1)
-        ids = ids[:, :int((ids < n).sum(axis=1).max())]
+        kept = (ids < n).sum(axis=1)
+        ids = ids[:, :int(kept.max())]
 
         # base edges: every node pair sharing a face, in first-seen order;
-        # an edge shared by two faces is kept once, as a dict would keep it
+        # an edge shared by two faces is kept once, as a dict would keep it.
+        # A face left with fewer than two nodes by pruning has no pair.
+        pairs = ids[kept >= 2]
         iu, ju = np.triu_indices(ids.shape[1], k=1)
-        rows, cols = ids[:, iu].ravel(), ids[:, ju].ravel()
+        rows, cols = pairs[:, iu].ravel(), pairs[:, ju].ravel()
         real = cols < n  # a pair with padding has it in its later slot
         rows, cols = rows[real], cols[real]
         _, first = np.unique(rows * n + cols, return_index=True)
@@ -156,7 +156,7 @@ class GeodesicGraph:
         self._vals = np.linalg.norm(gaps, axis=1)
 
         face, slot = np.nonzero(ids < n)
-        self._incidence = np.zeros((len(faces), n), dtype=bool)
+        self._incidence = np.zeros((count, n), dtype=bool)
         self._incidence[face, ids[face, slot]] = True
         self._table: np.ndarray | None = None
 

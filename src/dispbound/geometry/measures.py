@@ -68,8 +68,8 @@ def min_width(body: ConvexBody) -> WidthResult:
         return WidthResult(across, along[::-1])
     if not isinstance(body, Polytope3):
         raise DomainError(f"no exact minimum width for {type(body).__name__}")
-    best = _narrowest(body, np.array([f.normal for f in body.faces]))
-    a, b = np.array(body.edges).T
+    best = _narrowest(body, body.face_tables.normals)
+    a, b = body.edges.T
     edges = body.vertices[b] - body.vertices[a]
     # blocks of edges crossed with every edge, each block's directions times
     # the vertices within BATCH_CELLS; every block meets a non-parallel edge

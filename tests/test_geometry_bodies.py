@@ -12,6 +12,7 @@ from dispbound.errors import ConfigurationError, DomainError
 from dispbound.geometry import (
     ConvexBody,
     CylinderBody,
+    Face,
     GeodesicGraph,
     PolygonBoundary,
     Polytope3,
@@ -516,6 +517,100 @@ def test_polytope_fan_areas_sum_to_face_areas():
         assert face.fan_areas.sum() == pytest.approx(face.area, rel=1e-12)
 
 
+def _per_face_faces(vertices, hull):
+    """Faces merged from the hull simplices in a Python loop over facets:
+    kept as the oracle for the array-built ``_polytope_faces``."""
+    remap = {old: new for new, old in enumerate(hull.vertices)}
+    groups = {}
+    for simplex, eq in zip(hull.simplices, hull.equations):
+        groups.setdefault(tuple(np.round(eq, 7)), []).extend(remap[i] for i in simplex)
+    faces = []
+    for eq_key, idx in groups.items():
+        normal = np.array(eq_key[:3])
+        normal = normal / np.linalg.norm(normal)
+        unique = sorted(set(idx))
+        coords = vertices[unique]
+        centroid = coords.mean(axis=0)
+        basis_u = coords[0] - centroid
+        basis_u = basis_u / np.linalg.norm(basis_u)
+        basis_v = np.cross(normal, basis_u)
+        rel = coords - centroid
+        order = np.argsort(np.arctan2(rel @ basis_v, rel @ basis_u))
+        ordered = tuple(unique[i] for i in order)
+        pts = vertices[list(ordered)]
+        fans = np.cross(pts[1:-1] - pts[0], pts[2:] - pts[0])
+        refit = fans.sum(axis=0)
+        normal = refit / float(np.linalg.norm(refit))
+        faces.append(Face(
+            indices=ordered, normal=normal, offset=float(np.mean(pts @ normal)),
+            area=0.5 * float(np.sum(fans @ normal)), centroid=pts.mean(axis=0),
+            fan_areas=0.5 * np.linalg.norm(fans, axis=1),
+        ))
+    faces.sort(key=lambda f: (tuple(np.round(f.normal, 9)), round(f.offset, 9)))
+    return tuple(faces)
+
+
+def _prism(sides):
+    angles = 2 * np.pi * np.arange(sides) / sides
+    return Polytope3(np.array([[np.cos(a), np.sin(a), z] for a in angles for z in (-1.0, 1.0)]),
+                     body_id=f"prism-{sides}")
+
+
+def _oracle_face_bodies():
+    """The cube, the regular tetrahedron, prisms (merged coplanar facets),
+    random polytopes, the suite's pancake and cigar, and cubes with a corner
+    moved by 1e-9, which the 7-digit grouping merges back."""
+    corners = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0)
+                        for z in (-1.0, 1.0)])
+    moved = [corners + np.where(np.arange(8)[:, None] == 7, shift, 0.0)
+             for shift in ([1e-9, 0, 0], [0, 0, -1e-9], [1e-9, 1e-9, 1e-9])]
+    tetrahedron = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
+    return (
+        [cube(1.0), cube(2.0), Polytope3(tetrahedron)]
+        + [_prism(sides) for sides in range(3, 12)]
+        + [random_polytope(seed, 14 + seed % 12) for seed in range(60)]
+        + [b for seed in (0, 1729) for b in _suite_bodies(SuiteConfig(seed=seed, polytope_count=0))
+           if b.body_id in ("pancake-flat", "cigar-long")]
+        + [Polytope3(c) for c in moved]
+    )
+
+
+def test_array_built_faces_equal_per_face_loop(monkeypatch):
+    import dispbound.geometry.bodies as bodies
+
+    built = []
+    real = bodies._polytope_faces
+
+    def recording(vertices, hull):
+        faces, tables = real(vertices, hull)
+        built.append((vertices, hull, faces, tables))
+        return faces, tables
+
+    monkeypatch.setattr(bodies, "_polytope_faces", recording)
+    names = [body.body_id for body in _oracle_face_bodies()]
+    assert len(built) == len(names)
+    # a k-gon prism's side rectangles are merged from two facets each
+    assert [len(faces) for _, _, faces, _ in built[3:12]] == [k + 2 for k in range(3, 12)]
+    assert [len(faces) for _, _, faces, _ in built[-3:]] == [6, 6, 6]
+    for name, (vertices, hull, faces, tables) in zip(names, built):
+        expected = _per_face_faces(vertices, hull)
+        assert len(faces) == len(expected), name
+        for got, want in zip(faces, expected):
+            assert got.indices == want.indices, name
+            assert all(type(i) is int for i in got.indices)
+            assert type(got.offset) is float and type(got.area) is float
+            for field in ("normal", "offset", "area", "centroid", "fan_areas"):
+                a, b = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, field)
+        # the faces read the same read-only tables
+        for f, face in enumerate(faces):
+            assert np.shares_memory(face.normal, tables.normals)
+            assert tables.ids[f, :tables.sizes[f]].tolist() == list(face.indices)
+            assert tables.offsets[f] == face.offset
+        for table in (*tables, faces[0].centroid, faces[0].fan_areas):
+            assert not table.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # geodesic graph
 # ---------------------------------------------------------------------------
@@ -773,7 +868,7 @@ def test_face_membership_equals_per_face_loop():
             *(centre + s * (samples[:50] - centre) for s in (0.9, 1.1, 1 + 1e-10, 1 + 1e-8)),
         ])
         assert np.array_equal(
-            face_membership(points, body.faces, body.vertices, body._scale),
+            face_membership(points, body.face_tables, body.vertices, body._scale),
             _per_face_membership(points, body.faces, body.vertices, body._scale),
         ), body.body_id
 
@@ -1016,6 +1111,39 @@ def test_coarser_subdivision_nodes_are_nodes_of_the_finer_graph():
         fine_vals = dict(zip(zip(fine._rows.tolist(), fine._cols.tolist()), fine._vals))
         for r, c_, w in zip(ids[coarse._rows], ids[coarse._cols], coarse._vals):
             assert fine_vals[min(r, c_), max(r, c_)] == w
+
+
+def test_pruned_graph_is_the_full_graph_induced_on_its_kept_nodes():
+    from dispbound.geometry.geodesic import PRUNE_MARGIN, coarser_subdivision
+
+    for body in _fresh_pair_bodies(1729):
+        xs, ys = _fresh_pairs(body, 1729)
+        for m in (6, 10, 32):
+            full = GeodesicGraph(body, m)
+            for x, y in zip(xs[::2], ys[::2]):
+                bound = body.intrinsic_distances_batch(x[None], y[None],
+                                                       coarser_subdivision(m))[0][0]
+                pruned = GeodesicGraph(body, m, within=(x, y, bound))
+                keep = (np.linalg.norm(full.nodes - x, axis=1)
+                        + np.linalg.norm(full.nodes - y, axis=1)) <= bound * (1 + PRUNE_MARGIN)
+                induced = keep[full._rows] & keep[full._cols]
+                assert np.array_equal(pruned._rows, full._rows[induced])
+                assert np.array_equal(pruned._cols, full._cols[induced])
+                assert pruned._vals.tobytes() == full._vals[induced].tobytes()
+                assert np.array_equal(pruned._incidence, full._incidence & keep)
+                assert np.array_equal(pruned.nodes, full.nodes)
+
+
+def test_empty_polytope_batch_builds_no_graph():
+    body = random_polytope(4, 18)
+    empty = np.empty((0, 3))
+    for subdivision in (None, 0, 32):
+        values, kind = body.intrinsic_distances_batch(empty, empty, subdivision)
+        assert values.shape == (0,) and values.dtype == np.float64
+        assert kind == "upper_bound"
+    assert body._graphs == {}
+    with pytest.raises(DomainError):
+        body.intrinsic_distances_batch(empty, np.empty((1, 3)))
 
 
 def test_dropping_a_queried_polytope_frees_its_graph():
