@@ -395,8 +395,8 @@ def _resolve_point(body, spec: str) -> np.ndarray:
     if kind == "face-center":
         if not isinstance(body, Polytope3):
             raise ConfigurationError("face-center endpoints need a polytope body")
-        index = _spec_index(rest, len(body.faces), "face")
-        return np.asarray(body.faces[index].centroid, dtype=float)
+        centroids = body.face_tables.centroids
+        return centroids[_spec_index(rest, len(centroids), "face")]
     if kind == "vertex":
         if not isinstance(body, (Polytope3, PolygonBoundary)):
             raise ConfigurationError("vertex endpoints need a polytope or polygon")
@@ -534,36 +534,22 @@ def cmd_diff(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # allow_abbrev=False throughout: a prefix of an option is an error, not
-    # that option
-    parser = argparse.ArgumentParser(
-        prog="dispbound",
-        allow_abbrev=False,
-        description=(
-            "Displacement-based area, volume, and width bounds for convex "
-            "hypersurfaces: constants, asymptotics, and geometric verification."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help, allow_abbrev=False)
-
-    p = command("constants", "per-dimension crossing constants table")
+def _constants_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--kind", choices=KINDS, default=DEFAULT_KIND)
     _add_output_options(p)
     p.set_defaults(handler=cmd_constants)
 
-    p = command("scan-ab", "scan the crossing-ordering ratio a_n/b_n over a range")
+
+def _scan_ab_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=100_000)
     _add_output_options(p)
     p.set_defaults(handler=cmd_scan_ab)
 
-    p = command("asymptotics", "exact pipeline values against large-n formulas")
+
+def _asymptotics_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quantity", choices=QUANTITIES, default="log_h_n")
     p.add_argument(
         "--n", default="100,1000,10000", metavar="N1,N2,...",
@@ -573,14 +559,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
     p.set_defaults(handler=cmd_asymptotics)
 
-    p = command("verify", "run the geometric verification suite")
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1729)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--polytopes", type=int, default=20)
     _add_output_options(p)
     p.set_defaults(handler=cmd_verify)
 
-    p = command("geodesic", "one intrinsic-distance query on a convex body")
+
+def _geodesic_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--body-file", type=Path, default=None,
         help="load the body from a saved body file (default: the unit cube)",
@@ -598,29 +586,67 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
     p.set_defaults(handler=cmd_geodesic)
 
-    p = command("export", "convert verification record files between formats")
+
+def _export_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--input", type=Path, required=True, help="records to convert (.jsonl or .csv)"
     )
     _add_output_options(p)
     p.set_defaults(handler=cmd_export)
 
-    p = command(
-        "diff",
-        "margin drift, status and pass flips, and added or dropped "
-        "records between two record files (exit 1 on a flip, an added or "
-        "a dropped record)",
-    )
+
+def _diff_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("before", type=Path, help="records before (.jsonl or .csv)")
     p.add_argument("after", type=Path, help="records after (.jsonl or .csv)")
     _add_output_options(p)
     p.set_defaults(handler=cmd_diff)
 
+
+# subcommand -> (help, the function that adds its options)
+COMMANDS = {
+    "constants": ("per-dimension crossing constants table", _constants_options),
+    "scan-ab": ("scan the crossing-ordering ratio a_n/b_n over a range", _scan_ab_options),
+    "asymptotics": ("exact pipeline values against large-n formulas", _asymptotics_options),
+    "verify": ("run the geometric verification suite", _verify_options),
+    "geodesic": ("one intrinsic-distance query on a convex body", _geodesic_options),
+    "export": ("convert verification record files between formats", _export_options),
+    "diff": (
+        "margin drift, status and pass flips, and added or dropped "
+        "records between two record files (exit 1 on a flip, an added or "
+        "a dropped record)",
+        _diff_options,
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the one named ``command``: a
+    subcommand's parser and help read the same either way."""
+    # allow_abbrev=False throughout: a prefix of an option is an error, not
+    # that option
+    parser = argparse.ArgumentParser(
+        prog="dispbound",
+        allow_abbrev=False,
+        description=(
+            "Displacement-based area, volume, and width bounds for convex "
+            "hypersurfaces: constants, asymptotics, and geometric verification."
+        ),
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        # the usage line of an error names every subcommand, built or not
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}",
+    )
+    for name, (summary, add_options) in COMMANDS.items():
+        if command in (None, name):
+            add_options(sub.add_parser(name, help=summary, allow_abbrev=False))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a missing or unknown command needs every subcommand for its usage error
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

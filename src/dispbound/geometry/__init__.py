@@ -3,7 +3,6 @@
 from .bodies import (  # noqa: F401
     ConvexBody,
     CylinderBody,
-    Face,
     FaceTables,
     PolygonBoundary,
     Polytope3,

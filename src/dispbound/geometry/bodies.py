@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +21,6 @@ from .sampling import substream, unit_directions
 __all__ = [
     "ConvexBody",
     "CylinderBody",
-    "Face",
     "FaceTables",
     "PolygonBoundary",
     "Polytope3",
@@ -55,8 +53,9 @@ def _as_point(p, dim: int) -> np.ndarray:
 
 # The batch paths below use ``np.vecdot`` wherever a dot product of two
 # vectors is taken: it runs the same inner loop as a 1-D ``a @ b``, so a row
-# of a batch has the bits the same vector would have on its own (``d @ N.T``
-# and ``einsum`` do not).
+# of a batch has the bits the same vector would have on its own (``einsum``
+# does not).  A 2-D ``d @ N.T`` of two or more rows runs on BLAS gemm and has
+# those bits too; one row goes to gemv, which does not (see ``_row_dots``).
 
 
 def _as_rows(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -104,11 +103,20 @@ def _as_pairs(xs, ys, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
+def _row_dots(d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The ``(k, n)`` dot products of the rows of ``d`` with the rows of
+    ``m``, each with the bits of ``np.vecdot`` of the two vectors: one BLAS
+    product for two rows or more, ``vecdot`` for a single row."""
+    if len(d) == 1:
+        return np.vecdot(d[:, None, :], m)
+    return d @ m.T
+
+
 def _nearest_exit(numerators: np.ndarray, normals: np.ndarray,
                   d: np.ndarray) -> np.ndarray:
     """Smallest positive ``numerator / (normal . d)`` per row of ``d`` over
     the planes whose normal faces along ``d``; inf where there is none."""
-    denom = np.vecdot(d[:, None, :], normals)
+    denom = _row_dots(d, normals)
     t = np.full(denom.shape, np.inf)
     np.divide(numerators, denom, out=t, where=denom > 1e-15)
     t[t <= 0.0] = np.inf
@@ -125,8 +133,13 @@ def _exit_points(o: np.ndarray, d: np.ndarray, t: np.ndarray, single: bool,
 
 
 def _wrap_angle(delta: float | np.ndarray):
-    """Fold an angle difference into [0, pi]."""
-    return np.abs((np.asarray(delta) + np.pi) % (2.0 * np.pi) - np.pi)
+    """Fold an angle difference into [0, pi].  ``%`` returns an entry of
+    [0, 2 pi) as it is, so it runs only on the entries outside."""
+    shifted = np.add(delta, np.pi, out=np.empty(np.shape(delta)))
+    outside = (shifted < 0.0) | (shifted >= 2.0 * np.pi)
+    np.remainder(shifted, 2.0 * np.pi, out=shifted, where=outside)
+    shifted -= np.pi
+    return np.abs(shifted, out=shifted)[()]
 
 
 # float64 cells per temporary array of a chunked batch (1 MiB)
@@ -550,7 +563,7 @@ class PolygonBoundary(ConvexBody):
 
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
         d = _as_batch(directions, 2)
-        return np.max(np.vecdot(d[:, None, :], self.vertices), axis=1)
+        return np.max(_row_dots(d, self.vertices), axis=1)
 
     def boundary_area(self) -> float:
         return self.perimeter
@@ -569,13 +582,16 @@ class PolygonBoundary(ConvexBody):
         return self.vertices[idx] + t[..., None] * self._edges[idx]
 
     def arclengths_of(self, points: np.ndarray) -> np.ndarray:
-        """Arc-length parameters of on-boundary points (vectorized)."""
+        """Arc-length parameters of on-boundary points: each point's foot on
+        its nearest edge, computed on ``(points, edges)`` coordinate
+        columns."""
         p = np.asarray(points, dtype=np.float64)
-        rel = p[:, None, :] - self.vertices[None, :, :]
-        t = np.einsum("pek,ek->pe", rel, self._edges) / self._edge_lengths**2
-        t = np.clip(t, 0.0, 1.0)
-        foot = self.vertices[None] + t[..., None] * self._edges[None]
-        dist = np.linalg.norm(p[:, None, :] - foot, axis=2)
+        px, py = p[:, :1], p[:, 1:]
+        (vx, vy), (ex, ey) = self.vertices.T, self._edges.T
+        t = ((px - vx) * ex + (py - vy) * ey) / self._edge_lengths**2
+        np.clip(t, 0.0, 1.0, out=t)
+        dx, dy = px - (vx + t * ex), py - (vy + t * ey)
+        dist = np.sqrt(dx * dx + dy * dy)
         best = np.argmin(dist, axis=1)
         rows = np.arange(len(p))
         tol = 1e-9 * max(self.perimeter, 1.0)
@@ -627,28 +643,17 @@ def regular_polygon(sides: int, circumradius: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Face:
-    """One planar facet: ordered vertex indices plus derived measurements."""
-
-    indices: tuple[int, ...]
-    normal: np.ndarray  # outward unit normal
-    offset: float  # plane equation <normal, x> = offset
-    area: float
-    centroid: np.ndarray
-    fan_areas: np.ndarray  # triangles (0, i, i+1) of the ordered vertices
-
-
 class FaceTables(NamedTuple):
-    """A polytope's faces as read-only arrays, row f for face f.  Each
-    ``Face``'s normal is a view of its row of ``normals``; its centroid and
-    fan areas are views of read-only tables too."""
+    """A polytope's faces as read-only arrays, row f for face f."""
 
     ids: np.ndarray  # (F, W) vertex ids in angle order, padded with V
     after: np.ndarray  # (F, W) the next vertex id round the face, padded with V
     sizes: np.ndarray  # (F,) vertex count
     normals: np.ndarray  # (F, 3) outward unit normals
     offsets: np.ndarray  # (F,) plane offsets: <normal, x> = offset
+    areas: np.ndarray  # (F,)
+    centroids: np.ndarray  # (F, 3) vertex means
+    fan_areas: np.ndarray  # (F, W - 2) triangles (0, i, i+1), padded with 0
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -656,7 +661,7 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-def _polytope_faces(vertices: np.ndarray, hull) -> tuple[tuple[Face, ...], FaceTables]:
+def _polytope_faces(vertices: np.ndarray, hull) -> FaceTables:
     """Merge coplanar hull simplices into faces, one array pass per face size.
 
     Simplices whose equations agree to 7 digits form one face; its vertices
@@ -727,15 +732,9 @@ def _polytope_faces(vertices: np.ndarray, hull) -> tuple[tuple[Face, ...], FaceT
     slot = np.arange(width)
     after = np.where(slot < sizes[:, None],
                      np.take_along_axis(ids, (slot + 1) % sizes[:, None], axis=1), nv)
-    tables = FaceTables(ids, after, sizes, normals, offsets)
-    _read_only(*tables, centroids, fan_areas)
-    faces = tuple(
-        Face(indices=tuple(ids[f, :k].tolist()), normal=normals[f],
-             offset=float(offsets[f]), area=float(areas[f]),
-             centroid=centroids[f], fan_areas=fan_areas[f, :k - 2])
-        for f, k in enumerate(sizes.tolist())
-    )
-    return faces, tables
+    tables = FaceTables(ids, after, sizes, normals, offsets, areas, centroids, fan_areas)
+    _read_only(*tables)
+    return tables
 
 
 class Polytope3(ConvexBody):
@@ -768,7 +767,7 @@ class Polytope3(ConvexBody):
         self.geodesic_subdivision = int(geodesic_subdivision)
         self.body_id = body_id or f"polytope-{len(self.vertices)}v"
         self._scale = float(np.max(np.linalg.norm(self.vertices, axis=1))) or 1.0
-        self.faces, self.face_tables = _polytope_faces(self.vertices, hull)
+        self.face_tables = _polytope_faces(self.vertices, hull)
         self.edges = self._check_euler()
         self._graphs: dict[int, object] = {}
 
@@ -782,7 +781,7 @@ class Polytope3(ConvexBody):
         real = t.ids < v
         a, b = t.ids[real], t.after[real]
         keys = np.unique(np.minimum(a, b) * v + np.maximum(a, b))
-        e, f = len(keys), len(self.faces)
+        e, f = len(keys), len(t.sizes)
         if v - e + f != 2:
             raise ConfigurationError(
                 f"hull fails the Euler relation: V={v}, E={e}, F={f}"
@@ -793,32 +792,38 @@ class Polytope3(ConvexBody):
 
     # -- measurements -------------------------------------------------------
 
+    # Sums over faces and fan triangles run in face order as ``cumsum``, the
+    # sequential sum a Python loop makes (``np.sum`` would sum pairwise).
+
     def boundary_area(self) -> float:
-        return float(sum(f.area for f in self.faces))
+        return float(np.cumsum(self.face_tables.areas)[-1])
 
     def enclosed_volume(self) -> float:
+        t = self.face_tables
         g = self.vertices.mean(axis=0)
         # stack of cones over the faces from an interior apex
-        return float(
-            sum(f.area * (f.offset - f.normal @ g) for f in self.faces) / 3.0
-        )
+        cones = t.areas * (t.offsets - np.vecdot(t.normals, g))
+        return float(np.cumsum(cones)[-1] / 3.0)
 
     def solid_centroid(self) -> np.ndarray:
+        """Centroid of the solid: tetrahedra from the vertex mean over the
+        fan triangles (0, i, i+1) of every face, face by face."""
+        t = self.face_tables
         g = self.vertices.mean(axis=0)
-        total = 0.0
-        acc = np.zeros(3)
-        for face in self.faces:
-            pts = self.vertices[list(face.indices)]
-            for i in range(1, len(pts) - 1):
-                tet = np.array([pts[0], pts[i], pts[i + 1]])
-                vol = float(np.dot(np.cross(tet[1] - g, tet[2] - g), tet[0] - g)) / 6.0
-                acc += vol * (g + tet.sum(axis=0)) / 4.0
-                total += vol
-        return acc / total
+        face, i = np.nonzero(np.arange(t.fan_areas.shape[1]) < (t.sizes - 2)[:, None])
+        a = self.vertices[t.ids[face, 0]]
+        b = self.vertices[t.ids[face, i + 1]]
+        c = self.vertices[t.ids[face, i + 2]]
+        # (k, 1, 3) @ (k, 3, 1) takes each dot product as a 1-D ``np.dot``
+        cross = np.cross(b - g, c - g)
+        vol = np.matmul(cross[:, None, :], (a - g)[:, :, None])[:, 0, 0] / 6.0
+        moments = vol[:, None] * (g + ((a + b) + c)) / 4.0
+        acc = np.cumsum(np.concatenate([np.zeros((1, 3)), moments]), axis=0)[-1]
+        return acc / np.cumsum(np.concatenate([[0.0], vol]))[-1]
 
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
         d = _as_batch(directions, 3)
-        return np.max(np.vecdot(d[:, None, :], self.vertices), axis=1)
+        return np.max(_row_dots(d, self.vertices), axis=1)
 
     # -- boundary geometry ---------------------------------------------------
 
@@ -871,25 +876,42 @@ class Polytope3(ConvexBody):
         return graph._one_source_route(graph._query_edges(xs, ys))
 
     def sample_boundary(self, seed: int, count: int) -> np.ndarray:
+        """A face by area, then a fan triangle of it by area, then a uniform
+        point of the triangle.
+
+        The draws are those of one ``rng.choice`` per picked face, in face
+        order, each followed by that face's ``u`` and ``v`` draws: a choice
+        with ``p`` consumes exactly ``random(k)``, so one ``random(3 count)``
+        holds them all as contiguous slices.  The triangle is the choice's
+        ``searchsorted``, counted as the CDF entries at or below the draw.
+        """
         rng = substream(seed, "sample-boundary", self.body_id)
-        areas = np.array([f.area for f in self.faces])
-        face_pick = rng.choice(len(self.faces), size=count, p=areas / areas.sum())
+        t = self.face_tables
+        face_pick = rng.choice(len(t.areas), size=count, p=t.areas / t.areas.sum())
+        draws = rng.random(3 * count)
+        counts = np.bincount(face_pick, minlength=len(t.areas))
+        order = np.argsort(face_pick, kind="stable")
+        face = face_pick[order]
+        k = counts[face]
+        # sample j of a face whose first sample is number s draws at 3s + j
+        slot = 2 * (np.cumsum(counts) - counts)[face] + np.arange(count)
+        tri_draw, u, v = draws[slot], np.sqrt(draws[slot + k]), draws[slot + 2 * k]
+        # each face's fan CDF as ``choice`` builds it, padded with +inf; the
+        # rows of one fan count are summed as 1-D arrays of that length would be
+        cdf = np.full(t.fan_areas.shape, np.inf)
+        for fans in np.unique(t.sizes - 2).tolist():
+            rows = np.flatnonzero(t.sizes - 2 == fans)
+            p = t.fan_areas[rows, :fans]
+            p = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+            cdf[rows, :fans] = p / p[:, -1:]
+        tri = np.count_nonzero(cdf[face] <= tri_draw[:, None], axis=1)
+        a = self.vertices[t.ids[face, 0]]
+        b = self.vertices[t.ids[face, tri + 1]]
+        c = self.vertices[t.ids[face, tri + 2]]
         out = np.empty((count, 3))
-        for fi in np.unique(face_pick):
-            face = self.faces[fi]
-            mask = face_pick == fi
-            k = int(mask.sum())
-            pts = self.vertices[list(face.indices)]
-            tri_areas = face.fan_areas
-            tri_pick = rng.choice(len(tri_areas), size=k, p=tri_areas / tri_areas.sum())
-            u = np.sqrt(rng.random(k))
-            v = rng.random(k)
-            a = pts[0]
-            b = pts[tri_pick + 1]
-            c = pts[tri_pick + 2]
-            out[mask] = (1 - u)[:, None] * a + (u * (1 - v))[:, None] * b + (
-                u * v
-            )[:, None] * c
+        out[order] = (1 - u)[:, None] * a + (u * (1 - v))[:, None] * b + (
+            u * v
+        )[:, None] * c
         return out
 
     def interior_point(self) -> np.ndarray:

@@ -96,21 +96,31 @@ def _polygon_support_integral(body: PolygonBoundary) -> float:
 
 
 def _polytope_edge_sum(body: Polytope3) -> float:
-    """Sum over edges of length times the angle between the face normals."""
-    open_edges: dict[tuple[int, int], np.ndarray] = {}
-    total = 0.0
-    for face in body.faces:
-        for a, b in zip(face.indices, face.indices[1:] + face.indices[:1]):
-            other = open_edges.pop((min(a, b), max(a, b)), None)
-            if other is None:
-                open_edges[(min(a, b), max(a, b))] = face.normal
-                continue
-            across = np.linalg.norm(np.cross(other, face.normal))
-            angle = math.atan2(across, other @ face.normal)
-            total += np.linalg.norm(body.vertices[a] - body.vertices[b]) * angle
-    if open_edges:
-        raise ConfigurationError(f"edges {sorted(open_edges)} lie on only one face")
-    return float(total)
+    """Sum over edges of length times the angle between the face normals.
+
+    Half-edges are taken face by face, round each face; an edge's second
+    half-edge closes it, and the terms are summed one after another in
+    closing order, as a loop over a dict of open edges sums them."""
+    t = body.face_tables
+    nv = len(body.vertices)
+    real = t.ids < nv
+    face = np.nonzero(real)[0]
+    a, b = t.ids[real], t.after[real]
+    keys = np.minimum(a, b) * nv + np.maximum(a, b)
+    unique, counts = np.unique(keys, return_counts=True)
+    if np.any(counts % 2):
+        edges = [divmod(k, nv) for k in unique[counts % 2 == 1].tolist()]
+        raise ConfigurationError(f"edges {edges} lie on only one face")
+    # each edge's half-edges pair up in turn: the 1st with the 2nd, and so on
+    opener, closer = np.argsort(keys, kind="stable").reshape(-1, 2).T
+    by_close = np.argsort(closer)
+    opener, closer = opener[by_close], closer[by_close]
+    other, normal = t.normals[face[opener]], t.normals[face[closer]]
+    across = np.cross(other, normal)
+    angle = list(map(math.atan2, np.sqrt(np.vecdot(across, across)).tolist(),
+                     np.vecdot(other, normal).tolist()))
+    d = body.vertices[a[closer]] - body.vertices[b[closer]]
+    return float(np.cumsum(np.sqrt(np.vecdot(d, d)) * angle)[-1])
 
 
 def _ball_ratio(k: int) -> float:

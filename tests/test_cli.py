@@ -1,9 +1,11 @@
 """Tests for the command-line front end (in-process via cli.main)."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -567,12 +569,12 @@ OPTION_SURFACE = {
 }
 
 
-def test_option_surface_is_pinned():
+def _option_surface(parser):
     (commands,) = [
-        action.choices for action in cli.build_parser()._actions
+        action.choices for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
-    surface = {
+    return {
         name: {
             option
             for action in parser._actions if not isinstance(action, argparse._HelpAction)
@@ -580,7 +582,40 @@ def test_option_surface_is_pinned():
         }
         for name, parser in commands.items()
     }
-    assert surface == OPTION_SURFACE
+
+
+def test_option_surface_is_pinned():
+    assert _option_surface(cli.build_parser()) == OPTION_SURFACE
+    # main builds only the chosen subcommand's parser, with the same options
+    for name in OPTION_SURFACE:
+        assert _option_surface(cli.build_parser(name)) == {name: OPTION_SURFACE[name]}
+
+
+def _full_parser_run(argv):
+    """Exit code and output of the parser of every subcommand on ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.build_parser().parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["verif"], ["--help"], ["-h", "verify"], ["--bogus", "verify"],
+    *([name, "--help"] for name in OPTION_SURFACE),
+    *([name, "--bogus", "1"] for name in OPTION_SURFACE),
+    ["verify", "--fo", "csv"], ["verify", "constants"], ["geodesic", "--to", "vertex:0"],
+    ["constants", "--format", "yaml"], ["diff", "only-one.jsonl"],
+], ids=" ".join)
+def test_main_reads_as_the_parser_of_every_subcommand(capsys, monkeypatch, argv):
+    # help and usage errors, also those naming every subcommand, are the
+    # full parser's, whichever parser main builds
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == _full_parser_run(argv)
 
 
 REMOVED_OPTIONS = {

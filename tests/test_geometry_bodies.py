@@ -1,6 +1,8 @@
 """Tests for the concrete convex bodies and their measurements."""
 
 import math
+import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from dispbound.errors import ConfigurationError, DomainError
 from dispbound.geometry import (
     ConvexBody,
     CylinderBody,
-    Face,
     GeodesicGraph,
     PolygonBoundary,
     Polytope3,
@@ -447,22 +448,23 @@ def test_polygon_sampling_lands_on_edges():
 
 def test_cube_faces_are_merged_sorted_and_measured():
     box = cube(2.0)
-    assert len(box.faces) == 6
+    faces = box.face_tables
+    assert len(faces.sizes) == 6
     assert len(box.edges) == 12
     assert box.boundary_area() == pytest.approx(24.0, rel=1e-13)
     assert box.enclosed_volume() == pytest.approx(8.0, rel=1e-13)
     np.testing.assert_allclose(box.solid_centroid(), 0.0, atol=1e-12)
     # sorting by (normal, offset) puts the -x face first and +x face last
-    np.testing.assert_allclose(box.faces[0].normal, [-1, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(box.faces[-1].normal, [1, 0, 0], atol=1e-12)
-    assert float(box.faces[0].normal @ box.faces[-1].normal) == pytest.approx(-1.0)
+    np.testing.assert_allclose(faces.normals[0], [-1, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(faces.normals[-1], [1, 0, 0], atol=1e-12)
+    assert float(faces.normals[0] @ faces.normals[-1]) == pytest.approx(-1.0)
 
 
 def test_tetrahedron_area_and_volume():
     verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
     tet = Polytope3(verts)
     edge = 2.0 * math.sqrt(2.0)
-    assert len(tet.faces) == 4
+    assert len(tet.face_tables.sizes) == 4
     assert tet.boundary_area() == pytest.approx(math.sqrt(3.0) * edge**2, rel=1e-13)
     assert tet.enclosed_volume() == pytest.approx(
         edge**3 / (6.0 * math.sqrt(2.0)), rel=1e-13
@@ -479,7 +481,7 @@ def test_random_polytope_is_deterministic_and_euler_clean():
     body = random_polytope(99, 30)
     again = random_polytope(99, 30)
     assert np.array_equal(body.vertices, again.vertices)
-    v, e, f = len(body.vertices), len(body.edges), len(body.faces)
+    v, e, f = len(body.vertices), len(body.edges), len(body.face_tables.sizes)
     assert v - e + f == 2
     assert body.enclosed_volume() > 0.0
 
@@ -510,11 +512,21 @@ def test_polytope_sampling_stays_on_faces():
 
 
 def test_polytope_fan_areas_sum_to_face_areas():
-    body = random_polytope(5, 25)
-    for face in body.faces:
-        pts = body.vertices[list(face.indices)]
-        assert face.fan_areas.shape == (len(pts) - 2,)
-        assert face.fan_areas.sum() == pytest.approx(face.area, rel=1e-12)
+    for body in (random_polytope(5, 25), _prism(7)):
+        t = body.face_tables
+        assert t.fan_areas.shape == (len(t.sizes), t.ids.shape[1] - 2)
+        for fans, area, k in zip(t.fan_areas, t.areas, t.sizes.tolist()):
+            assert np.all(fans[:k - 2] > 0.0) and np.all(fans[k - 2:] == 0.0)
+            assert fans.sum() == pytest.approx(area, rel=1e-12)
+
+
+class _LoopFace(NamedTuple):
+    indices: tuple
+    normal: np.ndarray
+    offset: float
+    area: float
+    centroid: np.ndarray
+    fan_areas: np.ndarray
 
 
 def _per_face_faces(vertices, hull):
@@ -541,7 +553,7 @@ def _per_face_faces(vertices, hull):
         fans = np.cross(pts[1:-1] - pts[0], pts[2:] - pts[0])
         refit = fans.sum(axis=0)
         normal = refit / float(np.linalg.norm(refit))
-        faces.append(Face(
+        faces.append(_LoopFace(
             indices=ordered, normal=normal, offset=float(np.mean(pts @ normal)),
             area=0.5 * float(np.sum(fans @ normal)), centroid=pts.mean(axis=0),
             fan_areas=0.5 * np.linalg.norm(fans, axis=1),
@@ -582,33 +594,263 @@ def test_array_built_faces_equal_per_face_loop(monkeypatch):
     real = bodies._polytope_faces
 
     def recording(vertices, hull):
-        faces, tables = real(vertices, hull)
-        built.append((vertices, hull, faces, tables))
-        return faces, tables
+        tables = real(vertices, hull)
+        built.append((vertices, hull, tables))
+        return tables
 
     monkeypatch.setattr(bodies, "_polytope_faces", recording)
     names = [body.body_id for body in _oracle_face_bodies()]
     assert len(built) == len(names)
     # a k-gon prism's side rectangles are merged from two facets each
-    assert [len(faces) for _, _, faces, _ in built[3:12]] == [k + 2 for k in range(3, 12)]
-    assert [len(faces) for _, _, faces, _ in built[-3:]] == [6, 6, 6]
-    for name, (vertices, hull, faces, tables) in zip(names, built):
+    assert [len(t.sizes) for _, _, t in built[3:12]] == [k + 2 for k in range(3, 12)]
+    assert [len(t.sizes) for _, _, t in built[-3:]] == [6, 6, 6]
+    for name, (vertices, hull, tables) in zip(names, built):
         expected = _per_face_faces(vertices, hull)
-        assert len(faces) == len(expected), name
-        for got, want in zip(faces, expected):
-            assert got.indices == want.indices, name
-            assert all(type(i) is int for i in got.indices)
-            assert type(got.offset) is float and type(got.area) is float
+        assert len(tables.sizes) == len(expected), name
+        for f, want in enumerate(expected):
+            k = int(tables.sizes[f])
+            assert tables.ids[f, :k].tolist() == list(want.indices), name
+            assert np.all(tables.ids[f, k:] == len(vertices))
+            assert np.all(tables.fan_areas[f, k - 2:] == 0.0)
+            got = _LoopFace(tuple(tables.ids[f, :k].tolist()), tables.normals[f],
+                            tables.offsets[f], tables.areas[f], tables.centroids[f],
+                            tables.fan_areas[f, :k - 2])
             for field in ("normal", "offset", "area", "centroid", "fan_areas"):
                 a, b = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, field)
-        # the faces read the same read-only tables
-        for f, face in enumerate(faces):
-            assert np.shares_memory(face.normal, tables.normals)
-            assert tables.ids[f, :tables.sizes[f]].tolist() == list(face.indices)
-            assert tables.offsets[f] == face.offset
-        for table in (*tables, faces[0].centroid, faces[0].fan_areas):
+        # every table is read-only, and the float tables are float64
+        for table in tables:
             assert not table.flags.writeable
+        for table in (tables.normals, tables.offsets, tables.areas, tables.centroids,
+                      tables.fan_areas):
+            assert table.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# face-table consumers: each equals the per-face loop it replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def table_bodies():
+    """The cube, 3..15-gon prisms (merged caps with up to 13 fan triangles),
+    random polytopes with 14-40 vertices and the suite's pancake and cigar."""
+    return (
+        [cube(1.0)] + [_prism(sides) for sides in range(3, 16)]
+        + [random_polytope(seed, 14 + seed % 27) for seed in range(54)]
+        + [b for seed in (0, 1729) for b in _suite_bodies(SuiteConfig(seed=seed, polytope_count=0))
+           if b.body_id in ("pancake-flat", "cigar-long")]
+    )
+
+
+def _sequential_sum(values):
+    """A float sum taken one term after another from 0, as Python 3.11's
+    ``sum`` takes it."""
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
+def _per_face_sample(body, seed, count):
+    """Samples drawn face by face, one ``rng.choice`` of a fan triangle per
+    picked face: kept as the oracle for ``Polytope3.sample_boundary``."""
+    rng = substream(seed, "sample-boundary", body.body_id)
+    t = body.face_tables
+    areas = np.array([float(a) for a in t.areas])
+    face_pick = rng.choice(len(areas), size=count, p=areas / areas.sum())
+    out = np.empty((count, 3))
+    for fi in np.unique(face_pick):
+        mask = face_pick == fi
+        k = int(mask.sum())
+        size = int(t.sizes[fi])
+        pts = body.vertices[list(t.ids[fi, :size])]
+        tri_areas = t.fan_areas[fi, :size - 2]
+        tri_pick = rng.choice(len(tri_areas), size=k, p=tri_areas / tri_areas.sum())
+        u = np.sqrt(rng.random(k))
+        v = rng.random(k)
+        out[mask] = (1 - u)[:, None] * pts[0] + (u * (1 - v))[:, None] * pts[tri_pick + 1] + (
+            u * v
+        )[:, None] * pts[tri_pick + 2]
+    return out
+
+
+def _per_fan_centroid(body):
+    """The solid centroid over one tetrahedron at a time: kept as the oracle
+    for ``Polytope3.solid_centroid``."""
+    g = body.vertices.mean(axis=0)
+    total = 0.0
+    acc = np.zeros(3)
+    for indices, _, _ in _face_rows(body.face_tables):
+        pts = body.vertices[indices]
+        for i in range(1, len(pts) - 1):
+            tet = np.array([pts[0], pts[i], pts[i + 1]])
+            vol = float(np.dot(np.cross(tet[1] - g, tet[2] - g), tet[0] - g)) / 6.0
+            acc += vol * (g + tet.sum(axis=0)) / 4.0
+            total += vol
+    return acc / total
+
+
+def _dict_edge_sum(body):
+    """Length times dihedral angle over a dict of open edges: kept as the
+    oracle for ``measures._polytope_edge_sum``."""
+    open_edges = {}
+    total = 0.0
+    for indices, normal, _ in _face_rows(body.face_tables):
+        for a, b in zip(indices, indices[1:] + indices[:1]):
+            other = open_edges.pop((min(a, b), max(a, b)), None)
+            if other is None:
+                open_edges[(min(a, b), max(a, b))] = normal
+                continue
+            across = np.linalg.norm(np.cross(other, normal))
+            angle = math.atan2(across, other @ normal)
+            total += np.linalg.norm(body.vertices[a] - body.vertices[b]) * angle
+    assert not open_edges
+    return float(total)
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def test_face_table_sampler_equals_per_face_loop(table_bodies):
+    for i, body in enumerate(table_bodies):
+        for count in (0, 1, 2, 7, 300):
+            got = body.sample_boundary(i, count)
+            assert got.shape == (count, 3)
+            assert _bits(got) == _bits(_per_face_sample(body, i, count)), (body.body_id, count)
+
+
+def test_face_table_measures_equal_per_face_loops(table_bodies):
+    from dispbound.geometry.measures import _polytope_edge_sum
+
+    for body in table_bodies:
+        t = body.face_tables
+        g = body.vertices.mean(axis=0)
+        area = float(_sequential_sum(float(a) for a in t.areas))
+        volume = float(_sequential_sum(
+            float(a) * (offset - normal @ g)
+            for a, (_, normal, offset) in zip(t.areas, _face_rows(t))
+        ) / 3.0)
+        assert type(body.boundary_area()) is float and type(body.enclosed_volume()) is float
+        assert body.boundary_area() == area and body.enclosed_volume() == volume
+        assert _bits(body.solid_centroid()) == _bits(_per_fan_centroid(body)), body.body_id
+        assert _polytope_edge_sum(body) == _dict_edge_sum(body), body.body_id
+
+
+def test_edge_sum_refuses_an_edge_on_one_face(monkeypatch):
+    from dispbound.geometry.measures import _polytope_edge_sum
+
+    box = cube(1.0)
+    # drop the last face: its four edges now close on one face only
+    t = box.face_tables._replace(**{
+        name: getattr(box.face_tables, name)[:-1]
+        for name in ("ids", "after", "sizes", "normals")
+    })
+    monkeypatch.setattr(box, "face_tables", t)
+    last = cube(1.0).face_tables
+    k = int(last.sizes[-1])
+    ring = last.ids[-1, :k].tolist()
+    edges = sorted((min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1]))
+    with pytest.raises(ConfigurationError, match=re.escape(f"edges {edges} lie on only one face")):
+        _polytope_edge_sum(box)
+
+
+def _einsum_arclengths(body, points):
+    """Arc lengths over ``(points, edges, 2)`` arrays with ``einsum`` and a
+    norm over the last axis: kept as the oracle for ``arclengths_of``."""
+    p = np.asarray(points, dtype=np.float64)
+    rel = p[:, None, :] - body.vertices[None, :, :]
+    t = np.einsum("pek,ek->pe", rel, body._edges) / body._edge_lengths**2
+    t = np.clip(t, 0.0, 1.0)
+    foot = body.vertices[None] + t[..., None] * body._edges[None]
+    best = np.argmin(np.linalg.norm(p[:, None, :] - foot, axis=2), axis=1)
+    rows = np.arange(len(p))
+    return body._cum[best] + t[rows, best] * body._edge_lengths[best]
+
+
+def test_polygon_arclengths_equal_einsum_route():
+    from dispbound.geometry import central_point_map, half_perimeter_map
+
+    polygons = [regular_polygon(s, 1.4) for s in (3, 4, 5, 6, 8, 12, 40)] + [
+        equilateral_triangle(2.0)
+    ] + [b for b in _suite_bodies(SuiteConfig(seed=1729, polytope_count=0))
+         if isinstance(b, PolygonBoundary)]
+    for body in polygons:
+        for seed in range(3):
+            samples = body.sample_boundary(seed, 2000)
+            for points in (samples, central_point_map().apply(body, samples),
+                           half_perimeter_map().apply(body, samples)):
+                assert _bits(body.arclengths_of(points)) == _bits(
+                    _einsum_arclengths(body, points)), body.body_id
+        assert _bits(body.arclengths_of(body.vertices)) == _bits(
+            _einsum_arclengths(body, body.vertices))
+
+
+def test_blas_row_dots_equal_vecdot_at_every_batch_size():
+    from dispbound.geometry.bodies import _row_dots
+
+    rng = substream(RNG_SEED, "row-dots")
+    for dim in (2, 3):
+        for planes in (3, 4, 8, 56, 129):
+            m = rng.standard_normal((planes, dim))
+            for rows in (0, 1, 2, 10_000):
+                d = rng.standard_normal((rows, dim))
+                got = _row_dots(d, m)
+                assert got.shape == (rows, planes)
+                assert _bits(got) == _bits(np.vecdot(d[:, None, :], m)), (dim, planes, rows)
+
+
+def test_support_and_ray_exit_equal_vecdot_forms_at_every_batch_size():
+    from dispbound.geometry.bodies import _as_directions, _nearest_exit
+
+    def vecdot_exit(numerators, normals, d):
+        denom = np.vecdot(d[:, None, :], normals)
+        t = np.full(denom.shape, np.inf)
+        np.divide(numerators, denom, out=t, where=denom > 1e-15)
+        t[t <= 0.0] = np.inf
+        return t.min(axis=1)
+
+    bodies = [b for b in BATCH_BODIES if isinstance(b, (PolygonBoundary, Polytope3))]
+    for body in bodies:
+        dim = body.ambient_dimension
+        o = body.interior_point()
+        if isinstance(body, Polytope3):
+            normals = body.face_tables.normals
+            numerators = body.face_tables.offsets - np.vecdot(normals, o)
+        else:
+            normals = body._normals
+            numerators = np.vecdot(normals, body.vertices - o)
+        for rows in (1, 2, 10_000):
+            raw = unit_directions(substream(RNG_SEED, "forms", body.body_id), rows, dim)
+            d, _ = _as_directions(raw, dim)  # as ray_exit normalizes them
+            want = np.max(np.vecdot(d[:, None, :], body.vertices), axis=1)
+            assert _bits(body.support_batch(d)) == _bits(want), (body.body_id, rows)
+            best = vecdot_exit(numerators, normals, d)
+            assert _bits(_nearest_exit(numerators, normals, d)) == _bits(best)
+            exits = body.ray_exit(o, raw)
+            assert _bits(exits) == _bits(o + best[:, None] * d), (body.body_id, rows)
+        assert body.support(d[0]) == float(want[0])
+
+
+def test_wrap_angle_equals_the_remainder_of_every_entry():
+    from dispbound.geometry.bodies import _wrap_angle
+
+    def remainder_fold(delta):
+        return np.abs((np.asarray(delta) + np.pi) % (2.0 * np.pi) - np.pi)
+
+    specials = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi,
+                -3 * math.pi, np.nextafter(math.pi, 0.0), np.nextafter(-math.pi, 0.0),
+                np.nextafter(math.pi, 4.0), 1e-300, -1e-300, 7.5, -7.5]
+    rng = substream(RNG_SEED, "wrap")
+    values = np.concatenate([specials, rng.uniform(-10.0, 10.0, 100_000)])
+    assert _bits(_wrap_angle(values)) == _bits(remainder_fold(values))
+    grid = values[:144].reshape(12, 12)
+    assert _bits(_wrap_angle(grid)) == _bits(remainder_fold(grid))
+    assert _wrap_angle(grid).shape == (12, 12)
+    for x in specials + [3, np.float64(-2.5), np.array(1.25)]:
+        got, want = _wrap_angle(x), remainder_fold(x)
+        assert type(got) is type(want) and _bits(got) == _bits(want), x
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +860,8 @@ def test_array_built_faces_equal_per_face_loop(monkeypatch):
 
 def test_cube_face_center_distance_tightens_to_two_edges():
     box = cube(1.0)
-    start = box.faces[0].centroid
-    goal = box.faces[-1].centroid
+    start = box.face_tables.centroids[0]
+    goal = box.face_tables.centroids[-1]
     values = []
     for m in (1, 3, 7, 15):
         graph = GeodesicGraph(box, m)
@@ -743,10 +985,10 @@ def _scalar_polytope_exit(body, origin, direction):
     """One ray, one face at a time, as the scalar route computed it."""
     d = direction / np.linalg.norm(direction)
     best = math.inf
-    for face in body.faces:
-        denom = float(face.normal @ d)
+    for normal, offset in zip(body.face_tables.normals, body.face_tables.offsets.tolist()):
+        denom = float(normal @ d)
         if denom > 1e-15:
-            t = (face.offset - float(face.normal @ origin)) / denom
+            t = (offset - float(normal @ origin)) / denom
             if 0.0 < t < best:
                 best = t
     return origin + best * d
@@ -807,7 +1049,7 @@ def test_batched_faces_containing_equals_single_points(seed, vertices):
                           centre + 1.1 * (samples[40:80] - centre)])
     points = np.concatenate([samples, body.vertices, midpoints, off])
     member = body.faces_containing(points)
-    assert member.shape == (len(points), len(body.faces)) and member.dtype == bool
+    assert member.shape == (len(points), len(body.face_tables.sizes)) and member.dtype == bool
     singles = [body.faces_containing(p) for p in points]
     assert all(type(s) is list for s in singles)
     assert [np.flatnonzero(row).tolist() for row in member] == singles
@@ -825,23 +1067,30 @@ def test_batched_faces_containing_validation():
     for bad in (np.ones((4, 2)), np.ones((2, 2, 3)), np.array([[0.5, 0.0, np.nan]])):
         with pytest.raises(DomainError):
             box.faces_containing(bad)
-    assert box.faces_containing(np.empty((0, 3))).shape == (0, len(box.faces))
+    assert box.faces_containing(np.empty((0, 3))).shape == (0, len(box.face_tables.sizes))
+
+
+def _face_rows(faces):
+    """Each face's vertex ids, unit normal and offset, read from the tables
+    row by row."""
+    for f, k in enumerate(faces.sizes.tolist()):
+        yield list(faces.ids[f, :k]), faces.normals[f], float(faces.offsets[f])
 
 
 def _per_face_membership(p, faces, vertices, scale):
     """Face membership as a Python loop over faces: kept as the oracle for
     the broadcast ``face_membership``."""
     tol = 1e-9 * scale
-    member = np.zeros((len(p), len(faces)), dtype=bool)
-    for fi, face in enumerate(faces):
-        near = np.flatnonzero(np.abs(np.vecdot(p, face.normal) - face.offset) <= tol)
+    member = np.zeros((len(p), len(faces.sizes)), dtype=bool)
+    for fi, (indices, normal, offset) in enumerate(_face_rows(faces)):
+        near = np.flatnonzero(np.abs(np.vecdot(p, normal) - offset) <= tol)
         if not len(near):
             continue
-        pts = vertices[list(face.indices)]
+        pts = vertices[indices]
         edges = np.roll(pts, -1, axis=0) - pts
         rel = p[near, None, :] - pts
         member[near, fi] = np.all(
-            np.cross(edges, rel) @ face.normal >= -tol * scale, axis=1
+            np.cross(edges, rel) @ normal >= -tol * scale, axis=1
         )
     return member
 
@@ -863,13 +1112,13 @@ def test_face_membership_equals_per_face_loop():
         points = np.concatenate([
             samples, body.vertices, 0.5 * (body.vertices[a] + body.vertices[b]),
             body.vertices[a] * (1 - t) + body.vertices[b] * t,
-            np.array([f.centroid for f in body.faces]),
+            body.face_tables.centroids,
             # off the boundary, some within a few tolerances of it
             *(centre + s * (samples[:50] - centre) for s in (0.9, 1.1, 1 + 1e-10, 1 + 1e-8)),
         ])
         assert np.array_equal(
             face_membership(points, body.face_tables, body.vertices, body._scale),
-            _per_face_membership(points, body.faces, body.vertices, body._scale),
+            _per_face_membership(points, body.face_tables, body.vertices, body._scale),
         ), body.body_id
 
 
@@ -877,12 +1126,12 @@ def _scalar_faces_containing(body, p):
     """Per-point, per-face membership as the scalar route computed it."""
     tol = 1e-9 * body._scale
     hits = []
-    for fi, face in enumerate(body.faces):
-        if abs(float(face.normal @ p) - face.offset) > tol:
+    for fi, (indices, normal, offset) in enumerate(_face_rows(body.face_tables)):
+        if abs(float(normal @ p) - offset) > tol:
             continue
-        pts = body.vertices[list(face.indices)]
+        pts = body.vertices[indices]
         edges = np.roll(pts, -1, axis=0) - pts
-        if np.all(np.cross(edges, p - pts) @ face.normal >= -tol * body._scale):
+        if np.all(np.cross(edges, p - pts) @ normal >= -tol * body._scale):
             hits.append(fi)
     return hits
 
@@ -940,10 +1189,10 @@ def _oracle_pairs(body, seed, count):
     xs[:5] = body.vertices[:5]
     a, b = np.array(body.edges[:5]).T
     ys[5:10] = 0.5 * (body.vertices[a] + body.vertices[b])
-    face = body.faces[0]
-    xs[10:15] = face.centroid
-    ys[10:15] = face.centroid + np.linspace(0.2, 0.9, 5)[:, None] * (
-        body.vertices[face.indices[0]] - face.centroid
+    centroid = body.face_tables.centroids[0]
+    xs[10:15] = centroid
+    ys[10:15] = centroid + np.linspace(0.2, 0.9, 5)[:, None] * (
+        body.vertices[body.face_tables.ids[0, 0]] - centroid
     )
     return xs, ys
 
@@ -1036,8 +1285,8 @@ def _fresh_pairs(body, seed):
     v, (a, b) = body.vertices, np.array(body.edges).T
     e = rng.integers(0, len(a), 3)
     t = rng.random((3, 2))
-    face = body.faces[int(rng.integers(len(body.faces)))]
-    centres = np.array([f.centroid for f in body.faces])
+    centres = body.face_tables.centroids
+    face = int(rng.integers(len(centres)))
     xs = np.concatenate([
         body.sample_boundary(seed, 2),
         v[a[e]] * (1 - t[:, :1]) + v[b[e]] * t[:, :1],  # same edge
@@ -1045,7 +1294,7 @@ def _fresh_pairs(body, seed):
         v[rng.integers(0, len(v), 1)],  # a vertex
         0.5 * (v[a[e[1:2]]] + v[b[e[1:2]]]),  # an edge midpoint
         centres[rng.integers(0, len(centres), 1)],
-        face.centroid[None],  # same face
+        centres[face][None],  # same face
     ])
     ys = np.concatenate([
         body.sample_boundary(seed + 1, 2),
@@ -1054,7 +1303,7 @@ def _fresh_pairs(body, seed):
         body.sample_boundary(seed + 2, 1),
         v[rng.integers(0, len(v), 1)],
         centres[rng.integers(0, len(centres), 1)],
-        (0.3 * face.centroid + 0.7 * v[face.indices[0]])[None],
+        (0.3 * centres[face] + 0.7 * v[body.face_tables.ids[face, 0]])[None],
     ])
     return xs, ys
 
