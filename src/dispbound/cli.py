@@ -18,8 +18,11 @@ import io
 import json
 import math
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from itertools import groupby, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -29,11 +32,12 @@ from .constants import (
     KINDS,
     constants_table,
     quoted_closed_form_h2,
+    row_blocks,
     scan_ab,
 )
 from .errors import ConfigurationError, NumericalError
 from .geometry import PolygonBoundary, Polytope3, cube, load_body
-from .numerics import LOG_PI, decode_logs
+from .numerics import LOG_PI, check_decodable, decode_logs
 from .verify import (
     SCHEMA_VERSION,
     SuiteConfig,
@@ -79,95 +83,166 @@ def _cell_text(value, digits: int) -> str:
     return str(value)
 
 
-def _union_keys(rows: Sequence[dict]) -> list[str]:
-    keys: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in keys:
-                keys.append(key)
-    return keys
-
-
-def _render_csv(rows: Sequence[dict]) -> str:
-    keys = _union_keys(rows)
-    buf = io.StringIO()
-    writer = csv_module.writer(buf, lineterminator="\n")
-    writer.writerow(["schema_version", *keys])
-    for row in rows:
-        writer.writerow(
-            [str(SCHEMA_VERSION)]
-            + [_cell_text(row.get(key), MACHINE_DIGITS) for key in keys]
-        )
-    return buf.getvalue()
+def _text_cells(column, digits: int) -> Iterator[str]:
+    """A column's CSV or pretty cells, made as they are read."""
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+        if column.dtype.kind == "f":
+            return map(format, values, repeat(f".{digits}g"))
+        if column.dtype.kind in "iu":
+            return map(str, values)
+        if column.dtype.kind == "U":
+            return iter(values)
+        column = values
+    return (_cell_text(value, digits) for value in column)
 
 
 _JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 
-def _render_jsonl(rows: Sequence[dict]) -> str:
-    encode = _JSONL_ENCODER.encode
-    return "".join(
-        encode({"schema_version": SCHEMA_VERSION, **row}) + "\n" for row in rows
-    )
+def _json_value(value) -> str:
+    """One value as the row encoder writes it inside an object: floats by
+    repr, refusing NaN and infinities as ``allow_nan=False`` does."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    return _JSONL_ENCODER.encode(value)  # raises on a non-finite float
 
 
-def _render_pretty(rows: Sequence[dict], notes: Sequence[str] = ()) -> str:
-    # consecutive rows with the same keys render as one aligned block
-    blocks: list[tuple[tuple[str, ...], list[dict]]] = []
-    for row in rows:
-        signature = tuple(row)
-        if blocks and blocks[-1][0] == signature:
-            blocks[-1][1].append(row)
-        else:
-            blocks.append((signature, [row]))
-    parts: list[str] = []
-    for signature, block in blocks:
-        texts = [
-            [_cell_text(row[key], PRETTY_DIGITS) for key in signature]
-            for row in block
-        ]
-        numeric = [
-            all(
-                isinstance(row[key], (int, float)) or row[key] is None
-                for row in block
-            )
-            for key in signature
-        ]
-        widths = [
-            max(len(key), *(len(text[i]) for text in texts))
-            for i, key in enumerate(signature)
-        ]
-        def line(cells: list[str]) -> str:
+def _json_cells(column) -> Iterator[str]:
+    """A column's JSON values, made as they are read, so the first value
+    refused is the first in row order, as with a row-by-row encoder."""
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+        if column.dtype.kind == "f" and np.isfinite(column).all():
+            return map(float.__repr__, values)
+        if column.dtype.kind in "iu":
+            return map(int.__repr__, values)
+        if column.dtype.kind == "U":
+            return map(encode_basestring_ascii, values)
+        column = values
+    return map(_json_value, column)
+
+
+def _is_numeric(column) -> bool:
+    if isinstance(column, np.ndarray):
+        return column.dtype.kind in "biuf"
+    return all(isinstance(value, (int, float)) or value is None for value in column)
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """Consecutive rows with the same keys, held as columns: ``block(rows)``
+    gives every key's values for a slice of rows, each as a numpy array or
+    a list, so no row needs a dict and a block is made only when written."""
+
+    keys: tuple[str, ...]
+    size: int
+    block: Callable[[slice], Sequence[Sequence]]
+
+
+def _row_frames(rows: Sequence[dict]) -> list[_Frame]:
+    frames = []
+    for keys, group in groupby(rows, key=tuple):
+        group = list(group)
+        columns = [[row[key] for row in group] for key in keys]
+        frames.append(_Frame(keys, len(group), lambda rows, c=columns: [v[rows] for v in c]))
+    return frames
+
+
+def _render_csv(frames: Sequence[_Frame]) -> Iterator[str]:
+    keys: list[str] = []  # every frame's keys, in order of first appearance
+    for frame in frames:
+        keys.extend(key for key in frame.keys if key not in keys)
+    buf = io.StringIO()
+    writer = csv_module.writer(buf, lineterminator="\n")
+    writer.writerow(["schema_version", *keys])
+    for frame in frames:
+        for rows in row_blocks(frame.size):
+            columns = dict(zip(frame.keys, frame.block(rows)))
+            writer.writerows(zip(
+                repeat(str(SCHEMA_VERSION), rows.stop - rows.start),
+                *(_text_cells(columns[key], MACHINE_DIGITS) if key in columns else repeat("")
+                  for key in keys),
+            ))
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+    yield buf.getvalue()  # the header, when there are no rows
+
+
+def _render_jsonl(frames: Sequence[_Frame]) -> Iterator[str]:
+    for frame in frames:
+        # one % template per row: the keys are fixed, only the values vary
+        template = "{" + ",".join(
+            encode_basestring_ascii(key).replace("%", "%%") + ":%s"
+            for key in ("schema_version", *frame.keys)
+        ) + "}\n"
+        for rows in row_blocks(frame.size):
+            # no name holds a block's cells, so they are freed before the
+            # next block is made
+            version = repeat(_json_value(SCHEMA_VERSION), rows.stop - rows.start)
+            yield from map(template.__mod__, zip(version, *map(_json_cells, frame.block(rows))))
+
+
+def _render_pretty(frames: Sequence[_Frame], notes: Sequence[str] = ()) -> Iterator[str]:
+    # each frame is one aligned block; its widths take a first pass, so
+    # only the widths are kept, not the cells
+    for index, frame in enumerate(frames):
+        widths = [len(key) for key in frame.keys]
+        numeric = [True] * len(frame.keys)
+        for rows in row_blocks(frame.size):
+            for i, column in enumerate(frame.block(rows)):
+                widths[i] = max(widths[i], max(map(len, _text_cells(column, PRETTY_DIGITS))))
+                numeric[i] = numeric[i] and _is_numeric(column)
+
+        def line(cells) -> str:
             padded = [
                 cell.rjust(widths[i]) if numeric[i] else cell.ljust(widths[i])
                 for i, cell in enumerate(cells)
             ]
-            return "  ".join(padded).rstrip()
+            return "  ".join(padded).rstrip() + "\n"
 
-        parts.append(line(list(signature)))
-        parts.append(line(["-" * w for w in widths]))
-        parts.extend(line(text) for text in texts)
-        parts.append("")
+        yield line(frame.keys) + line(["-" * w for w in widths])
+        for rows in row_blocks(frame.size):
+            cells = (_text_cells(column, PRETTY_DIGITS) for column in frame.block(rows))
+            yield "".join(map(line, zip(*cells)))
+        if notes or index < len(frames) - 1:
+            yield "\n"
     for note in notes:
-        parts.append(f"note: {note}")
-    if notes:
-        parts.append("")
-    return "\n".join(parts[:-1]) + "\n" if parts else ""
+        yield f"note: {note}\n"
+
+
+def _render_frames(
+    frames: Sequence[_Frame], fmt: str, notes: Sequence[str] = ()
+) -> Iterator[str]:
+    """The text of ``frames``, in chunks (a row, or a block of rows) made
+    only as they are read."""
+    if fmt == "csv":
+        return _render_csv(frames)
+    if fmt == "json-lines":
+        return _render_jsonl(frames)
+    return _render_pretty(frames, notes)
 
 
 def _render(rows: Sequence[dict], fmt: str, notes: Sequence[str] = ()) -> str:
-    if fmt == "csv":
-        return _render_csv(rows)
-    if fmt == "json-lines":
-        return _render_jsonl(rows)
-    return _render_pretty(rows, notes)
+    return "".join(_render_frames(_row_frames(rows), fmt, notes))
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, chunks: str | Iterable[str]) -> None:
+    """Write text, or its chunks as they are made.  A command that streams
+    makes every refusal before this is called, so none leaves partial
+    output."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if args.output is not None:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -219,45 +294,71 @@ def _linear_or_marker(log_value: float) -> float | str:
     return math.exp(log_value)
 
 
+CONSTANTS_KEYS = (
+    "n", "rho_n", "a_n", "b_n", "c_n", "rho_star", "branch", "log_h_n", "h_n",
+    "paper_quoted", "log_sphere_reference", "log_suboptimality", "kind",
+)
+
+
+def _refuse_non_finite(*columns: np.ndarray) -> None:
+    """The row encoder's refusal of the first NaN or infinity in row order
+    (rows across, then ``columns`` in key order), raised before any output."""
+    first = [
+        (int(bad[0]), j)
+        for j, column in enumerate(columns)
+        if (bad := np.flatnonzero(~np.isfinite(column))).size
+    ]
+    if first:
+        i, j = min(first)
+        _json_value(float(columns[j][i]))  # raises
+
+
 def cmd_constants(args: argparse.Namespace) -> int:
     _check_range(args.n_min, args.n_max)
     table = constants_table(np.arange(args.n_min, args.n_max + 1), args.kind)
-    ns = table.n.tolist()
-    log_h = table.log_h.tolist()
+    # every refusal comes before the first byte: decoding a_n, b_n, c_n ...
+    for log_column in (table.log_a, table.log_b, table.log_c):
+        check_decodable(log_column)
     log_reference = table.log_sphere - table.n * LOG_PI  # ln(sigma_n / pi^n)
-    columns = {
-        "n": ns,
-        "rho_n": table.rho_n.tolist(),
-        "a_n": decode_logs(table.log_a),
-        "b_n": decode_logs(table.log_b),
-        "c_n": decode_logs(table.log_c),
-        "rho_star": table.rho_star.tolist(),
-        "branch": table.branch.tolist(),
-        "log_h_n": log_h,
-        "h_n": [_linear_or_marker(v) for v in log_h],
-        "paper_quoted": [quoted_closed_form_h2() if n == 2 else None for n in ns],
-        "log_sphere_reference": log_reference.tolist(),
-        "log_suboptimality": (table.log_h - log_reference).tolist(),
-        "kind": [table.kind] * len(ns),
-    }
-    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    log_suboptimality = table.log_h - log_reference
+    if args.format == "json-lines":
+        # ... and JSON's lack of NaN and infinity, for every column not
+        # finite by construction (decoded logs are below the decode limit)
+        _refuse_non_finite(
+            table.rho_n, table.rho_star, table.log_h, log_reference, log_suboptimality
+        )
+    quoted = quoted_closed_form_h2()
+
+    def block(rows: slice) -> list:
+        n, log_h = table.n[rows], table.log_h[rows]
+        a_n, b_n, c_n = (
+            np.array(decode_logs(logs[rows])) for logs in (table.log_a, table.log_b, table.log_c)
+        )
+        return [
+            n, table.rho_n[rows], a_n, b_n, c_n, table.rho_star[rows], table.branch[rows],
+            log_h, [_linear_or_marker(v) for v in log_h.tolist()],
+            [quoted if v == 2 else None for v in n.tolist()],
+            log_reference[rows], log_suboptimality[rows], np.full(len(n), table.kind),
+        ]
+
     notes = []
     if args.n_min <= 2 <= args.n_max:
         notes.append(
             "paper_quoted holds the radical closed form "
             "(pi/6)^(1/3)/(1+(pi/6)^(1/6))^2 = "
-            f"{quoted_closed_form_h2():.6g}, printed beside the pipeline "
+            f"{quoted:.6g}, printed beside the pipeline "
             "value on purpose: it equals a first-branch crossing against a "
             "halved comparison constant, not the crossing-pipeline h_2 "
-            f"(= {rows[0]['h_n']:.6g}); "
+            f"(= {_linear_or_marker(float(table.log_h[0])):.6g}); "
             "see README for the reconciliation."
         )
-    if any(row["h_n"] == UNDERFLOW_MARKER for row in rows):
+    if np.any(table.log_h < -LINEAR_LOG_LIMIT):
         notes.append(
             f"h_n prints '{UNDERFLOW_MARKER}' once |log_h_n| passes "
             f"{LINEAR_LOG_LIMIT:g}; log_h_n stays exact at every n."
         )
-    _emit(args, _render(rows, args.format, notes))
+    frame = _Frame(CONSTANTS_KEYS, len(table.n), block)
+    _emit(args, _render_frames([frame], args.format, notes))
     return EXIT_PASS
 
 
@@ -269,13 +370,15 @@ def cmd_constants(args: argparse.Namespace) -> int:
 def cmd_scan_ab(args: argparse.Namespace) -> int:
     _check_range(args.n_min, args.n_max)
     scan = scan_ab(args.n_min, args.n_max)
-    rows: list[dict] = []
+    frames = []
     if scan.ratios is not None:
-        rows.extend(
-            {"record": "ratio", "n": n, "a_over_b": float(ratio)}
-            for n, ratio in zip(range(scan.n_min, scan.n_max + 1), scan.ratios)
-        )
-    rows.append(
+        count = len(scan.ratios)
+        ns = np.arange(scan.n_min, scan.n_max + 1)
+        frames.append(_Frame(
+            ("record", "n", "a_over_b"), count,
+            lambda rows: [["ratio"] * (rows.stop - rows.start), ns[rows], scan.ratios[rows]],
+        ))
+    frames.extend(_row_frames([
         {
             "record": "summary",
             "n_min": scan.n_min,
@@ -286,7 +389,7 @@ def cmd_scan_ab(args: argparse.Namespace) -> int:
             "ratio_at_n_max": scan.ratio_at_max,
             "gap_to_limit_2_sqrt_e": scan.limit_gap_at_max,
         }
-    )
+    ]))
     notes = ()
     if args.format == "pretty":
         verdict = "no violations" if scan.violations == 0 else (
@@ -296,7 +399,9 @@ def cmd_scan_ab(args: argparse.Namespace) -> int:
             f"a_n > b_n over n = {scan.n_min}..{scan.n_max}: {verdict}; "
             f"min ratio {scan.min_ratio:.6g} at n = {scan.argmin_n}",
         )
-    _emit(args, _render(rows, args.format, notes))
+    # at most SCAN_KEEP_RATIOS_BELOW rows: rendered whole, so a refused
+    # value leaves no partial output
+    _emit(args, "".join(_render_frames(frames, args.format, notes)))
     return EXIT_PASS if scan.violations == 0 else EXIT_VIOLATION
 
 
@@ -500,7 +605,7 @@ def _pretty_records(records: Sequence[VerificationRecord]) -> str:
         }
         for rec in records
     ]
-    return _render_pretty(rows)
+    return _render(rows, "pretty")
 
 
 def _load_records(path: Path) -> tuple[VerificationRecord, ...]:

@@ -36,6 +36,7 @@ from .numerics import (
     LOG_TWO_PI,
     LogReal,
     log_double_factorial_array,
+    log_double_factorials,
     log_gamma_array,
     log_unit_ball_volume,
     log_unit_ball_volume_array,
@@ -102,13 +103,19 @@ def _log_gap_ratio(rho: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _log_width_constant(d: np.ndarray, kind: str) -> np.ndarray:
-    """ln of the width-volume constant C_d (see :func:`pal_constant`)."""
+def _log_width_constant(
+    d: np.ndarray, kind: str, log_df: np.ndarray | None = None
+) -> np.ndarray:
+    """ln of the width-volume constant C_d (see :func:`pal_constant`);
+    ``log_df``, if given, is ``log_double_factorials`` up to max(d) + 2 or
+    beyond."""
     df = d.astype(float)
     if kind == "pal_firey":
         return LOG_2 - 0.5 * LOG_3 - log_gamma_array(df + 1.0)
     # ln (d-1)!!, d!!, (d+1)!!, (d+2)!! from one pass over 2..d+2
-    ldm1, ld, ldp1, ldp2 = log_double_factorial_array(d[:, None] + np.arange(-1, 3)).T
+    shifts = d[:, None] + np.arange(-1, 3)
+    logs = log_double_factorial_array(shifts) if log_df is None else log_df[shifts]
+    ldm1, ld, ldp1, ldp2 = logs.T
     head = LOG_3 + (df - 3.0) * LOG_PI
     even = head + ldp2 - 2.0 * np.log(df + 1.0) - 2.0 * ld - 3.0 * ldm1
     odd = head + ldp1 - (df - 2.0) * LOG_2 - 5.0 * ld
@@ -136,13 +143,15 @@ def _log_ball_volume_shifts(ns: np.ndarray) -> tuple[np.ndarray, ...]:
     return lv(ns - 2), lv(ns - 1), lv(ns + 1)
 
 
-def _log_a_b(ns: np.ndarray, kind: str) -> tuple[np.ndarray, ...]:
+def _log_a_b(
+    ns: np.ndarray, kind: str, log_df: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
     """ln a_n and ln b_n, then the terms the crossing reuses: ln(n-1),
     ln w_{n-1}, ln w_{n-2} (w_k = unit k-ball volume) and ln(C_{n+1}/w_{n+1})."""
     nf = ns.astype(float)
     lv_nm2, lv_nm1, lv_np1 = _log_ball_volume_shifts(ns)
     log_nm1 = np.log(nf - 1.0)
-    log_width = _log_width_constant(ns + 1, kind) - lv_np1
+    log_width = _log_width_constant(ns + 1, kind, log_df) - lv_np1
     # a_n = (2^(n-1) pi n)^(1/n) (C_{n+1}/w_{n+1})^(1/(n+1))
     log_a = ((nf - 1.0) * LOG_2 + LOG_PI + np.log(nf)) / nf + log_width / (nf + 1.0)
     # b_n = 1/expm1(g) with g = ln((n-1) w_{n-1}/w_{n-2}) > 0, so
@@ -264,6 +273,18 @@ def _solve_second_branch(ns: np.ndarray, log_c: np.ndarray, kind: str) -> np.nda
 #: (eps) of its terms' summed magnitude; over 2..10^6 both kinds stay below 1
 RESIDUAL_EPS = 4.0
 
+#: rows per block of every large-array kernel here: numpy's per-call cost is
+#: amortized, and each temporary (256 KiB) stays in the allocator's reuse
+#: range instead of going back to the OS after every operation
+BLOCK = 32_768
+
+
+def row_blocks(size: int) -> list[slice]:
+    """Consecutive slices of BLOCK rows (the last may be shorter) covering
+    0..size.  Every kernel here is row-independent, so each row's bits do
+    not depend on where a block starts or ends."""
+    return [slice(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK)]
+
 
 def constants_table(ns, kind: Kind = DEFAULT_KIND) -> ConstantsTable:
     """Every per-dimension constant and the crossing, over an integer array.
@@ -273,20 +294,33 @@ def constants_table(ns, kind: Kind = DEFAULT_KIND) -> ConstantsTable:
     branch point (see :func:`_solve_second_branch`).  Raises NumericalError
     naming the first n with a_n <= b_n, whose crossing cannot be bracketed,
     or whose residual exceeds RESIDUAL_EPS units of rounding (eps) of its
-    terms' summed magnitude.
+    terms' summed magnitude; the first of these checks to fail anywhere
+    wins, in that order.
+
+    Runs in two passes of BLOCK rows: the coefficients, then the crossing.
     """
     ns = _check_dims(ns)
     _check_kind(kind)
-    nf = ns.astype(float)
-    log_a, log_b, log_nm1, lv_nm1, lv_nm2, log_width = _log_a_b(ns, kind)
-    # right side of rho (rho-1)^(n-1) = pi n (n-1) 2^(n-1) (w_{n-1}/w_{n-2})
-    # (C_{n+1}/w_{n+1})^(n/(n+1)), and the exponent shared with j_n
-    log_kind_ratio = nf / (nf + 1.0) * log_width
-    log_rhs = (
-        LOG_PI + np.log(nf) + log_nm1 + (nf - 1.0) * LOG_2 + lv_nm1 - lv_nm2
-        + log_kind_ratio
-    )
-    log_c = log_rhs / (nf - 1.0)
+    size = len(ns)
+    # the Bezdek constant's double factorials, up to (n+1)+2, built once
+    log_df = log_double_factorials(int(ns.max()) + 3) if kind == "bezdek" and size else None
+    rho_n, log_a, log_b, log_c, log_h, log_sphere = (np.empty(size) for _ in range(6))
+    for rows in row_blocks(size):
+        n, nf = ns[rows], ns[rows].astype(float)
+        log_a[rows], log_b[rows], log_nm1, lv_nm1, lv_nm2, log_width = _log_a_b(n, kind, log_df)
+        # right side of rho (rho-1)^(n-1) = pi n (n-1) 2^(n-1) (w_{n-1}/w_{n-2})
+        # (C_{n+1}/w_{n+1})^(n/(n+1)), and the exponent shared with j_n
+        log_kind_ratio = nf / (nf + 1.0) * log_width
+        log_rhs = (
+            LOG_PI + np.log(nf) + log_nm1 + (nf - 1.0) * LOG_2 + lv_nm1 - lv_nm2
+            + log_kind_ratio
+        )
+        log_c[rows] = log_rhs / (nf - 1.0)
+        # sigma_n = 2 pi w_{n-1}; log_h holds ln j_n(1) until the crossing is known
+        log_sphere[rows] = LOG_TWO_PI + lv_nm1
+        log_h[rows] = log_sphere[rows] + log_kind_ratio
+        # rho_n = 1/(1 - t) with t = w_{n-2} / ((n-1) w_{n-1}) < 1
+        rho_n[rows] = 1.0 / (1.0 - np.exp(lv_nm2 - log_nm1 - lv_nm1))
 
     first = np.flatnonzero(log_a <= log_b)
     if first.size:
@@ -298,32 +332,38 @@ def constants_table(ns, kind: Kind = DEFAULT_KIND) -> ConstantsTable:
                 "log_a": float(log_a[i]), "log_b": float(log_b[i]),
             },
         )
-    log_delta = _solve_second_branch(ns, log_c, kind)
-    delta = np.exp(log_delta)
-    log1p_delta = np.log1p(delta)
-    # ln j_n(rho*), with ln rho* = log1p(delta) and sigma_n = 2 pi w_{n-1}
-    log_sphere = LOG_TWO_PI + lv_nm1
-    log_h = log_sphere + log_kind_ratio - nf * log1p_delta
-    # The defect ln i_n(rho*) - ln j_n(rho*) collapses past the branch point
-    # to the solver's (n-1) ln delta + ln rho* - (n-1) ln c_n, a sum of terms
-    # that cancel at the crossing, so rounding alone keeps it within a few
-    # eps of their summed magnitude.
-    terms = ((nf - 1.0) * log_delta, log1p_delta, -(nf - 1.0) * log_c)
-    residual = np.abs(sum(terms))
-    bound = RESIDUAL_EPS * np.finfo(float).eps * sum(np.abs(t) for t in terms)
-    failed = np.flatnonzero(residual > bound)
-    if failed.size:
-        i = failed[0]
+
+    log_delta, rho_star, residual = (np.empty(size) for _ in range(3))
+    failed = None  # (row, bound) of the first residual past its bound
+    for rows in row_blocks(size):
+        nf = ns[rows].astype(float)
+        # raises on the first unbracketed n of this block, and no earlier
+        # block had one; residual failures wait until every bracket is known
+        log_delta[rows] = _solve_second_branch(ns[rows], log_c[rows], kind)
+        delta = np.exp(log_delta[rows])
+        log1p_delta = np.log1p(delta)
+        rho_star[rows] = 1.0 + delta
+        log_h[rows] = log_h[rows] - nf * log1p_delta  # ln j_n(rho*), ln rho* = log1p(delta)
+        # The defect ln i_n(rho*) - ln j_n(rho*) collapses past the branch
+        # point to the solver's (n-1) ln delta + ln rho* - (n-1) ln c_n, a sum
+        # of terms that cancel at the crossing, so rounding alone keeps it
+        # within a few eps of their summed magnitude.
+        terms = ((nf - 1.0) * log_delta[rows], log1p_delta, -(nf - 1.0) * log_c[rows])
+        residual[rows] = np.abs(sum(terms))
+        bound = RESIDUAL_EPS * np.finfo(float).eps * sum(np.abs(t) for t in terms)
+        over = np.flatnonzero(residual[rows] > bound)
+        if failed is None and over.size:
+            failed = (rows.start + over[0], bound[over[0]])
+    if failed is not None:
+        i, bound = failed
         diagnostics = {
             "n": int(ns[i]), "kind": kind,
-            "residual": float(residual[i]), "bound": float(bound[i]),
+            "residual": float(residual[i]), "bound": float(bound),
         }
         raise NumericalError("crossing residual exceeds its rounding bound", diagnostics=diagnostics)
-    # rho_n = 1/(1 - t) with t = w_{n-2} / ((n-1) w_{n-1}) < 1
-    rho_n = 1.0 / (1.0 - np.exp(lv_nm2 - log_nm1 - lv_nm1))
     return ConstantsTable(
-        ns, kind, rho_n, log_a, log_b, log_c, np.full(len(ns), "second"),
-        log_delta, 1.0 + delta, residual, log_h, log_sphere,
+        ns, kind, rho_n, log_a, log_b, log_c, np.full(size, "second"),
+        log_delta, rho_star, residual, log_h, log_sphere,
     )
 
 
@@ -500,8 +540,6 @@ def envelope_b_n(n: int, rho: float, kind: Kind = DEFAULT_KIND) -> LogReal:
 # ---------------------------------------------------------------------------
 
 
-#: scan_ab works in chunks of this many dimensions, to bound its memory
-SCAN_CHUNK = 250_000
 #: scan_ab keeps the per-n ratios only for ranges shorter than this
 SCAN_KEEP_RATIOS_BELOW = 2_001
 
@@ -527,8 +565,8 @@ class AbScan:
 def scan_ab(n_min: int = 2, n_max: int = 100_000) -> AbScan:
     """Vectorized scan of the Pal-Firey ratio a_n/b_n over n = n_min..n_max.
 
-    Only ln a_n and ln b_n are computed, SCAN_CHUNK dimensions at a time so
-    that memory stays bounded up to n = 1e6.  Per-n ratios are retained only
+    Only ln a_n and ln b_n are computed, BLOCK dimensions at a time, so
+    memory stays bounded up to n = 1e6.  Per-n ratios are retained only
     when the range is short enough to be worth printing.
     """
     n_min, n_max = _check_dim(n_min), _check_dim(n_max)
@@ -542,9 +580,8 @@ def scan_ab(n_min: int = 2, n_max: int = 100_000) -> AbScan:
     violations = 0
     min_ratio = math.inf
     argmin_n = n_min
-    for start in range(n_min, n_max + 1, SCAN_CHUNK):
-        stop = min(start + SCAN_CHUNK - 1, n_max)
-        ns = np.arange(start, stop + 1, dtype=np.int64)
+    for rows in row_blocks(n_max - n_min + 1):
+        ns = np.arange(n_min + rows.start, n_min + rows.stop, dtype=np.int64)
         log_a, log_b = _log_a_b(ns, DEFAULT_KIND)[:2]
         ratios = np.exp(log_a - log_b)
         violations += int(np.count_nonzero(ratios <= 1.0))

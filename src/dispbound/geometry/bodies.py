@@ -600,10 +600,12 @@ class PolygonBoundary(ConvexBody):
             raise DomainError(f"point is not on the polygon boundary: {bad!r}")
         return self._cum[best] + t[rows, best] * self._edge_lengths[best]
 
-    def intrinsic_distances_batch(self, xs, ys) -> tuple[np.ndarray, str]:
-        """The shorter of the two arcs between the points; exact."""
+    def intrinsic_distances_batch(self, xs, ys, xs_arclengths=None) -> tuple[np.ndarray, str]:
+        """The shorter of the two arcs between the points; exact.  The arc
+        lengths of ``xs``, if a caller already has them, may be passed in."""
         p, q = _as_pairs(xs, ys, 2)
-        gaps = np.abs(self.arclengths_of(p) - self.arclengths_of(q))
+        s = self.arclengths_of(p) if xs_arclengths is None else xs_arclengths
+        gaps = np.abs(s - self.arclengths_of(q))
         return np.minimum(gaps, self.perimeter - gaps), EXACT
 
     def sample_boundary(self, seed: int, count: int) -> np.ndarray:

@@ -30,17 +30,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DisplacementMap:
-    """A boundary self-map plus the hooks the sampler needs."""
+    """A boundary self-map plus the hooks the sampler needs.
+
+    ``_check`` refuses a body the map cannot act on, from the body alone;
+    ``_at_arclengths``, for a map defined on a polygon's arc lengths, gives
+    the images of the points at arc lengths s, so a caller that already
+    has s need not compute it again.
+    """
 
     map_id: str
     _apply: Callable[[ConvexBody, np.ndarray], np.ndarray]
     _critical: Callable[[ConvexBody], np.ndarray | None] = field(
         default=lambda body: None
     )
+    _check: Callable[[ConvexBody], None] = field(default=lambda body: None)
+    _at_arclengths: Callable[[PolygonBoundary, np.ndarray], np.ndarray] | None = None
+
+    def check(self, body: ConvexBody) -> None:
+        """Raise if the map cannot act on ``body``; needs no sample."""
+        self._check(body)
 
     def apply(self, body: ConvexBody, points: np.ndarray) -> np.ndarray:
-        images = np.asarray(self._apply(body, np.atleast_2d(points)), dtype=np.float64)
-        if images.shape != np.atleast_2d(points).shape:
+        self.check(body)
+        return self._images(body, points)
+
+    def _images(self, body: ConvexBody, points: np.ndarray, arclengths=None) -> np.ndarray:
+        """The images of ``points`` on a body ``check`` accepted; a polygon's
+        arc lengths of them may be passed in."""
+        points = np.atleast_2d(points)
+        if arclengths is not None and self._at_arclengths is not None:
+            images = self._at_arclengths(body, arclengths)
+        else:
+            images = self._apply(body, points)
+        images = np.asarray(images, dtype=np.float64)
+        if images.shape != points.shape:
             raise ConfigurationError(
                 f"map {self.map_id!r} returned shape {images.shape}"
             )
@@ -71,7 +94,7 @@ def euclidean_antipode_map() -> DisplacementMap:
     """Send x to its reflection through the body's center; requires the body
     to be centrally symmetric (checked through the support function)."""
 
-    def apply(body: ConvexBody, points: np.ndarray) -> np.ndarray:
+    def check(body: ConvexBody) -> None:
         c = body.interior_point()
         dim = body.ambient_dimension
         probes = fibonacci_sphere(64) if dim == 3 else unit_directions(
@@ -89,9 +112,11 @@ def euclidean_antipode_map() -> DisplacementMap:
                 f"body {body.body_id!r} is not centrally symmetric "
                 f"(support asymmetry {asymmetry:.3e})"
             )
-        return 2.0 * c - points
 
-    return DisplacementMap("euclidean-antipode", apply)
+    def apply(body: ConvexBody, points: np.ndarray) -> np.ndarray:
+        return 2.0 * body.interior_point() - points
+
+    return DisplacementMap("euclidean-antipode", apply, _check=check)
 
 
 def half_perimeter_map() -> DisplacementMap:
@@ -99,11 +124,15 @@ def half_perimeter_map() -> DisplacementMap:
     curve.  The intrinsic displacement is exactly half the perimeter at
     every point, which makes this the equality case for curve bounds."""
 
-    def apply(body: ConvexBody, points: np.ndarray) -> np.ndarray:
+    def check(body: ConvexBody) -> None:
         if not isinstance(body, PolygonBoundary):
             raise ConfigurationError("half-perimeter map needs a polygon boundary")
-        s = body.arclengths_of(points)
+
+    def at_arclengths(body: PolygonBoundary, s: np.ndarray) -> np.ndarray:
         return body.point_at(s + 0.5 * body.perimeter)
+
+    def apply(body: ConvexBody, points: np.ndarray) -> np.ndarray:
+        return at_arclengths(body, body.arclengths_of(points))
 
     def critical(body: ConvexBody) -> np.ndarray | None:
         if not isinstance(body, PolygonBoundary):
@@ -116,7 +145,7 @@ def half_perimeter_map() -> DisplacementMap:
         s = (starts[:, None] + fractions[None, :] * lengths[:, None]).ravel()
         return body.point_at(s)
 
-    return DisplacementMap("half-perimeter", apply, critical)
+    return DisplacementMap("half-perimeter", apply, critical, check, at_arclengths)
 
 
 @dataclass(frozen=True)
@@ -162,11 +191,15 @@ def displacement_stats(
         raise ConfigurationError(f"need at least one sample, got {samples}")
     if distance_cap < 1:
         raise ConfigurationError(f"distance cap must be positive, got {distance_cap}")
+    disp_map.check(body)  # a refused body is never sampled
     points = body.sample_boundary(seed, samples)
     crit = disp_map.critical_points(body)
     if crit is not None and len(crit):
         points = np.concatenate([np.atleast_2d(np.asarray(crit, float)), points])
-    images = disp_map.apply(body, points)
+    # a polygon's distances are arc-length gaps: the points' arc lengths
+    # serve both them and a map defined on arc lengths
+    arclengths = body.arclengths_of(points) if isinstance(body, PolygonBoundary) else None
+    images = disp_map._images(body, points, arclengths)
 
     chords = np.linalg.norm(images - points, axis=1)
     if np.any(chords <= 1e-12 * body.scale):
@@ -181,7 +214,10 @@ def displacement_stats(
         subset = np.arange(len(points))
     else:
         subset = np.arange(distance_cap)  # critical points were prepended
-    dists, kind = body.intrinsic_distances_batch(points[subset], images[subset])
+    if arclengths is not None:  # the subset is every point
+        dists, kind = body.intrinsic_distances_batch(points, images, arclengths)
+    else:
+        dists, kind = body.intrinsic_distances_batch(points[subset], images[subset])
     if np.any(dists < chords[subset] * (1.0 - 1e-9)):
         i = int(np.argmin(dists - chords[subset]))
         raise DomainError(

@@ -9,9 +9,9 @@ subnormal with no relative accuracy.
 
 The log-gamma here is a Stirling/Binet series with five fixed Bernoulli
 coefficients and an upward recurrence shift for small arguments.  It is the
-basis for ball volumes and sphere areas.  Double factorials come only as an
-array (:func:`log_double_factorial_array`): exact sums of ``ln k``, rounded
-once, for every requested d in one pass.
+basis for ball volumes and sphere areas.  Double factorials come only as
+arrays (:func:`log_double_factorials`, :func:`log_double_factorial_array`):
+exact sums of ``ln k``, rounded once, for every k up to a top in one pass.
 """
 
 from __future__ import annotations
@@ -61,15 +61,21 @@ class LogReal:
         return math.exp(self.log_magnitude)
 
 
+def check_decodable(log_magnitudes: np.ndarray) -> None:
+    """Raise the DomainError :meth:`LogReal.to_float` raises for the first
+    entry of a column it would refuse; one vectorized check for all."""
+    refused = np.flatnonzero(~(np.abs(log_magnitudes) < DECODE_LIMIT))
+    if refused.size:
+        LogReal.from_log(log_magnitudes[refused[0]]).to_float()  # raises
+
+
 def decode_logs(log_magnitudes: np.ndarray) -> list[float]:
     """:meth:`LogReal.to_float` over a column, with one limit check for all.
 
     The first entry that LogReal would refuse raises the same DomainError;
     the rest decode with ``math.exp``, so each value has to_float's bits.
     """
-    refused = np.flatnonzero(~(np.abs(log_magnitudes) < DECODE_LIMIT))
-    if refused.size:
-        LogReal.from_log(log_magnitudes[refused[0]]).to_float()  # raises
+    check_decodable(log_magnitudes)
     return [math.exp(x) for x in log_magnitudes.tolist()]
 
 
@@ -170,23 +176,27 @@ def log_unit_ball_volume_array(n: np.ndarray) -> np.ndarray:
     return np.where(n == 0, 0.0, out)
 
 
-def log_double_factorial_array(d) -> np.ndarray:
-    """ln d!! over an integer array of d >= 1: the float logs ln k for
-    k = d, d-2, ..., 2 or 3, summed exactly and rounded once.
+def log_double_factorials(top: int) -> np.ndarray:
+    """ln k!! for every k = 0..top (0!! = 1!! = 1): the float logs ln k for
+    k, k-2, ..., 2 or 3, summed exactly and rounded once.
 
     For k >= 2 the float ln k is at least ln 2 > 1/2, so it is an integer
     multiple of 2^-53.  Integer prefix sums along each parity class are
     exact, so each value has the same bits as ``math.fsum`` of its logs,
-    for O(max d) work in all instead of O(d) per value.
+    for O(top) work in all instead of O(k) per value.  The loop runs in
+    Python, so a caller that needs many lookups builds this once.
     """
-    d = np.asarray(d)
-    if d.dtype.kind not in "iu" or (d.size and d.min() < 1):
-        raise DomainError(f"double factorials need integers >= 1, got {d!r}")
-    top = int(d.max()) if d.size else 1
     prefix = np.zeros(top + 1)  # prefix[k] = ln k!! * 2^53, rounded once
     exact = [0, 0]  # running integer sums for even and odd k
     for k in range(2, top + 1):
         exact[k & 1] += int(math.ldexp(math.log(k), 53))
         prefix[k] = float(exact[k & 1])
-    return np.ldexp(prefix, -53)[d]
+    return np.ldexp(prefix, -53)
 
+
+def log_double_factorial_array(d) -> np.ndarray:
+    """ln d!! over an integer array of d >= 1 (see :func:`log_double_factorials`)."""
+    d = np.asarray(d)
+    if d.dtype.kind not in "iu" or (d.size and d.min() < 1):
+        raise DomainError(f"double factorials need integers >= 1, got {d!r}")
+    return log_double_factorials(int(d.max()) if d.size else 1)[d]

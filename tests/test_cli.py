@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 
 import dispbound
 from dispbound import cli
+from dispbound import constants as cmod
 from dispbound.constants import (
     constants_row,
     constants_table,
@@ -154,13 +156,13 @@ def per_row_constants(kind):
 @pytest.mark.parametrize("fmt", cli.FORMATS)
 @pytest.mark.parametrize("kind", ["pal_firey", "bezdek"])
 def test_constants_output_equals_the_per_row_route(capsys, monkeypatch, kind, fmt):
-    render, notes = cli._render, []
+    render, render_frames, notes = cli._render, cli._render_frames, []
 
-    def keep_notes(rows, fmt, row_notes=()):
-        notes.extend(row_notes)
-        return render(rows, fmt, row_notes)
+    def keep_notes(frames, fmt, frame_notes=()):
+        notes[:] = frame_notes
+        return render_frames(frames, fmt, frame_notes)
 
-    monkeypatch.setattr(cli, "_render", keep_notes)
+    monkeypatch.setattr(cli, "_render_frames", keep_notes)
     code, out, _ = run_cli(
         capsys, "constants", "--n-min", "2", "--n-max", str(ORACLE_N_MAX),
         "--kind", kind, "--format", fmt,
@@ -205,6 +207,179 @@ def test_constants_rejects_bad_range(capsys):
     code, _, err = run_cli(capsys, "constants", "--n-min", "1", "--n-max", "3")
     assert code == 2
     assert "dimension range" in err
+
+
+def _doctored_table(monkeypatch, column, index, value):
+    real = cli.constants_table
+
+    def doctored(ns, kind):
+        table = real(ns, kind)
+        values = getattr(table, column).copy()
+        values[index] = value
+        return dataclasses.replace(table, **{column: values})
+
+    monkeypatch.setattr(cli, "constants_table", doctored)
+
+
+@pytest.mark.parametrize(
+    "column, value, fmt, message",
+    [
+        ("log_c", 700.0, "json-lines", "refusing to decode log magnitude 700"),
+        ("log_a", -700.0, "csv", "refusing to decode log magnitude -700"),
+        ("rho_star", math.nan, "json-lines", "Out of range float values"),
+        ("log_h", math.inf, "json-lines", "Out of range float values"),
+    ],
+)
+def test_a_refusal_in_the_last_block_leaves_no_output(
+    capsys, monkeypatch, tmp_path, column, value, fmt, message
+):
+    # 2..40 is six blocks of 7 rows; only the last row is refused
+    monkeypatch.setattr(cmod, "BLOCK", 7)
+    _doctored_table(monkeypatch, column, -1, value)
+    argv = ["constants", "--n-min", "2", "--n-max", "40", "--format", fmt]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and message in err
+    target = tmp_path / "table.out"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert (code, out) == (2, "") and message in err
+    assert not target.exists()
+
+
+def test_csv_and_pretty_print_what_json_refuses(capsys, monkeypatch):
+    _doctored_table(monkeypatch, "rho_star", 1, math.nan)
+    for fmt, cell, line in (("csv", ",nan,", 2), ("pretty", " nan ", 3)):
+        code, out, _ = run_cli(capsys, "constants", "--n-min", "2", "--n-max", "4", "--format", fmt)
+        assert code == 0 and cell in out.splitlines()[line]
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_constants_and_scan_output_do_not_depend_on_the_block_size(capsys, monkeypatch, fmt):
+    commands = (
+        ["constants", "--n-min", "2", "--n-max", "60", "--format", fmt],
+        ["constants", "--n-min", "140", "--n-max", "170", "--kind", "bezdek", "--format", fmt],
+        ["scan-ab", "--n-min", "2", "--n-max", "50", "--format", fmt],
+    )
+    for argv in commands:
+        outputs = []
+        for block in (10**9, 1, 7):
+            monkeypatch.setattr(cmod, "BLOCK", block)
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_constants_streams_with_less_memory_than_its_output(tmp_path):
+    # the old route held every row as a dict and the whole text at once;
+    # the joined text alone was the size of the file
+    target = tmp_path / "table.jsonl"
+    tracemalloc.start()
+    try:
+        code = cli.main([
+            "constants", "--n-min", "2", "--n-max", "100000",
+            "--format", "json-lines", "--output", str(target),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < target.stat().st_size
+
+
+# the dict-per-row renderers the column renderer replaced, kept as its oracle
+
+
+def _old_union_keys(rows):
+    keys = []
+    for row in rows:
+        for key in row:
+            if key not in keys:
+                keys.append(key)
+    return keys
+
+
+def _old_render_csv(rows):
+    keys = _old_union_keys(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["schema_version", *keys])
+    for row in rows:
+        writer.writerow(
+            [str(SCHEMA_VERSION)]
+            + [cli._cell_text(row.get(key), cli.MACHINE_DIGITS) for key in keys]
+        )
+    return buf.getvalue()
+
+
+def _old_render_jsonl(rows):
+    encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+    return "".join(encode({"schema_version": SCHEMA_VERSION, **row}) + "\n" for row in rows)
+
+
+def _old_render_pretty(rows, notes=()):
+    blocks = []
+    for row in rows:
+        signature = tuple(row)
+        if blocks and blocks[-1][0] == signature:
+            blocks[-1][1].append(row)
+        else:
+            blocks.append((signature, [row]))
+    parts = []
+    for signature, block in blocks:
+        texts = [[cli._cell_text(row[key], cli.PRETTY_DIGITS) for key in signature] for row in block]
+        numeric = [
+            all(isinstance(row[key], (int, float)) or row[key] is None for row in block)
+            for key in signature
+        ]
+        widths = [max(len(key), *(len(t[i]) for t in texts)) for i, key in enumerate(signature)]
+
+        def line(cells):
+            return "  ".join(
+                c.rjust(widths[i]) if numeric[i] else c.ljust(widths[i]) for i, c in enumerate(cells)
+            ).rstrip()
+
+        parts += [line(list(signature)), line(["-" * w for w in widths])]
+        parts += [line(t) for t in texts] + [""]
+    parts += [f"note: {note}" for note in notes] + ([""] if notes else [])
+    return "\n".join(parts[:-1]) + "\n" if parts else ""
+
+
+MIXED_ROWS = [
+    {"a": 1, "b": -0.0, "c": "x"},
+    {"a": 2, "b": 1e-300, "c": None},
+    {"a": np.int64(3), "b": np.float64(2.5), "c": True},
+    {"d": 'say "hi", then go', "a": 5e300},
+    {"d": "ünïcode\n", "a": False},
+    {"a": 1, "b": 1 / 3, "c": "tail"},
+]
+
+
+def _outcome(render, *args):
+    try:
+        return render(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("rows", [MIXED_ROWS, MIXED_ROWS[:1], MIXED_ROWS[3:], []])
+@pytest.mark.parametrize("notes", [(), ("first", "second")])
+def test_render_equals_the_dict_per_row_renderers(monkeypatch, rows, notes):
+    for block in (10**9, 1, 2):
+        monkeypatch.setattr(cmod, "BLOCK", block)
+        assert cli._render(rows, "csv", notes) == _old_render_csv(rows)
+        assert cli._render(rows, "pretty", notes) == _old_render_pretty(rows, notes)
+        # an np.int64 is no JSON number to either: both raise the same error
+        assert _outcome(cli._render, rows, "json-lines", notes) == _outcome(_old_render_jsonl, rows)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64(-math.inf)])
+def test_render_refuses_what_the_row_encoder_refuses(bad):
+    rows = [{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": bad}, {"a": 5.0, "b": 6.0}]
+    with pytest.raises(ValueError) as old:
+        _old_render_jsonl(rows)
+    with pytest.raises(ValueError) as new:
+        cli._render(rows, "json-lines")
+    assert str(new.value) == str(old.value)
 
 
 # ---------------------------------------------------------------------------

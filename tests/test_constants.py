@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispbound import constants as cmod
+from dispbound import numerics
 from dispbound.constants import (
     AbScan,
     constants_row,
@@ -516,8 +517,8 @@ def test_a_first_branch_crossing_is_refused(monkeypatch):
     # the table refuses such an n instead of solving the first branch
     log_a_b = cmod._log_a_b
 
-    def first_branch(ns, kind):
-        log_a, _, *rest = log_a_b(ns, kind)
+    def first_branch(ns, kind, *log_df):
+        log_a, _, *rest = log_a_b(ns, kind, *log_df)
         return (log_a, log_a + 1.0, *rest)
 
     monkeypatch.setattr(cmod, "_log_a_b", first_branch)
@@ -640,3 +641,127 @@ def test_a_huge_sparse_span_is_never_allocated():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert list(table.branch) == ["second", "second"]
+
+
+# ---------------------------------------------------------------------------
+# Blocks: every kernel runs BLOCK rows at a time, and no row's bits or any
+# error depend on where the blocks fall
+# ---------------------------------------------------------------------------
+
+BLOCK_SIZES = (1, 7, 4096)
+ONE_BLOCK = 10**9
+TABLE_COLUMNS = (
+    "n", "rho_n", "log_a", "log_b", "log_c", "branch", "log_delta", "rho_star",
+    "residual", "log_h", "log_sphere",
+)
+
+
+def _in_blocks(monkeypatch, block, run):
+    monkeypatch.setattr(cmod, "BLOCK", block)
+    try:
+        return run()
+    finally:
+        monkeypatch.setattr(cmod, "BLOCK", ONE_BLOCK)
+
+
+def test_row_blocks_cover_the_rows_once(monkeypatch):
+    monkeypatch.setattr(cmod, "BLOCK", 7)
+    assert cmod.row_blocks(0) == []
+    assert cmod.row_blocks(7) == [slice(0, 7)]
+    assert cmod.row_blocks(16) == [slice(0, 7), slice(7, 14), slice(14, 16)]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_scan_in_blocks_equals_one_block(monkeypatch, block):
+    for n_min, n_max in ((2, 2000), (2, 2), (1990, 6000) if block > 1 else (1990, 2600)):
+        whole = _in_blocks(monkeypatch, ONE_BLOCK, lambda: scan_ab(n_min, n_max))
+        split = _in_blocks(monkeypatch, block, lambda: scan_ab(n_min, n_max))
+        for field in ("n_min", "n_max", "violations", "argmin_n"):
+            assert getattr(split, field) == getattr(whole, field)
+        for field in ("min_ratio", "ratio_at_max", "limit_gap_at_max"):
+            assert getattr(split, field).hex() == getattr(whole, field).hex()
+        if n_max - n_min + 1 < cmod.SCAN_KEEP_RATIOS_BELOW:
+            assert split.ratios.tobytes() == whole.ratios.tobytes()
+        else:
+            assert split.ratios is None and whole.ratios is None
+
+
+@pytest.mark.parametrize("kind", ["pal_firey", "bezdek"])
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_table_in_blocks_equals_one_block_bit_for_bit(monkeypatch, kind, block):
+    # ranges that straddle block edges, start and end mid-block, and a
+    # sparse, unordered input
+    span = {1: 70, 7: 400, 4096: 9000}[block]
+    for ns in (np.arange(2, span), np.arange(5, span + 3), np.array([9, 2, 10**5, 40, 3])):
+        whole = _in_blocks(monkeypatch, ONE_BLOCK, lambda: constants_table(ns, kind))
+        split = _in_blocks(monkeypatch, block, lambda: constants_table(ns, kind))
+        for name in TABLE_COLUMNS:
+            a, b = getattr(split, name), getattr(whole, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_bezdek_table_builds_its_double_factorials_once(monkeypatch):
+    tops = []
+    build = cmod.log_double_factorials
+
+    def counted(top):
+        tops.append(top)
+        return build(top)
+
+    # the table's own call and any through log_double_factorial_array
+    monkeypatch.setattr(cmod, "log_double_factorials", counted)
+    monkeypatch.setattr(numerics, "log_double_factorials", counted)
+    monkeypatch.setattr(cmod, "BLOCK", 100)
+    constants_table(np.arange(2, 2000), "bezdek")
+    assert tops == [2002]  # (n+1)+2 at the largest n, for 20 blocks
+    constants_table(np.arange(2, 2000), "pal_firey")
+    assert tops == [2002]
+
+
+def _nan_at(ns, values, n):
+    return np.where(ns == n, np.nan, values)
+
+
+def _doctor(monkeypatch, first_branch_at=None, unbracketed_at=None, residual_from=None):
+    """Make a_n <= b_n, an unbracketable crossing, or a residual past its
+    bound appear at chosen n."""
+    log_a_b, solve = cmod._log_a_b, cmod._solve_second_branch
+
+    def doctored_a_b(ns, kind, *log_df):
+        log_a, log_b, log_nm1, lv_nm1, lv_nm2, log_width = log_a_b(ns, kind, *log_df)
+        if first_branch_at is not None:
+            log_b = np.where(ns == first_branch_at, log_a + 1.0, log_b)
+        if unbracketed_at is not None:  # a NaN c_n has no sign change
+            lv_nm1 = _nan_at(ns, lv_nm1, unbracketed_at)
+        return log_a, log_b, log_nm1, lv_nm1, lv_nm2, log_width
+
+    def doctored_solve(ns, log_c, kind):
+        v = solve(ns, log_c, kind)
+        if residual_from is None:
+            return v
+        return np.where(ns >= residual_from, v * (1.0 + 1e-12), v)
+
+    monkeypatch.setattr(cmod, "_log_a_b", doctored_a_b)
+    monkeypatch.setattr(cmod, "_solve_second_branch", doctored_solve)
+
+
+@pytest.mark.parametrize(
+    "faults, message, first_n",
+    [
+        # a_n <= b_n wins over an unbracketed crossing in an earlier block
+        ({"first_branch_at": 60, "unbracketed_at": 20}, "a_n <= b_n", 60),
+        # an unbracketed crossing wins over a residual failure in an earlier block
+        ({"unbracketed_at": 50, "residual_from": 40}, "failed to bracket", 50),
+        ({"residual_from": 40}, "residual exceeds", 40),
+    ],
+)
+def test_a_later_block_fails_with_the_one_block_error(monkeypatch, faults, message, first_n):
+    _doctor(monkeypatch, **faults)
+    errors = []
+    for block in (ONE_BLOCK, *BLOCK_SIZES):
+        monkeypatch.setattr(cmod, "BLOCK", block)
+        with pytest.raises(NumericalError, match=message) as excinfo:
+            constants_table(np.arange(2, 80))
+        errors.append((str(excinfo.value), repr(excinfo.value.diagnostics)))
+    assert errors == [errors[0]] * len(errors)
+    assert f"'n': {first_n}," in errors[0][1]

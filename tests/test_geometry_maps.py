@@ -171,6 +171,54 @@ def test_stats_validation():
         displacement_stats(ball, amap, samples=10, distance_cap=0)
 
 
+def _spied(monkeypatch, cls, name):
+    calls = []
+    real = getattr(cls, name)
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "body, disp_map",
+    [
+        (equilateral_triangle(1.0), euclidean_antipode_map()),
+        (random_polytope(12, 20), euclidean_antipode_map()),
+        (SphereBody(1.0), half_perimeter_map()),
+    ],
+    ids=["triangle-antipode", "polytope-antipode", "sphere-half-perimeter"],
+)
+def test_a_refused_body_is_never_sampled(monkeypatch, body, disp_map):
+    with pytest.raises(ConfigurationError) as by_apply:
+        disp_map.apply(body, body.sample_boundary(0, 3))
+    sampled = _spied(monkeypatch, type(body), "sample_boundary")
+    with pytest.raises(ConfigurationError) as by_stats:
+        displacement_stats(body, disp_map, samples=10_000, seed=5)
+    assert str(by_stats.value) == str(by_apply.value)
+    assert sampled == []
+
+
+def test_half_perimeter_stats_take_each_point_sets_arc_lengths_once(monkeypatch):
+    hexagon, hmap = regular_polygon(6), half_perimeter_map()
+    # the route that computed the points' arc lengths twice, in the map and
+    # in the distances
+    points = np.concatenate([hmap.critical_points(hexagon), hexagon.sample_boundary(3, 500)])
+    images = hmap.apply(hexagon, points)
+    dists, _ = hexagon.intrinsic_distances_batch(points, images)
+    ratios = dists / np.linalg.norm(images - points, axis=1)
+
+    calls = _spied(monkeypatch, PolygonBoundary, "arclengths_of")
+    stats = displacement_stats(hexagon, hmap, samples=500, seed=3)
+    assert [len(args[0]) for args in calls] == [len(points)] * 2  # points, images
+    assert stats.sample_count == len(points)
+    assert stats.mu_hat.hex() == float(dists.min()).hex()
+    assert stats.rho_hat.hex() == float(ratios.max()).hex()
+
+
 # ---------------------------------------------------------------------------
 # widths
 # ---------------------------------------------------------------------------
