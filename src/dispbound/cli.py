@@ -335,7 +335,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
             np.array(decode_logs(logs[rows])) for logs in (table.log_a, table.log_b, table.log_c)
         )
         return [
-            n, table.rho_n[rows], a_n, b_n, c_n, table.rho_star[rows], table.branch[rows],
+            n, table.rho_n[rows], a_n, b_n, c_n, table.rho_star[rows], np.full(len(n), "second"),
             log_h, [_linear_or_marker(v) for v in log_h.tolist()],
             [quoted if v == 2 else None for v in n.tolist()],
             log_reference[rows], log_suboptimality[rows], np.full(len(n), table.kind),

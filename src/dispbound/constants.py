@@ -199,7 +199,6 @@ class ConstantsTable:
     log_a: np.ndarray
     log_b: np.ndarray
     log_c: np.ndarray
-    branch: np.ndarray  # always "second" (a_n > b_n, rho* > rho_n)
     log_delta: np.ndarray  # ln(rho_star - 1)
     rho_star: np.ndarray
     residual: np.ndarray  # |ln i_n - ln j_n| at the solution
@@ -213,7 +212,7 @@ class ConstantsTable:
 
     def crossing(self, i: int) -> CrossingResult:
         return CrossingResult(
-            int(self.n[i]), self.kind, float(self.rho_star[i]), str(self.branch[i]),
+            int(self.n[i]), self.kind, float(self.rho_star[i]), "second",
             float(self.log_delta[i]), float(self.log_h[i]), float(self.residual[i]),
         )
 
@@ -221,7 +220,7 @@ class ConstantsTable:
         linear = [LogReal.from_log(c[i]).to_float() for c in (self.log_a, self.log_b, self.log_c)]
         return ConstantsRow(
             int(self.n[i]), float(self.rho_n[i]), *linear, float(self.rho_star[i]),
-            float(self.log_h[i]), str(self.branch[i]), self.kind,
+            float(self.log_h[i]), "second", self.kind,
         )
 
 
@@ -362,8 +361,8 @@ def constants_table(ns, kind: Kind = DEFAULT_KIND) -> ConstantsTable:
         }
         raise NumericalError("crossing residual exceeds its rounding bound", diagnostics=diagnostics)
     return ConstantsTable(
-        ns, kind, rho_n, log_a, log_b, log_c, np.full(size, "second"),
-        log_delta, rho_star, residual, log_h, log_sphere,
+        ns, kind, rho_n, log_a, log_b, log_c, log_delta, rho_star, residual, log_h,
+        log_sphere,
     )
 
 

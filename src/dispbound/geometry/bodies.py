@@ -827,6 +827,17 @@ class Polytope3(ConvexBody):
         d = _as_batch(directions, 3)
         return np.max(_row_dots(d, self.vertices), axis=1)
 
+    def projected_areas(self, directions) -> np.ndarray:
+        """Area of the orthogonal projection along each unit row of a
+        ``(k, 3)`` array, by Cauchy's projection formula
+        1/2 sum_f area_f |<normal_f, u>|: each point of the shadow is covered
+        once by the faces that look towards u and once by those that look
+        away."""
+        d = _as_batch(directions, 3)
+        t = self.face_tables
+        cosines = np.abs(np.vecdot(d[:, None, :], t.normals))
+        return 0.5 * np.cumsum(t.areas * cosines, axis=1)[:, -1]
+
     # -- boundary geometry ---------------------------------------------------
 
     def faces_containing(self, point: np.ndarray) -> list[int] | np.ndarray:
@@ -847,6 +858,8 @@ class Polytope3(ConvexBody):
         the pruned graph of ``_fresh_pair_distance``, which is not cached;
         an empty batch builds no graph."""
         m = self.geodesic_subdivision if subdivision is None else int(subdivision)
+        if m < 0:
+            raise ConfigurationError("geodesic subdivision must be nonnegative")
         xs, ys = _as_pairs(xs, ys, 3)
         if not len(xs):
             return np.empty(0), UPPER_BOUND

@@ -9,9 +9,12 @@ subnormal with no relative accuracy.
 
 The log-gamma here is a Stirling/Binet series with five fixed Bernoulli
 coefficients and an upward recurrence shift for small arguments.  It is the
-basis for ball volumes and sphere areas.  Double factorials come only as
-arrays (:func:`log_double_factorials`, :func:`log_double_factorial_array`):
-exact sums of ``ln k``, rounded once, for every k up to a top in one pass.
+basis for ball volumes and sphere areas.  Each is written once, on arrays;
+a scalar value (:func:`log_gamma`, :func:`log_unit_ball_volume`,
+:func:`log_unit_sphere_area`) is the array route on a batch of one.  Double
+factorials come only as arrays (:func:`log_double_factorials`,
+:func:`log_double_factorial_array`): exact sums of ``ln k``, rounded once,
+for every k up to a top in one pass.
 """
 
 from __future__ import annotations
@@ -93,44 +96,36 @@ _BINET_SHIFT = 10.0
 
 
 def log_gamma(z: float) -> float:
-    """ln Gamma(z) for z > 0.
+    """ln Gamma(z) for z > 0: :func:`log_gamma_array` on a batch of one."""
+    try:
+        z = float(z)
+    except (TypeError, ValueError):
+        raise DomainError(f"log_gamma needs a real argument, got {z!r}") from None
+    return float(log_gamma_array(np.array([z]))[0])
+
+
+def log_gamma_array(z: np.ndarray) -> np.ndarray:
+    """ln Gamma(z) over an array of finite z > 0.
 
     For z >= 10 this is the Binet expansion
     (z - 1/2) ln z - z + ln(2 pi)/2 + sum_k B_{2k} / (2k (2k-1) z^{2k-1});
     smaller arguments are shifted up through the recurrence first and the
     logs of the shift factors subtracted at the end.
     """
-    try:
-        z = float(z)
-    except (TypeError, ValueError):
-        raise DomainError(f"log_gamma needs a real argument, got {z!r}") from None
-    if not math.isfinite(z) or z <= 0.0:
-        raise DomainError(f"log_gamma is defined for finite z > 0, got {z!r}")
-    shift = 0.0
-    while z < _BINET_SHIFT:
-        shift += math.log(z)
-        z += 1.0
-    tail = 0.0
-    z_sq = z * z
-    z_pow = z
-    for coeff in BINET_COEFFICIENTS:
-        tail += coeff / z_pow
-        z_pow *= z_sq
-    return (z - 0.5) * math.log(z) - z + 0.5 * LOG_TWO_PI + tail - shift
-
-
-def log_gamma_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized log_gamma over a positive float array (same series)."""
     z = np.asarray(z, dtype=float)
     if z.size and (not np.all(np.isfinite(z)) or np.any(z <= 0.0)):
         raise DomainError("log_gamma_array needs finite entries > 0")
     work = z.copy()
     shift = np.zeros_like(work)
-    mask = work < _BINET_SHIFT
-    while np.any(mask):
-        shift[mask] += np.log(work[mask])
-        work[mask] += 1.0
-        mask = work < _BINET_SHIFT
+    # the entries still below the shift bound, by index: a boolean mask
+    # over the whole array costs more, on one entry or a block of them
+    small = np.flatnonzero(work < _BINET_SHIFT)
+    while small.size:
+        raised = work[small]
+        shift[small] += np.log(raised)
+        raised += 1.0
+        work[small] = raised
+        small = small[raised < _BINET_SHIFT]
     tail = np.zeros_like(work)
     z_sq = work * work
     z_pow = work.copy()
@@ -149,9 +144,7 @@ def log_unit_ball_volume(n: int) -> float:
     """ln of the volume of the unit n-ball: (n/2) ln pi - ln Gamma(n/2 + 1)."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise DomainError(f"ball dimension must be an integer >= 0, got {n!r}")
-    if n == 0:
-        return 0.0
-    return 0.5 * n * LOG_PI - log_gamma(0.5 * n + 1.0)
+    return float(log_unit_ball_volume_array(np.array([n]))[0])
 
 
 def log_unit_sphere_area(n: int) -> float:
@@ -168,6 +161,7 @@ def log_unit_sphere_area(n: int) -> float:
 
 
 def log_unit_ball_volume_array(n: np.ndarray) -> np.ndarray:
+    """:func:`log_unit_ball_volume` over an integer array of n >= 0."""
     n = np.asarray(n)
     if n.size and np.any(n < 0):
         raise DomainError("ball dimensions must be >= 0")

@@ -611,8 +611,6 @@ def check_crofton(body: PolygonBoundary, seed: int = 0) -> VerificationRecord:
 
 def check_chord_projection(body: Polytope3, seed: int = 0) -> VerificationRecord:
     """Volume against chord-through-centroid times projected area over 3."""
-    from scipy.spatial import ConvexHull  # loaded once a polytope exists
-
     if not isinstance(body, Polytope3):
         raise DomainError("the chord-projection bound is run on 3-polytopes")
     rng = substream(seed, "chord-projection", body.body_id)
@@ -622,22 +620,14 @@ def check_chord_projection(body: Polytope3, seed: int = 0) -> VerificationRecord
     ends = body.ray_exit(center, np.concatenate([dirs, -dirs]))
     spans = ends[:CHORD_DIRECTIONS] - ends[CHORD_DIRECTIONS:]
     chords = np.sqrt(np.vecdot(spans, spans))  # bit-equal to 1-D norms
-    worst_rhs = -math.inf
-    worst_index = -1
-    for k, (u, chord) in enumerate(zip(dirs, chords.tolist())):
-        # exact projected area: 2-d hull of the projected vertex cloud
-        basis = np.linalg.svd(u[None, :])[2][1:]
-        shadow = body.vertices @ basis.T
-        area = float(ConvexHull(shadow).volume)
-        rhs_k = chord * area / 3.0
-        if rhs_k > worst_rhs:
-            worst_rhs, worst_index = rhs_k, k
+    rhs = chords * body.projected_areas(dirs) / 3.0
+    worst_index = int(np.argmax(rhs))  # the first of equal maxima
     return _record(
         "lem_2_7",
         body.body_id,
         None,
         lhs,
-        worst_rhs,
+        float(rhs[worst_index]),
         STRICT,
         "volume, chord, and projected hull area are all exact; the right "
         "side is the largest over the sampled directions, the hardest case",

@@ -563,6 +563,17 @@ def test_geodesic_rejects_off_boundary_point(capsys, tmp_path):
     assert "not on the boundary" in err
 
 
+@pytest.mark.parametrize("subdiv", ["-1", "-2"])
+def test_geodesic_rejects_a_negative_subdivision(capsys, subdiv):
+    # -1 used to end in a ZeroDivisionError traceback, -2 in an isqrt error
+    code, out, err = run_cli(
+        capsys, "geodesic", "--from", "face-center:0", "--to", "face-center:5",
+        "--subdiv", subdiv,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: geodesic subdivision must be nonnegative\n"
+
+
 def test_geodesic_rejects_misfit_endpoint_kinds(capsys):
     code, _, err = run_cli(
         capsys, "geodesic", "--from", "arclength:0", "--to", "vertex:0"

@@ -535,7 +535,9 @@ def test_residuals_stay_under_their_rounding_bound_to_one_million():
     # to keep memory down: rows do not depend on each other.
     for start in range(2, 10**6 + 1, 250_000):
         table = constants_table(np.arange(start, min(start + 250_000, 10**6 + 1)))
-        assert np.all(table.branch == "second")
+        # a_n > b_n puts every crossing on the second branch
+        assert np.all(table.log_a > table.log_b)
+        assert [table.crossing(i).branch for i in (0, -1)] == ["second", "second"]
         assert np.all(np.isfinite(table.log_h))
     assert table.n[-1] == 10**6
 
@@ -640,7 +642,7 @@ def test_a_huge_sparse_span_is_never_allocated():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert list(table.branch) == ["second", "second"]
+    assert [table.crossing(i).branch for i in range(2)] == ["second", "second"]
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +653,7 @@ def test_a_huge_sparse_span_is_never_allocated():
 BLOCK_SIZES = (1, 7, 4096)
 ONE_BLOCK = 10**9
 TABLE_COLUMNS = (
-    "n", "rho_n", "log_a", "log_b", "log_c", "branch", "log_delta", "rho_star",
+    "n", "rho_n", "log_a", "log_b", "log_c", "log_delta", "rho_star",
     "residual", "log_h", "log_sphere",
 )
 

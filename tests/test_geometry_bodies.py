@@ -460,6 +460,19 @@ def test_cube_faces_are_merged_sorted_and_measured():
     assert float(faces.normals[0] @ faces.normals[-1]) == pytest.approx(-1.0)
 
 
+def test_cube_shadow_is_the_sum_of_absolute_direction_coordinates():
+    # the unit cube's projection along a unit u has area |u1| + |u2| + |u3|
+    box = cube(1.0)
+    dirs = unit_directions(substream(RNG_SEED, "cube-shadow"), 500, 3)
+    expected = np.abs(dirs).sum(axis=1)
+    np.testing.assert_array_less(np.abs(box.projected_areas(dirs) - expected),
+                                 2 * np.spacing(expected))
+    # an axis direction sees one face
+    assert box.projected_areas(np.eye(3)).tolist() == [1.0, 1.0, 1.0]
+    with pytest.raises(DomainError):
+        box.projected_areas(dirs[0])
+
+
 def test_tetrahedron_area_and_volume():
     verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
     tet = Polytope3(verts)
@@ -1393,6 +1406,16 @@ def test_empty_polytope_batch_builds_no_graph():
     assert body._graphs == {}
     with pytest.raises(DomainError):
         body.intrinsic_distances_batch(empty, np.empty((1, 3)))
+
+
+def test_negative_subdivision_is_refused_without_building_a_graph():
+    body = random_polytope(4, 18)
+    xs, ys = body.sample_boundary(1, 2), body.sample_boundary(2, 2)
+    for k in (1, 2):  # the pruned single-pair route and the batch route
+        for m in (-1, -2):
+            with pytest.raises(ConfigurationError, match="must be nonnegative"):
+                body.intrinsic_distances_batch(xs[:k], ys[:k], m)
+    assert body._graphs == {}
 
 
 def test_dropping_a_queried_polytope_frees_its_graph():

@@ -71,9 +71,25 @@ def test_log_gamma_matches_stdlib_on_grid():
 
 def test_log_gamma_array_matches_scalar():
     zs = np.geomspace(0.1, 1e6, 50)
-    vec = log_gamma_array(zs)
-    for z, v in zip(zs, vec):
-        assert v == pytest.approx(log_gamma(float(z)), rel=1e-14, abs=1e-14)
+    assert [log_gamma(z) for z in zs.tolist()] == log_gamma_array(zs).tolist()
+
+
+def test_log_gamma_array_shift_equals_the_mask_loop():
+    # oracle: the shift as a loop over a boolean mask of the whole array,
+    # which the index walk replaced; both must give the same bits
+    zs = np.concatenate([np.geomspace(0.01, 20.0, 5000), np.arange(1, 40) * 0.5])
+    work, shift = zs.copy(), np.zeros_like(zs)
+    mask = work < 10.0
+    while np.any(mask):
+        shift[mask] += np.log(work[mask])
+        work[mask] += 1.0
+        mask = work < 10.0
+    tail, z_sq, z_pow = np.zeros_like(work), work * work, work.copy()
+    for coeff in BINET_COEFFICIENTS:
+        tail += coeff / z_pow
+        z_pow *= z_sq
+    oracle = (work - 0.5) * np.log(work) - work + 0.5 * math.log(2.0 * math.pi) + tail - shift
+    assert log_gamma_array(zs).tobytes() == oracle.tobytes()
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, "x"])
@@ -92,6 +108,13 @@ def test_unit_ball_volumes_small_dimensions():
     assert log_unit_ball_volume(1) == pytest.approx(math.log(2.0), rel=1e-14)
     assert log_unit_ball_volume(2) == pytest.approx(math.log(math.pi), rel=1e-14)
     assert log_unit_ball_volume(3) == pytest.approx(math.log(4 * math.pi / 3), rel=1e-14)
+
+
+def test_scalar_ball_volumes_are_the_array_route_bit_for_bit():
+    ns = np.arange(10**4 + 1)
+    assert [log_unit_ball_volume(n) for n in ns.tolist()] == (
+        log_unit_ball_volume_array(ns).tolist()
+    )
 
 
 def test_unit_sphere_areas_small_dimensions():
