@@ -245,6 +245,16 @@ def _emit(args: argparse.Namespace, chunks: str | Iterable[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
+def _emit_records(args: argparse.Namespace, records, pretty: Callable[[], str]) -> None:
+    """Write records in the chosen format; ``pretty`` makes the pretty text."""
+    if args.format == "csv":
+        _emit(args, records_to_csv(records))
+    elif args.format == "json-lines":
+        _emit(args, records_to_jsonl(records))
+    else:
+        _emit(args, pretty())
+
+
 # ---------------------------------------------------------------------------
 # shared argument plumbing
 # ---------------------------------------------------------------------------
@@ -465,6 +475,16 @@ def _pretty_suite(report: SuiteReport) -> str:
             f"orientation audit (silent notes or unsafe strict input): "
             f"{rec.theorem_id} on {rec.body_id} / {rec.map_id or '-'}"
         )
+
+    def relative(rec: VerificationRecord) -> float:
+        return rec.margin / max(abs(rec.rhs), 1e-300)
+
+    strict = sorted((rec for rec in report.records if rec.status == "strict"), key=relative)
+    lines.append("tightest strict margins (relative):")
+    lines.extend(
+        f"  {rec.theorem_id:<9} {rec.body_id:<26} {rec.map_id or '-':<16} {relative(rec):.4f}"
+        for rec in strict[:8]
+    )
     if report.skipped:
         lines.append(f"skipped ({len(report.skipped)}):")
         lines.extend(
@@ -478,13 +498,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = run_suite(
         SuiteConfig(seed=args.seed, samples=args.samples, polytope_count=args.polytopes)
     )
-    if args.format == "csv":
-        text = records_to_csv(report.records)
-    elif args.format == "json-lines":
-        text = records_to_jsonl(report.records)
-    else:
-        text = _pretty_suite(report)
-    _emit(args, text)
+    _emit_records(args, report.records, lambda: _pretty_suite(report))
     if args.format != "pretty":
         print(_suite_summary(report), file=sys.stderr)
     return EXIT_PASS if report.passed else EXIT_VIOLATION
@@ -616,13 +630,7 @@ def _load_records(path: Path) -> tuple[VerificationRecord, ...]:
 
 def cmd_export(args: argparse.Namespace) -> int:
     records = _load_records(args.input)
-    if args.format == "csv":
-        text = records_to_csv(records)
-    elif args.format == "json-lines":
-        text = records_to_jsonl(records)
-    else:
-        text = _pretty_records(records)
-    _emit(args, text)
+    _emit_records(args, records, lambda: _pretty_records(records))
     return EXIT_PASS
 
 

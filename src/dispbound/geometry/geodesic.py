@@ -9,27 +9,16 @@ grows (nested node sets give monotone improvement).  This is the
 Steiner-point scheme of Lanthier, Maheshwari and Sack (Algorithmica
 2001) and Aleksandrov, Maheshwari and Sack (JACM 2005).
 
-A batch of k pairs (x, y) is answered by one of two routes:
+A graph answers a batch of k pairs (x, y) by its distance table:
+Dijkstra runs once from every base node, on the first batch, and the
+graph keeps the V x V distance table D.  With F(p) the nodes on the faces
+that contain p, a pair is answered as
 
-* **One source per query.**  The 2k query points join the base graph as
-  nodes, each linked to every node of the faces that contain it, and x to
-  y where the two share a face; scipy's Dijkstra then runs from the k
-  points x.  A path may pass through the query points of other pairs.
-* **Table.**  Dijkstra runs once from every base node, and the graph keeps
-  the V x V distance table D.  With F(p) the nodes on the faces that
-  contain p, a pair is answered as
+    min(|x - y| if x and y share a face,
+        min over a in F(x), b in F(y) of (|x - a| + D[a, b]) + |b - y|),
 
-      min(|x - y| if x and y share a face,
-          min over a in F(x), b in F(y) of (|x - a| + D[a, b]) + |b - y|),
-
-  elementwise over padded rows, so the answer for a pair does not depend
-  on the other pairs of its batch.
-
-The table is built by the first batch for which
-``k (E_base + E_query) >= V E_base``, where V and E_base count the base
-graph's nodes and edges and E_query the batch's query edges; both sides
-estimate the edge relaxations of the two Dijkstra runs.  Once built, it
-answers every later batch.
+elementwise over padded rows, so the answer for a pair does not depend on
+the other pairs of its batch.
 
 A single pair at a subdivision m whose graph is not cached (one
 ``dispbound geodesic`` command) is answered without building that graph,
@@ -49,9 +38,13 @@ on the part of it that a shortest path can use:
   at m keeps only the nodes with |x - u| + |u - y| <= UB (1 +
   PRUNE_MARGIN) and the edges between them, so it still holds a shortest
   path of the full graph.
-* **Solve.**  The one-source route on that subgraph returns the full
-  graph's answer bit for bit: the least prefix sum over a subset of the
-  paths that still holds a least one.  The pruned graphs are not cached.
+* **Solve.**  One source: the two points join the subgraph as nodes,
+  each linked to every node of the faces that contain it, and x to y if
+  the two share a face; Dijkstra then runs from x.  This returns the
+  full graph's one-source answer bit for bit: the least prefix sum over a
+  subset of the paths that still holds a least one.  It may differ from
+  the table's answer in the last bits, since the table sums the same path
+  in another order.  The pruned graphs are not cached.
 """
 
 from __future__ import annotations
@@ -165,21 +158,17 @@ class GeodesicGraph:
         return len(self.nodes)
 
     def pairwise_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Row-wise boundary-path distances between query point arrays."""
+        """Row-wise boundary-path distances between query point arrays, by
+        the distance table, which the first call builds once its points
+        are found on the boundary."""
         q = self._query_edges(xs, ys)
-        base_edges = len(self._vals)
-        if self._table is None and (
-            q.k * (base_edges + len(q.length) + len(q.same))
-            >= self.node_count * base_edges
-        ):
+        if self._table is None:
             from scipy.sparse import csr_matrix
             from scipy.sparse.csgraph import dijkstra
 
             base = csr_matrix((self._vals, (self._rows, self._cols)),
                               shape=(self.node_count, self.node_count))
             self._table = dijkstra(base, directed=False)
-        if self._table is None:
-            return self._one_source_route(q)
         return self._table_route(q)
 
     def _query_edges(self, xs, ys) -> _QueryEdges:
@@ -205,7 +194,8 @@ class GeodesicGraph:
 
     def _one_source_route(self, q: _QueryEdges) -> np.ndarray:
         """Dijkstra from each x over the base graph joined by the 2k query
-        points; the same-face edges x-y come last."""
+        points, with no table; the same-face edges x-y come last.  A path
+        may pass through the query points of other pairs."""
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import dijkstra
 

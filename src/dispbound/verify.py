@@ -22,7 +22,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -140,20 +140,11 @@ class VerificationRecord:
     params: tuple[tuple[str, object], ...]
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "theorem_id": self.theorem_id,
-            "body_id": self.body_id,
-            "map_id": self.map_id,
-            "status": self.status,
-            "pass": self.passed,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "seed": self.seed,
-            "bound_orientation_notes": self.bound_orientation_notes,
-            "params": dict(self.params),
-        }
+        """The record's fields by name, as a JSON line holds them."""
+        fields = {f.name: SCHEMA_VERSION if f.attr is None else getattr(self, f.attr)
+                  for f in _FIELDS}
+        fields["params"] = dict(self.params)
+        return fields
 
     def sort_key(self) -> tuple:
         return (self.theorem_id, self.body_id, self.map_id or "")
@@ -692,7 +683,6 @@ class SuiteReport:
     missing_notes: tuple[int, ...]  # indices that audit_orientation_notes flags
     min_central_rho_hat: float
     elapsed_seconds: float
-    schema_version: int = SCHEMA_VERSION
 
     @property
     def passed(self) -> bool:
@@ -862,106 +852,114 @@ def audit_orientation_notes(records) -> tuple[int, ...]:
     return tuple(bad)
 
 
-_CSV_COLUMNS = (
-    "schema_version",
-    "theorem_id",
-    "body_id",
-    "map_id",
-    "status",
-    "pass",
-    "lhs",
-    "rhs",
-    "margin",
-    "seed",
-    "bound_orientation_notes",
-    "params",
+def _json_text(value) -> str:
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
+
+
+class _Field(NamedTuple):
+    """A record field: its JSON key and CSV column, the attribute that
+    holds it (None: the schema version), the exact types a loaded value may
+    have (a float read as an int is refused, so a loaded record writes back
+    the bytes it was read from), its CSV cell codec and, if not empty, the
+    values a loaded field may take."""
+
+    name: str
+    attr: str | None
+    types: tuple[type, ...]
+    to_text: Callable[[object], str]
+    from_text: Callable[[str], object]
+    values: tuple = ()
+
+
+_FIELDS = (
+    _Field("schema_version", None, (int,), str, int, (SCHEMA_VERSION,)),
+    _Field("theorem_id", "theorem_id", (str,), str, str),
+    _Field("body_id", "body_id", (str,), str, str),
+    _Field("map_id", "map_id", (str, type(None)),
+           lambda v: "" if v is None else v, lambda t: t or None),
+    _Field("status", "status", (str,), str, str, STATUSES),
+    _Field("pass", "passed", (bool,),
+           lambda v: "true" if v else "false", lambda t: {"true": True, "false": False}.get(t, t)),
+    _Field("lhs", "lhs", (float,), repr, float),
+    _Field("rhs", "rhs", (float,), repr, float),
+    _Field("margin", "margin", (float,), repr, float),
+    _Field("seed", "seed", (int,), str, int),
+    _Field("bound_orientation_notes", "bound_orientation_notes", (str,), str, str),
+    _Field("params", "params", (dict,), _json_text, json.loads),
 )
 
 
 def records_to_jsonl(records) -> str:
-    lines = [
-        json.dumps(rec.as_dict(), separators=(",", ":"), allow_nan=False)
-        for rec in records
-    ]
+    lines = [_json_text(rec.as_dict()) for rec in records]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def load_records_jsonl(path) -> tuple[VerificationRecord, ...]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(_record_from_dict(json.loads(line)))
-    return tuple(records)
 
 
 def records_to_csv(records) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+    writer.writerow(f.name for f in _FIELDS)
     for rec in records:
         d = rec.as_dict()
-        writer.writerow(
-            [
-                d["schema_version"],
-                d["theorem_id"],
-                d["body_id"],
-                "" if d["map_id"] is None else d["map_id"],
-                d["status"],
-                "true" if d["pass"] else "false",
-                repr(d["lhs"]),
-                repr(d["rhs"]),
-                repr(d["margin"]),
-                d["seed"],
-                d["bound_orientation_notes"],
-                json.dumps(d["params"], separators=(",", ":"), allow_nan=False),
-            ]
-        )
+        writer.writerow([f.to_text(d[f.name]) for f in _FIELDS])
     return buffer.getvalue()
 
 
-def load_records_csv(path) -> tuple[VerificationRecord, ...]:
+def load_records_jsonl(path) -> tuple[VerificationRecord, ...]:
+    """The records of a JSON-lines file, each checked against ``_FIELDS``;
+    ``ConfigurationError`` names the file, the line and the field."""
     records = []
-    with Path(path).open(newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            records.append(
-                _record_from_dict(
-                    {
-                        "schema_version": int(row["schema_version"]),
-                        "theorem_id": row["theorem_id"],
-                        "body_id": row["body_id"],
-                        "map_id": row["map_id"] or None,
-                        "status": row["status"],
-                        "pass": row["pass"] == "true",
-                        "lhs": float(row["lhs"]),
-                        "rhs": float(row["rhs"]),
-                        "margin": float(row["margin"]),
-                        "seed": int(row["seed"]),
-                        "bound_orientation_notes": row["bound_orientation_notes"],
-                        "params": json.loads(row["params"]),
-                    }
-                )
-            )
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            where = f"{path}, line {number}"
+            try:
+                data = json.loads(line)
+            except ValueError as exc:
+                raise ConfigurationError(f"{where}: not JSON ({exc})") from None
+            if not isinstance(data, dict):
+                raise ConfigurationError(f"{where}: a record is a JSON object, not {data!r}")
+            records.append(_record_from_fields(data, where, cells=False))
     return tuple(records)
 
 
-def _record_from_dict(data: dict) -> VerificationRecord:
-    if int(data.get("schema_version", -1)) != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported record schema version {data.get('schema_version')!r}"
+def load_records_csv(path) -> tuple[VerificationRecord, ...]:
+    """The records of a CSV file, each checked against ``_FIELDS``;
+    ``ConfigurationError`` names the file, the line and the field."""
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        return tuple(
+            _record_from_fields(dict(zip(header, row)), f"{path}, line {reader.line_num}",
+                                cells=True)
+            for row in reader if row  # a blank line holds no record
         )
-    return VerificationRecord(
-        theorem_id=data["theorem_id"],
-        body_id=data["body_id"],
-        map_id=data["map_id"],
-        lhs=float(data["lhs"]),
-        rhs=float(data["rhs"]),
-        margin=float(data["margin"]),
-        passed=bool(data["pass"]),
-        status=data["status"],
-        bound_orientation_notes=data["bound_orientation_notes"],
-        seed=int(data["seed"]),
-        params=tuple(data["params"].items()),
-    )
+
+
+def _record_from_fields(data: dict, where: str, cells: bool) -> VerificationRecord:
+    """A record from its fields by name, each decoded from CSV text when
+    ``cells`` is true and checked against its row of ``_FIELDS``."""
+    fields = {}
+    for f in _FIELDS:
+        if f.name not in data:
+            raise ConfigurationError(f"{where}: missing field {f.name!r}")
+        value = data[f.name]
+        if cells:
+            try:
+                value = f.from_text(value)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{where}: field {f.name!r} cannot be read from {value!r}"
+                ) from None
+        if type(value) not in f.types or (f.values and value not in f.values):
+            wanted = " or ".join(
+                map(repr, f.values) if f.values
+                else ("null" if t is type(None) else t.__name__ for t in f.types)
+            )
+            raise ConfigurationError(f"{where}: field {f.name!r} must be {wanted}, not {value!r}")
+        fields[f.attr] = value
+    del fields[None]  # the schema version
+    fields["params"] = tuple(fields["params"].items())
+    return VerificationRecord(**fields)
 
 
 # ---------------------------------------------------------------------------

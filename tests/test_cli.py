@@ -470,12 +470,24 @@ def test_verify_runs_are_byte_identical(capsys, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_verify_pretty_summarises_and_lists_skips(capsys):
+def test_verify_pretty_summarises_and_lists_skips(capsys, records_file):
     code, out, _ = run_cli(capsys, *VERIFY_ARGS)
     assert code == 0
     assert out.startswith("suite PASS")
     assert "skipped (" in out
     assert "not centrally symmetric" in out
+    # the eight tightest strict margins of the same run, smallest first
+    lines = out.splitlines()
+    first = lines.index("tightest strict margins (relative):") + 1
+    rows = [line.split() for line in lines[first:first + 8]]
+    assert lines[first + 8].startswith("skipped (")
+    relative = [float(row[3]) for row in rows]
+    assert relative == sorted(relative) and relative[0] > 0
+    strict = [r for r in load_records_jsonl(records_file) if r.status == "strict"]
+    tightest = sorted(strict, key=lambda r: r.margin / max(abs(r.rhs), 1e-300))[:8]
+    assert [row[:3] for row in rows] == [
+        [r.theorem_id, r.body_id, r.map_id or "-"] for r in tightest
+    ]
 
 
 def test_verify_passes_where_a_monte_carlo_width_once_failed(capsys):
@@ -628,6 +640,17 @@ def test_export_rejects_wrong_schema(capsys, tmp_path):
     bad.write_text('{"schema_version": 99}\n')
     code, _, err = run_cli(capsys, "export", "--input", str(bad))
     assert code == 2
+
+
+def test_export_and_diff_refuse_malformed_records(capsys, malformed_records, records_file):
+    bad = str(malformed_records.path)
+    for argv in (("export", "--input", bad), ("diff", str(records_file), bad),
+                 ("diff", bad, str(records_file))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {bad}, line {malformed_records.line}: ")
+        assert malformed_records.names in line
 
 
 # ---------------------------------------------------------------------------

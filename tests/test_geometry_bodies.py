@@ -909,6 +909,7 @@ def test_geodesic_rejects_off_boundary_queries():
     graph = GeodesicGraph(box, 1)
     with pytest.raises(DomainError):
         graph.pairwise_distances(np.zeros((1, 3)), np.array([[0.5, 0.0, 0.0]]))
+    assert graph._table is None  # refused before the table is built
 
 
 def test_polytope_distance_dominates_chord():
@@ -1212,8 +1213,8 @@ def _oracle_pairs(body, seed, count):
 
 @pytest.mark.parametrize("seed, vertices", [(2, 14), (8, 22), (12, 30)])
 def test_pairwise_distances_equal_dict_route(seed, vertices):
-    # the one-source route, called directly: a batch of 200 pairs would
-    # take the table route through pairwise_distances
+    # the one-source route, called directly: pairwise_distances answers
+    # every batch by the table
     body = random_polytope(seed, vertices)
     xs, ys = _oracle_pairs(body, seed, 200)
     for m in (0, 6, 8):
@@ -1237,10 +1238,9 @@ def test_table_route_matches_dict_route_pair_by_pair(seed, vertices):
     chords = np.linalg.norm(xs - ys, axis=1)
     for m in (0, 6):
         graph = GeodesicGraph(body, m)
-        # 300 pairs pay for the table on these graphs
-        got = graph.pairwise_distances(np.repeat(xs, 5, axis=0), np.repeat(ys, 5, axis=0))
+        # the first batch builds the table
+        got = graph.pairwise_distances(xs, ys)
         assert graph._table is not None
-        got = got[::5]
         # each pair alone: no other query point can shorten its path
         weights = _dict_base_weights(graph)
         oracle = np.array([

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +45,8 @@ from dispbound.verify import (
     records_to_jsonl,
     run_suite,
 )
+
+COMMITTED_RECORDS = Path(__file__).resolve().parent / "data" / "default-suite-1729.jsonl"
 
 # small but fully passing configuration (verified deterministic)
 TEST_CONFIG = SuiteConfig(seed=7, samples=1500, polytope_count=3)
@@ -504,6 +507,37 @@ def test_loader_rejects_unknown_schema(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"schema_version": 99}\n')
     with pytest.raises(ConfigurationError):
+        load_records_jsonl(path)
+
+
+def test_committed_records_round_trip_through_csv_byte_for_byte(tmp_path):
+    # every status and params shape of the default suite, through both codecs
+    as_csv = tmp_path / "records.csv"
+    as_csv.write_text(records_to_csv(load_records_jsonl(COMMITTED_RECORDS)), encoding="utf-8")
+    back = records_to_jsonl(load_records_csv(as_csv))
+    assert back == COMMITTED_RECORDS.read_text(encoding="utf-8")
+
+
+def test_loaders_refuse_malformed_records_naming_file_line_and_field(malformed_records):
+    load = load_records_csv if malformed_records.path.suffix == ".csv" else load_records_jsonl
+    with pytest.raises(ConfigurationError) as refused:
+        load(malformed_records.path)
+    message = str(refused.value)
+    assert message.startswith(f"{malformed_records.path}, line {malformed_records.line}: ")
+    assert malformed_records.names in message
+
+
+def test_loaders_refuse_values_of_another_type(tmp_path):
+    line = COMMITTED_RECORDS.read_text(encoding="utf-8").splitlines()[0]
+    record = json.loads(line)
+    path = tmp_path / "records.jsonl"
+    for field, value in (("lhs", 1), ("seed", 1.0), ("seed", True), ("map_id", 3),
+                         ("schema_version", True), ("bound_orientation_notes", None)):
+        path.write_text(json.dumps({**record, field: value}) + "\n")
+        with pytest.raises(ConfigurationError, match=f"line 1: field '{field}' must be"):
+            load_records_jsonl(path)
+    path.write_text(json.dumps({key: v for key, v in record.items() if key != "seed"}))
+    with pytest.raises(ConfigurationError, match="line 1: missing field 'seed'"):
         load_records_jsonl(path)
 
 
