@@ -674,9 +674,10 @@ def _asymptotics_options(p: argparse.ArgumentParser) -> None:
 
 
 def _verify_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=1729)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--polytopes", type=int, default=20)
+    defaults = SuiteConfig()
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--samples", type=int, default=defaults.samples)
+    p.add_argument("--polytopes", type=int, default=defaults.polytope_count)
     _add_output_options(p)
     p.set_defaults(handler=cmd_verify)
 

@@ -8,8 +8,7 @@ moved) together with the worst intrinsic/chordal ratio seen.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,6 +18,7 @@ from .bodies import ConvexBody, PolygonBoundary, SphereBody
 from .sampling import fibonacci_sphere, unit_directions, substream
 
 __all__ = [
+    "DISTANCE_SAMPLES",
     "DisplacementMap",
     "MapDisplacementStats",
     "central_point_map",
@@ -27,67 +27,52 @@ __all__ = [
     "half_perimeter_map",
 ]
 
+# the most points a cylinder's or a polytope's distances are taken for
+DISTANCE_SAMPLES = 300
+
 
 @dataclass(frozen=True)
 class DisplacementMap:
-    """A boundary self-map plus the hooks the sampler needs.
+    """A boundary self-map as three callables.
 
-    ``_check`` refuses a body the map cannot act on, from the body alone;
-    ``_at_arclengths``, for a map defined on a polygon's arc lengths, gives
-    the images of the points at arc lengths s, so a caller that already
-    has s need not compute it again.
+    ``images(body, points, arclengths)`` gives the images of boundary points
+    on a body ``check`` accepted; ``arclengths`` is None or a polygon's arc
+    lengths of the points, which a map defined on arc lengths reads in
+    place of computing them.  ``check(body)`` refuses a body the map cannot
+    act on, from the body alone.  ``critical_points(body)`` gives boundary
+    points where displacement extrema are expected, or None.
     """
 
     map_id: str
-    _apply: Callable[[ConvexBody, np.ndarray], np.ndarray]
-    _critical: Callable[[ConvexBody], np.ndarray | None] = field(
-        default=lambda body: None
-    )
-    _check: Callable[[ConvexBody], None] = field(default=lambda body: None)
-    _at_arclengths: Callable[[PolygonBoundary, np.ndarray], np.ndarray] | None = None
+    images: Callable[[ConvexBody, np.ndarray, np.ndarray | None], np.ndarray]
+    check: Callable[[ConvexBody], None] = lambda body: None
+    critical_points: Callable[[ConvexBody], np.ndarray | None] = lambda body: None
 
-    def check(self, body: ConvexBody) -> None:
-        """Raise if the map cannot act on ``body``; needs no sample."""
-        self._check(body)
-
-    def apply(self, body: ConvexBody, points: np.ndarray) -> np.ndarray:
+    def apply(self, body: ConvexBody, points: np.ndarray, arclengths=None) -> np.ndarray:
+        """Check the body, then map ``points``; a polygon's arc lengths of
+        them may be passed in."""
         self.check(body)
-        return self._images(body, points)
-
-    def _images(self, body: ConvexBody, points: np.ndarray, arclengths=None) -> np.ndarray:
-        """The images of ``points`` on a body ``check`` accepted; a polygon's
-        arc lengths of them may be passed in."""
         points = np.atleast_2d(points)
-        if arclengths is not None and self._at_arclengths is not None:
-            images = self._at_arclengths(body, arclengths)
-        else:
-            images = self._apply(body, points)
-        images = np.asarray(images, dtype=np.float64)
+        images = np.asarray(self.images(body, points, arclengths), dtype=np.float64)
         if images.shape != points.shape:
             raise ConfigurationError(
                 f"map {self.map_id!r} returned shape {images.shape}"
             )
         return images
 
-    def critical_points(self, body: ConvexBody) -> np.ndarray | None:
-        """Boundary points where displacement extrema are expected, if known."""
-        return self._critical(body)
 
+def central_point_map() -> DisplacementMap:
+    """Send x to the far boundary intersection of the line through the
+    body's interior point.  This is an involution without fixed points (the
+    line meets the boundary in exactly two points)."""
 
-def central_point_map(through=None) -> DisplacementMap:
-    """Send x to the far boundary intersection of the line through a fixed
-    interior point.  This is an involution without fixed points for any
-    interior choice (the line meets the boundary in exactly two points)."""
-
-    def apply(body: ConvexBody, points: np.ndarray) -> np.ndarray:
-        p = body.interior_point() if through is None else np.asarray(through, float)
+    def images(body: ConvexBody, points: np.ndarray, arclengths) -> np.ndarray:
+        p = body.interior_point()
         chords = p - points
         norms = np.sqrt(np.vecdot(chords, chords))  # bit-equal to 1-D norms
-        if np.any(norms <= 1e-14 * max(1.0, np.linalg.norm(p))):
-            raise DomainError("central point must not lie on the boundary")
         return body.ray_exit(p, chords / norms[:, None])
 
-    return DisplacementMap("central-point", apply)
+    return DisplacementMap("central-point", images)
 
 
 def euclidean_antipode_map() -> DisplacementMap:
@@ -113,10 +98,10 @@ def euclidean_antipode_map() -> DisplacementMap:
                 f"(support asymmetry {asymmetry:.3e})"
             )
 
-    def apply(body: ConvexBody, points: np.ndarray) -> np.ndarray:
+    def images(body: ConvexBody, points: np.ndarray, arclengths) -> np.ndarray:
         return 2.0 * body.interior_point() - points
 
-    return DisplacementMap("euclidean-antipode", apply, _check=check)
+    return DisplacementMap("euclidean-antipode", images, check)
 
 
 def half_perimeter_map() -> DisplacementMap:
@@ -128,11 +113,9 @@ def half_perimeter_map() -> DisplacementMap:
         if not isinstance(body, PolygonBoundary):
             raise ConfigurationError("half-perimeter map needs a polygon boundary")
 
-    def at_arclengths(body: PolygonBoundary, s: np.ndarray) -> np.ndarray:
+    def images(body: PolygonBoundary, points: np.ndarray, arclengths) -> np.ndarray:
+        s = body.arclengths_of(points) if arclengths is None else arclengths
         return body.point_at(s + 0.5 * body.perimeter)
-
-    def apply(body: ConvexBody, points: np.ndarray) -> np.ndarray:
-        return at_arclengths(body, body.arclengths_of(points))
 
     def critical(body: ConvexBody) -> np.ndarray | None:
         if not isinstance(body, PolygonBoundary):
@@ -145,7 +128,7 @@ def half_perimeter_map() -> DisplacementMap:
         s = (starts[:, None] + fractions[None, :] * lengths[:, None]).ravel()
         return body.point_at(s)
 
-    return DisplacementMap("half-perimeter", apply, critical, check, at_arclengths)
+    return DisplacementMap("half-perimeter", images, check, critical)
 
 
 @dataclass(frozen=True)
@@ -167,8 +150,6 @@ class MapDisplacementStats:
     distance_kind: str
     mu_hat: float
     rho_hat: float
-    argmin_point: tuple[float, ...]
-    argmin_image: tuple[float, ...]
     argmax_ratio_point: tuple[float, ...]
     argmax_ratio_image: tuple[float, ...]
 
@@ -178,19 +159,16 @@ def displacement_stats(
     disp_map: DisplacementMap,
     samples: int = 2000,
     seed: int = 0,
-    distance_cap: int = 300,
 ) -> MapDisplacementStats:
     """Sample the boundary, apply the map, and summarize displacements.
 
     Bodies with slow per-pair distance routines (cylinders, polytopes) only
-    evaluate a capped subset of the samples; any map-declared critical
+    evaluate the first ``DISTANCE_SAMPLES`` points; any map-declared critical
     points are always part of that subset.  A polytope's distances come
     from the graph of its own ``geodesic_subdivision``.
     """
     if samples < 1:
         raise ConfigurationError(f"need at least one sample, got {samples}")
-    if distance_cap < 1:
-        raise ConfigurationError(f"distance cap must be positive, got {distance_cap}")
     disp_map.check(body)  # a refused body is never sampled
     points = body.sample_boundary(seed, samples)
     crit = disp_map.critical_points(body)
@@ -199,7 +177,7 @@ def displacement_stats(
     # a polygon's distances are arc-length gaps: the points' arc lengths
     # serve both them and a map defined on arc lengths
     arclengths = body.arclengths_of(points) if isinstance(body, PolygonBoundary) else None
-    images = disp_map._images(body, points, arclengths)
+    images = disp_map.apply(body, points, arclengths)
 
     chords = np.linalg.norm(images - points, axis=1)
     if np.any(chords <= 1e-12 * body.scale):
@@ -209,11 +187,9 @@ def displacement_stats(
             f"{body.body_id!r} near {bad!r}"
         )
 
+    # the critical points were prepended, so the first points hold them
     fast = isinstance(body, (SphereBody, PolygonBoundary))
-    if fast or len(points) <= distance_cap:
-        subset = np.arange(len(points))
-    else:
-        subset = np.arange(distance_cap)  # critical points were prepended
+    subset = np.arange(len(points) if fast else min(len(points), DISTANCE_SAMPLES))
     if arclengths is not None:  # the subset is every point
         dists, kind = body.intrinsic_distances_batch(points, images, arclengths)
     else:
@@ -225,7 +201,6 @@ def displacement_stats(
         )
 
     ratios = dists / chords[subset]
-    i_min = int(np.argmin(dists))
     i_max = int(np.argmax(ratios))
     return MapDisplacementStats(
         body_id=body.body_id,
@@ -234,10 +209,8 @@ def displacement_stats(
         sample_count=len(points),
         distance_samples=len(subset),
         distance_kind=kind,
-        mu_hat=float(dists[i_min]),
+        mu_hat=float(np.min(dists)),
         rho_hat=float(ratios[i_max]),
-        argmin_point=tuple(points[subset][i_min]),
-        argmin_image=tuple(images[subset][i_min]),
         argmax_ratio_point=tuple(points[subset][i_max]),
         argmax_ratio_image=tuple(images[subset][i_max]),
     )

@@ -669,8 +669,11 @@ class SuiteConfig:
     threads: ClassVar[int] = 1
 
     def __post_init__(self):
-        if self.samples < 1 or self.polytope_count < 0:
-            raise ConfigurationError("samples must be >= 1 and polytope count >= 0")
+        if self.seed < 0 or self.samples < 1 or self.polytope_count < 0:
+            raise ConfigurationError(
+                "seed must be >= 0, samples >= 1 and polytope count >= 0, got "
+                f"{self.seed}, {self.samples} and {self.polytope_count}"
+            )
 
 
 @dataclass(frozen=True)

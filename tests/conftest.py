@@ -70,3 +70,35 @@ def malformed_records(request, tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text(f"{good}\n{json.dumps(bad)}\n")
     return SimpleNamespace(path=path, line=2, names=names)
+
+
+# body files the loader must refuse: (text after the header, the line at
+# fault or None for a key that is missing, a word that the error must name)
+MALFORMED_BODIES = {
+    "sphere-without-center": ("type sphere\nid s\nradius 1\n", None, "'center'"),
+    "sphere-without-radius": ("type sphere\nid s\ncenter 0 0 0\n", None, "'radius'"),
+    "cylinder-without-height": (
+        "type cylinder\nid c\nsurface_dimension 2\nradius 0.5\n", None, "'height'"
+    ),
+    "vertices-count-line": (
+        "type polygon\nvertices 3\nv 0 0\nv 1 0\nv 0.5 0.8660254037844386\n", 3, "'vertices'"
+    ),
+    "unreadable-radius": ("type sphere\nradius one\ncenter 0 0 0\n", 3, "'radius'"),
+    "short-polytope-vertex": (
+        "type polytope3\nvertex 0 0 0\nvertex 1 0\nvertex 0 1 0\nvertex 0 0 1\n", 4, "'vertex'"
+    ),
+    "repeated-height": (
+        "type cylinder\nsurface_dimension 2\nradius 0.5\nheight 1\nheight 2\n", 6, "'height'"
+    ),
+}
+
+
+@pytest.fixture(params=list(MALFORMED_BODIES))
+def malformed_body(request, tmp_path):
+    """A body file that the loader must refuse, the start of its error
+    (the file, and the line where there is one) and a word the error names."""
+    text, line, names = MALFORMED_BODIES[request.param]
+    path = tmp_path / f"{request.param}.body"
+    path.write_text(f"dispbound-body v1\n{text}", encoding="utf-8")
+    where = f"{path}, line {line}:" if line else f"{path}:"
+    return SimpleNamespace(path=path, where=where, names=names)

@@ -28,7 +28,7 @@ from dispbound.constants import (
 )
 from dispbound.errors import NumericalError
 from dispbound.geometry import SphereBody, regular_polygon, save_body
-from dispbound.verify import SCHEMA_VERSION, load_records_jsonl
+from dispbound.verify import SCHEMA_VERSION, SuiteConfig, load_records_jsonl
 
 VERIFY_ARGS = ["verify", "--seed", "7", "--samples", "1500", "--polytopes", "3"]
 
@@ -575,6 +575,16 @@ def test_geodesic_rejects_off_boundary_point(capsys, tmp_path):
     assert "not on the boundary" in err
 
 
+def test_geodesic_refuses_a_malformed_body_file(capsys, malformed_body):
+    code, out, err = run_cli(
+        capsys, "geodesic", "--body-file", str(malformed_body.path),
+        "--from=1,0,0", "--to=0,1,0",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {malformed_body.where}") and err.count("\n") == 1
+    assert malformed_body.names in err
+
+
 @pytest.mark.parametrize("subdiv", ["-1", "-2"])
 def test_geodesic_rejects_a_negative_subdivision(capsys, subdiv):
     # -1 used to end in a ZeroDivisionError traceback, -2 in an isqrt error
@@ -753,6 +763,17 @@ def test_import_leaves_scipy_geometry_unloaded_until_a_polytope():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.splitlines() == ["[]", "True"]
+
+
+def test_verify_reads_suite_config_defaults_and_seed_check(capsys):
+    args = cli.build_parser("verify").parse_args(["verify"])
+    defaults = SuiteConfig()
+    assert (args.seed, args.samples, args.polytopes) == (
+        defaults.seed, defaults.samples, defaults.polytope_count
+    )
+    code, out, err = run_cli(capsys, "verify", "--seed", "-1", "--polytopes", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed must be >= 0") and err.count("\n") == 1
 
 
 def test_python_m_dispbound_runs_the_cli():

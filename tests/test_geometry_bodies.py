@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -957,6 +958,25 @@ def test_load_rejects_malformed_files(tmp_path):
     path.write_text("dispbound-body v1\ntype klein-bottle\n")
     with pytest.raises(ConfigurationError):
         load_body(path)
+
+
+def test_load_names_the_file_line_and_key_of_a_malformed_body(malformed_body):
+    with pytest.raises(ConfigurationError) as err:
+        load_body(malformed_body.path)
+    assert str(err.value).startswith(malformed_body.where)
+    assert malformed_body.names in str(err.value)
+
+
+def test_readme_body_file_example_is_what_save_body_writes(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Body files\n.*?```\n(.*?)```", readme, re.S).group(1)
+    triangle = equilateral_triangle(1.0)
+    save_body(triangle, tmp_path / "saved.body")
+    assert example == (tmp_path / "saved.body").read_text(encoding="utf-8")
+    (tmp_path / "readme.body").write_text(example, encoding="utf-8")
+    loaded = load_body(tmp_path / "readme.body")
+    assert type(loaded) is PolygonBoundary and loaded.body_id == triangle.body_id
+    assert np.array_equal(loaded.vertices, triangle.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from dispbound.geometry import (
     random_polytope,
     regular_polygon,
 )
+from dispbound.geometry.maps import DISTANCE_SAMPLES
 from dispbound.verify import SuiteConfig, _suite_bodies
 
 SQRT3 = math.sqrt(3.0)
@@ -45,13 +46,6 @@ def test_central_map_is_a_fixed_point_free_involution():
     back = cmap.apply(body, images)
     np.testing.assert_allclose(back, pts, atol=1e-9)
     assert np.linalg.norm(images - pts, axis=1).min() > 1e-6
-
-
-def test_central_map_through_off_center_point():
-    square = PolygonBoundary([[0, 0], [1, 0], [1, 1], [0, 1]])
-    cmap = central_point_map(through=[0.75, 0.5])
-    img = cmap.apply(square, np.array([[0.0, 0.5]]))
-    np.testing.assert_allclose(img, [[1.0, 0.5]], atol=1e-12)
 
 
 def test_antipode_map_reflects_symmetric_bodies():
@@ -82,9 +76,18 @@ def test_half_perimeter_map_shifts_arclength():
         hmap.apply(ball, ball.sample_boundary(0, 2))
 
 
+def test_half_perimeter_images_from_given_arc_lengths_equal_computed_ones():
+    # the two ways its one image route gets arc lengths agree bit for bit
+    hmap = half_perimeter_map()
+    for body in (regular_polygon(6), equilateral_triangle(1.0), regular_polygon(11, 2.5)):
+        pts = np.concatenate([hmap.critical_points(body), body.sample_boundary(7, 300)])
+        given = hmap.apply(body, pts, body.arclengths_of(pts))
+        assert np.array_equal(given, hmap.apply(body, pts))
+
+
 def test_fixed_point_detection_fires():
     square = PolygonBoundary([[0, 0], [1, 0], [1, 1], [0, 1]])
-    identity = DisplacementMap("identity", lambda body, pts: pts)
+    identity = DisplacementMap("identity", lambda body, pts, arclengths: pts)
     with pytest.raises(FixedPointError):
         displacement_stats(square, identity, samples=10, seed=0)
 
@@ -130,19 +133,18 @@ def test_triangle_half_perimeter_vertex_ratio_is_sqrt3():
 def test_stats_determinism_across_calls():
     body = CylinderBody(2, 0.3, 0.8)
     amap = euclidean_antipode_map()
-    one = displacement_stats(body, amap, samples=500, seed=33, distance_cap=80)
-    two = displacement_stats(body, amap, samples=500, seed=33, distance_cap=80)
+    one = displacement_stats(body, amap, samples=500, seed=33)
+    two = displacement_stats(body, amap, samples=500, seed=33)
     assert one == two
-    assert one.distance_samples == 80
+    assert one.distance_samples == DISTANCE_SAMPLES
     assert one.distance_kind == "upper_bound"
 
 
 def test_cylinder_antipode_min_displacement_is_lateral_girdle():
     # opposite lateral points at mid-height are the closest antipodal pairs
     body = CylinderBody(2, 0.25, 0.5)
-    stats = displacement_stats(
-        body, euclidean_antipode_map(), samples=3000, seed=6, distance_cap=250
-    )
+    stats = displacement_stats(body, euclidean_antipode_map(), samples=3000, seed=6)
+    assert stats.distance_samples == DISTANCE_SAMPLES
     assert stats.mu_hat >= math.pi * 0.25 - 1e-9
     assert stats.mu_hat < math.pi * 0.25 * 1.1
 
@@ -151,13 +153,13 @@ def test_polytope_stats_use_geodesic_cap_and_subdivision():
     cmap = central_point_map()
     coarse = displacement_stats(
         random_polytope(41, 16, geodesic_subdivision=1),
-        cmap, samples=400, seed=2, distance_cap=60,
+        cmap, samples=400, seed=2,
     )
     fine = displacement_stats(
         random_polytope(41, 16, geodesic_subdivision=7),
-        cmap, samples=400, seed=2, distance_cap=60,
+        cmap, samples=400, seed=2,
     )
-    assert coarse.distance_samples == 60
+    assert coarse.distance_samples == DISTANCE_SAMPLES
     assert fine.mu_hat <= coarse.mu_hat + 1e-12  # finer graph can only shrink
     assert fine.rho_hat >= 1.0
 
@@ -167,8 +169,6 @@ def test_stats_validation():
     amap = euclidean_antipode_map()
     with pytest.raises(ConfigurationError):
         displacement_stats(ball, amap, samples=0)
-    with pytest.raises(ConfigurationError):
-        displacement_stats(ball, amap, samples=10, distance_cap=0)
 
 
 def _spied(monkeypatch, cls, name):
@@ -387,9 +387,9 @@ def test_mean_width_method_validation():
 # ---------------------------------------------------------------------------
 
 
-def _central_map_per_point(body, points, through=None):
+def _central_map_per_point(body, points):
     """The central-point map one sample at a time: one chord, one ray."""
-    p = body.interior_point() if through is None else np.asarray(through, float)
+    p = body.interior_point()
     out = np.empty_like(points)
     for i, x in enumerate(points):
         chord = p - x
@@ -417,17 +417,3 @@ def test_central_map_batch_equals_per_point_rays(body):
     points = body.sample_boundary(5, 500)
     cmap = central_point_map()
     assert np.array_equal(cmap.apply(body, points), _central_map_per_point(body, points))
-    through = body.interior_point() + 0.02 * np.arange(1, body.ambient_dimension + 1)
-    shifted = central_point_map(through=through)
-    assert np.array_equal(
-        shifted.apply(body, points), _central_map_per_point(body, points, through)
-    )
-
-
-@pytest.mark.filterwarnings("error")
-def test_central_map_rejects_a_boundary_centre_in_any_row():
-    square = PolygonBoundary([[0, 0], [1, 0], [1, 1], [0, 1]])
-    cmap = central_point_map(through=[1.0, 0.5])
-    points = np.array([[0.0, 0.5], [0.5, 0.0], [1.0, 0.5], [0.5, 1.0]])
-    with pytest.raises(DomainError):
-        cmap.apply(square, points)

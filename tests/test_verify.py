@@ -458,6 +458,7 @@ def test_checks_and_map_factories_take_no_settings():
         check_main_theorem, check_volume_bound, check_area_via_isoperimetric,
         check_envelope, check_mean_width, check_pal_firey, check_chord_projection,
         central_point_map, euclidean_antipode_map, half_perimeter_map,
+        displacement_stats,
     )
     assert {f.__name__: list(inspect.signature(f).parameters) for f in functions} == {
         "check_main_theorem": ["body", "stats"],
@@ -467,9 +468,10 @@ def test_checks_and_map_factories_take_no_settings():
         "check_mean_width": ["body", "stats"],
         "check_pal_firey": ["body", "seed"],
         "check_chord_projection": ["body", "seed"],
-        "central_point_map": ["through"],
+        "central_point_map": [],
         "euclidean_antipode_map": [],
         "half_perimeter_map": [],
+        "displacement_stats": ["body", "disp_map", "samples", "seed"],
     }
 
 
