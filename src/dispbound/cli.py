@@ -545,7 +545,7 @@ def _resolve_point(body, spec: str) -> np.ndarray:
     direction = coords - interior
     if not np.linalg.norm(direction) > 0.0:
         raise ConfigurationError("endpoint coincides with the interior point")
-    probe = body.ray_exit(interior, direction)
+    probe = body.ray_exit(interior, direction[None])[0]
     if np.linalg.norm(probe - coords) > 1e-9 * body.scale:
         raise ConfigurationError(f"endpoint {spec!r} is not on the boundary")
     return coords

@@ -58,44 +58,32 @@ def _as_point(p, dim: int) -> np.ndarray:
 # those bits too; one row goes to gemv, which does not (see ``_row_dots``).
 
 
-def _as_rows(x, dim: int) -> tuple[np.ndarray, bool]:
-    """Rows of a ``(k, dim)`` array, or of one ``(dim,)`` vector, checked for
-    shape and finiteness, and whether a single vector came in."""
+def _as_rows(x, dim: int) -> np.ndarray:
+    """The checked ``(k, dim)`` float array of the points or directions a
+    geometry method takes; a bare vector, a row of another width or a
+    non-finite row raises ``DomainError``."""
     rows = np.asarray(x, dtype=np.float64)
-    single = rows.ndim == 1
-    if single:
-        rows = rows[None, :]
     if rows.ndim != 2 or rows.shape[1] != dim:
-        raise DomainError(f"expected vectors of dimension {dim}, got shape {np.shape(x)}")
+        raise DomainError(f"expected a (k, {dim}) array, got shape {rows.shape}")
     if not np.all(np.isfinite(rows)):
         raise DomainError("vectors have non-finite coordinates")
-    return rows, single
-
-
-def _as_batch(x, dim: int) -> np.ndarray:
-    """A checked ``(k, dim)`` array; a single vector is refused."""
-    rows, single = _as_rows(x, dim)
-    if single:
-        raise DomainError(f"expected a (k, {dim}) array, got shape {np.shape(x)}")
     return rows
 
 
-def _as_directions(direction, dim: int) -> tuple[np.ndarray, bool]:
-    """Unit rows from one ``(dim,)`` direction or a ``(k, dim)`` array of
-    them, and whether a single direction came in."""
-    d, single = _as_rows(direction, dim)
+def _as_directions(directions, dim: int) -> np.ndarray:
+    """Unit rows of a checked ``(k, dim)`` array of directions."""
+    d = _as_rows(directions, dim)
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.vecdot(d, d))
     if not np.all((norms > 0.0) & np.isfinite(norms)):
         raise DomainError("direction must have a nonzero finite length")
-    return d / norms[:, None], single
+    return d / norms[:, None]
 
 
 def _as_pairs(xs, ys, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The two query arrays of a batch distance call as ``(k, dim)`` rows,
     checked for dimension, finiteness and matching shapes."""
-    p, _ = _as_rows(xs, dim)
-    q, _ = _as_rows(ys, dim)
+    p, q = _as_rows(xs, dim), _as_rows(ys, dim)
     if p.shape != q.shape:
         raise DomainError(
             f"query arrays must have matching shapes, got {p.shape} and {q.shape}"
@@ -123,13 +111,11 @@ def _nearest_exit(numerators: np.ndarray, normals: np.ndarray,
     return t.min(axis=1)
 
 
-def _exit_points(o: np.ndarray, d: np.ndarray, t: np.ndarray, single: bool,
-                 body: str) -> np.ndarray:
-    """``o + t d`` per row, or the one point for a single direction."""
+def _exit_points(o: np.ndarray, d: np.ndarray, t: np.ndarray, body: str) -> np.ndarray:
+    """``o + t d`` per row."""
     if not np.all(np.isfinite(t)):
         raise DomainError(f"ray does not exit the {body}; origin must be interior")
-    out = o + t[:, None] * d
-    return out[0] if single else out
+    return o + t[:, None] * d
 
 
 def _wrap_angle(delta: float | np.ndarray):
@@ -218,12 +204,9 @@ class ConvexBody(abc.ABC):
         """Some point strictly inside the body."""
 
     @abc.abstractmethod
-    def ray_exit(self, origin: np.ndarray, direction: np.ndarray) -> np.ndarray:
-        """Boundary point where the ray from an interior origin leaves the body.
-
-        ``direction`` is one ``(dim,)`` vector, giving one point, or a
-        ``(k, dim)`` array, giving a ``(k, dim)`` array of exit points.
-        """
+    def ray_exit(self, origin: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """The ``(k, dim)`` boundary points where the rays from one interior
+        origin along the rows of a ``(k, dim)`` array leave the body."""
 
     @property
     def scale(self) -> float:
@@ -249,14 +232,12 @@ class ConvexBody(abc.ABC):
 
 
 class SphereBody(ConvexBody):
-    """Round sphere of given radius and center in any ambient dimension."""
+    """Round sphere of given radius and center; the ambient dimension is the
+    center's length."""
 
-    def __init__(self, radius: float, center=None, ambient_dimension: int = 3,
-                 body_id: str | None = None):
+    def __init__(self, radius: float, center=(0.0, 0.0, 0.0), body_id: str | None = None):
         if not (math.isfinite(radius) and radius > 0.0):
             raise ConfigurationError(f"radius must be positive, got {radius!r}")
-        if center is None:
-            center = np.zeros(ambient_dimension)
         self.center = _as_point(center, len(np.atleast_1d(center)))
         self.ambient_dimension = len(self.center)
         if self.ambient_dimension < 2:
@@ -265,7 +246,7 @@ class SphereBody(ConvexBody):
         self.body_id = body_id or f"sphere-r{self.radius:g}-d{self.ambient_dimension}"
 
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
-        d = _as_batch(directions, self.ambient_dimension)
+        d = _as_rows(directions, self.ambient_dimension)
         return np.vecdot(d, self.center) + self.radius * np.linalg.norm(d, axis=1)
 
     def boundary_area(self) -> float:
@@ -305,15 +286,15 @@ class SphereBody(ConvexBody):
     def interior_point(self) -> np.ndarray:
         return self.center.copy()
 
-    def ray_exit(self, origin, direction) -> np.ndarray:
+    def ray_exit(self, origin, directions) -> np.ndarray:
         o = _as_point(origin, self.ambient_dimension)
-        d, single = _as_directions(direction, self.ambient_dimension)
+        d = _as_directions(directions, self.ambient_dimension)
         w = o - self.center
         gamma = self.radius**2 - float(w @ w)
         if gamma <= 0.0:
             raise DomainError("ray origin must be strictly inside the sphere")
         beta = np.vecdot(d, w)
-        return _exit_points(o, d, -beta + np.sqrt(beta * beta + gamma), single, "sphere")
+        return _exit_points(o, d, -beta + np.sqrt(beta * beta + gamma), "sphere")
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +327,7 @@ class CylinderBody(ConvexBody):
         )
 
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
-        d = _as_batch(directions, self.ambient_dimension)
+        d = _as_rows(directions, self.ambient_dimension)
         return self.base_radius * np.linalg.norm(d[:, :-1], axis=1) + (
             0.5 * self.height
         ) * np.abs(d[:, -1])
@@ -502,9 +483,9 @@ class CylinderBody(ConvexBody):
     def interior_point(self) -> np.ndarray:
         return np.zeros(self.ambient_dimension)
 
-    def ray_exit(self, origin, direction) -> np.ndarray:
+    def ray_exit(self, origin, directions) -> np.ndarray:
         o = _as_point(origin, self.ambient_dimension)
-        d, single = _as_directions(direction, self.ambient_dimension)
+        d = _as_directions(directions, self.ambient_dimension)
         r, h = self.base_radius, self.height
         best = np.full(len(d), np.inf)
         # caps
@@ -524,7 +505,7 @@ class CylinderBody(ConvexBody):
         t = (-bb[rows] + np.sqrt(disc[rows])) / aa[rows]
         ok = (t > 0) & (np.abs(o[-1] + t * d[rows, -1]) <= 0.5 * h + 1e-12 * h)
         best[rows[ok]] = np.minimum(best[rows[ok]], t[ok])
-        return _exit_points(o, d, best, single, "cylinder")
+        return _exit_points(o, d, best, "cylinder")
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +543,7 @@ class PolygonBoundary(ConvexBody):
         self.body_id = body_id or f"polygon-{len(v)}gon"
 
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
-        d = _as_batch(directions, 2)
+        d = _as_rows(directions, 2)
         return np.max(_row_dots(d, self.vertices), axis=1)
 
     def boundary_area(self) -> float:
@@ -585,7 +566,7 @@ class PolygonBoundary(ConvexBody):
         """Arc-length parameters of on-boundary points: each point's foot on
         its nearest edge, computed on ``(points, edges)`` coordinate
         columns."""
-        p = np.asarray(points, dtype=np.float64)
+        p = _as_rows(points, 2)
         px, py = p[:, :1], p[:, 1:]
         (vx, vy), (ex, ey) = self.vertices.T, self._edges.T
         t = ((px - vx) * ex + (py - vy) * ey) / self._edge_lengths**2
@@ -615,11 +596,11 @@ class PolygonBoundary(ConvexBody):
     def interior_point(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
 
-    def ray_exit(self, origin, direction) -> np.ndarray:
+    def ray_exit(self, origin, directions) -> np.ndarray:
         o = _as_point(origin, 2)
-        d, single = _as_directions(direction, 2)
+        d = _as_directions(directions, 2)
         best = _nearest_exit(np.vecdot(self._normals, self.vertices - o), self._normals, d)
-        return _exit_points(o, d, best, single, "polygon")
+        return _exit_points(o, d, best, "polygon")
 
 
 def equilateral_triangle(side: float = 1.0, body_id: str | None = None) -> PolygonBoundary:
@@ -824,7 +805,7 @@ class Polytope3(ConvexBody):
         return acc / np.cumsum(np.concatenate([[0.0], vol]))[-1]
 
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
-        d = _as_batch(directions, 3)
+        d = _as_rows(directions, 3)
         return np.max(_row_dots(d, self.vertices), axis=1)
 
     def projected_areas(self, directions) -> np.ndarray:
@@ -833,22 +814,18 @@ class Polytope3(ConvexBody):
         1/2 sum_f area_f |<normal_f, u>|: each point of the shadow is covered
         once by the faces that look towards u and once by those that look
         away."""
-        d = _as_batch(directions, 3)
+        d = _as_rows(directions, 3)
         t = self.face_tables
         cosines = np.abs(np.vecdot(d[:, None, :], t.normals))
         return 0.5 * np.cumsum(t.areas * cosines, axis=1)[:, -1]
 
     # -- boundary geometry ---------------------------------------------------
 
-    def faces_containing(self, point: np.ndarray) -> list[int] | np.ndarray:
-        """Indices of faces whose closed polygon contains the point.
-
-        For an ``(m, 3)`` array of points, the ``(m, F)`` boolean matrix
-        whose row i marks the faces containing point i.
-        """
-        p, single = _as_rows(point, 3)
-        member = face_membership(p, self.face_tables, self.vertices, self._scale)
-        return np.flatnonzero(member[0]).tolist() if single else member
+    def faces_containing(self, points: np.ndarray) -> np.ndarray:
+        """The ``(m, F)`` boolean matrix whose row i marks the faces whose
+        closed polygon contains point i of an ``(m, 3)`` array."""
+        p = _as_rows(points, 3)
+        return face_membership(p, self.face_tables, self.vertices, self._scale)
 
     def intrinsic_distances_batch(self, xs, ys, subdivision: int | None = None):
         """Steiner-graph distances (upper bounds) on the graph of the given
@@ -932,12 +909,12 @@ class Polytope3(ConvexBody):
     def interior_point(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
 
-    def ray_exit(self, origin, direction) -> np.ndarray:
+    def ray_exit(self, origin, directions) -> np.ndarray:
         o = _as_point(origin, 3)
-        d, single = _as_directions(direction, 3)
+        d = _as_directions(directions, 3)
         t = self.face_tables
         best = _nearest_exit(t.offsets - np.vecdot(t.normals, o), t.normals, d)
-        return _exit_points(o, d, best, single, "polytope")
+        return _exit_points(o, d, best, "polytope")
 
 
 def cube(edge: float = 1.0, body_id: str | None = None,

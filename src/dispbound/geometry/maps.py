@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigurationError, DomainError, FixedPointError
-from .bodies import ConvexBody, PolygonBoundary, SphereBody
+from .bodies import ConvexBody, PolygonBoundary, SphereBody, _as_rows
 from .sampling import fibonacci_sphere, unit_directions, substream
 
 __all__ = [
@@ -49,10 +49,10 @@ class DisplacementMap:
     critical_points: Callable[[ConvexBody], np.ndarray | None] = lambda body: None
 
     def apply(self, body: ConvexBody, points: np.ndarray, arclengths=None) -> np.ndarray:
-        """Check the body, then map ``points``; a polygon's arc lengths of
-        them may be passed in."""
+        """Check the body, then map the ``(k, dim)`` boundary ``points``; a
+        polygon's arc lengths of them may be passed in."""
         self.check(body)
-        points = np.atleast_2d(points)
+        points = _as_rows(points, body.ambient_dimension)
         images = np.asarray(self.images(body, points, arclengths), dtype=np.float64)
         if images.shape != points.shape:
             raise ConfigurationError(
@@ -173,7 +173,7 @@ def displacement_stats(
     points = body.sample_boundary(seed, samples)
     crit = disp_map.critical_points(body)
     if crit is not None and len(crit):
-        points = np.concatenate([np.atleast_2d(np.asarray(crit, float)), points])
+        points = np.concatenate([crit, points])
     # a polygon's distances are arc-length gaps: the points' arc lengths
     # serve both them and a map defined on arc lengths
     arclengths = body.arclengths_of(points) if isinstance(body, PolygonBoundary) else None

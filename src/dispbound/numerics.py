@@ -179,7 +179,13 @@ def log_double_factorials(top: int) -> np.ndarray:
     exact, so each value has the same bits as ``math.fsum`` of its logs,
     for O(top) work in all instead of O(k) per value.  The loop runs in
     Python, so a caller that needs many lookups builds this once.
+
+    ``top`` is at most 10^6 + 3, what the Bezdek constants read over the
+    dimensions 2..10^6 that ``constants.RESIDUAL_EPS`` is checked on; past
+    it the loop and the array would grow with ``top`` for no checked value.
     """
+    if top > 10**6 + 3:
+        raise DomainError(f"double factorials are tabulated up to 10^6 + 3, got {top}")
     prefix = np.zeros(top + 1)  # prefix[k] = ln k!! * 2^53, rounded once
     exact = [0, 0]  # running integer sums for even and odd k
     for k in range(2, top + 1):

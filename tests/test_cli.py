@@ -440,6 +440,16 @@ def test_asymptotics_rejects_garbled_n_list(capsys):
     assert "comma-separated" in err
 
 
+def test_asymptotics_refuses_a_huge_bezdek_dimension(capsys):
+    code, out, err = run_cli(
+        capsys, "asymptotics", "--quantity", "bezdek_log_h_n", "--n", str(10**15)
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: double factorials are tabulated up to 10^6 + 3, got 1000000000000003"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -645,6 +645,27 @@ def test_a_huge_sparse_span_is_never_allocated():
     assert [table.crossing(i).branch for i in range(2)] == ["second", "second"]
 
 
+@pytest.mark.parametrize("call", [
+    lambda n: constants_table(np.array([2, n]), "bezdek"),
+    lambda n: pal_constant(n + 1, "bezdek"),
+    lambda n: j_n(n, 2.0, "bezdek"),
+], ids=["constants_table", "pal_constant", "j_n"])
+def test_a_huge_bezdek_dimension_is_refused_before_any_allocation(call):
+    # the Bezdek route builds every ln k!! up to its top in a Python loop;
+    # past the 10^6 dimensions it is checked on, it is refused up front
+    tracemalloc.start()
+    try:
+        for n in (10**6 + 1, 10**15):
+            with pytest.raises(DomainError, match=r"up to 10\^6 \+ 3"):
+                call(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(DomainError, match=r"up to 10\^6 \+ 3, got 1000004"):
+        numerics.log_double_factorials(10**6 + 4)
+
+
 # ---------------------------------------------------------------------------
 # Blocks: every kernel runs BLOCK rows at a time, and no row's bits or any
 # error depend on where the blocks fall

@@ -19,9 +19,12 @@ from dispbound.geometry import (
     PolygonBoundary,
     Polytope3,
     SphereBody,
+    central_point_map,
     cube,
     equilateral_triangle,
+    euclidean_antipode_map,
     fibonacci_sphere,
+    half_perimeter_map,
     load_body,
     min_width,
     random_polytope,
@@ -84,7 +87,7 @@ def test_sphere_measures_match_closed_forms():
 
 
 def test_sphere_intrinsic_distance_is_arc_length():
-    s = SphereBody(3.0, ambient_dimension=4)
+    s = SphereBody(3.0, center=np.zeros(4))
     x = np.array([3.0, 0.0, 0.0, 0.0])
     y = np.array([0.0, 3.0, 0.0, 0.0])
     value, kind = s.intrinsic_distance(x, y)
@@ -129,10 +132,10 @@ def test_sphere_sampling_is_on_boundary_and_deterministic():
 
 def test_sphere_ray_exit_and_validation():
     s = SphereBody(1.0)
-    hit = s.ray_exit(np.array([0.3, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(hit, [1.0, 0.0, 0.0], atol=1e-14)
+    hit = s.ray_exit(np.array([0.3, 0.0, 0.0]), np.array([[1.0, 0.0, 0.0]]))
+    np.testing.assert_allclose(hit, [[1.0, 0.0, 0.0]], atol=1e-14)
     with pytest.raises(DomainError):
-        s.ray_exit(np.array([2.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        s.ray_exit(np.array([2.0, 0.0, 0.0]), np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(ConfigurationError):
         SphereBody(-1.0)
 
@@ -379,10 +382,10 @@ def test_cylinder_sampling_distribution_and_membership():
 
 def test_cylinder_ray_exit_hits_boundary():
     body = CylinderBody(2, 1.0, 2.0)
-    hit = body.ray_exit(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    np.testing.assert_allclose(hit, [0.0, 0.0, 1.0], atol=1e-14)
-    hit = body.ray_exit(np.array([0.0, 0.0, 0.5]), np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(hit, [1.0, 0.0, 0.5], atol=1e-14)
+    hit = body.ray_exit(np.zeros(3), np.array([[0.0, 0.0, 1.0]]))
+    np.testing.assert_allclose(hit, [[0.0, 0.0, 1.0]], atol=1e-14)
+    hit = body.ray_exit(np.array([0.0, 0.0, 0.5]), np.array([[1.0, 0.0, 0.0]]))
+    np.testing.assert_allclose(hit, [[1.0, 0.0, 0.5]], atol=1e-14)
     with pytest.raises(ConfigurationError):
         CylinderBody(1, 1.0, 1.0)
 
@@ -502,8 +505,8 @@ def test_random_polytope_is_deterministic_and_euler_clean():
 
 def test_polytope_ray_exit_and_support():
     box = cube(1.0)
-    hit = box.ray_exit(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(hit, [0.5, 0.0, 0.0], atol=1e-14)
+    hit = box.ray_exit(np.zeros(3), np.array([[1.0, 0.0, 0.0]]))
+    np.testing.assert_allclose(hit, [[0.5, 0.0, 0.0]], atol=1e-14)
     assert box.support([1.0, 1.0, 1.0]) == pytest.approx(1.5)
     dirs = unit_directions(substream(RNG_SEED, "cube-support"), 64, 3)
     widths = box.support_batch(dirs) + box.support_batch(-dirs)
@@ -512,17 +515,16 @@ def test_polytope_ray_exit_and_support():
 
 def test_faces_containing_classifies_strata():
     box = cube(1.0)
-    assert len(box.faces_containing(np.array([0.5, 0.0, 0.0]))) == 1
-    assert len(box.faces_containing(np.array([0.5, 0.5, 0.0]))) == 2  # edge
-    assert len(box.faces_containing(np.array([0.5, 0.5, 0.5]))) == 3  # corner
-    assert box.faces_containing(np.array([0.0, 0.0, 0.0])) == []
+    # a face point, an edge point, a corner and the centre
+    points = np.array([[0.5, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.5, 0.5], [0.0, 0.0, 0.0]])
+    assert box.faces_containing(points).sum(axis=1).tolist() == [1, 2, 3, 0]
 
 
 def test_polytope_sampling_stays_on_faces():
     body = random_polytope(5, 25)
     pts = body.sample_boundary(8, 300)
-    for p in pts[:50]:
-        assert body.faces_containing(p), f"sample off the boundary: {p}"
+    on = body.faces_containing(pts[:50]).any(axis=1)
+    assert on.all(), f"samples off the boundary: {pts[:50][~on]}"
 
 
 def test_polytope_fan_areas_sum_to_face_areas():
@@ -784,8 +786,6 @@ def _einsum_arclengths(body, points):
 
 
 def test_polygon_arclengths_equal_einsum_route():
-    from dispbound.geometry import central_point_map, half_perimeter_map
-
     polygons = [regular_polygon(s, 1.4) for s in (3, 4, 5, 6, 8, 12, 40)] + [
         equilateral_triangle(2.0)
     ] + [b for b in _suite_bodies(SuiteConfig(seed=1729, polytope_count=0))
@@ -837,7 +837,7 @@ def test_support_and_ray_exit_equal_vecdot_forms_at_every_batch_size():
             numerators = np.vecdot(normals, body.vertices - o)
         for rows in (1, 2, 10_000):
             raw = unit_directions(substream(RNG_SEED, "forms", body.body_id), rows, dim)
-            d, _ = _as_directions(raw, dim)  # as ray_exit normalizes them
+            d = _as_directions(raw, dim)  # as ray_exit normalizes them
             want = np.max(np.vecdot(d[:, None, :], body.vertices), axis=1)
             assert _bits(body.support_batch(d)) == _bits(want), (body.body_id, rows)
             best = vecdot_exit(numerators, normals, d)
@@ -1009,7 +1009,7 @@ def test_batched_ray_exit_equals_single_rays(body):
     shift = 0.05 * unit_directions(substream(RNG_SEED, "origin", body.body_id), 1, dim)[0]
     for origin in (body.interior_point(), body.interior_point() + shift):
         batch = body.ray_exit(origin, dirs)
-        singles = np.array([body.ray_exit(origin, u) for u in dirs])
+        singles = np.concatenate([body.ray_exit(origin, u[None]) for u in dirs])
         assert batch.shape == (len(dirs), dim)
         assert np.array_equal(batch, singles)
     assert body.ray_exit(origin, dirs[:0]).shape == (0, dim)
@@ -1053,23 +1053,23 @@ def test_ray_exit_error_paths_raise_without_warnings(body, outside):
     inside = body.interior_point()
     away = np.zeros(dim)
     away[np.flatnonzero(outside)[0]] = 1.0
-    # an origin outside the body, alone and as one row of a batch
+    # an origin outside the body, for a batch of one and as one row of three
     with pytest.raises(DomainError):
-        body.ray_exit(np.array(outside), away)
+        body.ray_exit(np.array(outside), away[None])
     with pytest.raises(DomainError):
         body.ray_exit(np.array(outside), np.stack([-away, away, -away]))
-    # bad directions: zero, non-finite, wrong dimension
-    for bad in (np.zeros(dim), np.full(dim, np.nan), np.full(dim, np.inf),
-                np.ones(dim + 1), np.ones((2, dim + 1)), np.ones((2, 2, dim))):
+    # bad directions: zero, non-finite, wrong dimension, a bare vector
+    for bad in (np.zeros((1, dim)), np.full((1, dim), np.nan), np.full((1, dim), np.inf),
+                np.ones((1, dim + 1)), np.ones((2, dim + 1)), np.ones((2, 2, dim)), away):
         with pytest.raises(DomainError):
             body.ray_exit(inside, bad)
     with pytest.raises(DomainError):
         body.ray_exit(inside, np.stack([away, np.zeros(dim)]))
     # a bad origin
     with pytest.raises(DomainError):
-        body.ray_exit(np.ones(dim + 1), away)
+        body.ray_exit(np.ones(dim + 1), away[None])
     with pytest.raises(DomainError):
-        body.ray_exit(np.full(dim, np.nan), away)
+        body.ray_exit(np.full(dim, np.nan), away[None])
 
 
 @pytest.mark.parametrize("seed, vertices", [(1, 14), (6, 25), (9, 40)])
@@ -1084,9 +1084,7 @@ def test_batched_faces_containing_equals_single_points(seed, vertices):
     points = np.concatenate([samples, body.vertices, midpoints, off])
     member = body.faces_containing(points)
     assert member.shape == (len(points), len(body.face_tables.sizes)) and member.dtype == bool
-    singles = [body.faces_containing(p) for p in points]
-    assert all(type(s) is list for s in singles)
-    assert [np.flatnonzero(row).tolist() for row in member] == singles
+    assert np.array_equal(member, np.concatenate([body.faces_containing(p[None]) for p in points]))
     # strata: at least one face per sample, two per edge midpoint, three per
     # vertex, none off the boundary
     counts = member.sum(axis=1)
@@ -1475,6 +1473,21 @@ BAD_DIRECTIONS = {
 }
 
 
+def _row_methods(body):
+    """Every method of ``body`` that takes a ``(k, dim)`` array of points or
+    directions, as a call on that array."""
+    maps = [central_point_map(), half_perimeter_map() if isinstance(body, PolygonBoundary)
+            else euclidean_antipode_map()]
+    calls = {"support_batch": body.support_batch,
+             "ray_exit": lambda rows: body.ray_exit(body.interior_point(), rows)}
+    calls.update({m.map_id: lambda rows, m=m: m.apply(body, rows) for m in maps})
+    if isinstance(body, PolygonBoundary):
+        calls["arclengths_of"] = body.arclengths_of
+    if isinstance(body, Polytope3):
+        calls["faces_containing"] = body.faces_containing
+    return calls
+
+
 @pytest.mark.parametrize("bad", sorted(BAD_DIRECTIONS))
 @pytest.mark.parametrize(
     "body",
@@ -1482,8 +1495,15 @@ BAD_DIRECTIONS = {
     ids=lambda b: type(b).__name__,
 )
 def test_support_batch_rejects_bad_directions(body, bad):
-    with pytest.raises(DomainError):
-        body.support_batch(BAD_DIRECTIONS[bad](body.ambient_dimension))
+    # support_batch, and every other method that takes rows of points or
+    # directions, refuses the rows with DomainError
+    rows = BAD_DIRECTIONS[bad](body.ambient_dimension)
+    for name, call in _row_methods(body).items():
+        try:
+            call(rows)
+        except DomainError:
+            continue
+        pytest.fail(f"{name} accepted {bad} rows")
 
 
 @pytest.mark.parametrize(
@@ -1536,11 +1556,13 @@ def _distance_domain_case(body, case):
     if case == "non-finite":
         x[0, 0] = math.nan
         return x, y
+    if case == "bare-vector":
+        return x[0], y[0]
     return np.append(x, [[0.0]], axis=1), np.append(y, [[0.0]], axis=1)
 
 
 @pytest.mark.parametrize(
-    "case", ["off-boundary", "mismatched-shapes", "non-finite", "wrong-dimension"]
+    "case", ["off-boundary", "mismatched-shapes", "non-finite", "wrong-dimension", "bare-vector"]
 )
 @pytest.mark.parametrize(
     "body",

@@ -289,7 +289,7 @@ def test_min_width_polytopes_at_most_a_dense_direction_scan():
 
 def test_min_width_sphere_any_direction():
     for dim in (2, 3, 4, 5):
-        ball = SphereBody(0.7, ambient_dimension=dim)
+        ball = SphereBody(0.7, center=np.zeros(dim))
         result = min_width(ball)
         assert result.value == pytest.approx(1.4, rel=1e-15)
         assert _width_at(ball, result.direction) == pytest.approx(1.4, rel=1e-15)
@@ -321,7 +321,7 @@ def test_mean_width_edge_formula_agrees_with_a_direction_average():
 
 def test_mean_width_sphere_is_the_diameter():
     for dim in (2, 3, 4, 5):
-        result = mean_width(SphereBody(3.0, ambient_dimension=dim))
+        result = mean_width(SphereBody(3.0, center=np.zeros(dim)))
         assert result.value == 6.0
         assert result.method == "sphere_diameter"
 
@@ -393,7 +393,7 @@ def _central_map_per_point(body, points):
     out = np.empty_like(points)
     for i, x in enumerate(points):
         chord = p - x
-        out[i] = body.ray_exit(p, chord / np.linalg.norm(chord))
+        out[i] = body.ray_exit(p, (chord / np.linalg.norm(chord))[None])[0]
     return out
 
 
@@ -402,7 +402,7 @@ def _central_map_per_point(body, points):
     "body",
     [
         SphereBody(1.2, center=[0.1, 0.2, 0.3]),
-        SphereBody(0.8, ambient_dimension=5),
+        SphereBody(0.8, center=np.zeros(5)),
         CylinderBody(2, 0.6, 1.7),
         CylinderBody(4, 0.3, 2.5),
         regular_polygon(7, 1.3),

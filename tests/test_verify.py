@@ -568,7 +568,8 @@ def test_chord_projection_rhs_equals_two_rays_per_direction():
     faces = body.face_tables
     rhs = []
     for u in dirs:
-        chord = float(np.linalg.norm(body.ray_exit(center, u) - body.ray_exit(center, -u)))
+        ends = body.ray_exit(center, u[None]), body.ray_exit(center, -u[None])
+        chord = float(np.linalg.norm(ends[0] - ends[1]))
         # Cauchy's projection formula, face by face in face order
         covered = 0.0
         for area, normal in zip(faces.areas.tolist(), faces.normals):
