@@ -91,6 +91,18 @@ def _as_pairs(xs, ys, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
+def _as_arclengths(s, count: int) -> np.ndarray:
+    """A caller's arc lengths of ``count`` boundary points as a checked
+    ``(count,)`` float array; another shape or a non-finite entry raises
+    ``DomainError``."""
+    a = np.asarray(s, dtype=np.float64)
+    if a.shape != (count,):
+        raise DomainError(f"expected {count} arc lengths, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("arc lengths must be finite")
+    return a
+
+
 def _row_dots(d: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The ``(k, n)`` dot products of the rows of ``d`` with the rows of
     ``m``, each with the bits of ``np.vecdot`` of the two vectors: one BLAS
@@ -583,9 +595,11 @@ class PolygonBoundary(ConvexBody):
 
     def intrinsic_distances_batch(self, xs, ys, xs_arclengths=None) -> tuple[np.ndarray, str]:
         """The shorter of the two arcs between the points; exact.  The arc
-        lengths of ``xs``, if a caller already has them, may be passed in."""
+        lengths of ``xs``, if a caller already has them, may be passed in:
+        one finite value per point."""
         p, q = _as_pairs(xs, ys, 2)
-        s = self.arclengths_of(p) if xs_arclengths is None else xs_arclengths
+        s = (self.arclengths_of(p) if xs_arclengths is None
+             else _as_arclengths(xs_arclengths, len(p)))
         gaps = np.abs(s - self.arclengths_of(q))
         return np.minimum(gaps, self.perimeter - gaps), EXACT
 
@@ -626,6 +640,19 @@ def regular_polygon(sides: int, circumradius: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
+# the six products of a cross product: a1 b2, a2 b0, a0 b1, a2 b1, a0 b2, a1 b0
+_CROSS_A, _CROSS_B = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of 3-vectors along the last axis, bit for bit (the same
+    products, subtracted in the same order) without its per-call set-up.
+    The result is C-ordered as ``np.cross``'s is: a stacked ``matmul``
+    sums in another order on another layout."""
+    products = a[..., _CROSS_A] * b[..., _CROSS_B]
+    return np.subtract(products[..., :3], products[..., 3:], order="C")
+
+
 class FaceTables(NamedTuple):
     """A polytope's faces as read-only arrays, row f for face f."""
 
@@ -644,13 +671,212 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-def _polytope_faces(vertices: np.ndarray, hull) -> FaceTables:
+# ---------------------------------------------------------------------------
+# the hull of a vertex cloud, by gift wrapping
+# ---------------------------------------------------------------------------
+
+
+class _Hull(NamedTuple):
+    """A cloud's convex hull, in the layout of a qhull ``ConvexHull``."""
+
+    points: np.ndarray  # (n, 3) the cloud
+    vertices: np.ndarray  # ids of the extreme points, ascending
+    simplices: np.ndarray  # (T, 3) point ids; each face fanned into triangles
+    equations: np.ndarray  # (T, 4) the face plane of each: normal, -offset
+
+
+# Points within HULL_TOLERANCE times the cloud's largest coordinate of a
+# face's plane lie in the face, and a polygon corner that turns by less than
+# HULL_TOLERANCE radians is no corner: a point inside a face or on an edge
+# is not a vertex.  Faces that are not coplanar within it stay apart here and
+# merge later if their planes agree to 7 digits (``_polytope_faces``).
+HULL_TOLERANCE = 1e-12
+
+# The wrap starts from the supporting plane normal to each direction of
+# {-1, 0, 1}^3 \ {0} of the cloud scaled to a unit box, turned about a line
+# in it: seeded all round, 25 sphere points take 3 frontier levels where one
+# seed takes 8, and a cigar 3 to 4 where unscaled seeds take 5.
+_GRID = np.array([(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)
+                  if (x, y, z) != (0, 0, 0)], dtype=np.float64)
+_GRID_LINES = _cross(_GRID, np.where(_GRID[:, :1] == 0, [[1.0, 0, 0]], [[0, 1.0, 0]]))
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.sqrt(np.vecdot(v, v))[:, None]
+
+
+def _pivot(p: np.ndarray, tol: float, u: np.ndarray, inward: np.ndarray,
+           normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One gift-wrapping step per row, in one array pass: turn the supporting
+    plane with outward unit normal ``normals[i]`` about its line through
+    ``p[u[i]]`` normal to the unit ``inward[i]`` (which lies in the plane)
+    until it meets the cloud.
+
+    Across the line a point sits at ``x = w . inward`` and depth
+    ``y = |w . normal|`` (w = point - p[u]); the new plane is the ray at the
+    largest angle atan2(y, x).  Returns the point that fixes it (the
+    farthest from the line of those on the ray), its outward unit normals
+    and the ``(n, k)`` mask of the points within ``tol`` of it.  Rows run
+    in chunks of about ``BATCH_CELLS`` cells.
+    """
+    step = max(1, BATCH_CELLS // len(p))
+    if len(u) > step:
+        parts = [_pivot(p, tol, u[s:s + step], inward[s:s + step], normals[s:s + step])
+                 for s in range(0, len(u), step)]
+        q, turned, coplanar = zip(*parts)
+        return np.concatenate(q), np.concatenate(turned), np.hstack(coplanar)
+    k = len(u)
+    xy = p @ np.concatenate([inward, normals]).T
+    xy -= xy[np.concatenate([u, u]), np.arange(2 * k)]
+    x, y = xy[:, :k], np.abs(xy[:, k:])
+    r = np.sqrt(x * x + y * y)
+    below = np.arctan2(y, x)
+    below[r <= tol] = -1.0  # on the line
+    below -= below.max(axis=0)
+    np.negative(below, out=below)  # angle below the new plane, in [0, pi]
+    q = np.argmax(np.where(below * r <= tol, r, 0.0), axis=0)
+    # distance r sin(angle): a plane turned by pi holds the old plane's points
+    coplanar = np.sin(below, out=below) * r <= tol
+    cols = np.arange(k)
+    xq, yq, rq = x[q, cols], y[q, cols], r[q, cols]
+    if not (rq > tol).all():
+        raise ConfigurationError("degenerate vertex cloud: the points are collinear")
+    return q, (inward * yq[:, None] + normals * xq[:, None]) / -rq[:, None], coplanar
+
+
+def _face_polygons(p: np.ndarray, coplanar: np.ndarray, normals: np.ndarray,
+                   e: np.ndarray, u: np.ndarray, fill: int) -> tuple[np.ndarray, np.ndarray]:
+    """The extreme points of each column's set of coplanar points, in
+    counterclockwise order about the plane's normal, padded with ``fill``,
+    and their counts.  A point is extreme when the directions from it to
+    the others leave an angular gap wider than pi; the pairs run in chunks
+    of about ``BATCH_CELLS`` cells."""
+    g = coplanar.shape[1]
+    xy = p @ np.concatenate([e, _cross(normals, e)]).T
+    xy -= xy[np.concatenate([u, u]), np.arange(2 * g)]
+    k = np.count_nonzero(coplanar, axis=0)
+    width = int(k.max())
+    pos = np.argsort(~coplanar, axis=0, kind="stable")[:width]  # each set first
+    cols = np.arange(g)
+    x, y = xy[pos, cols], xy[pos, cols + g]
+    valid = np.arange(width)[:, None] < k
+    gap = np.empty((width, g))
+    step = max(1, BATCH_CELLS // (width * g))
+    for s in range(0, width, step):
+        rows = np.arange(s, min(s + step, width))
+        angle = np.arctan2(y - y[rows, None], x - x[rows, None])
+        pair = valid & (np.arange(width)[:, None] != rows[:, None, None])
+        # a row's missing pairs repeat one of its angles, which opens no gap
+        angle = np.where(pair, angle, np.where(pair, angle, -4.0).max(axis=1, keepdims=True))
+        angle.sort(axis=1)
+        gap[rows] = np.maximum(np.diff(angle, axis=1).max(axis=1),
+                               angle[:, 0] + 2.0 * np.pi - angle[:, -1])
+    extreme = valid & (gap > np.pi + HULL_TOLERANCE)
+    cx = np.where(valid, x, 0.0).sum(axis=0) / k
+    cy = np.where(valid, y, 0.0).sum(axis=0) / k
+    order = np.argsort(np.where(extreme, np.arctan2(y - cy, x - cx), np.inf), axis=0)
+    sizes = np.count_nonzero(extreme, axis=0)
+    ids = pos[order, cols].T[:, :int(sizes.max())]
+    return np.where(np.arange(ids.shape[1]) < sizes[:, None], ids, fill), sizes
+
+
+def _pad(ids: np.ndarray, width: int, fill: int) -> np.ndarray:
+    if ids.shape[1] == width:
+        return ids
+    out = np.full((len(ids), width), fill)
+    out[:, :ids.shape[1]] = ids
+    return out
+
+
+def _convex_hull(points: np.ndarray) -> _Hull:
+    """The convex hull of a finite ``(n, 3)`` float cloud by gift wrapping
+    (Chand-Kapur 1970; Preparata-Shamos 1985), face by face.
+
+    Exact duplicates keep their first point.  Each frontier level pivots
+    every open edge at once (``_pivot``), so the Python loop runs once per
+    level of the face graph, not once per face.  A face across an open edge
+    u -> v holds v -> u; a face of three points is (v, u, q), a larger one
+    is ordered by ``_face_polygons``.  Two rows of a level find the same
+    face when it holds u, v and q of both.  Fewer than four distinct
+    points, or collinear or coplanar ones, raise ``ConfigurationError``.
+    """
+    order = np.lexsort(points.T[::-1])
+    ranked = points[order]
+    first = np.ones(len(points), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    keep = (np.arange(len(points)) if first.all()
+            else np.sort(np.minimum.reduceat(order, np.flatnonzero(first))))
+    if len(keep) < 4:
+        raise ConfigurationError(f"degenerate vertex cloud: {len(keep)} distinct points")
+    p = points[keep]
+    n = len(p)
+    tol = HULL_TOLERANCE * (float(np.abs(p).max()) or 1.0)
+    extent = np.maximum(p.max(axis=0) - p.min(axis=0), tol)
+    normals = _unit(_GRID / extent)
+    u = np.argmax(p @ normals.T, axis=0)
+    v, normals, _ = _pivot(p, tol, u, _cross(normals, _unit(_GRID_LINES * extent)), normals)
+    last = np.zeros((n, 0), dtype=bool)  # the last level's faces; seed lines are no edges
+    faces = []
+    count = 0
+    while len(u):
+        e = _unit(p[v] - p[u])
+        q, normals, coplanar = _pivot(p, tol, u, _cross(normals, e), normals)
+        new = np.flatnonzero(np.argmax(coplanar[u] & coplanar[v] & coplanar[q], axis=1)
+                             == np.arange(len(u)))
+        members = coplanar[:, new]
+        if not faces and members[:, 0].all():
+            raise ConfigurationError("degenerate vertex cloud: the points are coplanar")
+        sizes = np.count_nonzero(members, axis=0)
+        ids = np.stack([v, u, q], axis=1)[new]
+        normals = normals[new]
+        if sizes.max() == 3:
+            a, b, face = ids.ravel(), ids[:, [1, 2, 0]].ravel(), np.arange(len(ids)).repeat(3)
+        else:
+            big = np.flatnonzero(sizes > 3)
+            polygons, sizes[big] = _face_polygons(
+                p, members[:, big], normals[big], e[new[big]], u[new[big]], n
+            )
+            ids = _pad(ids, polygons.shape[1], n)
+            ids[big] = polygons
+            slot = np.arange(ids.shape[1])
+            inside = slot < sizes[:, None]
+            after = ids[np.arange(len(ids))[:, None], (slot + 1) % sizes[:, None]]
+            a, b, face = ids[inside], after[inside], np.nonzero(inside)[0]
+        count += len(new)
+        if count > 2 * n:  # a 3-polytope has at most 2V - 4 faces
+            raise ConfigurationError("degenerate vertex cloud: the hull does not close")
+        faces.append((ids, sizes, normals))
+        # an edge is closed when a second face of this level or of the last
+        # holds both its ends: two faces that share two vertices share the
+        # edge between them, and no older face can border a new one
+        both = np.hstack([last, members])
+        open_ = np.count_nonzero(both[a] & both[b], axis=1) == 1
+        u, v, normals, last = a[open_], b[open_], normals[face[open_]], members
+    width = max(ids.shape[1] for ids, _, _ in faces)
+    ids = np.concatenate([_pad(ids, width, n) for ids, _, _ in faces])
+    sizes = np.concatenate([sizes for _, sizes, _ in faces])
+    normals = np.concatenate([normals for _, _, normals in faces])
+    offsets = np.vecdot(normals, p[ids[:, 0]])
+    if width == 3:
+        face, simplices = slice(None), ids
+    else:
+        face, i = np.nonzero(np.arange(width - 2) < (sizes - 2)[:, None])
+        simplices = np.column_stack([ids[face, 0], ids[face, i + 1], ids[face, i + 2]])
+    return _Hull(points, keep[np.unique(ids[ids < n])], keep[simplices],
+                np.column_stack([normals[face], -offsets[face]]))
+
+
+# ---------------------------------------------------------------------------
+# face tables
+# ---------------------------------------------------------------------------
+
+
+def _polytope_faces(vertices: np.ndarray, hull: _Hull) -> FaceTables:
     """Merge coplanar hull simplices into faces, one array pass per face size.
 
     Simplices whose equations agree to 7 digits form one face; its vertices
     are ordered by angle about their mean in the plane of the first such
-    equation, and the plane is refit from the fan of the ordered vertices
-    (qhull's equations are loose by ~1e-8, too coarse for our tolerances).
+    equation, and the plane is refit from the fan of the ordered vertices.
     Faces are sorted by (normal, offset) rounded to 9 digits, so face
     indices are stable and documented.  Each step repeats the reduction of
     a per-face loop bit for bit: ``(k, 3) @ (3,)`` products as stacked
@@ -660,7 +886,14 @@ def _polytope_faces(vertices: np.ndarray, hull) -> FaceTables:
     remap = np.zeros(len(hull.points), dtype=np.intp)
     remap[hull.vertices] = np.arange(nv)
     rounded = np.round(hull.equations, 7)
-    _, first, group = np.unique(rounded, axis=0, return_index=True, return_inverse=True)
+    # group equal rounded equations (signed zeros are equal) by a stable
+    # sort, so each group's first member is its first simplex
+    ranked = np.lexsort(rounded.T[::-1])
+    head = np.ones(len(ranked), dtype=bool)
+    head[1:] = (rounded[ranked[1:]] != rounded[ranked[:-1]]).any(axis=1)
+    group = np.empty(len(ranked), dtype=np.intp)
+    group[ranked] = np.cumsum(head) - 1
+    first = ranked[head]
     # label the groups in the order their first simplex appears, whose
     # rounded equation orients the face, as a dict keeps its first key
     seen = np.argsort(first)
@@ -668,7 +901,7 @@ def _polytope_faces(vertices: np.ndarray, hull) -> FaceTables:
     label[seen] = np.arange(len(seen))
     planes = rounded[first[seen], :3]
     # each group's distinct vertex ids, ascending, in contiguous runs
-    runs = np.unique(label[group.ravel(), None] * nv + remap[hull.simplices])
+    runs = np.unique(label[group, None] * nv + remap[hull.simplices])
     owner, vid = np.divmod(runs, nv)
     sizes = np.bincount(owner, minlength=len(seen))
     starts = np.cumsum(sizes) - sizes
@@ -686,13 +919,13 @@ def _polytope_faces(vertices: np.ndarray, hull) -> FaceTables:
         plane = planes[faces] / np.sqrt(np.vecdot(planes[faces], planes[faces]))[:, None]
         basis_u = coords[:, 0] - centre
         basis_u = basis_u / np.sqrt(np.vecdot(basis_u, basis_u))[:, None]
-        basis_v = np.cross(plane, basis_u)
+        basis_v = _cross(plane, basis_u)
         rel = coords - centre[:, None]
         angle = np.arctan2(np.matmul(rel, basis_v[:, :, None])[..., 0],
                            np.matmul(rel, basis_u[:, :, None])[..., 0])
-        ordered = np.take_along_axis(unique, np.argsort(angle, axis=1), axis=1)
+        ordered = unique[np.arange(len(faces))[:, None], np.argsort(angle, axis=1)]
         pts = vertices[ordered]
-        fans = np.cross(pts[:, 1:-1] - pts[:, :1], pts[:, 2:] - pts[:, :1])
+        fans = _cross(pts[:, 1:-1] - pts[:, :1], pts[:, 2:] - pts[:, :1])
         refit = fans.sum(axis=1)
         refit_norm = np.sqrt(np.vecdot(refit, refit))
         if np.any((refit_norm <= 0.0) | (np.vecdot(refit, plane) <= 0.0)):
@@ -714,17 +947,18 @@ def _polytope_faces(vertices: np.ndarray, hull) -> FaceTables:
     areas, centroids, fan_areas = areas[order], centroids[order], fan_areas[order]
     slot = np.arange(width)
     after = np.where(slot < sizes[:, None],
-                     np.take_along_axis(ids, (slot + 1) % sizes[:, None], axis=1), nv)
+                     ids[np.arange(count)[:, None], (slot + 1) % sizes[:, None]], nv)
     tables = FaceTables(ids, after, sizes, normals, offsets, areas, centroids, fan_areas)
     _read_only(*tables)
     return tables
 
 
 class Polytope3(ConvexBody):
-    """Convex polytope in R^3 built from a vertex cloud via its hull.
+    """Convex polytope in R^3: the hull of a vertex cloud (``_convex_hull``).
 
-    Coplanar hull simplices are merged into true faces (``_polytope_faces``);
-    faces are sorted by (normal, offset) so face indices are stable and
+    The hull keeps the cloud's extreme points only, in input order.  Faces
+    whose planes agree to 7 digits are merged into one (``_polytope_faces``)
+    and sorted by (normal, offset), so face indices are stable and
     documented.
     """
 
@@ -735,14 +969,7 @@ class Polytope3(ConvexBody):
             raise ConfigurationError("need at least four points in R^3")
         if not np.all(np.isfinite(pts)):
             raise ConfigurationError("vertices must be finite")
-        # scipy.spatial takes 0.3-0.4 s to import, most of it scipy.sparse,
-        # which the geodesic graphs load too; import it only to build a hull
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            hull = ConvexHull(pts)
-        except QhullError as exc:
-            raise ConfigurationError(f"degenerate vertex cloud: {exc}") from exc
+        hull = _convex_hull(pts)
         self.vertices = pts[hull.vertices]
         self.ambient_dimension = 3
         if geodesic_subdivision < 0:

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigurationError, DomainError, FixedPointError
-from .bodies import ConvexBody, PolygonBoundary, SphereBody, _as_rows
+from .bodies import ConvexBody, PolygonBoundary, SphereBody, _as_arclengths, _as_rows
 from .sampling import fibonacci_sphere, unit_directions, substream
 
 __all__ = [
@@ -50,9 +50,12 @@ class DisplacementMap:
 
     def apply(self, body: ConvexBody, points: np.ndarray, arclengths=None) -> np.ndarray:
         """Check the body, then map the ``(k, dim)`` boundary ``points``; a
-        polygon's arc lengths of them may be passed in."""
+        polygon's arc lengths of them may be passed in, one finite value per
+        point."""
         self.check(body)
         points = _as_rows(points, body.ambient_dimension)
+        if arclengths is not None:
+            arclengths = _as_arclengths(arclengths, len(points))
         images = np.asarray(self.images(body, points, arclengths), dtype=np.float64)
         if images.shape != points.shape:
             raise ConfigurationError(

@@ -175,23 +175,32 @@ def log_double_factorials(top: int) -> np.ndarray:
     k, k-2, ..., 2 or 3, summed exactly and rounded once.
 
     For k >= 2 the float ln k is at least ln 2 > 1/2, so it is an integer
-    multiple of 2^-53.  Integer prefix sums along each parity class are
-    exact, so each value has the same bits as ``math.fsum`` of its logs,
-    for O(top) work in all instead of O(k) per value.  The loop runs in
-    Python, so a caller that needs many lookups builds this once.
+    multiple of 2^-53 below 2^57.  Prefix sums of those integers along each
+    parity class are exact, so each value has the same bits as
+    ``math.fsum`` of its logs, for O(top) work in all instead of O(k) per
+    value.  The sums pass 2^63, so each integer is split into a high and a
+    low 32-bit limb, each limb summed as int64 (neither sum can overflow),
+    and the low sum carried into the high one before the single rounding.
+    The logs are ``math.log``'s: ``np.log`` differs from it in the last bit
+    for some k.
 
     ``top`` is at most 10^6 + 3, what the Bezdek constants read over the
     dimensions 2..10^6 that ``constants.RESIDUAL_EPS`` is checked on; past
-    it the loop and the array would grow with ``top`` for no checked value.
+    it the array would grow with ``top`` for no checked value.
     """
     if top > 10**6 + 3:
         raise DomainError(f"double factorials are tabulated up to 10^6 + 3, got {top}")
-    prefix = np.zeros(top + 1)  # prefix[k] = ln k!! * 2^53, rounded once
-    exact = [0, 0]  # running integer sums for even and odd k
-    for k in range(2, top + 1):
-        exact[k & 1] += int(math.ldexp(math.log(k), 53))
-        prefix[k] = float(exact[k & 1])
-    return np.ldexp(prefix, -53)
+    logs = np.zeros(top + 1)
+    logs[2:] = np.fromiter(map(math.log, range(2, top + 1)), np.float64, max(top - 1, 0))
+    scaled = np.ldexp(logs, 53).astype(np.int64)  # ln k * 2^53, exactly
+    high, low = scaled >> 32, scaled & 0xFFFFFFFF
+    for limb in (high, low):
+        for parity in (0, 1):
+            np.cumsum(limb[parity::2], out=limb[parity::2])
+    high += low >> 32
+    low &= 0xFFFFFFFF
+    # hi * 2^32 + lo, rounded once, then scaled back by 2^-53
+    return np.ldexp(np.ldexp(high.astype(np.float64), 32) + low, -53)
 
 
 def log_double_factorial_array(d) -> np.ndarray:

@@ -759,20 +759,36 @@ def test_numerical_failures_exit_three(capsys, monkeypatch):
     assert '"n": 7' in err
 
 
+def _probe(code: str) -> list[str]:
+    """The stdout lines of ``python -c code`` with dispbound on the path."""
+    src = str(Path(dispbound.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    return result.stdout.splitlines()
+
+
 def test_import_leaves_scipy_geometry_unloaded_until_a_polytope():
+    # polytope hulls are built in numpy: a cube loads no scipy.spatial
     probe = (
         "import sys, dispbound.cli\n"
         "print([m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules])\n"
         "dispbound.cli.cube()\n"
         "print('scipy.spatial' in sys.modules)\n"
     )
-    src = str(Path(dispbound.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
+    assert _probe(probe) == ["[]", "False"]
+
+
+def test_verify_with_a_random_polytope_never_loads_scipy_spatial():
+    probe = (
+        "import io, sys, contextlib, dispbound.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = dispbound.cli.main(['verify', '--seed', '1729', '--polytopes', '1'])\n"
+        "print(code, 'scipy.spatial' in sys.modules)\n"
     )
-    assert result.stdout.splitlines() == ["[]", "True"]
+    assert _probe(probe)[-1:] == ["0 False"]
 
 
 def test_verify_reads_suite_config_defaults_and_seed_check(capsys):

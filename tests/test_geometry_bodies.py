@@ -621,25 +621,99 @@ def test_array_built_faces_equal_per_face_loop(monkeypatch):
     assert [len(t.sizes) for _, _, t in built[3:12]] == [k + 2 for k in range(3, 12)]
     assert [len(t.sizes) for _, _, t in built[-3:]] == [6, 6, 6]
     for name, (vertices, hull, tables) in zip(names, built):
-        expected = _per_face_faces(vertices, hull)
-        assert len(tables.sizes) == len(expected), name
-        for f, want in enumerate(expected):
-            k = int(tables.sizes[f])
-            assert tables.ids[f, :k].tolist() == list(want.indices), name
-            assert np.all(tables.ids[f, k:] == len(vertices))
-            assert np.all(tables.fan_areas[f, k - 2:] == 0.0)
-            got = _LoopFace(tuple(tables.ids[f, :k].tolist()), tables.normals[f],
-                            tables.offsets[f], tables.areas[f], tables.centroids[f],
-                            tables.fan_areas[f, :k - 2])
-            for field in ("normal", "offset", "area", "centroid", "fan_areas"):
-                a, b = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, field)
-        # every table is read-only, and the float tables are float64
-        for table in tables:
-            assert not table.flags.writeable
-        for table in (tables.normals, tables.offsets, tables.areas, tables.centroids,
-                      tables.fan_areas):
-            assert table.dtype == np.float64
+        _assert_tables_equal_loop(tables, _per_face_faces(vertices, hull), len(vertices), name)
+
+
+def _assert_tables_equal_loop(tables, expected, vertex_count, name):
+    """The face tables equal the per-face loop's faces byte for byte."""
+    assert len(tables.sizes) == len(expected), name
+    for f, want in enumerate(expected):
+        k = int(tables.sizes[f])
+        assert tables.ids[f, :k].tolist() == list(want.indices), name
+        assert np.all(tables.ids[f, k:] == vertex_count)
+        assert np.all(tables.fan_areas[f, k - 2:] == 0.0)
+        got = _LoopFace(tuple(tables.ids[f, :k].tolist()), tables.normals[f],
+                        tables.offsets[f], tables.areas[f], tables.centroids[f],
+                        tables.fan_areas[f, :k - 2])
+        for field in ("normal", "offset", "area", "centroid", "fan_areas"):
+            a, b = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, field)
+    # every table is read-only, and the float tables are float64
+    for table in tables:
+        assert not table.flags.writeable
+    for table in (tables.normals, tables.offsets, tables.areas, tables.centroids,
+                  tables.fan_areas):
+        assert table.dtype == np.float64
+
+
+def _random_cloud(seed, count):
+    """The first cloud ``random_polytope(seed, count)`` tries, interior
+    points and all."""
+    rng = substream(seed, "random-polytope", "0")
+    dirs = unit_directions(rng, count, 3)
+    return dirs * (1.0 + 0.35 * (rng.random(count) - 0.5))[:, None]
+
+
+def _assert_hull_equals_qhull(points, name):
+    """Polytope3's vertices and face tables equal those built from qhull's
+    hull, which stays in the tests as the oracle of the numpy hull."""
+    from scipy.spatial import ConvexHull
+
+    qhull = ConvexHull(points)
+    body = Polytope3(points)
+    assert body.vertices.tobytes() == points[qhull.vertices].tobytes(), name
+    _assert_tables_equal_loop(body.face_tables, _per_face_faces(body.vertices, qhull),
+                              len(body.vertices), name)
+
+
+def test_numpy_hull_equals_qhull_on_oracle_bodies_and_random_clouds():
+    clouds = [(body.body_id, body.vertices) for body in _oracle_face_bodies()]
+    clouds += [(f"cloud-{seed}", _random_cloud(seed, 4 + seed % 57)) for seed in range(200)]
+    for name, points in clouds:
+        _assert_hull_equals_qhull(points, name)
+    # the cubes with a corner moved by 1e-9 merge back to six faces
+    assert [len(Polytope3(points).face_tables.sizes) for _, points in clouds[-203:-200]] == [6] * 3
+
+
+def _box_corners():
+    return np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
+
+
+@pytest.mark.parametrize("extra", [
+    [[0.0, 0.0, 1.0]],  # in a face
+    [[0.3, -0.2, -1.0], [-1.0, 0.5, 0.25]],  # in two faces
+    [[1.0, 0.0, 1.0]],  # on an edge
+    [[-1.0, -1.0, 0.5], [0.25, 1.0, 1.0]],  # on two edges
+    [[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]],  # duplicated vertices
+    [[0.0, 0.0, 0.0], [0.5, 0.5, -0.5]],  # inside
+])
+def test_hull_leaves_out_points_that_are_no_vertices(extra):
+    corners = _box_corners().tolist()
+    for points in (np.vstack([extra, corners]), np.vstack([corners, extra])):
+        rows = points.tolist()
+        # the corners, each at its first copy, in input order
+        first = [i for i, row in enumerate(rows) if row in corners and row not in rows[:i]]
+        body = Polytope3(points)
+        assert body.vertices.tobytes() == points[first].tobytes()
+        assert len(body.face_tables.sizes) == 6 and np.all(body.face_tables.sizes == 4)
+        _assert_hull_equals_qhull(points, str(extra))
+    # a random polytope keeps its vertices with a point added to a face
+    body = random_polytope(5, 25)
+    t = body.face_tables
+    inside = body.vertices[t.ids[:, :3]].mean(axis=1)
+    grown = Polytope3(np.vstack([body.vertices, inside]))
+    assert grown.vertices.tobytes() == body.vertices.tobytes()
+
+
+@pytest.mark.parametrize("points", [
+    [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.2, 0]],  # flat
+    [[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3], [-1, -1, -1]],  # collinear
+    [[1, 2, 3]] * 6,  # coincident
+    [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0], [1, 0, 0]],  # three distinct
+])
+def test_hull_refuses_degenerate_clouds(points):
+    with pytest.raises(ConfigurationError, match="degenerate vertex cloud"):
+        Polytope3(np.array(points, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,23 @@ def test_half_perimeter_map_shifts_arclength():
         hmap.apply(ball, ball.sample_boundary(0, 2))
 
 
+def test_caller_arc_lengths_must_be_one_finite_value_per_point():
+    hexagon = regular_polygon(6)
+    xs, ys = hexagon.sample_boundary(3, 4), hexagon.sample_boundary(4, 4)
+    # a single value used to broadcast into four wrong exact distances
+    for bad in (np.array([0.0]), np.full(4, np.nan), np.zeros(5), np.zeros((4, 1)),
+                np.array([0.0, 1.0, np.inf, 2.0])):
+        with pytest.raises(DomainError):
+            hexagon.intrinsic_distances_batch(xs, ys, bad)
+    points = hexagon.sample_boundary(5, 3)
+    for bad in ([np.nan] * 3, [0.0], [[0.0, 1.0, 2.0]]):
+        with pytest.raises(DomainError):
+            half_perimeter_map().apply(hexagon, points, bad)
+    s = hexagon.arclengths_of(xs)
+    assert (hexagon.intrinsic_distances_batch(xs, ys, list(s))[0].tobytes()
+            == hexagon.intrinsic_distances_batch(xs, ys)[0].tobytes())
+
+
 def test_half_perimeter_images_from_given_arc_lengths_equal_computed_ones():
     # the two ways its one image route gets arc lengths agree bit for bit
     hmap = half_perimeter_map()

@@ -16,6 +16,7 @@ from dispbound.numerics import (
     LogReal,
     decode_logs,
     log_double_factorial_array,
+    log_double_factorials,
     log_gamma,
     log_gamma_array,
     log_unit_ball_volume,
@@ -198,6 +199,33 @@ def test_double_factorials_equal_fsum_of_logs():
     assert [log_double_factorial_array(np.array([d]))[0] for d in (1, 2, 4999, 5000)] == [
         batch[0], batch[1], batch[4998], batch[4999]
     ]
+
+
+def _double_factorial_loop(top):
+    """ln k!! for k = 0..top by a Python loop of exact integer sums, one per
+    parity class: kept as the oracle for the two-limb prefix sums."""
+    prefix = np.zeros(top + 1)
+    exact = [0, 0]
+    for k in range(2, top + 1):
+        exact[k & 1] += int(math.ldexp(math.log(k), 53))
+        prefix[k] = float(exact[k & 1])
+    return np.ldexp(prefix, -53)
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 3, 4, 5, 17, 1000, 10**5])
+def test_double_factorial_limbs_equal_the_integer_loop(top):
+    want = _double_factorial_loop(top)
+    assert log_double_factorials(top).tobytes() == want.tobytes()
+
+
+def test_double_factorial_limbs_equal_the_integer_loop_at_the_top():
+    top = 10**6 + 3
+    got = log_double_factorials(top)
+    ends = list(range(top - 5, top + 1))
+    for k in ends:
+        exact = sum(int(math.ldexp(math.log(j), 53)) for j in range(k, 1, -2))
+        assert got[k] == math.ldexp(float(exact), -53), k
+        assert got[k] == math.fsum(math.log(j) for j in range(k, 1, -2)), k
 
 
 def test_double_factorial_array_validation():
