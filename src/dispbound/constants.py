@@ -49,12 +49,6 @@ DEFAULT_KIND: Kind = "pal_firey"
 
 LOG_3 = math.log(3.0)
 
-#: Linear-scale values quoted in the source literature for small dimensions.
-#: These are display values only; the crossing pipeline computes its own h_n
-#: and the two are reported side by side, never merged (see README).
-QUOTED_DISPLAY_VALUES = {2: 0.2237, 3: 0.0443, 4: 0.0080}
-
-
 def _check_kind(kind: str) -> str:
     if kind not in KINDS:
         raise ConfigurationError(f"kind must be one of {KINDS}, got {kind!r}")

@@ -103,6 +103,15 @@ def _as_arclengths(s, count: int) -> np.ndarray:
     return a
 
 
+def _check_subdivision(m) -> int:
+    """A polytope geodesic subdivision: an integer >= 0, not a bool."""
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+        raise ConfigurationError(f"geodesic subdivision must be an integer, got {m!r}")
+    if m < 0:
+        raise ConfigurationError("geodesic subdivision must be nonnegative")
+    return int(m)
+
+
 def _row_dots(d: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The ``(k, n)`` dot products of the rows of ``d`` with the rows of
     ``m``, each with the bits of ``np.vecdot`` of the two vectors: one BLAS
@@ -676,20 +685,12 @@ def _read_only(*arrays: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Hull(NamedTuple):
-    """A cloud's convex hull, in the layout of a qhull ``ConvexHull``."""
-
-    points: np.ndarray  # (n, 3) the cloud
-    vertices: np.ndarray  # ids of the extreme points, ascending
-    simplices: np.ndarray  # (T, 3) point ids; each face fanned into triangles
-    equations: np.ndarray  # (T, 4) the face plane of each: normal, -offset
-
-
 # Points within HULL_TOLERANCE times the cloud's largest coordinate of a
 # face's plane lie in the face, and a polygon corner that turns by less than
 # HULL_TOLERANCE radians is no corner: a point inside a face or on an edge
-# is not a vertex.  Faces that are not coplanar within it stay apart here and
-# merge later if their planes agree to 7 digits (``_polytope_faces``).
+# is not a vertex.  Faces that are not coplanar within it stay apart in the
+# hull's face list, which goes to ``_polytope_faces`` as it is, and merge
+# there if their planes agree to 7 digits.
 HULL_TOLERANCE = 1e-12
 
 # The wrap starts from the supporting plane normal to each direction of
@@ -788,7 +789,7 @@ def _pad(ids: np.ndarray, width: int, fill: int) -> np.ndarray:
     return out
 
 
-def _convex_hull(points: np.ndarray) -> _Hull:
+def _convex_hull(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The convex hull of a finite ``(n, 3)`` float cloud by gift wrapping
     (Chand-Kapur 1970; Preparata-Shamos 1985), face by face.
 
@@ -845,25 +846,21 @@ def _convex_hull(points: np.ndarray) -> _Hull:
         count += len(new)
         if count > 2 * n:  # a 3-polytope has at most 2V - 4 faces
             raise ConfigurationError("degenerate vertex cloud: the hull does not close")
-        faces.append((ids, sizes, normals))
+        faces.append((ids, normals))
         # an edge is closed when a second face of this level or of the last
         # holds both its ends: two faces that share two vertices share the
         # edge between them, and no older face can border a new one
         both = np.hstack([last, members])
         open_ = np.count_nonzero(both[a] & both[b], axis=1) == 1
         u, v, normals, last = a[open_], b[open_], normals[face[open_]], members
-    width = max(ids.shape[1] for ids, _, _ in faces)
-    ids = np.concatenate([_pad(ids, width, n) for ids, _, _ in faces])
-    sizes = np.concatenate([sizes for _, sizes, _ in faces])
-    normals = np.concatenate([normals for _, _, normals in faces])
+    width = max(ids.shape[1] for ids, _ in faces)
+    ids = np.concatenate([_pad(ids, width, n) for ids, _ in faces])
+    normals = np.concatenate([normals for _, normals in faces])
     offsets = np.vecdot(normals, p[ids[:, 0]])
-    if width == 3:
-        face, simplices = slice(None), ids
-    else:
-        face, i = np.nonzero(np.arange(width - 2) < (sizes - 2)[:, None])
-        simplices = np.column_stack([ids[face, 0], ids[face, i + 1], ids[face, i + 2]])
-    return _Hull(points, keep[np.unique(ids[ids < n])], keep[simplices],
-                np.column_stack([normals[face], -offsets[face]]))
+    used = np.unique(ids[ids < n])
+    renumber = np.full(n + 1, len(used))
+    renumber[used] = np.arange(len(used))
+    return keep[used], renumber[ids], np.column_stack([normals, -offsets])
 
 
 # ---------------------------------------------------------------------------
@@ -871,37 +868,37 @@ def _convex_hull(points: np.ndarray) -> _Hull:
 # ---------------------------------------------------------------------------
 
 
-def _polytope_faces(vertices: np.ndarray, hull: _Hull) -> FaceTables:
-    """Merge coplanar hull simplices into faces, one array pass per face size.
+def _polytope_faces(vertices: np.ndarray, faces: np.ndarray,
+                    planes: np.ndarray) -> FaceTables:
+    """Merge the hull's coplanar faces, one array pass per face size.
 
-    Simplices whose equations agree to 7 digits form one face; its vertices
-    are ordered by angle about their mean in the plane of the first such
-    equation, and the plane is refit from the fan of the ordered vertices.
-    Faces are sorted by (normal, offset) rounded to 9 digits, so face
-    indices are stable and documented.  Each step repeats the reduction of
-    a per-face loop bit for bit: ``(k, 3) @ (3,)`` products as stacked
-    ``matmul``, 1-D norms as ``sqrt(vecdot)``.
+    ``faces`` and ``planes`` are ``_convex_hull``'s.  Faces whose planes
+    agree to 7 digits form one face; its vertices are ordered by angle about
+    their mean in the first such plane, and the plane is refit from the fan
+    of the ordered vertices.  Faces are sorted by (normal, offset) rounded
+    to 9 digits, so face indices are stable and documented.  Each step
+    repeats the reduction of a per-face loop bit for bit: ``(k, 3) @ (3,)``
+    products as stacked ``matmul``, 1-D norms as ``sqrt(vecdot)``.
     """
     nv = len(vertices)
-    remap = np.zeros(len(hull.points), dtype=np.intp)
-    remap[hull.vertices] = np.arange(nv)
-    rounded = np.round(hull.equations, 7)
-    # group equal rounded equations (signed zeros are equal) by a stable
-    # sort, so each group's first member is its first simplex
+    rounded = np.round(planes, 7)
+    # group equal rounded planes (signed zeros are equal) by a stable sort,
+    # so each group's first member is its first face
     ranked = np.lexsort(rounded.T[::-1])
     head = np.ones(len(ranked), dtype=bool)
     head[1:] = (rounded[ranked[1:]] != rounded[ranked[:-1]]).any(axis=1)
     group = np.empty(len(ranked), dtype=np.intp)
     group[ranked] = np.cumsum(head) - 1
     first = ranked[head]
-    # label the groups in the order their first simplex appears, whose
-    # rounded equation orients the face, as a dict keeps its first key
+    # label the groups in the order their first face appears, whose rounded
+    # plane orients the merged face, as a dict keeps its first key; the
+    # labels break ties of the final sort
     seen = np.argsort(first)
     label = np.empty(len(seen), dtype=np.intp)
     label[seen] = np.arange(len(seen))
-    planes = rounded[first[seen], :3]
+    oriented = rounded[first[seen], :3]
     # each group's distinct vertex ids, ascending, in contiguous runs
-    runs = np.unique(label[group, None] * nv + remap[hull.simplices])
+    runs = np.unique((label[group, None] * nv + faces)[faces < nv])
     owner, vid = np.divmod(runs, nv)
     sizes = np.bincount(owner, minlength=len(seen))
     starts = np.cumsum(sizes) - sizes
@@ -912,18 +909,18 @@ def _polytope_faces(vertices: np.ndarray, hull: _Hull) -> FaceTables:
     offsets, areas = np.empty(count), np.empty(count)
     fan_areas = np.zeros((count, width - 2))  # padded with zeros
     for k in np.unique(sizes).tolist():
-        faces = np.flatnonzero(sizes == k)
-        unique = vid[starts[faces, None] + np.arange(k)]
+        rows = np.flatnonzero(sizes == k)
+        unique = vid[starts[rows, None] + np.arange(k)]
         coords = vertices[unique]
         centre = coords.mean(axis=1)
-        plane = planes[faces] / np.sqrt(np.vecdot(planes[faces], planes[faces]))[:, None]
+        plane = oriented[rows] / np.sqrt(np.vecdot(oriented[rows], oriented[rows]))[:, None]
         basis_u = coords[:, 0] - centre
         basis_u = basis_u / np.sqrt(np.vecdot(basis_u, basis_u))[:, None]
         basis_v = _cross(plane, basis_u)
         rel = coords - centre[:, None]
         angle = np.arctan2(np.matmul(rel, basis_v[:, :, None])[..., 0],
                            np.matmul(rel, basis_u[:, :, None])[..., 0])
-        ordered = unique[np.arange(len(faces))[:, None], np.argsort(angle, axis=1)]
+        ordered = unique[np.arange(len(rows))[:, None], np.argsort(angle, axis=1)]
         pts = vertices[ordered]
         fans = _cross(pts[:, 1:-1] - pts[:, :1], pts[:, 2:] - pts[:, :1])
         refit = fans.sum(axis=1)
@@ -931,12 +928,12 @@ def _polytope_faces(vertices: np.ndarray, hull: _Hull) -> FaceTables:
         if np.any((refit_norm <= 0.0) | (np.vecdot(refit, plane) <= 0.0)):
             raise ConfigurationError("degenerate (zero-area) face in hull")
         normal = refit / refit_norm[:, None]
-        ids[faces, :k] = ordered
-        normals[faces] = normal
-        areas[faces] = 0.5 * np.matmul(fans, normal[:, :, None])[..., 0].sum(axis=1)
-        offsets[faces] = np.matmul(pts, normal[:, :, None])[..., 0].mean(axis=1)
-        centroids[faces] = pts.mean(axis=1)
-        fan_areas[faces, :k - 2] = 0.5 * np.linalg.norm(fans, axis=2)
+        ids[rows, :k] = ordered
+        normals[rows] = normal
+        areas[rows] = 0.5 * np.matmul(fans, normal[:, :, None])[..., 0].sum(axis=1)
+        offsets[rows] = np.matmul(pts, normal[:, :, None])[..., 0].mean(axis=1)
+        centroids[rows] = pts.mean(axis=1)
+        fan_areas[rows, :k - 2] = 0.5 * np.linalg.norm(fans, axis=2)
 
     # a stable sort of the first-seen order, as a sort of the face list was
     order = np.lexsort((
@@ -956,10 +953,13 @@ def _polytope_faces(vertices: np.ndarray, hull: _Hull) -> FaceTables:
 class Polytope3(ConvexBody):
     """Convex polytope in R^3: the hull of a vertex cloud (``_convex_hull``).
 
-    The hull keeps the cloud's extreme points only, in input order.  Faces
-    whose planes agree to 7 digits are merged into one (``_polytope_faces``)
-    and sorted by (normal, offset), so face indices are stable and
-    documented.
+    The hull keeps the cloud's extreme points only, in input order, and
+    hands its faces to ``_polytope_faces``, which merges those whose planes
+    agree to 7 digits and sorts them by (normal, offset) into
+    ``face_tables``, so face indices are stable and documented.  ``edges``
+    holds the ``(E, 2)`` edges (a, b), a < b, sorted, and ``face_edges``
+    the ``(F, W)`` index of the edge from each slot of ``face_tables.ids``
+    to the next, padded with E; both are read-only.
     """
 
     def __init__(self, vertices, body_id: str | None = None,
@@ -969,36 +969,41 @@ class Polytope3(ConvexBody):
             raise ConfigurationError("need at least four points in R^3")
         if not np.all(np.isfinite(pts)):
             raise ConfigurationError("vertices must be finite")
-        hull = _convex_hull(pts)
-        self.vertices = pts[hull.vertices]
+        self.geodesic_subdivision = _check_subdivision(geodesic_subdivision)
+        kept, faces, planes = _convex_hull(pts)
+        self.vertices = pts[kept]
         self.ambient_dimension = 3
-        if geodesic_subdivision < 0:
-            raise ConfigurationError("geodesic subdivision must be nonnegative")
-        self.geodesic_subdivision = int(geodesic_subdivision)
         self.body_id = body_id or f"polytope-{len(self.vertices)}v"
         self._scale = float(np.max(np.linalg.norm(self.vertices, axis=1))) or 1.0
-        self.face_tables = _polytope_faces(self.vertices, hull)
-        self.edges = self._check_euler()
+        self.face_tables = _polytope_faces(self.vertices, faces, planes)
+        self.edges, self.face_edges = self._edge_tables()
         self._graphs: dict[int, object] = {}
 
     # -- construction ------------------------------------------------------
 
-    def _check_euler(self) -> np.ndarray:
-        """The ``(E, 2)`` edges (a, b), a < b, sorted; the hull must satisfy
-        V - E + F = 2."""
+    def _edge_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``edges`` and ``face_edges`` from one ``np.unique`` of the keys
+        a V + b of the face sides; every edge must border exactly two faces
+        and the hull must satisfy V - E + F = 2."""
         t = self.face_tables
         v = len(self.vertices)
         real = t.ids < v
         a, b = t.ids[real], t.after[real]
-        keys = np.unique(np.minimum(a, b) * v + np.maximum(a, b))
+        keys, side, counts = np.unique(np.minimum(a, b) * v + np.maximum(a, b),
+                                       return_inverse=True, return_counts=True)
+        if np.any(counts != 2):
+            bad = [divmod(k, v) for k in keys[counts != 2].tolist()]
+            raise ConfigurationError(f"hull edges {bad} do not border exactly two faces")
         e, f = len(keys), len(t.sizes)
         if v - e + f != 2:
             raise ConfigurationError(
                 f"hull fails the Euler relation: V={v}, E={e}, F={f}"
             )
         edges = np.column_stack(np.divmod(keys, v))
-        _read_only(edges)
-        return edges
+        face_edges = np.full(t.ids.shape, e)
+        face_edges[real] = side
+        _read_only(edges, face_edges)
+        return edges, face_edges
 
     # -- measurements -------------------------------------------------------
 
@@ -1061,9 +1066,7 @@ class Polytope3(ConvexBody):
         A single pair at a subdivision with no cached graph is answered on
         the pruned graph of ``_fresh_pair_distance``, which is not cached;
         an empty batch builds no graph."""
-        m = self.geodesic_subdivision if subdivision is None else int(subdivision)
-        if m < 0:
-            raise ConfigurationError("geodesic subdivision must be nonnegative")
+        m = self.geodesic_subdivision if subdivision is None else _check_subdivision(subdivision)
         xs, ys = _as_pairs(xs, ys, 3)
         if not len(xs):
             return np.empty(0), UPPER_BOUND

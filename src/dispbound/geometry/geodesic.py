@@ -121,13 +121,8 @@ class GeodesicGraph:
         # largest face; pruned nodes become padding too
         count, padding = len(faces.ids), faces.ids == len(vertices)
         corner = np.where(padding, n, faces.ids)
-        after = np.where(padding, n, faces.after)  # the next vertex round the face
-        # polytope.edges is sorted, so its keys a V + b (a < b) are too
-        keys = ends[:, 0] * len(vertices) + ends[:, 1]
-        side = np.searchsorted(keys, np.minimum(corner, after) * len(vertices)
-                               + np.maximum(corner, after))
-        interior = np.where((corner < n)[:, :, None],
-                            len(vertices) + m * side[:, :, None] + np.arange(m), n)
+        side = polytope.face_edges[:, :, None]  # the edge from each corner to the next
+        interior = np.where(padding[:, :, None], n, len(vertices) + m * side + np.arange(m))
         ids = np.concatenate([corner, interior.reshape(count, -1)], axis=1)
         ids[~keep[ids]] = n
         ids.sort(axis=1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError, DomainError
+from ..errors import DomainError
 from .bodies import (
     BATCH_CELLS,
     ConvexBody,
@@ -102,17 +102,12 @@ def _polytope_edge_sum(body: Polytope3) -> float:
     half-edge closes it, and the terms are summed one after another in
     closing order, as a loop over a dict of open edges sums them."""
     t = body.face_tables
-    nv = len(body.vertices)
-    real = t.ids < nv
+    real = t.ids < len(body.vertices)
     face = np.nonzero(real)[0]
     a, b = t.ids[real], t.after[real]
-    keys = np.minimum(a, b) * nv + np.maximum(a, b)
-    unique, counts = np.unique(keys, return_counts=True)
-    if np.any(counts % 2):
-        edges = [divmod(k, nv) for k in unique[counts % 2 == 1].tolist()]
-        raise ConfigurationError(f"edges {edges} lie on only one face")
-    # each edge's half-edges pair up in turn: the 1st with the 2nd, and so on
-    opener, closer = np.argsort(keys, kind="stable").reshape(-1, 2).T
+    # every edge borders two faces (``Polytope3`` checks it): its first
+    # half-edge opens it and its second closes it
+    opener, closer = np.argsort(body.face_edges[real], kind="stable").reshape(-1, 2).T
     by_close = np.argsort(closer)
     opener, closer = opener[by_close], closer[by_close]
     other, normal = t.normals[face[opener]], t.normals[face[closer]]

@@ -309,10 +309,6 @@ def test_quoted_closed_form_differs_from_pipeline():
     assert abs(quoted - pipeline) > 0.06
 
 
-def test_quoted_display_table():
-    assert set(cmod.QUOTED_DISPLAY_VALUES) == {2, 3, 4}
-
-
 def test_deep_dimension_log_value():
     assert solve_crossing(150).log_h == pytest.approx(-617.8318009855368, abs=1e-8)
 

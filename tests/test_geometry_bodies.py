@@ -545,13 +545,16 @@ class _LoopFace(NamedTuple):
     fan_areas: np.ndarray
 
 
-def _per_face_faces(vertices, hull):
-    """Faces merged from the hull simplices in a Python loop over facets:
-    kept as the oracle for the array-built ``_polytope_faces``."""
-    remap = {old: new for new, old in enumerate(hull.vertices)}
+def _per_face_faces(vertices, rows, equations):
+    """Faces merged from hull facets in a Python loop over facets: kept as
+    the oracle for the array-built ``_polytope_faces``.  Row i holds facet
+    i's vertex ids (ids from ``len(vertices)`` on are padding) and
+    ``equations[i]`` its plane (normal, -offset): qhull's simplices and
+    equations, or the numpy hull's faces and planes."""
     groups = {}
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        groups.setdefault(tuple(np.round(eq, 7)), []).extend(remap[i] for i in simplex)
+    for row, eq in zip(rows.tolist(), equations):
+        groups.setdefault(tuple(np.round(eq, 7)), []).extend(
+            i for i in row if i < len(vertices))
     faces = []
     for eq_key, idx in groups.items():
         normal = np.array(eq_key[:3])
@@ -609,9 +612,9 @@ def test_array_built_faces_equal_per_face_loop(monkeypatch):
     built = []
     real = bodies._polytope_faces
 
-    def recording(vertices, hull):
-        tables = real(vertices, hull)
-        built.append((vertices, hull, tables))
+    def recording(vertices, faces, planes):
+        tables = real(vertices, faces, planes)
+        built.append((vertices, (faces, planes), tables))
         return tables
 
     monkeypatch.setattr(bodies, "_polytope_faces", recording)
@@ -621,7 +624,7 @@ def test_array_built_faces_equal_per_face_loop(monkeypatch):
     assert [len(t.sizes) for _, _, t in built[3:12]] == [k + 2 for k in range(3, 12)]
     assert [len(t.sizes) for _, _, t in built[-3:]] == [6, 6, 6]
     for name, (vertices, hull, tables) in zip(names, built):
-        _assert_tables_equal_loop(tables, _per_face_faces(vertices, hull), len(vertices), name)
+        _assert_tables_equal_loop(tables, _per_face_faces(vertices, *hull), len(vertices), name)
 
 
 def _assert_tables_equal_loop(tables, expected, vertex_count, name):
@@ -662,8 +665,9 @@ def _assert_hull_equals_qhull(points, name):
     qhull = ConvexHull(points)
     body = Polytope3(points)
     assert body.vertices.tobytes() == points[qhull.vertices].tobytes(), name
-    _assert_tables_equal_loop(body.face_tables, _per_face_faces(body.vertices, qhull),
-                              len(body.vertices), name)
+    rows = np.searchsorted(qhull.vertices, qhull.simplices)  # in body.vertices' numbering
+    expected = _per_face_faces(body.vertices, rows, qhull.equations)
+    _assert_tables_equal_loop(body.face_tables, expected, len(body.vertices), name)
 
 
 def test_numpy_hull_equals_qhull_on_oracle_bodies_and_random_clouds():
@@ -828,22 +832,36 @@ def test_face_table_measures_equal_per_face_loops(table_bodies):
         assert _polytope_edge_sum(body) == _dict_edge_sum(body), body.body_id
 
 
-def test_edge_sum_refuses_an_edge_on_one_face(monkeypatch):
-    from dispbound.geometry.measures import _polytope_edge_sum
+def test_polytope_refuses_an_edge_on_one_face(monkeypatch):
+    import dispbound.geometry.bodies as bodies
 
-    box = cube(1.0)
-    # drop the last face: its four edges now close on one face only
-    t = box.face_tables._replace(**{
-        name: getattr(box.face_tables, name)[:-1]
-        for name in ("ids", "after", "sizes", "normals")
-    })
-    monkeypatch.setattr(box, "face_tables", t)
+    real = bodies._polytope_faces
+
+    def without_last_face(vertices, faces, planes):
+        t = real(vertices, faces, planes)
+        return t._replace(**{name: getattr(t, name)[:-1] for name in t._fields})
+
     last = cube(1.0).face_tables
     k = int(last.sizes[-1])
     ring = last.ids[-1, :k].tolist()
     edges = sorted((min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1]))
-    with pytest.raises(ConfigurationError, match=re.escape(f"edges {edges} lie on only one face")):
-        _polytope_edge_sum(box)
+    # drop the last face: its four edges now border one face only
+    monkeypatch.setattr(bodies, "_polytope_faces", without_last_face)
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"hull edges {edges} do not border exactly two faces")):
+        cube(1.0)
+
+
+def test_face_edges_index_the_edge_table(table_bodies):
+    for body in table_bodies:
+        t, fe = body.face_tables, body.face_edges
+        e = len(body.edges)
+        real = t.ids < len(body.vertices)
+        assert fe.shape == t.ids.shape and not fe.flags.writeable, body.body_id
+        assert np.all(fe[~real] == e), body.body_id
+        pairs = np.sort(np.stack([t.ids[real], t.after[real]], axis=1), axis=1)
+        assert np.array_equal(body.edges[fe[real]], pairs), body.body_id
+        assert np.all(np.bincount(fe[real], minlength=e) == 2), body.body_id
 
 
 def _einsum_arclengths(body, points):
@@ -1498,6 +1516,19 @@ def test_empty_polytope_batch_builds_no_graph():
     assert body._graphs == {}
     with pytest.raises(DomainError):
         body.intrinsic_distances_batch(empty, np.empty((1, 3)))
+
+
+def test_subdivision_must_be_a_nonnegative_integer():
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            cube(1.0, geodesic_subdivision=bad)
+    assert cube(1.0, geodesic_subdivision=np.int64(3)).geodesic_subdivision == 3
+    body = cube(1.0)
+    x, y = body.face_tables.centroids[:1], body.face_tables.centroids[-1:]
+    for bad in (-0.5, 6.9, False, "3"):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            body.intrinsic_distances_batch(x, y, bad)
+    assert body._graphs == {}
 
 
 def test_negative_subdivision_is_refused_without_building_a_graph():
