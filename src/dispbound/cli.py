@@ -541,6 +541,8 @@ def _resolve_point(body, spec: str) -> np.ndarray:
             f"endpoint {spec!r} has {coords.size} coordinates, "
             f"body lives in dimension {body.surface_dimension + 1}"
         )
+    if not np.all(np.isfinite(coords)):
+        raise ConfigurationError(f"endpoint {spec!r} has non-finite coordinates")
     interior = body.interior_point()
     direction = coords - interior
     if not np.linalg.norm(direction) > 0.0:

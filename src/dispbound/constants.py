@@ -12,7 +12,8 @@ dimensional constant of the main area bound.
 Every per-dimension constant is computed array-first by
 :func:`constants_table`; ``a_n``, ``b_n`` and ``c_n`` are its ``log_a``,
 ``log_b`` and ``log_c`` columns.  ``rho_n``, ``solve_crossing`` and the
-other scalar functions of n are tables of one.
+other scalar functions of n are tables of one; the envelope functions of
+(n, rho) read one cached coefficient row per (n, kind).
 
 The crossing is solved on ``u = ln(rho - 1)`` where the defining equation
 ``rho (rho-1)^(n-1) = RHS`` becomes ``log1p(e^u) + (n-1) (u - ln c_n) = 0``,
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -441,26 +442,27 @@ def quoted_closed_form_h2() -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Envelope(NamedTuple):
+    """ln of the envelope coefficients at one (n, kind), q and rho aside."""
+
+    i_first: float  # ln(w_{n-1} / (n 2^(n-2))): i_n up to rho_n
+    i_limit: float  # ln(w_{n-2} / (n (n-1) 2^(n-2))): i_n past rho_n, and its supremum
+    i_star: float  # ln(w_n / 2^(n-1)): i*_n and the cylinder form
+    j_one: float  # ln j_n(1) = ln(sigma_n (C_{n+1}/w_{n+1})^(n/(n+1)))
+
+
 @lru_cache(maxsize=1024)
-def _log_j_at_one(n: int, kind: str) -> float:
-    """ln j_n(1) = ln(sigma_n (C_{n+1}/w_{n+1})^(n/(n+1))), cached like _table_of_one."""
-    log_width = _log_a_b(np.array([n]), kind)[-1][0]
-    return log_unit_sphere_area(n) + (n / (n + 1.0)) * log_width
-
-
-def _log_i_branch1(n: int, log_q: float) -> float:
-    # w_{n-1} / (n 2^(n-2)) * q^n   with q = (rho-1)/rho
-    return log_unit_ball_volume(n - 1) - math.log(n) - (n - 2) * LOG_2 + n * log_q
-
-
-def _log_i_branch2(n: int, log_q: float) -> float:
-    # w_{n-2} / (n (n-1) 2^(n-2)) * q^(n-1)
-    return (
-        log_unit_ball_volume(n - 2)
-        - math.log(n)
-        - math.log(n - 1)
-        - (n - 2) * LOG_2
-        + (n - 1) * log_q
+def _envelope(n: int, kind: str) -> _Envelope:
+    """The coefficients from the table's own terms (sigma_n = 2 pi w_{n-1}),
+    cached like _table_of_one.  ln n and ln(n-1) are ``math.log``'s: the
+    table's ``np.log`` differs from it in the last bit at some n."""
+    _, _, _, lv_nm1, lv_nm2, log_width = (float(t[0]) for t in _log_a_b(np.array([n]), kind))
+    log_n, halvings = math.log(n), (n - 2) * LOG_2
+    return _Envelope(
+        lv_nm1 - log_n - halvings,
+        lv_nm2 - log_n - math.log(n - 1) - halvings,
+        log_unit_ball_volume(n) - (n - 1) * LOG_2,
+        LOG_TWO_PI + lv_nm1 + (n / (n + 1.0)) * log_width,
     )
 
 
@@ -474,15 +476,15 @@ def i_n(n: int, rho: float) -> LogReal:
     n = _check_dim(n)
     rho = _check_rho(rho)
     log_q = _log_gap_ratio(rho)
-    if rho <= rho_n(n):
-        return LogReal.from_log(_log_i_branch1(n, log_q))
-    return LogReal.from_log(_log_i_branch2(n, log_q))
+    first = rho <= rho_n(n)
+    row = _envelope(n, DEFAULT_KIND)
+    return LogReal.from_log(row.i_first + n * log_q if first else row.i_limit + (n - 1) * log_q)
 
 
 def i_n_limit(n: int) -> LogReal:
     """Supremum of i_n: its limit w_{n-2}/(n (n-1) 2^(n-2)) as rho grows
     (branch 2 at (rho-1)/rho = 1), which it approaches from below."""
-    return LogReal.from_log(_log_i_branch2(_check_dim(n), 0.0))
+    return LogReal.from_log(_envelope(_check_dim(n), DEFAULT_KIND).i_limit)
 
 
 def i_bar_n(n: int, rho: float) -> LogReal:
@@ -491,10 +493,7 @@ def i_bar_n(n: int, rho: float) -> LogReal:
     rho = _check_rho(rho)
     log_q = _log_gap_ratio(rho)
     return LogReal.from_log(
-        log_unit_ball_volume(n)
-        - (n - 1) * LOG_2
-        + (n - 1) * log_q
-        + math.log1p((n - 1) / rho)
+        _envelope(n, DEFAULT_KIND).i_star + (n - 1) * log_q + math.log1p((n - 1) / rho)
     )
 
 
@@ -503,9 +502,7 @@ def i_star_n(n: int, rho: float) -> LogReal:
     n = _check_dim(n)
     rho = _check_rho(rho)
     log_q = _log_gap_ratio(rho)
-    return LogReal.from_log(
-        log_unit_ball_volume(n) - (n - 1) * LOG_2 + n * log_q
-    )
+    return LogReal.from_log(_envelope(n, DEFAULT_KIND).i_star + n * log_q)
 
 
 def j_n(n: int, rho: float, kind: Kind = DEFAULT_KIND) -> LogReal:
@@ -513,7 +510,7 @@ def j_n(n: int, rho: float, kind: Kind = DEFAULT_KIND) -> LogReal:
     n = _check_dim(n)
     rho = _check_rho(rho, allow_one=True)
     _check_kind(kind)
-    return LogReal.from_log(_log_j_at_one(n, kind) - n * math.log(rho))
+    return LogReal.from_log(_envelope(n, kind).j_one - n * math.log(rho))
 
 
 def envelope_b_n(n: int, rho: float, kind: Kind = DEFAULT_KIND) -> LogReal:

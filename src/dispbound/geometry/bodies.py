@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import abc
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -353,14 +354,19 @@ class CylinderBody(ConvexBody):
             0.5 * self.height
         ) * np.abs(d[:, -1])
 
-    def boundary_area(self) -> float:
+    @cached_property
+    def _areas(self) -> tuple[float, float]:
+        """One cap's area and the lateral area, on first use: a cylinder
+        whose area overflows a float still answers ray and geodesic queries."""
         n, r, h = self.n, self.base_radius, self.height
         omega_n = math.exp(log_unit_ball_volume(n))
-        return 2.0 * omega_n * r**n + n * omega_n * r ** (n - 1) * h
+        return omega_n * r**n, n * omega_n * r ** (n - 1) * h
+
+    def boundary_area(self) -> float:
+        return 2.0 * self._areas[0] + self._areas[1]
 
     def enclosed_volume(self) -> float:
-        n, r, h = self.n, self.base_radius, self.height
-        return math.exp(log_unit_ball_volume(n)) * r**n * h
+        return self._areas[0] * self.height
 
     # -- boundary classification ------------------------------------------
 
@@ -478,10 +484,7 @@ class CylinderBody(ConvexBody):
     def sample_boundary(self, seed: int, count: int) -> np.ndarray:
         rng = substream(seed, "sample-boundary", self.body_id)
         n, r, h = self.n, self.base_radius, self.height
-        omega_n = math.exp(log_unit_ball_volume(n))
-        cap_area = omega_n * r**n
-        lateral_area = n * omega_n * r ** (n - 1) * h
-        total = 2.0 * cap_area + lateral_area
+        cap_area, total = self._areas[0], self.boundary_area()
         pick = rng.random(count)
         points = np.empty((count, self.ambient_dimension))
         top = pick < cap_area / total

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, DomainError
 from .bodies import ConvexBody, CylinderBody, PolygonBoundary, Polytope3, SphereBody
 
 __all__ = ["load_body", "save_body"]
@@ -75,8 +75,9 @@ def save_body(body: ConvexBody, path) -> None:
 def load_body(path) -> ConvexBody:
     """Read a body file.  A missing header, type or key, an unknown or
     repeated key, an unreadable value, or a body its constructor refuses
-    is a ``ConfigurationError`` naming the file, and the line and the key
-    where there is one."""
+    (a ``ConfigurationError`` or a ``DomainError``) is a
+    ``ConfigurationError`` naming the file, and the line and the key where
+    there is one."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     rows = [(i, ln.strip()) for i, ln in enumerate(lines, 1) if ln.strip()]
     if not rows or rows[0][1] != _HEADER:
@@ -107,5 +108,5 @@ def load_body(path) -> ConvexBody:
             raise ConfigurationError(f"{path}: a {kind} body file needs a {key!r} line")
     try:
         return cls(**kwargs)
-    except ConfigurationError as exc:
+    except (ConfigurationError, DomainError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from None

@@ -926,21 +926,29 @@ def load_records_jsonl(path) -> tuple[VerificationRecord, ...]:
 
 
 def load_records_csv(path) -> tuple[VerificationRecord, ...]:
-    """The records of a CSV file, each checked against ``_FIELDS``;
-    ``ConfigurationError`` names the file, the line and the field."""
+    """The records of a CSV file, each checked against ``_FIELDS``; a
+    repeated column, or a row whose cell count is not the header's, is
+    refused too.  ``ConfigurationError`` names the file, the line and the
+    field."""
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
-        return tuple(
-            _record_from_fields(dict(zip(header, row)), f"{path}, line {reader.line_num}",
-                                cells=True)
-            for row in reader if row  # a blank line holds no record
-        )
+        repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+        if repeated is not None:
+            raise ConfigurationError(f"{path}, line 1: repeated column {repeated!r}")
+        records = []
+        for row in filter(None, reader):  # a blank line holds no record
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ConfigurationError(f"{where}: {len(row)} cells, the header has {len(header)}")
+            records.append(_record_from_fields(dict(zip(header, row)), where, cells=True))
+        return tuple(records)
 
 
 def _record_from_fields(data: dict, where: str, cells: bool) -> VerificationRecord:
     """A record from its fields by name, each decoded from CSV text when
-    ``cells`` is true and checked against its row of ``_FIELDS``."""
+    ``cells`` is true and checked against its row of ``_FIELDS``; a name
+    that ``_FIELDS`` lacks is refused once every field has checked out."""
     fields = {}
     for f in _FIELDS:
         if f.name not in data:
@@ -960,6 +968,9 @@ def _record_from_fields(data: dict, where: str, cells: bool) -> VerificationReco
             )
             raise ConfigurationError(f"{where}: field {f.name!r} must be {wanted}, not {value!r}")
         fields[f.attr] = value
+    unknown = sorted(data.keys() - {f.name for f in _FIELDS})
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown field {unknown[0]!r}")
     del fields[None]  # the schema version
     fields["params"] = tuple(fields["params"].items())
     return VerificationRecord(**fields)

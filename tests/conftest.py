@@ -35,10 +35,12 @@ def default_suite(tmp_path_factory):
 
 
 # record files the loaders must refuse: the malformed record follows one
-# good one, except in the two tables that `constants` writes
+# good one, except in the two tables that `constants` writes and in the CSV
+# files whose header is at fault
 MALFORMED_RECORDS = (
     "constants-csv", "constants-jsonl", "not-an-object", "params-list",
-    "pass-string", "unknown-status", "csv-pass-cell",
+    "pass-string", "unknown-status", "unknown-field", "csv-pass-cell",
+    "csv-unknown-column", "csv-repeated-column", "csv-ragged-row",
 )
 
 
@@ -56,16 +58,24 @@ def malformed_records(request, tmp_path):
                          "--output", str(path)]) == 0
         return SimpleNamespace(path=path, line=2 if fmt == "csv" else 1,
                                names="'theorem_id'")
-    if case == "csv-pass-cell":
+    if case.startswith("csv"):
         header, row = records_to_csv(load_records_jsonl(COMMITTED_RECORDS)[:1]).splitlines()
+        no_pass = row.replace(",true,", ",yes,", 1)
+        text, line, names = {
+            "csv-pass-cell": (f"{header}\n{row}\n{no_pass}\n", 3, "'pass'"),
+            "csv-unknown-column": (f"{header},margn\n{row},1.0\n", 2, "'margn'"),
+            "csv-repeated-column": (f"{header},margin\n{row},1.0\n", 1, "'margin'"),
+            "csv-ragged-row": (f"{header}\n{row}\n{row},1,2\n", 3, "cells"),
+        }[case]
         path = tmp_path / "records.csv"
-        path.write_text(f"{header}\n{row}\n{row.replace(',true,', ',yes,', 1)}\n")
-        return SimpleNamespace(path=path, line=3, names="'pass'")
+        path.write_text(text)
+        return SimpleNamespace(path=path, line=line, names=names)
     bad, names = {
         "not-an-object": ([1], "JSON object"),
         "params-list": ({**record, "params": [1]}, "'params'"),
         "pass-string": ({**record, "pass": "false"}, "'pass'"),
         "unknown-status": ({**record, "status": "bogus"}, "'status'"),
+        "unknown-field": ({**record, "margn": 1.0}, "'margn'"),
     }[case]
     path = tmp_path / "records.jsonl"
     path.write_text(f"{good}\n{json.dumps(bad)}\n")
@@ -90,6 +100,7 @@ MALFORMED_BODIES = {
     "repeated-height": (
         "type cylinder\nsurface_dimension 2\nradius 0.5\nheight 1\nheight 2\n", 6, "'height'"
     ),
+    "non-finite-center": ("type sphere\nid s\nradius 1\ncenter nan 0 0\n", None, "non-finite"),
 }
 
 

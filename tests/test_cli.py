@@ -585,6 +585,14 @@ def test_geodesic_rejects_off_boundary_point(capsys, tmp_path):
     assert "not on the boundary" in err
 
 
+@pytest.mark.parametrize("spec", ["nan,0,0", "0,inf,0"])
+def test_geodesic_names_a_non_finite_endpoint(capsys, spec):
+    # nan used to be reported as coinciding with the interior point
+    code, out, err = run_cli(capsys, "geodesic", f"--from={spec}", "--to=vertex:0")
+    assert (code, out) == (2, "")
+    assert err == f"error: endpoint {spec!r} has non-finite coordinates\n"
+
+
 def test_geodesic_refuses_a_malformed_body_file(capsys, malformed_body):
     code, out, err = run_cli(
         capsys, "geodesic", "--body-file", str(malformed_body.path),

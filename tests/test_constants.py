@@ -19,6 +19,7 @@ from dispbound.constants import (
     h_n,
     i_bar_n,
     i_n,
+    i_n_limit,
     i_star_n,
     j_n,
     pal_constant,
@@ -71,8 +72,9 @@ def test_i_n_branches_continuous_at_branch_point():
     for n in range(2, 51):
         rho = rho_n(n)
         log_q = math.log(rho - 1.0) - math.log(rho)
-        b1 = cmod._log_i_branch1(n, log_q)
-        b2 = cmod._log_i_branch2(n, log_q)
+        row = cmod._envelope(n, "pal_firey")
+        b1 = row.i_first + n * log_q
+        b2 = row.i_limit + (n - 1) * log_q
         tol = 1e-14 if n == 2 else 1e-13
         assert abs(b1 - b2) <= tol
 
@@ -363,6 +365,81 @@ def test_envelope_minimum_is_h():
         env = np.array([envelope_b_n(n, float(r)).log_magnitude for r in grid])
         assert float(env.min()) >= result.log_h - 1e-9
         assert int(env.argmin()) == len(grid) - 1
+
+
+ORACLE_RHOS = (1.0001, 1.1, 1.5, 1.796, 2.0, 3.0, 7.5, 100.0, 1e6)
+
+
+def _envelope_oracle(n: int, rho: float) -> dict:
+    """ln i_n, ln i_bar_n, ln i*_n and ln j_n (both kinds) at 40 digits,
+    from their closed forms; rho = 1 gives j_n alone."""
+    with mpmath.workdps(40):
+        n, rho = mpmath.mpf(n), mpmath.mpf(rho)
+        log_pi, log_2 = mpmath.log(mpmath.pi), mpmath.log(2)
+
+        def log_w(k):  # unit k-ball volume
+            return k / 2 * log_pi - mpmath.loggamma(k / 2 + 1)
+
+        d = n + 1  # the width-volume constant's dimension
+        df = mpmath.fac2
+        if d % 2 == 0:
+            bezdek = (mpmath.log(3) + (d - 3) * log_pi + mpmath.log(df(d + 2))
+                      - 2 * mpmath.log(d + 1) - 2 * mpmath.log(df(d)) - 3 * mpmath.log(df(d - 1)))
+        else:
+            bezdek = (mpmath.log(3) + (d - 3) * log_pi + mpmath.log(df(d + 1))
+                      - (d - 2) * log_2 - 5 * mpmath.log(df(d)))
+        log_widths = {
+            "pal_firey": log_2 - mpmath.log(3) / 2 - mpmath.loggamma(d + 1),
+            "bezdek": bezdek / 2,
+        }
+        log_sphere = mpmath.log(2 * mpmath.pi) + log_w(n - 1)
+        out = {
+            ("j_n", kind): float(log_sphere + n / d * (lw - log_w(d)) - n * mpmath.log(rho))
+            for kind, lw in log_widths.items()
+        }
+        if rho == 1:
+            return out
+        log_q = mpmath.log((rho - 1) / rho)
+        branch_point = (n - 1) * mpmath.exp(log_w(n - 1)) / (
+            (n - 1) * mpmath.exp(log_w(n - 1)) - mpmath.exp(log_w(n - 2))
+        )
+        if rho <= branch_point:
+            log_i = log_w(n - 1) - mpmath.log(n) - (n - 2) * log_2 + n * log_q
+        else:
+            log_i = (log_w(n - 2) - mpmath.log(n) - mpmath.log(n - 1) - (n - 2) * log_2
+                     + (n - 1) * log_q)
+        log_star = log_w(n) - (n - 1) * log_2
+        out["i_n"] = float(log_i)
+        out["i_bar_n"] = float(log_star + (n - 1) * log_q + mpmath.log1p((n - 1) / rho))
+        out["i_star_n"] = float(log_star + n * log_q)
+        return out
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_envelope_matches_forty_digit_closed_forms(n):
+    functions = {"i_n": i_n, "i_bar_n": i_bar_n, "i_star_n": i_star_n}
+    for rho in (1.0, *ORACLE_RHOS):
+        for key, want in _envelope_oracle(n, rho).items():
+            if key in functions:
+                got = functions[key](n, rho).log_magnitude
+            else:
+                got = j_n(n, rho, key[1]).log_magnitude
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (key, rho)
+
+
+def test_envelope_functions_read_one_cached_row_per_kind():
+    cmod._envelope.cache_clear()
+    grid = np.geomspace(1.0 + 1e-6, 1e4, 50).tolist()
+    for rho in grid:
+        for envelope in (i_n, i_bar_n, i_star_n):
+            envelope(7, rho)
+    i_n_limit(7)
+    assert cmod._envelope.cache_info().misses == 1  # all on the default kind
+    for kind in ("pal_firey", "bezdek"):
+        for rho in grid:
+            j_n(7, rho, kind)
+            envelope_b_n(7, rho, kind)
+    assert cmod._envelope.cache_info().misses == 2
 
 
 # ---------------------------------------------------------------------------
