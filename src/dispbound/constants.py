@@ -150,9 +150,12 @@ def _log_a_b(
     # a_n = (2^(n-1) pi n)^(1/n) (C_{n+1}/w_{n+1})^(1/(n+1))
     log_a = ((nf - 1.0) * LOG_2 + LOG_PI + np.log(nf)) / nf + log_width / (nf + 1.0)
     # b_n = 1/expm1(g) with g = ln((n-1) w_{n-1}/w_{n-2}) > 0, so
-    # ln expm1(g) = g + log1p(-exp(-g)) is stable
+    # ln expm1(g) = g + log1p(-exp(-g)) is stable.  Once g rounds to 0
+    # (n near 10^18) log1p(-1) is -inf and log_b is +inf, which the table's
+    # a_n > b_n check refuses; only the divide warning is silenced.
     g = log_nm1 + lv_nm1 - lv_nm2
-    log_b = -(g + np.log1p(-np.exp(-g)))
+    with np.errstate(divide="ignore"):
+        log_b = -(g + np.log1p(-np.exp(-g)))
     return log_a, log_b, log_nm1, lv_nm1, lv_nm2, log_width
 
 
@@ -313,8 +316,10 @@ def constants_table(ns, kind: Kind = DEFAULT_KIND) -> ConstantsTable:
         # sigma_n = 2 pi w_{n-1}; log_h holds ln j_n(1) until the crossing is known
         log_sphere[rows] = LOG_TWO_PI + lv_nm1
         log_h[rows] = log_sphere[rows] + log_kind_ratio
-        # rho_n = 1/(1 - t) with t = w_{n-2} / ((n-1) w_{n-1}) < 1
-        rho_n[rows] = 1.0 / (1.0 - np.exp(lv_nm2 - log_nm1 - lv_nm1))
+        # rho_n = 1/(1 - t) with t = w_{n-2} / ((n-1) w_{n-1}) < 1; t rounds
+        # to 1 where log_b is inf, and that row is refused below
+        with np.errstate(divide="ignore"):
+            rho_n[rows] = 1.0 / (1.0 - np.exp(lv_nm2 - log_nm1 - lv_nm1))
 
     first = np.flatnonzero(log_a <= log_b)
     if first.size:

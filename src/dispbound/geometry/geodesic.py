@@ -9,10 +9,20 @@ grows (nested node sets give monotone improvement).  This is the
 Steiner-point scheme of Lanthier, Maheshwari and Sack (Algorithmica
 2001) and Aleksandrov, Maheshwari and Sack (JACM 2005).
 
-A graph answers a batch of k pairs (x, y) by its distance table:
-Dijkstra runs once from every base node, on the first batch, and the
-graph keeps the V x V distance table D.  With F(p) the nodes on the faces
-that contain p, a pair is answered as
+A graph is held as face rows: each face's node ids, every two of which
+are joined by the straight segment across the face.  Path lengths are
+float sums taken left to right from the source, and weights are >= 0, so
+float addition is monotone: a relaxation can only replace a label by
+another walk's sum, and at the fixpoint of dist[v] <= dist[u] + w(u, v)
+over every edge each label is at most every walk's sum, by induction
+along the walk.  Any relaxation schedule that runs to that fixpoint thus
+returns the least left-to-right float sum over all walks from the source,
+the label Dijkstra's algorithm returns, bit for bit.
+
+A graph answers a batch of k pairs (x, y) by its distance table: on the
+first batch ``_relax`` takes every base node as a source, face block by
+face block, and the graph keeps the V x V distance table D.  With F(p) the
+nodes on the faces that contain p, a pair is answered as
 
     min(|x - y| if x and y share a face,
         min over a in F(x), b in F(y) of (|x - a| + D[a, b]) + |b - y|),
@@ -28,10 +38,11 @@ on the part of it that a shortest path can use:
   (m + 1), so every node of the graph at m' is a node of the graph at m
   with the same coordinates (equal fractions i / (m' + 1) and j / (m + 1)
   round to the same float), and every edge is an edge there with the
-  same length.  Scipy's Dijkstra returns the least float prefix sum over
-  all paths, and float addition is monotone, so the answer UB at m'
-  bounds the answer at m exactly.  UB comes from the same rule one level
-  down; the recursion ends at the vertex graph (m = 0), which is cached.
+  same length.  Every walk at m' is thus a walk at m with the same float
+  sum, and the least sum over a larger set of walks is no larger: the
+  answer UB at m' bounds the answer at m exactly.  UB comes from the same
+  rule one level down; the recursion ends at the vertex graph (m = 0),
+  which is cached.
 * **Prune.**  By the triangle inequality every node u of a path no
   longer than UB has |x - u| + |u - y| <= UB, up to the rounding of a
   float path sum (relative 1e-12 over a few thousand edges).  The graph
@@ -40,11 +51,12 @@ on the part of it that a shortest path can use:
   path of the full graph.
 * **Solve.**  One source: the two points join the subgraph as nodes,
   each linked to every node of the faces that contain it, and x to y if
-  the two share a face; Dijkstra then runs from x.  This returns the
-  full graph's one-source answer bit for bit: the least prefix sum over a
-  subset of the paths that still holds a least one.  It may differ from
-  the table's answer in the last bits, since the table sums the same path
-  in another order.  The pruned graphs are not cached.
+  the two share a face; ``_relax_arcs`` then relaxes the arcs out of x to
+  the fixpoint.  This returns the full graph's one-source answer bit for
+  bit: the least sum over a subset of the walks that still holds a least
+  one.  It may differ from the table's answer in the last bits, since the
+  table sums the same path in another order.  The pruned graphs are not
+  cached.
 """
 
 from __future__ import annotations
@@ -63,6 +75,11 @@ __all__ = ["GeodesicGraph"]
 # rounding of a float path sum over a few thousand edges (about 1e-12)
 PRUNE_MARGIN = 1e-9
 
+# the distance table relaxes its sources in this many groups, each over the
+# faces in order of distance from the group: fewer groups spread wider and
+# need more sweeps, more groups pay more passes (3 measured fastest of 2-5)
+SOURCE_GROUPS = 3
+
 
 def coarser_subdivision(m: int) -> int:
     """The largest m' < m whose graph's nodes are nodes of the graph at m,
@@ -71,6 +88,167 @@ def coarser_subdivision(m: int) -> int:
     n = m + 1
     p = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
     return n // p - 1
+
+
+def _face_weights(points: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The ``(F, S, S)`` lengths |p_u - p_v| between the nodes of each face
+    row, infinite where either slot is padding (id ``len(points)``)."""
+    n, (count, width) = len(points), ids.shape
+    padded = np.concatenate([points, np.zeros((1, 3))])
+    weights = np.empty((count, width, width))
+    step = max(1, BATCH_CELLS // (3 * width * width + 1))
+    for s in range(0, count, step):
+        p = padded[ids[s:s + step]]
+        weights[s:s + step] = np.linalg.norm(p[:, :, None] - p[:, None, :], axis=-1)
+    padding = ids == n
+    weights[padding[:, :, None] | padding[:, None, :]] = np.inf
+    return weights
+
+
+def _relax(ids: np.ndarray, weights: np.ndarray, dist: np.ndarray,
+           order: np.ndarray, recheck: np.ndarray) -> None:
+    """Relax ``dist`` in place to the fixpoint of dist[v] <= dist[u] + w(u, v)
+    over every two nodes of a face row, with w(u, v) = ``weights[f, i, j]``
+    for u, v in slots i, j of row f; a pair must have the same weight in
+    every row that holds it.
+
+    ``dist`` is node-major, ``(N + 1, B)`` for B sources, with row N (the
+    padding id) infinite; its finite entries must be walk sums from their
+    column's source, such as 0 at the source.  Faces are relaxed one at a
+    time in ``order``, each from the rows and columns that changed since its
+    last pass, as min over u of (dist[u] + w(u, v)) (Gauss-Seidel), and again
+    only when one of its nodes changed since.  A face's own changes ask for
+    its next pass only in the rows that ``recheck`` (``(F, S)`` bool) marks,
+    see ``_recheck_rows``.  The schedule changes how fast the fixpoint is
+    reached, never the fixpoint (see the module docstring).
+    """
+    count, width = ids.shape
+    nodes, sources = dist.shape
+    member = np.zeros((count, nodes), dtype=bool)
+    face, slot = np.nonzero(ids < nodes - 1)
+    member[face, ids[face, slot]] = True
+    # a node's rows and a face's columns are stale until the face has seen
+    # them: each change stamps its node, each pass stamps its face
+    reached = np.isfinite(dist)
+    stamp = reached.any(axis=1).astype(np.int64)
+    seen = np.zeros(count, dtype=np.int64)
+    stale = np.matmul(member, reached, dtype=np.float32) > 0
+    clock = 1
+    pending = stale.any(axis=1)
+    while pending.any():
+        for f in order.tolist():
+            if not pending[f]:
+                continue
+            pending[f] = False
+            rows = ids[f]
+            fresh = np.flatnonzero(stamp[rows] > seen[f])
+            clock += 1
+            seen[f] = clock
+            cols = np.flatnonzero(stale[f])
+            stale[f] = False
+            every = 4 * len(cols) > 3 * sources
+            block = dist[rows] if every else dist[rows[:, None], cols]
+            best = block.copy()
+            w = weights[f]
+            step = max(1, BATCH_CELLS // (width * block.shape[1]))
+            for s in range(0, len(fresh), step):
+                u = fresh[s:s + step]
+                if len(u) < width:
+                    via = np.minimum.reduce(block[u][:, None, :] + w[u][:, :, None], axis=0)
+                else:  # every row: no gather
+                    via = np.minimum.reduce(block[:, None, :] + w[:, :, None], axis=0)
+                np.minimum(best, via, out=best)
+            better = best < block
+            changed = better.any(axis=1)
+            if not changed.any():
+                continue
+            if every:
+                dist[rows] = best
+                cols = np.flatnonzero(better.any(axis=0))
+            else:
+                dist[rows[:, None], cols] = best
+                cols = cols[better.any(axis=0)]
+            clock += 1
+            stamp[rows[changed]] = clock
+            near = np.flatnonzero(member[:, rows[changed]].any(axis=1))
+            stale[near[:, None], cols] = True
+            pending[near] = True
+            if not np.any(changed & recheck[f]):
+                pending[f] = stale[f] = False
+                seen[f] = clock
+
+
+def _recheck_rows(ids: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The ``(F, S)`` face rows v (node ids below ``n``) whose change in a
+    pass of their face may still lower, by rounding alone, a node x that
+    shares this face and no other with v.
+
+    After a pass, v holds fl(t + |u v|) for a node u of the face and a label
+    t, and x at most fl(t + |u x|).  fl(fl(t + |u v|) + |v x|) can undercut
+    that only if the excess |u v| + |v x| - |u x| is below
+    eps (3 t + 8 max |.|); a label is at most N max |.| for N nodes, since
+    each first reached its node along at most N edges.  So only nearly
+    collinear triples u, v, x count.  On polytope faces these lie on one
+    edge, which the face across it relaxes too: a pair that another face
+    holds needs no recheck here, because a change of v sends that face a
+    pass from v.
+    """
+    count, width = ids.shape
+    real = ids < n
+    scale = float(np.max(weights, where=np.isfinite(weights), initial=0.0))
+    # screened in float32: rounding the three lengths and the two sums moves
+    # an excess by at most 7 float32 half-ulps of the scale, so the widened
+    # tolerance still flags every float64 candidate
+    tol = np.finfo(float).eps * (3 * n + 8) * scale + 4 * np.finfo(np.float32).eps * scale
+    lengths = weights.astype(np.float32)
+    # u = v is no triple: an infinite first leg takes it out; padding gives
+    # inf - inf = nan, which fmin passes over
+    first = lengths.copy()
+    first[:, np.arange(width), np.arange(width)] = np.inf
+    member = np.zeros((count, n + 1), dtype=np.float32)
+    face, slot = np.nonzero(real)
+    member[face, ids[face, slot]] = 1.0
+    pairs = real[:, :, None] & real[:, None, :] & ~np.eye(width, dtype=bool)
+    out = np.zeros((count, width), dtype=bool)
+    step = max(1, BATCH_CELLS // (width ** 3 + 1))
+    for s in range(0, count, step):
+        w = lengths[s:s + step]
+        with np.errstate(invalid="ignore"):
+            # excess[f, u, v, x] = |u v| + |v x| - |u x|, least over u
+            excess = (first[s:s + step, :, :, None] + w[:, None, :, :]) - w[:, :, None, :]
+            near = np.fmin.reduce(excess, axis=1) <= tol
+        rows = member[:, ids[s:s + step]].transpose(1, 2, 0)  # (f, S, F)
+        shared = np.matmul(rows, rows.transpose(0, 2, 1)) > 1  # another face holds both
+        out[s:s + step] = np.any(near & pairs[s:s + step] & ~shared, axis=2)
+    return out
+
+
+def _relax_arcs(tail: np.ndarray, head: np.ndarray, length: np.ndarray,
+                dist: np.ndarray) -> None:
+    """Relax ``dist`` (``(N, B)``, node-major) in place to the same fixpoint
+    as ``_relax``, over the arcs tail -> head: every (node, source) entry
+    that changed pushes fl(dist[tail] + length) along its arcs, all at once
+    by an exact ``np.minimum.at``, until no entry changes.  Suited to one
+    source on a sparse graph, where a face pass costs more Python than
+    arithmetic."""
+    nodes, sources = dist.shape
+    # arcs by tail; the narrowest id type sorts by radix
+    order = np.argsort(tail.astype(np.min_scalar_type(nodes)), kind="stable")
+    head, length = head[order], length[order]
+    degree = np.bincount(tail, minlength=nodes)
+    first = np.cumsum(degree) - degree
+    flat = dist.reshape(-1)
+    frontier = np.flatnonzero(np.isfinite(flat))
+    while len(frontier):
+        node, col = np.divmod(frontier, sources)
+        count = degree[node]
+        arc = np.repeat(first[node] - (np.cumsum(count) - count), count) + np.arange(count.sum())
+        target = head[arc] * sources + np.repeat(col, count)
+        before = flat[target]
+        np.minimum.at(flat, target, np.repeat(flat[frontier], count) + length[arc])
+        lower = np.zeros(len(flat), dtype=bool)
+        lower[target] = flat[target] < before
+        frontier = np.flatnonzero(lower)
 
 
 class _QueryEdges(NamedTuple):
@@ -86,7 +264,8 @@ class _QueryEdges(NamedTuple):
 
 
 class GeodesicGraph:
-    """Edge-subdivision graph over the boundary of a ``Polytope3``.
+    """Edge-subdivision graph over the boundary of a ``Polytope3``, held as
+    face rows: each face's node ids.
 
     The graph copies what it needs of the polytope and keeps no reference
     to it, so a polytope that caches its graphs forms no reference cycle.
@@ -118,7 +297,8 @@ class GeodesicGraph:
             ) <= bound * (1.0 + PRUNE_MARGIN)
 
         # one row per face: its node ids ascending, padded with n up to the
-        # largest face; pruned nodes become padding too
+        # largest face; pruned nodes become padding too.  Every two nodes of
+        # a row are joined by the straight segment across the face.
         count, padding = len(faces.ids), faces.ids == len(vertices)
         corner = np.where(padding, n, faces.ids)
         side = polytope.face_edges[:, :, None]  # the edge from each corner to the next
@@ -126,26 +306,11 @@ class GeodesicGraph:
         ids = np.concatenate([corner, interior.reshape(count, -1)], axis=1)
         ids[~keep[ids]] = n
         ids.sort(axis=1)
-        kept = (ids < n).sum(axis=1)
-        ids = ids[:, :int(kept.max())]
+        self._ids = ids[:, :int((ids < n).sum(axis=1).max())]
 
-        # base edges: every node pair sharing a face, in first-seen order;
-        # an edge shared by two faces is kept once, as a dict would keep it.
-        # A face left with fewer than two nodes by pruning has no pair.
-        pairs = ids[kept >= 2]
-        iu, ju = np.triu_indices(ids.shape[1], k=1)
-        rows, cols = pairs[:, iu].ravel(), pairs[:, ju].ravel()
-        real = cols < n  # a pair with padding has it in its later slot
-        rows, cols = rows[real], cols[real]
-        _, first = np.unique(rows * n + cols, return_index=True)
-        first.sort()
-        self._rows, self._cols = rows[first], cols[first]
-        gaps = self.nodes[self._rows] - self.nodes[self._cols]
-        self._vals = np.linalg.norm(gaps, axis=1)
-
-        face, slot = np.nonzero(ids < n)
+        face, slot = np.nonzero(self._ids < n)
         self._incidence = np.zeros((count, n), dtype=bool)
-        self._incidence[face, ids[face, slot]] = True
+        self._incidence[face, self._ids[face, slot]] = True
         self._table: np.ndarray | None = None
 
     @property
@@ -158,13 +323,35 @@ class GeodesicGraph:
         are found on the boundary."""
         q = self._query_edges(xs, ys)
         if self._table is None:
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.csgraph import dijkstra
-
-            base = csr_matrix((self._vals, (self._rows, self._cols)),
-                              shape=(self.node_count, self.node_count))
-            self._table = dijkstra(base, directed=False)
+            self._table = self._distance_table()
         return self._table_route(q)
+
+    def _distance_table(self) -> np.ndarray:
+        """D[a, b], the least walk sum from node a to node b, relaxed in
+        SOURCE_GROUPS groups of sources: greedy farthest nodes seed the
+        groups, every node joins its nearest seed, and each group's faces
+        are relaxed in order of the distance of their centroids from the
+        group's mean."""
+        n, nodes = self.node_count, self.nodes
+        seeds = [int(np.argmax(np.linalg.norm(nodes - nodes.mean(axis=0), axis=1)))]
+        gaps = np.linalg.norm(nodes - nodes[seeds[0]], axis=1)[:, None]
+        for _ in range(1, min(SOURCE_GROUPS, n)):
+            seeds.append(int(np.argmax(gaps.min(axis=1))))
+            gaps = np.column_stack([gaps, np.linalg.norm(nodes - nodes[seeds[-1]], axis=1)])
+        group = np.argmin(gaps, axis=1)
+        weights = _face_weights(nodes, self._ids)
+        recheck = _recheck_rows(self._ids, weights, n)
+        table = np.empty((n, n))
+        for g in range(len(seeds)):
+            sources = np.flatnonzero(group == g)
+            dist = np.full((n + 1, len(sources)), np.inf)
+            dist[sources, np.arange(len(sources))] = 0.0
+            centre = nodes[sources].mean(axis=0)
+            order = np.argsort(np.linalg.norm(self._faces.centroids - centre, axis=1),
+                               kind="stable")
+            _relax(self._ids, weights, dist, order, recheck)
+            table[sources] = dist[:n].T
+        return table
 
     def _query_edges(self, xs, ys) -> _QueryEdges:
         xs, ys = _as_pairs(xs, ys, 3)
@@ -188,20 +375,26 @@ class GeodesicGraph:
         return _QueryEdges(k, query, node, length, same, np.sqrt(np.vecdot(gaps, gaps)))
 
     def _one_source_route(self, q: _QueryEdges) -> np.ndarray:
-        """Dijkstra from each x over the base graph joined by the 2k query
-        points, with no table; the same-face edges x-y come last.  A path
-        may pass through the query points of other pairs."""
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra
-
+        """The least walk sum from each x to its y, with no table, over the
+        base graph joined by the 2k query points: each linked to every node
+        of the faces that contain it, and x_i to y_i if the two share a face.
+        A walk may pass through the query points of other pairs."""
         base, k = self.node_count, q.k
-        rows = np.concatenate([self._rows, q.node, base + q.same])
-        cols = np.concatenate([self._cols, base + q.query, base + k + q.same])
-        vals = np.concatenate([self._vals, q.length, q.direct])
-        total = base + 2 * k
-        graph = csr_matrix((vals, (rows, cols)), shape=(total, total))
-        dist = dijkstra(graph, directed=False, indices=np.arange(base, base + k))
-        return dist[np.arange(k), base + k + np.arange(k)]
+        # every node pair of a face row, once per row that holds it
+        rows = self._ids[(self._ids < base).sum(axis=1) >= 2]
+        iu, ju = np.triu_indices(rows.shape[1], k=1)
+        a, b = rows[:, iu].ravel(), rows[:, ju].ravel()
+        real = b < base  # a pair with padding has it in its later slot
+        a, b = a[real], b[real]
+        edges = [(a, b, np.linalg.norm(self.nodes[a] - self.nodes[b], axis=1)),
+                 (base + q.query, q.node, q.length),
+                 (base + q.same, base + k + q.same, q.direct)]
+        tail, head, length = (np.concatenate(c) for c in zip(*edges))
+        dist = np.full((base + 2 * k, k), np.inf)
+        dist[base + np.arange(k), np.arange(k)] = 0.0
+        # each edge both ways
+        _relax_arcs(np.r_[tail, head], np.r_[head, tail], np.r_[length, length], dist)
+        return dist[base + k + np.arange(k), np.arange(k)]
 
     def _table_route(self, q: _QueryEdges) -> np.ndarray:
         """Min-plus over the distance table: each query's nodes and edge

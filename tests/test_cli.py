@@ -778,25 +778,32 @@ def _probe(code: str) -> list[str]:
     return result.stdout.splitlines()
 
 
-def test_import_leaves_scipy_geometry_unloaded_until_a_polytope():
-    # polytope hulls are built in numpy: a cube loads no scipy.spatial
+# the runtime is numpy only: no probe may find scipy or a scipy.* module
+_SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+
+
+def test_import_and_a_cold_geodesic_never_load_scipy():
     probe = (
-        "import sys, dispbound.cli\n"
-        "print([m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules])\n"
-        "dispbound.cli.cube()\n"
-        "print('scipy.spatial' in sys.modules)\n"
+        "import io, sys, contextlib, dispbound.cli\n"
+        + _SCIPY_LOADED
+        + "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = dispbound.cli.main(['geodesic', '--from', 'face-center:0',\n"
+        "                               '--to', 'face-center:5', '--subdiv', '32'])\n"
+        "print(code)\n"
+        + _SCIPY_LOADED
     )
-    assert _probe(probe) == ["[]", "False"]
+    assert _probe(probe) == ["[]", "0", "[]"]
 
 
-def test_verify_with_a_random_polytope_never_loads_scipy_spatial():
+def test_verify_with_a_random_polytope_never_loads_scipy():
     probe = (
         "import io, sys, contextlib, dispbound.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = dispbound.cli.main(['verify', '--seed', '1729', '--polytopes', '1'])\n"
-        "print(code, 'scipy.spatial' in sys.modules)\n"
+        "print(code)\n"
+        + _SCIPY_LOADED
     )
-    assert _probe(probe)[-1:] == ["0 False"]
+    assert _probe(probe)[-2:] == ["0", "[]"]
 
 
 def test_verify_reads_suite_config_defaults_and_seed_check(capsys):

@@ -585,6 +585,26 @@ def test_table_residual_failure_names_first_n(monkeypatch):
     assert excinfo.value.diagnostics["n"] == 41
 
 
+def test_dimension_1e18_raises_no_float_warning():
+    # at n = 10^18 the gap g of b_n = 1/expm1(g) rounds to 0, so log1p(-1)
+    # is -inf; under filterwarnings = error no divide warning may escape.
+    # The envelope values are those computed with warnings ignored, and the
+    # table still refuses the row as a_n <= b_n.
+    import warnings
+
+    n = 10**18
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cmod._envelope.cache_clear()
+        quiet = (i_n_limit(n), i_star_n(n, 2.0), i_bar_n(n, 2.0))
+    cmod._envelope.cache_clear()
+    assert (i_n_limit(n), i_star_n(n, 2.0), i_bar_n(n, 2.0)) == quiet
+    assert all(math.isfinite(v.log_magnitude) for v in quiet)
+    with pytest.raises(NumericalError, match="a_n <= b_n") as excinfo:
+        constants_table(np.array([n]))
+    assert excinfo.value.diagnostics["log_b"] == math.inf
+
+
 def test_a_first_branch_crossing_is_refused(monkeypatch):
     # no n in 2..1e6 has a_n <= b_n (scan-ab reports one as a violation), so
     # the table refuses such an n instead of solving the first branch

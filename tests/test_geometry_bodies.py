@@ -1335,6 +1335,119 @@ def test_pairwise_distances_equal_dict_route(seed, vertices):
         )
 
 
+@pytest.mark.parametrize("seed, vertices", [(2, 14), (8, 22)])
+def test_one_source_route_of_one_pair_equals_scipy_dijkstra(seed, vertices):
+    # the route a fresh single pair takes: x and y alone join the graph, so
+    # a point at a vertex gives zero-length query edges
+    body = random_polytope(seed, vertices)
+    xs, ys = _oracle_pairs(body, seed, 30)
+    for m in (0, 6):
+        graph = GeodesicGraph(body, m)
+        weights = _dict_base_weights(graph)
+        for i in range(len(xs)):
+            x, y = xs[i:i + 1], ys[i:i + 1]
+            got = graph._one_source_route(graph._query_edges(x, y))
+            assert got.tobytes() == _dict_route_distances(body, graph, x, y, weights).tobytes()
+
+
+def _scipy_table(graph):
+    """The all-pairs table by scipy's Dijkstra, on the edges of the dict
+    oracle: the solver's own face rows are not used."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    weights = _dict_base_weights(graph)
+    (rows, cols), vals = np.array(list(weights)).T, np.array(list(weights.values()))
+    n = graph.node_count
+    return dijkstra(csr_matrix((vals, (rows, cols)), shape=(n, n)), directed=False)
+
+
+@pytest.mark.parametrize("seed", [1729, 4242])
+@pytest.mark.parametrize("m", [0, 1, 6])
+def test_distance_table_equals_scipy_dijkstra_on_suite_polytopes(seed, m):
+    bodies = [b for b in _suite_bodies(SuiteConfig(seed=seed)) if isinstance(b, Polytope3)]
+    assert len(bodies) == 22
+    for body in bodies:
+        graph = GeodesicGraph(body, m)
+        assert graph._distance_table().tobytes() == _scipy_table(graph).tobytes(), body.body_id
+
+
+def test_scipy_dijkstra_keeps_an_explicit_zero_edge_and_so_does_the_solver():
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    from dispbound.geometry.geodesic import _recheck_rows, _relax, _relax_arcs
+
+    rows, cols, vals = np.array([0, 1, 0]), np.array([1, 2, 2]), np.array([0.0, 1.0, 5.0])
+    oracle = dijkstra(csr_matrix((vals, (rows, cols)), shape=(3, 3)), directed=False, indices=0)
+    assert oracle.tolist() == [0.0, 0.0, 1.0]
+    # one face row per edge, padded with the id 3
+    ids = np.column_stack([rows, cols])
+    weights = np.zeros((3, 2, 2))
+    weights[:, 0, 1] = weights[:, 1, 0] = vals
+    dist = np.full((4, 1), np.inf)
+    dist[0] = 0.0
+    _relax(ids, weights, dist, np.arange(3), _recheck_rows(ids, weights, 3))
+    assert dist[:3, 0].tolist() == [0.0, 0.0, 1.0]
+    arcs = np.full((3, 1), np.inf)
+    arcs[0] = 0.0
+    _relax_arcs(np.r_[rows, cols], np.r_[cols, rows], np.r_[vals, vals], arcs)
+    assert arcs[:, 0].tolist() == [0.0, 0.0, 1.0]
+
+
+@st.composite
+def _face_graphs(draw):
+    """A few nodes, faces over subsets of them (a node may be in none), one
+    weight per node pair with zeros among them, sources and a face order."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    faces = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True),
+                          min_size=1, max_size=6))
+    lengths = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0))
+    pair = {(a, b): draw(lengths) for a in range(n) for b in range(a + 1, n)}
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    order = draw(st.permutations(range(len(faces))))
+    return n, [sorted(f) for f in faces], pair, sources, np.array(order)
+
+
+@given(_face_graphs())
+@settings(max_examples=150, deadline=None)
+def test_solvers_equal_scipy_dijkstra_on_small_face_graphs(graph):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    from dispbound.geometry.geodesic import _recheck_rows, _relax, _relax_arcs
+
+    n, faces, pair, sources, order = graph
+    width = max(len(f) for f in faces)
+    ids = np.full((len(faces), width), n)
+    weights = np.full((len(faces), width, width), np.inf)
+    edges = {}
+    for f, nodes in enumerate(faces):
+        ids[f, :len(nodes)] = nodes
+        for i, a in enumerate(nodes):
+            for j, b in enumerate(nodes):
+                weights[f, i, j] = 0.0 if a == b else pair[min(a, b), max(a, b)]
+                if a < b:
+                    edges[a, b] = pair[a, b]
+    if edges:
+        (rows, cols), vals = np.array(list(edges)).T, np.array(list(edges.values()))
+    else:
+        rows = cols = np.zeros(0, dtype=int)
+        vals = np.zeros(0)
+    # scipy keeps explicit zeros as edges; unreachable nodes stay inf
+    oracle = dijkstra(csr_matrix((vals, (rows, cols)), shape=(n, n)), directed=False,
+                      indices=sources)
+    dist = np.full((n + 1, len(sources)), np.inf)
+    dist[sources, np.arange(len(sources))] = 0.0
+    _relax(ids, weights, dist, order, _recheck_rows(ids, weights, n))
+    assert dist[:n].T.tobytes() == oracle.tobytes()
+    arcs = np.full((n, len(sources)), np.inf)
+    arcs[sources, np.arange(len(sources))] = 0.0
+    _relax_arcs(np.r_[rows, cols].astype(np.intp), np.r_[cols, rows].astype(np.intp),
+                np.r_[vals, vals], arcs)
+    assert arcs.T.tobytes() == oracle.tobytes()
+
+
 # The table route sums (|x - a| + D[a, b]) + |b - y| where the one-source
 # route accumulates the same path from x, so the two may round apart by
 # about one ulp per edge of the path; 2 ulps is the most seen here.
@@ -1459,7 +1572,7 @@ def test_fresh_single_pair_refuses_off_boundary_points_as_the_full_graph():
 
 
 def test_coarser_subdivision_nodes_are_nodes_of_the_finer_graph():
-    from dispbound.geometry.geodesic import coarser_subdivision
+    from dispbound.geometry.geodesic import _face_weights, coarser_subdivision
 
     assert [coarser_subdivision(m) for m in (1, 2, 5, 6, 8, 15, 32, 63)] == [
         0, 0, 2, 0, 2, 7, 10, 31,
@@ -1478,15 +1591,22 @@ def test_coarser_subdivision_nodes_are_nodes_of_the_finer_graph():
         picks = (v + m * np.arange(len(body.edges))[:, None]
                  + step * np.arange(1, c + 1) - 1).ravel()
         assert np.array_equal(coarse.nodes[v:], fine.nodes[picks])
-        # so every coarse edge is a fine edge with the same length
-        ids = np.concatenate([np.arange(v), picks])
-        fine_vals = dict(zip(zip(fine._rows.tolist(), fine._cols.tolist()), fine._vals))
-        for r, c_, w in zip(ids[coarse._rows], ids[coarse._cols], coarse._vals):
-            assert fine_vals[min(r, c_), max(r, c_)] == w
+        # so every coarse face row is part of the fine one, with the same
+        # lengths between its nodes
+        ids = np.concatenate([np.arange(v), picks, [fine.node_count]])
+        fine_weights = _face_weights(fine.nodes, fine._ids)
+        coarse_weights = _face_weights(coarse.nodes, coarse._ids)
+        for f in range(len(coarse._ids)):
+            mapped = ids[coarse._ids[f]]
+            real = coarse._ids[f] < coarse.node_count
+            at = np.searchsorted(fine._ids[f], mapped[real])
+            assert np.array_equal(fine._ids[f][at], mapped[real])
+            assert (fine_weights[f][np.ix_(at, at)].tobytes()
+                    == coarse_weights[f][np.ix_(real, real)].tobytes())
 
 
 def test_pruned_graph_is_the_full_graph_induced_on_its_kept_nodes():
-    from dispbound.geometry.geodesic import PRUNE_MARGIN, coarser_subdivision
+    from dispbound.geometry.geodesic import PRUNE_MARGIN, _face_weights, coarser_subdivision
 
     for body in _fresh_pair_bodies(1729):
         xs, ys = _fresh_pairs(body, 1729)
@@ -1498,10 +1618,18 @@ def test_pruned_graph_is_the_full_graph_induced_on_its_kept_nodes():
                 pruned = GeodesicGraph(body, m, within=(x, y, bound))
                 keep = (np.linalg.norm(full.nodes - x, axis=1)
                         + np.linalg.norm(full.nodes - y, axis=1)) <= bound * (1 + PRUNE_MARGIN)
-                induced = keep[full._rows] & keep[full._cols]
-                assert np.array_equal(pruned._rows, full._rows[induced])
-                assert np.array_equal(pruned._cols, full._cols[induced])
-                assert pruned._vals.tobytes() == full._vals[induced].tobytes()
+                n = full.node_count
+                full_weights = _face_weights(full.nodes, full._ids)
+                pruned_weights = _face_weights(pruned.nodes, pruned._ids)
+                for f in range(len(full._ids)):
+                    row = full._ids[f]
+                    kept = (row < n) & keep[np.minimum(row, n - 1)]
+                    mine = pruned._ids[f]
+                    assert np.array_equal(mine[mine < n], row[kept])
+                    assert np.all(mine[kept.sum():] == n)
+                    size = int(kept.sum())
+                    assert (pruned_weights[f][:size, :size].tobytes()
+                            == full_weights[f][np.ix_(kept, kept)].tobytes())
                 assert np.array_equal(pruned._incidence, full._incidence & keep)
                 assert np.array_equal(pruned.nodes, full.nodes)
 
