@@ -106,7 +106,7 @@ def _face_weights(points: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def _relax(ids: np.ndarray, weights: np.ndarray, dist: np.ndarray,
-           order: np.ndarray, recheck: np.ndarray) -> None:
+           order: np.ndarray) -> None:
     """Relax ``dist`` in place to the fixpoint of dist[v] <= dist[u] + w(u, v)
     over every two nodes of a face row, with w(u, v) = ``weights[f, i, j]``
     for u, v in slots i, j of row f; a pair must have the same weight in
@@ -117,10 +117,9 @@ def _relax(ids: np.ndarray, weights: np.ndarray, dist: np.ndarray,
     column's source, such as 0 at the source.  Faces are relaxed one at a
     time in ``order``, each from the rows and columns that changed since its
     last pass, as min over u of (dist[u] + w(u, v)) (Gauss-Seidel), and again
-    only when one of its nodes changed since.  A face's own changes ask for
-    its next pass only in the rows that ``recheck`` (``(F, S)`` bool) marks,
-    see ``_recheck_rows``.  The schedule changes how fast the fixpoint is
-    reached, never the fixpoint (see the module docstring).
+    only when one of its nodes changed since, its own pass's changes
+    included.  The schedule changes how fast the fixpoint is reached, never
+    the fixpoint (see the module docstring).
     """
     count, width = ids.shape
     nodes, sources = dist.shape
@@ -173,54 +172,6 @@ def _relax(ids: np.ndarray, weights: np.ndarray, dist: np.ndarray,
             near = np.flatnonzero(member[:, rows[changed]].any(axis=1))
             stale[near[:, None], cols] = True
             pending[near] = True
-            if not np.any(changed & recheck[f]):
-                pending[f] = stale[f] = False
-                seen[f] = clock
-
-
-def _recheck_rows(ids: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """The ``(F, S)`` face rows v (node ids below ``n``) whose change in a
-    pass of their face may still lower, by rounding alone, a node x that
-    shares this face and no other with v.
-
-    After a pass, v holds fl(t + |u v|) for a node u of the face and a label
-    t, and x at most fl(t + |u x|).  fl(fl(t + |u v|) + |v x|) can undercut
-    that only if the excess |u v| + |v x| - |u x| is below
-    eps (3 t + 8 max |.|); a label is at most N max |.| for N nodes, since
-    each first reached its node along at most N edges.  So only nearly
-    collinear triples u, v, x count.  On polytope faces these lie on one
-    edge, which the face across it relaxes too: a pair that another face
-    holds needs no recheck here, because a change of v sends that face a
-    pass from v.
-    """
-    count, width = ids.shape
-    real = ids < n
-    scale = float(np.max(weights, where=np.isfinite(weights), initial=0.0))
-    # screened in float32: rounding the three lengths and the two sums moves
-    # an excess by at most 7 float32 half-ulps of the scale, so the widened
-    # tolerance still flags every float64 candidate
-    tol = np.finfo(float).eps * (3 * n + 8) * scale + 4 * np.finfo(np.float32).eps * scale
-    lengths = weights.astype(np.float32)
-    # u = v is no triple: an infinite first leg takes it out; padding gives
-    # inf - inf = nan, which fmin passes over
-    first = lengths.copy()
-    first[:, np.arange(width), np.arange(width)] = np.inf
-    member = np.zeros((count, n + 1), dtype=np.float32)
-    face, slot = np.nonzero(real)
-    member[face, ids[face, slot]] = 1.0
-    pairs = real[:, :, None] & real[:, None, :] & ~np.eye(width, dtype=bool)
-    out = np.zeros((count, width), dtype=bool)
-    step = max(1, BATCH_CELLS // (width ** 3 + 1))
-    for s in range(0, count, step):
-        w = lengths[s:s + step]
-        with np.errstate(invalid="ignore"):
-            # excess[f, u, v, x] = |u v| + |v x| - |u x|, least over u
-            excess = (first[s:s + step, :, :, None] + w[:, None, :, :]) - w[:, :, None, :]
-            near = np.fmin.reduce(excess, axis=1) <= tol
-        rows = member[:, ids[s:s + step]].transpose(1, 2, 0)  # (f, S, F)
-        shared = np.matmul(rows, rows.transpose(0, 2, 1)) > 1  # another face holds both
-        out[s:s + step] = np.any(near & pairs[s:s + step] & ~shared, axis=2)
-    return out
 
 
 def _relax_arcs(tail: np.ndarray, head: np.ndarray, length: np.ndarray,
@@ -340,7 +291,6 @@ class GeodesicGraph:
             gaps = np.column_stack([gaps, np.linalg.norm(nodes - nodes[seeds[-1]], axis=1)])
         group = np.argmin(gaps, axis=1)
         weights = _face_weights(nodes, self._ids)
-        recheck = _recheck_rows(self._ids, weights, n)
         table = np.empty((n, n))
         for g in range(len(seeds)):
             sources = np.flatnonzero(group == g)
@@ -349,7 +299,7 @@ class GeodesicGraph:
             centre = nodes[sources].mean(axis=0)
             order = np.argsort(np.linalg.norm(self._faces.centroids - centre, axis=1),
                                kind="stable")
-            _relax(self._ids, weights, dist, order, recheck)
+            _relax(self._ids, weights, dist, order)
             table[sources] = dist[:n].T
         return table
 

@@ -1376,7 +1376,7 @@ def test_scipy_dijkstra_keeps_an_explicit_zero_edge_and_so_does_the_solver():
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    from dispbound.geometry.geodesic import _recheck_rows, _relax, _relax_arcs
+    from dispbound.geometry.geodesic import _relax, _relax_arcs
 
     rows, cols, vals = np.array([0, 1, 0]), np.array([1, 2, 2]), np.array([0.0, 1.0, 5.0])
     oracle = dijkstra(csr_matrix((vals, (rows, cols)), shape=(3, 3)), directed=False, indices=0)
@@ -1387,7 +1387,7 @@ def test_scipy_dijkstra_keeps_an_explicit_zero_edge_and_so_does_the_solver():
     weights[:, 0, 1] = weights[:, 1, 0] = vals
     dist = np.full((4, 1), np.inf)
     dist[0] = 0.0
-    _relax(ids, weights, dist, np.arange(3), _recheck_rows(ids, weights, 3))
+    _relax(ids, weights, dist, np.arange(3))
     assert dist[:3, 0].tolist() == [0.0, 0.0, 1.0]
     arcs = np.full((3, 1), np.inf)
     arcs[0] = 0.0
@@ -1415,7 +1415,7 @@ def test_solvers_equal_scipy_dijkstra_on_small_face_graphs(graph):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    from dispbound.geometry.geodesic import _recheck_rows, _relax, _relax_arcs
+    from dispbound.geometry.geodesic import _relax, _relax_arcs
 
     n, faces, pair, sources, order = graph
     width = max(len(f) for f in faces)
@@ -1439,13 +1439,34 @@ def test_solvers_equal_scipy_dijkstra_on_small_face_graphs(graph):
                       indices=sources)
     dist = np.full((n + 1, len(sources)), np.inf)
     dist[sources, np.arange(len(sources))] = 0.0
-    _relax(ids, weights, dist, order, _recheck_rows(ids, weights, n))
+    _relax(ids, weights, dist, order)
     assert dist[:n].T.tobytes() == oracle.tobytes()
     arcs = np.full((n, len(sources)), np.inf)
     arcs[sources, np.arange(len(sources))] = 0.0
     _relax_arcs(np.r_[rows, cols].astype(np.intp), np.r_[cols, rows].astype(np.intp),
                 np.r_[vals, vals], arcs)
     assert arcs.T.tobytes() == oracle.tobytes()
+
+
+def test_table_build_memory_stays_within_its_batches_at_a_fine_subdivision():
+    """At m = 32 a cube face row holds 132 nodes; the build keeps the table,
+    the face lengths, one group's labels and BATCH_CELLS-sized temporaries,
+    never a per-face array cubic in the row width."""
+    import tracemalloc
+
+    from dispbound.geometry.bodies import BATCH_CELLS
+
+    body = cube(1.0)
+    xs, ys = body.sample_boundary(5, 4)[:2], body.sample_boundary(6, 4)[:2]
+    tracemalloc.start()
+    try:
+        body.intrinsic_distances_batch(xs, ys, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = body._graphs[32]._table
+    assert table.shape == (392, 392)
+    assert peak < 2 * table.nbytes + 4 * 8 * BATCH_CELLS
 
 
 # The table route sums (|x - a| + D[a, b]) + |b - y| where the one-source
