@@ -113,6 +113,13 @@ def _check_subdivision(m) -> int:
     return int(m)
 
 
+# float64 cells per temporary array of a chunked batch (1 MiB).  Ray exits,
+# cylinder distances, the hull and the Steiner graphs' builds and queries
+# run in blocks of rows that keep each temporary near this size, so a batch
+# needs its input and output plus a few MiB, whatever its size
+BATCH_CELLS = 1 << 17
+
+
 def _row_dots(d: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The ``(k, n)`` dot products of the rows of ``d`` with the rows of
     ``m``, each with the bits of ``np.vecdot`` of the two vectors: one BLAS
@@ -125,12 +132,20 @@ def _row_dots(d: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _nearest_exit(numerators: np.ndarray, normals: np.ndarray,
                   d: np.ndarray) -> np.ndarray:
     """Smallest positive ``numerator / (normal . d)`` per row of ``d`` over
-    the planes whose normal faces along ``d``; inf where there is none."""
-    denom = _row_dots(d, normals)
-    t = np.full(denom.shape, np.inf)
-    np.divide(numerators, denom, out=t, where=denom > 1e-15)
-    t[t <= 0.0] = np.inf
-    return t.min(axis=1)
+    the planes whose normal faces along ``d``; inf where there is none.
+
+    Runs in blocks of rows whose ``(rows, planes)`` temporaries hold about
+    ``BATCH_CELLS`` cells; a row's value does not depend on its block, since
+    ``_row_dots`` gives every block size the bits of ``vecdot``."""
+    best = np.empty(len(d))
+    step = max(1, BATCH_CELLS // len(normals))
+    for s in range(0, len(d), step):
+        denom = _row_dots(d[s:s + step], normals)
+        t = np.full(denom.shape, np.inf)
+        np.divide(numerators, denom, out=t, where=denom > 1e-15)
+        t[t <= 0.0] = np.inf
+        best[s:s + step] = t.min(axis=1)
+    return best
 
 
 def _exit_points(o: np.ndarray, d: np.ndarray, t: np.ndarray, body: str) -> np.ndarray:
@@ -148,10 +163,6 @@ def _wrap_angle(delta: float | np.ndarray):
     np.remainder(shifted, 2.0 * np.pi, out=shifted, where=outside)
     shifted -= np.pi
     return np.abs(shifted, out=shifted)[()]
-
-
-# float64 cells per temporary array of a chunked batch (1 MiB)
-BATCH_CELLS = 1 << 17
 
 
 def face_membership(p: np.ndarray, faces: FaceTables, vertices: np.ndarray,

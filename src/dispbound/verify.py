@@ -746,6 +746,9 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     config = config or SuiteConfig()
     start = time.monotonic()
     bodies = _suite_bodies(config)
+    # the closing point pairs' bodies; every other body is dropped once its
+    # checks are done, and a polytope's Steiner tables go with it
+    sphere, cylinders = bodies[0], bodies[1:3]
     maps = {
         "central-point": central_point_map(),
         "euclidean-antipode": euclidean_antipode_map(),
@@ -756,7 +759,8 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     skipped: list[tuple[str, str, str]] = []
     central_rho_hats: list[float] = []
 
-    for body in bodies:
+    while bodies:
+        body = bodies.pop(0)
         n = body.surface_dimension
         seed_body = _derived_seed(config.seed, "body", body.body_id)
         records.append(check_pal_firey(body, seed=seed_body))
@@ -795,14 +799,13 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
                 ))
 
     # closed-form point pairs with exact distances on the analytic bodies
-    sphere = bodies[0]
     records.append(check_point_pair_bound(
         sphere,
         np.array([1.0, 0.0, 0.0]),
         np.array([-1.0, 0.0, 0.0]),
         seed=_derived_seed(config.seed, "pair", "sphere-unit"),
     ))
-    for body in bodies[1:3]:
+    for body in cylinders:
         top = np.array([0.0, 0.0, body.height / 2.0])
         records.append(check_point_pair_bound(
             body, top, -top, seed=_derived_seed(config.seed, "pair", body.body_id)

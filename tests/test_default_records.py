@@ -17,6 +17,7 @@ whose summary shows only small margin drift is that platform's rounding.
 
 from pathlib import Path
 
+from dispbound import cli
 from dispbound.verify import diff_records, load_records_jsonl
 
 COMMITTED = Path(__file__).resolve().parent / "data" / "default-suite-1729.jsonl"
@@ -31,3 +32,16 @@ def test_default_suite_records_are_byte_identical(default_suite):
         raise AssertionError(
             f"records differ from {COMMITTED.name}: {diff.summary()}\n{shown}"
         )
+
+
+def test_one_polytope_suite_writes_only_lines_of_the_default_run(tmp_path):
+    """The benchmark's suite workload runs ``verify`` with 1 of the 20
+    random polytopes and relies on every line it writes being a line of the
+    default run, byte for byte (see ``perfbench/README.md``)."""
+    out = tmp_path / "suite.jsonl"
+    assert cli.main(["verify", "--seed", "1729", "--polytopes", "1",
+                     "--format", "json-lines", "--output", str(out)]) == 0
+    committed = set(COMMITTED.read_bytes().splitlines())
+    lines = out.read_bytes().splitlines()
+    assert len(lines) == 101
+    assert [line for line in lines if line not in committed] == []

@@ -908,7 +908,10 @@ def test_blas_row_dots_equal_vecdot_at_every_batch_size():
 
 
 def test_support_and_ray_exit_equal_vecdot_forms_at_every_batch_size():
-    from dispbound.geometry.bodies import _as_directions, _nearest_exit
+    """Ray exits run in blocks of b = BATCH_CELLS // F rows, so the sizes
+    around b and 2b + 1 (whose last block is one row, on ``_row_dots``'s
+    ``vecdot`` path) are where a block could round apart from its rows."""
+    from dispbound.geometry.bodies import BATCH_CELLS, _as_directions, _nearest_exit
 
     def vecdot_exit(numerators, normals, d):
         denom = np.vecdot(d[:, None, :], normals)
@@ -927,7 +930,8 @@ def test_support_and_ray_exit_equal_vecdot_forms_at_every_batch_size():
         else:
             normals = body._normals
             numerators = np.vecdot(normals, body.vertices - o)
-        for rows in (1, 2, 10_000):
+        b = BATCH_CELLS // len(normals)
+        for rows in (1, 2, 10_000, b - 1, b, b + 1, 2 * b + 1):
             raw = unit_directions(substream(RNG_SEED, "forms", body.body_id), rows, dim)
             d = _as_directions(raw, dim)  # as ray_exit normalizes them
             want = np.max(np.vecdot(d[:, None, :], body.vertices), axis=1)
@@ -937,6 +941,27 @@ def test_support_and_ray_exit_equal_vecdot_forms_at_every_batch_size():
             exits = body.ray_exit(o, raw)
             assert _bits(exits) == _bits(o + best[:, None] * d), (body.body_id, rows)
         assert body.support(d[0]) == float(want[0])
+
+
+def test_ray_exit_memory_stays_within_its_blocks():
+    """10,000 exits from the suite's cigar (60 faces) keep the output, the
+    unit directions and one block's ``(rows, F)`` temporaries, never a
+    ``(10_000, F)`` array."""
+    import tracemalloc
+
+    from dispbound.geometry.bodies import BATCH_CELLS
+
+    (body,) = [b for b in _suite_bodies(SuiteConfig(seed=1729, polytope_count=0))
+               if b.body_id == "cigar-long"]
+    o = body.interior_point()
+    d = unit_directions(substream(RNG_SEED, "exit-memory"), 10_000, 3)
+    tracemalloc.start()
+    try:
+        exits = body.ray_exit(o, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < exits.nbytes + 4 * 8 * BATCH_CELLS
 
 
 def test_wrap_angle_equals_the_remainder_of_every_entry():

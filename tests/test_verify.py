@@ -436,6 +436,32 @@ def test_suite_determinism():
     assert records_to_jsonl(a.records) == records_to_jsonl(b.records)
 
 
+def test_suite_keeps_one_polytope_graph_alive_at_a_time(monkeypatch):
+    """Each polytope's Steiner graph, V x V table and all, is freed by
+    reference counting once that polytope's checks are done: when a graph
+    is built, every graph built before it is already dead."""
+    import gc
+    import weakref
+
+    from dispbound.geometry import geodesic
+
+    built, alive_at_build = [], []
+
+    class Watched(geodesic.GeodesicGraph):
+        def __init__(self, *args, **kwargs):
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(geodesic, "GeodesicGraph", Watched)
+    gc.disable()
+    try:
+        run_suite(SuiteConfig(seed=1729, polytope_count=2))
+    finally:
+        gc.enable()
+    assert alive_at_build == [0, 0, 0, 0]  # pancake, cigar, two random polytopes
+
+
 def test_suite_config_validation():
     with pytest.raises(ConfigurationError):
         SuiteConfig(samples=0)
