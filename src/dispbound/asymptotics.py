@@ -164,7 +164,8 @@ def compare(
     kind = _check_kind(kind)
     ns = [_check_dim(n) for n in n_values]
     table_kind = {"ab_ratio": "pal_firey", "bezdek_log_h_n": "bezdek"}.get(quantity, kind)
-    table = constants_table(np.array(ns, dtype=np.int64), table_kind)
+    # no forced int64: an n past it must reach _check_dims, which refuses it
+    table = constants_table(np.array(ns) if ns else np.zeros(0, np.int64), table_kind)
     if quantity == "c_n":
         exact = [LogReal.from_log(v).to_float() for v in table.log_c]
         approx = [asymptotic_c_n(n, kind) for n in ns]

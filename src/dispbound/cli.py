@@ -772,11 +772,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         diagnostics = getattr(exc, "diagnostics", None)
-        if diagnostics:
-            print(
-                json.dumps(diagnostics, default=str, sort_keys=True),
-                file=sys.stderr,
-            )
+        if diagnostics:  # strict JSON: a non-finite float as its repr string
+            strict = {k: repr(float(v)) if isinstance(v, float) and not math.isfinite(v)
+                      else v for k, v in diagnostics.items()}
+            print(json.dumps(strict, default=str, sort_keys=True, allow_nan=False), file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

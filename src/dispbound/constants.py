@@ -63,9 +63,10 @@ def _check_dim(n: int, minimum: int = 2) -> int:
 
 
 def _check_dims(ns) -> np.ndarray:
-    ns = np.asarray(ns)
-    if ns.ndim != 1 or ns.dtype.kind not in "iu" or (ns.size and ns.min() < 2):
-        raise DomainError(f"dimensions must be a 1-d integer array of n >= 2, got {ns!r}")
+    ns = np.asarray(ns)  # an n past int64 arrives as uint64 or object
+    if ns.ndim != 1 or ns.dtype.kind not in "iu" or (
+            ns.size and not 2 <= ns.min() <= ns.max() < 2**63):
+        raise DomainError(f"dimensions must be a 1-d integer array of 2 <= n < 2^63, got {ns!r}")
     return ns.astype(np.int64)
 
 

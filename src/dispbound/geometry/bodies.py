@@ -104,12 +104,21 @@ def _as_arclengths(s, count: int) -> np.ndarray:
     return a
 
 
+# twice the finest geodesic subdivision any caller uses (32: the README
+# example, perfbench's cold queries).  A graph holds V + E m nodes and its
+# table their square, so an uncapped m asks for unbounded memory and time
+MAX_SUBDIVISION = 64
+
+
 def _check_subdivision(m) -> int:
-    """A polytope geodesic subdivision: an integer >= 0, not a bool."""
+    """A polytope geodesic subdivision: an integer in 0..MAX_SUBDIVISION,
+    not a bool."""
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
         raise ConfigurationError(f"geodesic subdivision must be an integer, got {m!r}")
     if m < 0:
         raise ConfigurationError("geodesic subdivision must be nonnegative")
+    if m > MAX_SUBDIVISION:
+        raise ConfigurationError(f"geodesic subdivision must be at most {MAX_SUBDIVISION}, got {m}")
     return int(m)
 
 
@@ -844,19 +853,17 @@ def _convex_hull(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         sizes = np.count_nonzero(members, axis=0)
         ids = np.stack([v, u, q], axis=1)[new]
         normals = normals[new]
-        if sizes.max() == 3:
-            a, b, face = ids.ravel(), ids[:, [1, 2, 0]].ravel(), np.arange(len(ids)).repeat(3)
-        else:
-            big = np.flatnonzero(sizes > 3)
+        big = np.flatnonzero(sizes > 3)
+        if len(big):
             polygons, sizes[big] = _face_polygons(
                 p, members[:, big], normals[big], e[new[big]], u[new[big]], n
             )
             ids = _pad(ids, polygons.shape[1], n)
             ids[big] = polygons
-            slot = np.arange(ids.shape[1])
-            inside = slot < sizes[:, None]
-            after = ids[np.arange(len(ids))[:, None], (slot + 1) % sizes[:, None]]
-            a, b, face = ids[inside], after[inside], np.nonzero(inside)[0]
+        slot = np.arange(ids.shape[1])
+        inside = slot < sizes[:, None]
+        after = ids[np.arange(len(ids))[:, None], (slot + 1) % sizes[:, None]]
+        a, b, face = ids[inside], after[inside], np.nonzero(inside)[0]
         count += len(new)
         if count > 2 * n:  # a 3-polytope has at most 2V - 4 faces
             raise ConfigurationError("degenerate vertex cloud: the hull does not close")

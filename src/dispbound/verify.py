@@ -22,7 +22,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, ClassVar, NamedTuple
+from typing import Callable, ClassVar, Iterator, NamedTuple
 
 import numpy as np
 
@@ -692,29 +692,28 @@ class SuiteReport:
         return not (self.strict_failures or self.equality_failures or self.missing_notes)
 
 
-def _suite_bodies(config: SuiteConfig) -> list[ConvexBody]:
+def _suite_bodies(config: SuiteConfig) -> Iterator[ConvexBody]:
+    """The suite's bodies in run order, each built only when the loop asks."""
     def profile_cylinder(rho: float, tag: str) -> CylinderBody:
         # cap-center displacement exactly 1, cap-center distortion exactly rho
         return CylinderBody(
             2, (rho - 1.0) / (2.0 * rho), 1.0 / rho, body_id=f"cylinder-{tag}"
         )
 
-    bodies: list[ConvexBody] = [
-        SphereBody(1.0, body_id="sphere-unit"),
-        profile_cylinder(2.0, "rho2"),
-        profile_cylinder(20.0, "rho20"),
-        equilateral_triangle(1.0, body_id="triangle-unit"),
-        PolygonBoundary(
-            np.array([[0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5]]),
-            body_id="square-unit",
-        ),
-        regular_polygon(6, 1.0, body_id="hexagon-unit"),
-        regular_polygon(5, 1.0, body_id="pentagon-unit"),
-        PolygonBoundary(
-            np.array([[0.0, 0.0], [2.0, 0.1], [2.5, 1.3], [1.2, 2.2], [-0.4, 1.0]]),
-            body_id="pentagon-irregular",
-        ),
-    ]
+    yield SphereBody(1.0, body_id="sphere-unit")
+    yield profile_cylinder(2.0, "rho2")
+    yield profile_cylinder(20.0, "rho20")
+    yield equilateral_triangle(1.0, body_id="triangle-unit")
+    yield PolygonBoundary(
+        np.array([[0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5]]),
+        body_id="square-unit",
+    )
+    yield regular_polygon(6, 1.0, body_id="hexagon-unit")
+    yield regular_polygon(5, 1.0, body_id="pentagon-unit")
+    yield PolygonBoundary(
+        np.array([[0.0, 0.0], [2.0, 0.1], [2.5, 1.3], [1.2, 2.2], [-0.4, 1.0]]),
+        body_id="pentagon-irregular",
+    )
 
     # two shaped polytopes from named substreams: a flat pancake (large
     # distortion between its faces) and a long cigar (the elongated case)
@@ -722,33 +721,24 @@ def _suite_bodies(config: SuiteConfig) -> list[ConvexBody]:
         rng = substream(config.seed, "shaped-polytope", tag)
         dirs = unit_directions(rng, 40, 3)
         radii = 1.0 + 0.25 * (rng.random(40) - 0.5)
-        bodies.append(
-            Polytope3(
-                dirs * radii[:, None] * np.asarray(squash),
-                body_id=tag,
-                geodesic_subdivision=SUITE_SUBDIVISION,
-            )
+        yield Polytope3(
+            dirs * radii[:, None] * np.asarray(squash),
+            body_id=tag,
+            geodesic_subdivision=SUITE_SUBDIVISION,
         )
 
     for i in range(config.polytope_count):
-        bodies.append(
-            random_polytope(
-                _derived_seed(config.seed, "suite-polytope", str(i)),
-                14 + (i % 12),
-                geodesic_subdivision=SUITE_SUBDIVISION,
-            )
+        yield random_polytope(
+            _derived_seed(config.seed, "suite-polytope", str(i)),
+            14 + (i % 12),
+            geodesic_subdivision=SUITE_SUBDIVISION,
         )
-    return bodies
 
 
 def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     """Evaluate every applicable check on the default body/map matrix."""
     config = config or SuiteConfig()
     start = time.monotonic()
-    bodies = _suite_bodies(config)
-    # the closing point pairs' bodies; every other body is dropped once its
-    # checks are done, and a polytope's Steiner tables go with it
-    sphere, cylinders = bodies[0], bodies[1:3]
     maps = {
         "central-point": central_point_map(),
         "euclidean-antipode": euclidean_antipode_map(),
@@ -759,8 +749,7 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     skipped: list[tuple[str, str, str]] = []
     central_rho_hats: list[float] = []
 
-    while bodies:
-        body = bodies.pop(0)
+    for body in _suite_bodies(config):
         n = body.surface_dimension
         seed_body = _derived_seed(config.seed, "body", body.body_id)
         records.append(check_pal_firey(body, seed=seed_body))
@@ -798,18 +787,20 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
                     seed=seed_pair,
                 ))
 
-    # closed-form point pairs with exact distances on the analytic bodies
-    records.append(check_point_pair_bound(
-        sphere,
-        np.array([1.0, 0.0, 0.0]),
-        np.array([-1.0, 0.0, 0.0]),
-        seed=_derived_seed(config.seed, "pair", "sphere-unit"),
-    ))
-    for body in cylinders:
-        top = np.array([0.0, 0.0, body.height / 2.0])
+        # closed-form pairs with exact distances: the sphere's antipodes
+        # center ± r e1 and a cylinder's cap centres (0, ..., 0, ±h/2)
+        if isinstance(body, SphereBody):
+            e1 = np.eye(body.ambient_dimension)[0] * body.radius
+            pair = (body.center + e1, body.center - e1)
+        elif isinstance(body, CylinderBody):
+            top = np.eye(body.ambient_dimension)[-1] * (body.height / 2.0)
+            pair = (top, -top)
+        else:
+            continue
         records.append(check_point_pair_bound(
-            body, top, -top, seed=_derived_seed(config.seed, "pair", body.body_id)
+            body, *pair, seed=_derived_seed(config.seed, "pair", body.body_id)
         ))
+
     for d in (3, 4, 5, 6):
         records.append(check_cone_vs_ball(d, seed=_derived_seed(config.seed, "cone", str(d))))
 

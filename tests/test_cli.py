@@ -450,6 +450,14 @@ def test_asymptotics_refuses_a_huge_bezdek_dimension(capsys):
     ]
 
 
+@pytest.mark.parametrize("n", [2**63, 10**20])
+def test_asymptotics_refuses_a_dimension_past_int64(capsys, n):
+    # 2^63 parses to a uint64 array, 10^20 to an object array; both refused
+    code, out, err = run_cli(capsys, "asymptotics", "--n", str(n))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: dimensions must be") and str(n) in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -614,6 +622,17 @@ def test_geodesic_rejects_a_negative_subdivision(capsys, subdiv):
     assert err == "error: geodesic subdivision must be nonnegative\n"
 
 
+@pytest.mark.parametrize("subdiv", [65, 10**20])
+def test_geodesic_rejects_a_subdivision_past_the_cap(capsys, subdiv):
+    # 3000 was killed for memory, 10^20 ended in a 44 GiB allocation traceback
+    code, out, err = run_cli(
+        capsys, "geodesic", "--from", "face-center:0", "--to", "face-center:5",
+        "--subdiv", str(subdiv),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: geodesic subdivision must be at most 64, got {subdiv}\n"
+
+
 def test_geodesic_rejects_misfit_endpoint_kinds(capsys):
     code, _, err = run_cli(
         capsys, "geodesic", "--from", "arclength:0", "--to", "vertex:0"
@@ -765,6 +784,30 @@ def test_numerical_failures_exit_three(capsys, monkeypatch):
     assert code == 3
     assert "numerical failure" in err
     assert '"n": 7' in err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_numerical_failure_diagnostics_are_strict_json(capsys, monkeypatch):
+    # at n = 9e18 log b_n overflows to inf and the crossing cannot be bracketed
+    code, out, err = run_cli(capsys, "asymptotics", "--n", str(9 * 10**18))
+    assert (code, out) == (3, "")
+    diagnostics = json.loads(err.splitlines()[-1], parse_constant=_refuse_constant)
+    assert diagnostics["log_b"] == "inf" and diagnostics["n"] == 9 * 10**18
+
+    def explode(*args, **kwargs):
+        raise NumericalError("synthetic", diagnostics={
+            "a": math.nan, "b": -math.inf, "c": np.float64(math.inf), "d": 1.5,
+        })
+
+    monkeypatch.setattr(cli, "scan_ab", explode)
+    code, _, err = run_cli(capsys, "scan-ab", "--n-min", "2", "--n-max", "5")
+    assert code == 3
+    assert json.loads(err.splitlines()[-1], parse_constant=_refuse_constant) == {
+        "a": "nan", "b": "-inf", "c": "inf", "d": 1.5,
+    }
 
 
 def _probe(code: str) -> list[str]:

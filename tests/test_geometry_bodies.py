@@ -1715,6 +1715,27 @@ def test_negative_subdivision_is_refused_without_building_a_graph():
     assert body._graphs == {}
 
 
+def test_subdivision_past_the_cap_is_refused_without_building_a_graph(tmp_path):
+    from dispbound.geometry.bodies import MAX_SUBDIVISION
+
+    assert MAX_SUBDIVISION == 64
+    assert cube(1.0, geodesic_subdivision=64).geodesic_subdivision == 64
+    body = random_polytope(4, 18)
+    xs, ys = body.sample_boundary(1, 2), body.sample_boundary(2, 2)
+    for m in (65, 10**20, np.int64(65)):
+        with pytest.raises(ConfigurationError, match="must be at most 64"):
+            cube(1.0, geodesic_subdivision=m)
+        for k in (1, 2):  # the pruned single-pair route and the batch route
+            with pytest.raises(ConfigurationError, match="must be at most 64"):
+                body.intrinsic_distances_batch(xs[:k], ys[:k], m)
+    assert body._graphs == {}
+    path = tmp_path / "fine.body"
+    save_body(cube(1.0), path)
+    path.write_text(path.read_text().replace("geodesic_subdivision 8", "geodesic_subdivision 65"))
+    with pytest.raises(ConfigurationError, match="must be at most 64, got 65"):
+        load_body(path)
+
+
 def test_dropping_a_queried_polytope_frees_its_graph():
     import gc
     import weakref

@@ -462,6 +462,25 @@ def test_suite_keeps_one_polytope_graph_alive_at_a_time(monkeypatch):
     assert alive_at_build == [0, 0, 0, 0]  # pancake, cigar, two random polytopes
 
 
+def test_suite_bodies_are_built_only_when_the_loop_asks_for_them():
+    """At 10^18 polytopes a built list would never be ready; the stream's
+    first 11 bodies (the sphere, two cylinders, five polygons, two shaped
+    polytopes and the first random one) come at once and are those of a
+    one-polytope suite."""
+    from dispbound.verify import _suite_bodies
+
+    # checked first, so a list-returning version fails here instead of
+    # building 10^18 polytopes
+    assert inspect.isgeneratorfunction(_suite_bodies)
+    head = list(itertools.islice(_suite_bodies(SuiteConfig(polytope_count=10**18)), 11))
+    one = list(_suite_bodies(SuiteConfig(polytope_count=1)))
+    assert [b.body_id for b in head] == [b.body_id for b in one]
+    for a, b in zip(head, one):
+        assert type(a) is type(b)
+        if hasattr(a, "vertices"):
+            assert a.vertices.tobytes() == b.vertices.tobytes()
+
+
 def test_suite_config_validation():
     with pytest.raises(ConfigurationError):
         SuiteConfig(samples=0)
