@@ -579,7 +579,7 @@ def cmd_geodesic(args: argparse.Namespace) -> int:
     if isinstance(body, Polytope3):
         values, kind = body.intrinsic_distances_batch(start[None], stop[None], args.subdiv)
         distance = float(values[0])
-        subdivision = args.subdiv
+        subdivision = body.geodesic_subdivision if args.subdiv is None else args.subdiv
     else:
         if args.subdiv is not None:
             raise ConfigurationError("--subdiv only applies to polytope bodies")

@@ -25,10 +25,18 @@ face block, and the graph keeps the V x V distance table D.  With F(p) the
 nodes on the faces that contain p, a pair is answered as
 
     min(|x - y| if x and y share a face,
-        min over a in F(x), b in F(y) of (|x - a| + D[a, b]) + |b - y|),
+        min over a in F(x), b in F(y) of (|x - a| + D[a, b]) + |b - y|).
 
-elementwise over padded rows, so the answer for a pair does not depend on
-the other pairs of its batch.
+A batch is located by the faces that contain each point: the point's row
+is those faces' node rows side by side, with infinite lengths on the
+padding, so a node on two of its faces appears twice with the same length
+and the minimum is unchanged.  The minimum runs over the near side first,
+min over b of ((min over a of (|x - a| + D[a, b])) + |b - y|): rounding
+is monotone, so fl(min s + c) = min fl(s + c), and the two steps give the
+bits of the minimum over every (a, b) at a fraction of its additions.  The
+pairs are located and answered in chunks whose gathers hold about
+``BATCH_CELLS`` cells; the answer for a pair does not depend on its chunk
+or on the other pairs of its batch.
 
 A single pair at a subdivision m whose graph is not cached (one
 ``dispbound geodesic`` command) is answered without building that graph,
@@ -203,13 +211,13 @@ def _relax_arcs(tail: np.ndarray, head: np.ndarray, length: np.ndarray,
 
 
 class _QueryEdges(NamedTuple):
-    """A batch of k pairs located on the graph: query i is x_i for i < k and
-    y_(i-k) otherwise."""
+    """A batch of k pairs located on the graph: row i is x_i for i < k and
+    y_(i-k) otherwise, and holds the node rows of the faces that contain
+    that point side by side."""
 
     k: int
-    query: np.ndarray  # query index of each query-to-node edge
-    node: np.ndarray  # node index of each query-to-node edge
-    length: np.ndarray  # its length
+    ids: np.ndarray  # (2k, W) node ids, 0 on padding
+    lengths: np.ndarray  # (2k, W) |point - node|, infinite on padding
     same: np.ndarray  # pairs whose two points share a face
     direct: np.ndarray  # |x - y| of those pairs
 
@@ -258,10 +266,6 @@ class GeodesicGraph:
         ids[~keep[ids]] = n
         ids.sort(axis=1)
         self._ids = ids[:, :int((ids < n).sum(axis=1).max())]
-
-        face, slot = np.nonzero(self._ids < n)
-        self._incidence = np.zeros((count, n), dtype=bool)
-        self._incidence[face, self._ids[face, slot]] = True
         self._table: np.ndarray | None = None
 
     @property
@@ -270,12 +274,29 @@ class GeodesicGraph:
 
     def pairwise_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Row-wise boundary-path distances between query point arrays, by
-        the distance table, which the first call builds once its points
-        are found on the boundary."""
-        q = self._query_edges(xs, ys)
-        if self._table is None:
-            self._table = self._distance_table()
-        return self._table_route(q)
+        the distance table, which the first call builds once the points of
+        its first chunk are found on the boundary.
+
+        The pairs run in chunks whose table gathers hold about
+        ``BATCH_CELLS`` cells when each point lies on one face.  An
+        off-boundary point is refused as in one unchunked batch: the error
+        names the first such point of ``xs``, or else of ``ys``."""
+        xs, ys = _as_pairs(xs, ys, 3)
+        out = np.empty(len(xs))
+        step = max(1, BATCH_CELLS // self._ids.shape[1] ** 2)
+        try:
+            for s in range(0, len(xs), step):
+                q = self._query_edges(xs[s:s + step], ys[s:s + step])
+                if self._table is None:
+                    self._table = self._distance_table()
+                out[s:s + step] = self._table_route(q)
+        except DomainError:
+            # a later chunk's x comes before this chunk's y
+            for points in (xs, ys):
+                for s in range(0, len(points), step):
+                    self._faces_of(points[s:s + step])
+            raise
+        return out
 
     def _distance_table(self) -> np.ndarray:
         """D[a, b], the least walk sum from node a to node b, relaxed in
@@ -303,26 +324,38 @@ class GeodesicGraph:
             table[sources] = dist[:n].T
         return table
 
-    def _query_edges(self, xs, ys) -> _QueryEdges:
-        xs, ys = _as_pairs(xs, ys, 3)
-        queries = np.concatenate([xs, ys], axis=0)
-        member = face_membership(queries, self._faces, self._vertices, self._scale)
+    def _faces_of(self, points: np.ndarray) -> np.ndarray:
+        """The face membership of ``points`` (see ``face_membership``); an
+        off-boundary point raises ``DomainError`` naming the first one."""
+        member = face_membership(points, self._faces, self._vertices, self._scale)
         off = np.flatnonzero(~member.any(axis=1))
         if len(off):
             raise DomainError(
-                f"query point is not on the polytope boundary: {queries[off[0]]!r}"
+                f"query point is not on the polytope boundary: {points[off[0]]!r}"
             )
-        # each query to every node of its faces, by query and then by node id;
-        # in float32 the product counts shared faces exactly, on BLAS rather
-        # than numpy's boolean loop
-        query, node = np.nonzero(
-            np.matmul(member, self._incidence, dtype=np.float32) > 0
-        )
-        length = np.linalg.norm(self.nodes[node] - queries[query], axis=1)
+        return member
+
+    def _query_edges(self, xs, ys) -> _QueryEdges:
+        """Each point of the pairs (xs, ys) located on the face rows that
+        contain it: a node shared by two of its faces appears once per row,
+        with the same length."""
+        queries = np.concatenate([xs, ys], axis=0)
+        member = self._faces_of(queries)
+        query, face = np.nonzero(member)
+        counts = member.sum(axis=1)
+        slot = np.arange(len(query)) - np.repeat(np.cumsum(counts) - counts, counts)
+        n, width = self.node_count, self._ids.shape[1]
+        ids = np.full((len(queries), counts.max(), width), n)
+        ids[query, slot] = self._ids[face]
+        ids = ids.reshape(len(queries), -1)
+        padding = ids == n
+        ids[padding] = 0
+        lengths = np.linalg.norm(self.nodes[ids] - queries[:, None, :], axis=-1)
+        lengths[padding] = np.inf
         k = len(xs)
         same = np.flatnonzero(np.any(member[:k] & member[k:], axis=1))
         gaps = xs[same] - ys[same]
-        return _QueryEdges(k, query, node, length, same, np.sqrt(np.vecdot(gaps, gaps)))
+        return _QueryEdges(k, ids, lengths, same, np.sqrt(np.vecdot(gaps, gaps)))
 
     def _one_source_route(self, q: _QueryEdges) -> np.ndarray:
         """The least walk sum from each x to its y, with no table, over the
@@ -330,6 +363,7 @@ class GeodesicGraph:
         of the faces that contain it, and x_i to y_i if the two share a face.
         A walk may pass through the query points of other pairs."""
         base, k = self.node_count, q.k
+        query, slot = np.nonzero(np.isfinite(q.lengths))
         # every node pair of a face row, once per row that holds it
         rows = self._ids[(self._ids < base).sum(axis=1) >= 2]
         iu, ju = np.triu_indices(rows.shape[1], k=1)
@@ -337,7 +371,7 @@ class GeodesicGraph:
         real = b < base  # a pair with padding has it in its later slot
         a, b = a[real], b[real]
         edges = [(a, b, np.linalg.norm(self.nodes[a] - self.nodes[b], axis=1)),
-                 (base + q.query, q.node, q.length),
+                 (base + query, q.ids[query, slot], q.lengths[query, slot]),
                  (base + q.same, base + k + q.same, q.direct)]
         tail, head, length = (np.concatenate(c) for c in zip(*edges))
         dist = np.full((base + 2 * k, k), np.inf)
@@ -347,25 +381,23 @@ class GeodesicGraph:
         return dist[base + k + np.arange(k), np.arange(k)]
 
     def _table_route(self, q: _QueryEdges) -> np.ndarray:
-        """Min-plus over the distance table: each query's nodes and edge
-        lengths form one row padded with infinite lengths, which never win
-        the exact minimum."""
-        k = q.k
-        counts = np.bincount(q.query, minlength=2 * k)
-        width = int(counts.max(initial=1))
-        slot = np.arange(len(q.query)) - np.repeat(np.cumsum(counts) - counts, counts)
-        ids = np.zeros((2 * k, width), dtype=np.intp)
-        lengths = np.full((2 * k, width), np.inf)
-        ids[q.query, slot] = q.node
-        lengths[q.query, slot] = q.length
+        """Min-plus over the distance table, the near side first: min over b
+        of ((min over a of (|x - a| + D[a, b])) + |b - y|), in blocks of
+        pairs whose gather holds about ``BATCH_CELLS`` cells.
 
-        out = np.full(k, np.inf)
-        out[q.same] = q.direct
+        Rounding to nearest is monotone, so fl(min s + c) = min fl(s + c)
+        for a c added to every s: the two-step minimum has the bits of the
+        minimum of (|x - a| + D[a, b]) + |b - y| over every (a, b).
+        Padding has infinite length and never wins."""
+        k, width = q.k, q.ids.shape[1]
+        out = np.empty(k)
         step = max(1, BATCH_CELLS // (width * width))
         for s in range(0, k, step):
             x, y = slice(s, min(s + step, k)), slice(k + s, k + min(s + step, k))
-            via = (
-                lengths[x, :, None] + self._table[ids[x, :, None], ids[y, None, :]]
-            ) + lengths[y, None, :]
-            np.minimum(out[x], via.min(axis=(1, 2)), out=out[x])
+            via = self._table[q.ids[x, :, None], q.ids[y, None, :]]
+            via += q.lengths[x, :, None]
+            near = via.min(axis=1)
+            near += q.lengths[y]
+            out[x] = near.min(axis=1)
+        out[q.same] = np.minimum(out[q.same], q.direct)
         return out

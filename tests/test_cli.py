@@ -27,7 +27,7 @@ from dispbound.constants import (
     sphere_reference,
 )
 from dispbound.errors import NumericalError
-from dispbound.geometry import SphereBody, regular_polygon, save_body
+from dispbound.geometry import SphereBody, cube, regular_polygon, save_body
 from dispbound.verify import SCHEMA_VERSION, SuiteConfig, load_records_jsonl
 
 VERIFY_ARGS = ["verify", "--seed", "7", "--samples", "1500", "--polytopes", "3"]
@@ -552,6 +552,26 @@ def test_geodesic_cube_vertex_endpoints(capsys):
     assert code == 0
     (row,) = parse_jsonl(out)
     assert row["distance"] >= row["chord"] - 1e-12
+
+
+FACES = ("--from", "face-center:0", "--to", "face-center:5")
+
+
+@pytest.mark.parametrize("body, args, want", [
+    (None, FACES, 8),  # the default cube's own subdivision
+    (cube(1.0, geodesic_subdivision=3), FACES, 3),
+    (None, (*FACES, "--subdiv", "32"), 32),
+    (regular_polygon(4, 1.0), ("--from", "arclength:0", "--to", "arclength:1"), None),
+])
+def test_geodesic_reports_the_subdivision_it_used(capsys, tmp_path, body, args, want):
+    if body is not None:
+        path = tmp_path / "shape.body"
+        save_body(body, path)
+        args = ("--body-file", str(path), *args)
+    code, out, _ = run_cli(capsys, "geodesic", *args, "--format", "json-lines")
+    assert code == 0
+    (row,) = parse_jsonl(out)
+    assert row["subdivision"] == want
 
 
 def test_geodesic_sphere_file_with_coordinates(capsys, tmp_path):

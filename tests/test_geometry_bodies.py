@@ -1286,8 +1286,9 @@ def _scalar_faces_containing(body, p):
 
 
 def _face_node_ids(graph):
-    """Each face's node ids, ascending, from the graph's incidence matrix."""
-    return [np.flatnonzero(row) for row in graph._incidence]
+    """Each face's node ids, ascending: the entries of its row below
+    ``node_count``."""
+    return [row[row < graph.node_count] for row in graph._ids]
 
 
 def _dict_base_weights(graph):
@@ -1526,6 +1527,65 @@ def test_table_route_matches_dict_route_pair_by_pair(seed, vertices):
         assert np.array_equal(graph.pairwise_distances(xs[::-1], ys[::-1]), got[::-1])
 
 
+def _table_oracle(body, graph, x, y):
+    """One pair's table answer over every (a, b) of the nodes on the faces
+    that contain x and y: min of (|x - a| + D[a, b]) + |b - y|, and of
+    |x - y| if the two share a face."""
+    face_ids = _face_node_ids(graph)
+    near, far = (set(_scalar_faces_containing(body, p)) for p in (x, y))
+    a = np.unique(np.concatenate([face_ids[f] for f in near]))
+    b = np.unique(np.concatenate([face_ids[f] for f in far]))
+    to_a = np.linalg.norm(graph.nodes[a] - x, axis=1)
+    from_b = np.linalg.norm(graph.nodes[b] - y, axis=1)
+    best = ((to_a[:, None] + graph._table[np.ix_(a, b)]) + from_b[None, :]).min()
+    if near & far:
+        gap = x - y
+        best = min(best, np.sqrt(np.vecdot(gap, gap)))
+    return best
+
+
+@pytest.mark.parametrize("body", [random_polytope(2, 14), random_polytope(8, 22), cube(1.0)],
+                         ids=lambda body: body.body_id)
+def test_table_route_equals_the_plain_minimum_bit_for_bit(body):
+    xs, ys = _oracle_pairs(body, 5, 60)
+    for m in (0, 6):
+        graph = GeodesicGraph(body, m)
+        got = graph.pairwise_distances(xs, ys)
+        oracle = np.array([_table_oracle(body, graph, x, y) for x, y in zip(xs, ys)])
+        assert got.tobytes() == oracle.tobytes()
+
+
+def test_warm_batch_peak_memory_does_not_grow_with_the_batch():
+    import tracemalloc
+
+    body = random_polytope(1729, 25, geodesic_subdivision=6)
+    xs, ys = body.sample_boundary(1, 30_000), body.sample_boundary(2, 30_000)
+    body.intrinsic_distances_batch(xs[:2], ys[:2])  # builds the table
+    tracemalloc.start()
+    try:
+        values, _ = body.intrinsic_distances_batch(xs, ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (30_000,)
+    assert peak < 4 * 2**20
+
+
+def test_chunked_batch_refusal_names_the_first_off_boundary_x_then_y():
+    from dispbound.geometry.bodies import BATCH_CELLS
+
+    body = random_polytope(1729, 25, geodesic_subdivision=6)
+    graph = GeodesicGraph(body, 6)
+    xs, ys = body.sample_boundary(1, 2_000), body.sample_boundary(2, 2_000)
+    assert len(xs) > 3 * (BATCH_CELLS // graph._ids.shape[1] ** 2)  # several chunks
+    ys[1] = [0.01, 0.02, 0.03]  # inside: an early chunk
+    with pytest.raises(DomainError, match=re.escape(repr(ys[1]))):
+        graph.pairwise_distances(xs, ys)
+    xs[-1] = [0.03, 0.02, 0.01]  # the last chunk
+    with pytest.raises(DomainError, match=re.escape(repr(xs[-1]))):
+        graph.pairwise_distances(xs, ys)
+
+
 def test_fresh_single_pair_query_builds_no_table():
     body = Polytope3(unit_directions(substream(RNG_SEED, "cold"), 25, 3))
     x, y = body.sample_boundary(4, 2)
@@ -1676,7 +1736,6 @@ def test_pruned_graph_is_the_full_graph_induced_on_its_kept_nodes():
                     size = int(kept.sum())
                     assert (pruned_weights[f][:size, :size].tobytes()
                             == full_weights[f][np.ix_(kept, kept)].tobytes())
-                assert np.array_equal(pruned._incidence, full._incidence & keep)
                 assert np.array_equal(pruned.nodes, full.nodes)
 
 
