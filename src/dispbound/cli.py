@@ -326,17 +326,27 @@ def _refuse_non_finite(*columns: np.ndarray) -> None:
 def cmd_constants(args: argparse.Namespace) -> int:
     _check_range(args.n_min, args.n_max)
     table = constants_table(np.arange(args.n_min, args.n_max + 1), args.kind)
-    # every refusal comes before the first byte: decoding a_n, b_n, c_n ...
+    blocks = row_blocks(len(table.n))
+
+    def log_references(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """ln(sigma_n / pi^n) and ln h_n less it, for one block of rows."""
+        log_reference = table.log_sphere[rows] - table.n[rows] * LOG_PI
+        return log_reference, table.log_h[rows] - log_reference
+
+    # every refusal comes before the first byte, each check a block at a
+    # time in row order, so the first refused value is the one a whole-
+    # column check names: decoding a_n, b_n, c_n ...
     for log_column in (table.log_a, table.log_b, table.log_c):
-        check_decodable(log_column)
-    log_reference = table.log_sphere - table.n * LOG_PI  # ln(sigma_n / pi^n)
-    log_suboptimality = table.log_h - log_reference
+        for rows in blocks:
+            check_decodable(log_column[rows])
     if args.format == "json-lines":
         # ... and JSON's lack of NaN and infinity, for every column not
         # finite by construction (decoded logs are below the decode limit)
-        _refuse_non_finite(
-            table.rho_n, table.rho_star, table.log_h, log_reference, log_suboptimality
-        )
+        for rows in blocks:
+            _refuse_non_finite(
+                table.rho_n[rows], table.rho_star[rows], table.log_h[rows],
+                *log_references(rows),
+            )
     quoted = quoted_closed_form_h2()
 
     def block(rows: slice) -> list:
@@ -348,7 +358,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
             n, table.rho_n[rows], a_n, b_n, c_n, table.rho_star[rows], np.full(len(n), "second"),
             log_h, [_linear_or_marker(v) for v in log_h.tolist()],
             [quoted if v == 2 else None for v in n.tolist()],
-            log_reference[rows], log_suboptimality[rows], np.full(len(n), table.kind),
+            *log_references(rows), np.full(len(n), table.kind),
         ]
 
     notes = []

@@ -179,21 +179,19 @@ def face_membership(p: np.ndarray, faces: FaceTables, vertices: np.ndarray,
     """The ``(m, F)`` boolean matrix whose row i marks the faces (closed
     convex polygons with outward normals over ``vertices``) that contain
     point i of the checked ``(m, 3)`` float array ``p``: one plane test for
-    all points and faces, then the edge test per face size on the pairs
-    near a face's plane."""
+    all points and faces, then one edge test over every slot of the padded
+    face rows, on the pairs near a face's plane.  A padding slot (id V in
+    ``ids`` and ``after``) clips to the same vertex at both ends, so its
+    edge is 0, its side is 0 and it passes."""
     tol = 1e-9 * scale
     normals = faces.normals
     member = np.abs(np.vecdot(p[:, None, :], normals) - faces.offsets) <= tol
-    for size in np.unique(faces.sizes).tolist():
-        group = np.flatnonzero(faces.sizes == size)
-        point, g = np.nonzero(member[:, group])
-        if not len(point):
-            continue
-        pts = vertices[faces.ids[group, :size]]
-        edges = np.roll(pts, -1, axis=1) - pts
-        side = np.vecdot(np.cross(edges[g], p[point, None, :] - pts[g]),
-                         normals[group[g], None, :])
-        member[point, group[g]] = np.all(side >= -tol * scale, axis=1)
+    point, face = np.nonzero(member)
+    if len(point):
+        start = vertices.take(faces.ids[face], axis=0, mode="clip")
+        edges = vertices.take(faces.after[face], axis=0, mode="clip") - start
+        side = np.vecdot(_cross(edges, p[point, None, :] - start), normals[face, None, :])
+        member[point, face] = np.all(side >= -tol * scale, axis=1)
     return member
 
 

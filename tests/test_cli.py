@@ -245,6 +245,46 @@ def test_a_refusal_in_the_last_block_leaves_no_output(
     assert not target.exists()
 
 
+def _refused_json_values(monkeypatch):
+    """The values whose JSON encoding the CLI refuses, in order."""
+    refused, encode = [], cli._json_value
+
+    def recording(value):
+        try:
+            return encode(value)
+        except ValueError:
+            refused.append(value)
+            raise
+
+    monkeypatch.setattr(cli, "_json_value", recording)
+    return refused
+
+
+@pytest.mark.parametrize("fmt, doctored, message", [
+    # a_n decodes before b_n, so its refusal comes first though its row is later
+    ("csv", (("log_b", 3, 700.0), ("log_a", -1, -700.0)), "refusing to decode log magnitude -700"),
+    # the first non-finite value in row order, whatever its column
+    ("json-lines", (("rho_star", 30, math.nan), ("log_h", 10, math.inf)),
+     "Out of range float values"),
+], ids=["decode-column-order", "json-row-order"])
+def test_the_first_refusal_is_named_whichever_block_holds_it(
+    capsys, monkeypatch, tmp_path, fmt, doctored, message
+):
+    # 2..40 is six blocks of 7 rows; rows 3, 10, 30 and 38 lie in blocks 1, 2, 5 and 6
+    monkeypatch.setattr(cmod, "BLOCK", 7)
+    for column, index, value in doctored:
+        _doctored_table(monkeypatch, column, index, value)
+    refused = _refused_json_values(monkeypatch)
+    argv = ["constants", "--n-min", "2", "--n-max", "40", "--format", fmt]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and message in err
+    target = tmp_path / "table.out"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert (code, out) == (2, "") and message in err
+    assert not target.exists()
+    assert refused == ([math.inf] * 2 if fmt == "json-lines" else [])
+
+
 def test_csv_and_pretty_print_what_json_refuses(capsys, monkeypatch):
     _doctored_table(monkeypatch, "rho_star", 1, math.nan)
     for fmt, cell, line in (("csv", ",nan,", 2), ("pretty", " nan ", 3)):
@@ -284,6 +324,26 @@ def test_constants_streams_with_less_memory_than_its_output(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < target.stat().st_size
+
+
+def test_constants_holds_the_table_and_one_block(tmp_path):
+    # past 11 whole-length columns of 8 N bytes (the table holds ten) the
+    # command holds one block's rendering, about 7 MiB at 16,384 rows; one
+    # more whole-length float column (1.5 MiB) would pass the bound, as
+    # would whole-length reference, suboptimality or decode-check arrays
+    count = 200_000 - 1
+    target = tmp_path / "table.jsonl"
+    tracemalloc.start()
+    try:
+        code = cli.main([
+            "constants", "--n-min", "2", "--n-max", "200000",
+            "--format", "json-lines", "--output", str(target),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak - 11 * 8 * count < 8 * 2**20
 
 
 # the dict-per-row renderers the column renderer replaced, kept as its oracle

@@ -726,6 +726,23 @@ def test_ball_volume_route_follows_the_input_span(monkeypatch):
         assert sizes == expected
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_stays_within_one_block():
+    # a 16,384-row block's float64 temporaries are 128 KiB each; at most
+    # 24 are alive at once (about 20 are), whatever the range
+    peaks = {n_max: _traced_peak(lambda: scan_ab(2, n_max)) for n_max in (10**5, 10**6)}
+    assert peaks[10**6] <= 24 * 16_384 * 8
+    assert peaks[10**6] <= 1.1 * peaks[10**5]
+
+
 def test_a_huge_sparse_span_is_never_allocated():
     # a dense pass over 2 - 2 .. 2e6 + 1 would hold several 16 MB arrays
     tracemalloc.start()

@@ -1271,6 +1271,71 @@ def test_face_membership_equals_per_face_loop():
         ), body.body_id
 
 
+def _per_size_membership(p, faces, vertices, scale):
+    """Face membership with one edge test per face size, ``np.roll`` and
+    ``np.cross``: kept as the oracle for the single padded edge test."""
+    tol = 1e-9 * scale
+    normals = faces.normals
+    member = np.abs(np.vecdot(p[:, None, :], normals) - faces.offsets) <= tol
+    for size in np.unique(faces.sizes).tolist():
+        group = np.flatnonzero(faces.sizes == size)
+        point, g = np.nonzero(member[:, group])
+        if not len(point):
+            continue
+        pts = vertices[faces.ids[group, :size]]
+        edges = np.roll(pts, -1, axis=1) - pts
+        side = np.vecdot(np.cross(edges[g], p[point, None, :] - pts[g]),
+                         normals[group[g], None, :])
+        member[point, group[g]] = np.all(side >= -tol * scale, axis=1)
+    return member
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["sphere", "lattice", "prism"]),
+    st.integers(min_value=8, max_value=40),
+)
+@settings(max_examples=40, deadline=None)
+def test_face_membership_equals_the_per_size_edge_tests(seed, cloud, count):
+    from dispbound.geometry.bodies import face_membership
+
+    rng = substream(seed, "membership-clouds", cloud)
+    if cloud == "sphere":  # triangles
+        body = Polytope3(unit_directions(rng, count, 3))
+    elif cloud == "lattice":  # coplanar lattice points: faces of 3 to 5 vertices
+        points = rng.integers(-2, 3, size=(count, 3)).astype(float)
+        body = Polytope3(np.concatenate([points, np.eye(3) * 3, -np.eye(3) * 3]))
+    else:  # two polygons of count // 2 vertices and a rim of quadrilaterals
+        angles = np.sort(rng.random(count // 2)) * 2 * np.pi
+        ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        body = Polytope3(np.concatenate([np.pad(ring, ((0, 0), (0, 1)), constant_values=z)
+                                         for z in (-0.2, 0.2)]))
+    tables = body.face_tables
+    samples = body.sample_boundary(seed, 100)
+    a, b = body.edges.T
+    t = rng.random((len(a), 1))
+    centre = body.interior_point()
+    # in each face's plane, past its corners and edge midpoints: outside
+    # the face, or inside it within the tolerance
+    face, slot = np.nonzero(tables.ids < len(body.vertices))
+    corner = body.vertices[tables.ids[face, slot]]
+    middle = 0.5 * (corner + body.vertices[tables.after[face, slot]])
+    in_plane = [
+        x + s * (x - tables.centroids[face]) for x in (corner, middle) for s in (1e-12, 1e-6, 0.1)
+    ]
+    points = np.concatenate([
+        samples, body.vertices, 0.5 * (body.vertices[a] + body.vertices[b]),
+        body.vertices[a] * (1 - t) + body.vertices[b] * t, tables.centroids, *in_plane,
+        *(centre + s * (samples[:30] - centre) for s in (0.9, 1.1, 1 + 1e-10, 1 + 1e-8)),
+        *(centre + s * (body.vertices - centre) for s in (1 - 1e-10, 1 + 1e-6)),
+    ])
+    member = face_membership(points, tables, body.vertices, body._scale)
+    assert np.array_equal(member, _per_size_membership(points, tables, body.vertices, body._scale))
+    # the edge test both keeps and drops points near a face's plane
+    near = np.abs(points @ tables.normals.T - tables.offsets) <= 1e-9 * body._scale
+    assert (near & member).any() and (near & ~member).any()
+
+
 def _scalar_faces_containing(body, p):
     """Per-point, per-face membership as the scalar route computed it."""
     tol = 1e-9 * body._scale
