@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import DEFAULT_KIND, Kind, _check_dim, _check_kind, constants_table
 from .errors import ConfigurationError, DomainError
-from .numerics import LogReal
+from .numerics import decode_logs
 
 __all__ = [
     "QUANTITIES",
@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 #: quantity tags accepted by :func:`compare`
-QUANTITIES: tuple[str, ...] = ("c_n", "rho_star", "log_h_n", "ab_ratio", "bezdek_log_h_n")
+QUANTITIES: tuple[str, ...] = ("c_n", "rho_star", "log_h_n", "ab_ratio")
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +152,9 @@ def compare(
 ) -> list[AsymptoticReport]:
     """Pair exact pipeline values with their approximations over n_values.
 
-    The exact values come from one constants table over n_values.  Two
-    quantities pin the kind whatever ``kind`` says: ``ab_ratio`` is the
-    Pal-Firey a_n/b_n (the ratio whose limit is 2 sqrt(e)), and
-    ``bezdek_log_h_n`` is ln h_n for the Bezdek constants.
+    The exact values come from one constants table over n_values.
+    ``ab_ratio`` pins the kind whatever ``kind`` says: it is the Pal-Firey
+    a_n/b_n (the ratio whose limit is 2 sqrt(e)).
     """
     if quantity not in QUANTITIES:
         raise ConfigurationError(
@@ -163,11 +162,11 @@ def compare(
         )
     kind = _check_kind(kind)
     ns = [_check_dim(n) for n in n_values]
-    table_kind = {"ab_ratio": "pal_firey", "bezdek_log_h_n": "bezdek"}.get(quantity, kind)
+    table_kind = "pal_firey" if quantity == "ab_ratio" else kind
     # no forced int64: an n past it must reach _check_dims, which refuses it
     table = constants_table(np.array(ns) if ns else np.zeros(0, np.int64), table_kind)
     if quantity == "c_n":
-        exact = [LogReal.from_log(v).to_float() for v in table.log_c]
+        exact = decode_logs(table.log_c)
         approx = [asymptotic_c_n(n, kind) for n in ns]
     elif quantity == "rho_star":
         exact = table.rho_star
@@ -175,10 +174,7 @@ def compare(
     elif quantity == "log_h_n":
         exact = table.log_h
         approx = [asymptotic_log_h_n(n, kind) for n in ns]
-    elif quantity == "ab_ratio":
+    else:
         exact = table.ab_ratio
         approx = [asymptotic_ab_ratio(n) for n in ns]
-    else:
-        exact = table.log_h
-        approx = [asymptotic_log_h_n(n, "bezdek") for n in ns]
     return [_report(n, quantity, float(e), a) for n, e, a in zip(ns, exact, approx)]

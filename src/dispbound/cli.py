@@ -388,7 +388,6 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_scan_ab(args: argparse.Namespace) -> int:
-    _check_range(args.n_min, args.n_max)
     scan = scan_ab(args.n_min, args.n_max)
     frames = []
     if scan.ratios is not None:
@@ -553,14 +552,7 @@ def _resolve_point(body, spec: str) -> np.ndarray:
         )
     if not np.all(np.isfinite(coords)):
         raise ConfigurationError(f"endpoint {spec!r} has non-finite coordinates")
-    interior = body.interior_point()
-    direction = coords - interior
-    if not np.linalg.norm(direction) > 0.0:
-        raise ConfigurationError("endpoint coincides with the interior point")
-    probe = body.ray_exit(interior, direction[None])[0]
-    if np.linalg.norm(probe - coords) > 1e-9 * body.scale:
-        raise ConfigurationError(f"endpoint {spec!r} is not on the boundary")
-    return coords
+    return coords  # the body's distance route refuses an off-boundary point
 
 
 def _spec_index(text: str, count: int, what: str) -> int:

@@ -242,12 +242,13 @@ def _solve_second_branch(ns: np.ndarray, log_c: np.ndarray, kind: str) -> np.nda
     unbracketed = np.flatnonzero(~((g_lo <= 0.0) & (0.0 <= g_hi)))
     if unbracketed.size:
         i = unbracketed[0]
+        c = float(np.exp(log_c[i]))  # the bracket in rho = 1 + c_n e^v
         raise NumericalError(
             "failed to bracket the crossing equation",
             diagnostics={
                 "n": int(ns[i]), "kind": kind, "log_c": float(log_c[i]),
                 "g_lo": float(g_lo[i]), "g_hi": float(g_hi[i]),
-                "rho_window": (1.0 + 1e-12, 1e6),
+                "rho_window": (1.0 + c / (1.0 + c), 1.0 + c),
             },
         )
     live = np.arange(len(ns))

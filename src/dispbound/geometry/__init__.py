@@ -28,4 +28,4 @@ from .measures import (  # noqa: F401
     mean_width,
     min_width,
 )
-from .sampling import fibonacci_sphere, substream, unit_directions  # noqa: F401
+from .sampling import substream, unit_directions  # noqa: F401

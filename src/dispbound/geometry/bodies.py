@@ -565,16 +565,16 @@ class PolygonBoundary(ConvexBody):
         if not np.all(np.isfinite(v)):
             raise ConfigurationError("vertices must be finite")
         scale = float(np.max(np.abs(v))) or 1.0
-        e1 = np.roll(v, -1, axis=0) - v
+        edges = np.roll(v, -1, axis=0) - v
         e2 = np.roll(v, -2, axis=0) - v
-        crosses = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        crosses = edges[:, 0] * e2[:, 1] - edges[:, 1] * e2[:, 0]
         if np.any(crosses <= 1e-12 * scale**2):
             raise ConfigurationError(
                 "vertices must be in strictly convex counterclockwise position"
             )
         self.vertices = v
         self.ambient_dimension = 2
-        self._edges = np.roll(v, -1, axis=0) - v
+        self._edges = edges
         self._edge_lengths = np.linalg.norm(self._edges, axis=1)
         self._normals = (  # outward unit normal of the edge from each vertex
             np.column_stack([self._edges[:, 1], -self._edges[:, 0]])
@@ -826,8 +826,7 @@ def _convex_hull(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ranked = points[order]
     first = np.ones(len(points), dtype=bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    keep = (np.arange(len(points)) if first.all()
-            else np.sort(np.minimum.reduceat(order, np.flatnonzero(first))))
+    keep = np.sort(np.minimum.reduceat(order, np.flatnonzero(first)))
     if len(keep) < 4:
         raise ConfigurationError(f"degenerate vertex cloud: {len(keep)} distinct points")
     p = points[keep]
@@ -1049,7 +1048,7 @@ class Polytope3(ConvexBody):
         b = self.vertices[t.ids[face, i + 1]]
         c = self.vertices[t.ids[face, i + 2]]
         # (k, 1, 3) @ (k, 3, 1) takes each dot product as a 1-D ``np.dot``
-        cross = np.cross(b - g, c - g)
+        cross = _cross(b - g, c - g)
         vol = np.matmul(cross[:, None, :], (a - g)[:, :, None])[:, 0, 0] / 6.0
         moments = vol[:, None] * (g + ((a + b) + c)) / 4.0
         acc = np.cumsum(np.concatenate([np.zeros((1, 3)), moments]), axis=0)[-1]

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DomainError, FixedPointError
 from .bodies import ConvexBody, PolygonBoundary, SphereBody, _as_arclengths, _as_rows
-from .sampling import fibonacci_sphere, unit_directions, substream
+from .sampling import substream, unit_directions
 
 __all__ = [
     "DISTANCE_SAMPLES",
@@ -84,10 +84,8 @@ def euclidean_antipode_map() -> DisplacementMap:
 
     def check(body: ConvexBody) -> None:
         c = body.interior_point()
-        dim = body.ambient_dimension
-        probes = fibonacci_sphere(64) if dim == 3 else unit_directions(
-            substream(20_260_101, "antipode-check", body.body_id), 64, dim
-        )
+        rng = substream(20_260_101, "antipode-check", body.body_id)
+        probes = unit_directions(rng, 64, body.ambient_dimension)
         asymmetry = np.max(
             np.abs(
                 body.support_batch(probes)

@@ -24,6 +24,7 @@ from .bodies import (
     PolygonBoundary,
     Polytope3,
     SphereBody,
+    _cross,
 )
 
 __all__ = [
@@ -75,7 +76,7 @@ def min_width(body: ConvexBody) -> WidthResult:
     # the vertices within BATCH_CELLS; every block meets a non-parallel edge
     block = max(1, BATCH_CELLS // (len(edges) * len(body.vertices)))
     for start in range(0, len(edges), block):
-        normals = np.cross(edges[start : start + block, None], edges).reshape(-1, 3)
+        normals = _cross(edges[start : start + block, None], edges).reshape(-1, 3)
         norms = np.sqrt(np.vecdot(normals, normals))
         keep = norms > 0.0  # parallel edges span no direction
         found = _narrowest(body, normals[keep] / norms[keep, None])
@@ -111,7 +112,7 @@ def _polytope_edge_sum(body: Polytope3) -> float:
     by_close = np.argsort(closer)
     opener, closer = opener[by_close], closer[by_close]
     other, normal = t.normals[face[opener]], t.normals[face[closer]]
-    across = np.cross(other, normal)
+    across = _cross(other, normal)
     angle = list(map(math.atan2, np.sqrt(np.vecdot(across, across)).tolist(),
                      np.vecdot(other, normal).tolist()))
     d = body.vertices[a[closer]] - body.vertices[b[closer]]

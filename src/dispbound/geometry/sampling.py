@@ -11,7 +11,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["fibonacci_sphere", "substream", "unit_directions"]
+__all__ = ["substream", "unit_directions"]
 
 
 def substream(seed: int, *names: str) -> np.random.Generator:
@@ -35,11 +35,3 @@ def unit_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarra
         norms = np.linalg.norm(v, axis=1)
     return v / norms[:, None]
 
-
-def fibonacci_sphere(count: int) -> np.ndarray:
-    """Deterministic quasi-uniform directions on the 2-sphere (golden spiral)."""
-    i = np.arange(count, dtype=np.float64)
-    z = 1.0 - (2.0 * i + 1.0) / count
-    phi = i * (np.pi * (3.0 - np.sqrt(5.0)))
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])

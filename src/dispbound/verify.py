@@ -397,8 +397,6 @@ def _sample_params(stats: MapDisplacementStats) -> list[tuple[str, object]]:
 def check_main_theorem(body: ConvexBody, stats: MapDisplacementStats) -> VerificationRecord:
     """Boundary area against the crossing constant times displacement^n."""
     n = body.surface_dimension
-    if n < 2:
-        raise DomainError("the area bound needs surface dimension at least 2")
     return _sampled_record("thm_1_1", body, stats, body.boundary_area(), [
         ("surface_dimension", n),
         _KIND_PARAM,
@@ -472,8 +470,6 @@ def check_area_via_isoperimetric(
 ) -> VerificationRecord:
     """Area against the isoperimetric-route constant at the sampled distortion."""
     n = body.surface_dimension
-    if n < 2:
-        raise DomainError("the isoperimetric area bound needs dimension at least 2")
     return _sampled_record("cor_3_2", body, stats, body.boundary_area(), [
         ("surface_dimension", n),
         _KIND_PARAM,
@@ -639,8 +635,6 @@ def check_envelope(body: ConvexBody, stats: MapDisplacementStats) -> Verificatio
     record is advisory (see ORIENTATION).
     """
     n = body.surface_dimension
-    if n < 2:
-        raise DomainError("the envelope bound needs surface dimension at least 2")
     crossing, branch = rho_star(n)
     return _sampled_record("prop_4_1", body, stats, body.boundary_area(), [
         ("surface_dimension", n),

@@ -117,11 +117,12 @@ def test_compare_report_construction():
     assert report.quantity == "rho_star"
 
 
-def test_compare_bezdek_quantity_pins_kind():
-    (a,) = compare([100], "bezdek_log_h_n", kind="pal_firey")
-    (b,) = compare([100], "bezdek_log_h_n", kind="bezdek")
-    assert a == b
+def test_compare_bezdek_log_h_n_reads_the_bezdek_crossing():
+    (a,) = compare([100], "log_h_n", kind="bezdek")
+    assert a.quantity == "log_h_n"
     assert a.exact == pytest.approx(solve_crossing(100, "bezdek").log_h, abs=1e-12)
+    with pytest.raises(ConfigurationError, match="unknown quantity 'bezdek_log_h_n'"):
+        compare([100], "bezdek_log_h_n")
 
 
 def test_compare_ab_ratio_pins_pal_firey():

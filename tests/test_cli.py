@@ -27,7 +27,7 @@ from dispbound.constants import (
     sphere_reference,
 )
 from dispbound.errors import NumericalError
-from dispbound.geometry import SphereBody, cube, regular_polygon, save_body
+from dispbound.geometry import CylinderBody, SphereBody, cube, geodesic, regular_polygon, save_body
 from dispbound.verify import SCHEMA_VERSION, SuiteConfig, load_records_jsonl
 
 VERIFY_ARGS = ["verify", "--seed", "7", "--samples", "1500", "--polytopes", "3"]
@@ -477,6 +477,19 @@ def test_scan_ab_violations_flip_the_exit_code(capsys, monkeypatch):
     assert "VIOLATIONS" in out
 
 
+@pytest.mark.parametrize("n_min, n_max, message", [
+    (1, 3, "dimension must be an integer >= 2, got 1"),
+    (5, 3, "empty scan range [5, 3]"),
+    (2, 10**6 + 1, "scan range capped at 1e6, got n_max=1000001"),
+])
+def test_scan_ab_refuses_a_bad_range(capsys, n_min, n_max, message):
+    # scan_ab's own range check is the only one on this path
+    code, out, err = run_cli(
+        capsys, "scan-ab", "--n-min", str(n_min), "--n-max", str(n_max)
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # asymptotics
 # ---------------------------------------------------------------------------
@@ -502,7 +515,7 @@ def test_asymptotics_rejects_garbled_n_list(capsys):
 
 def test_asymptotics_refuses_a_huge_bezdek_dimension(capsys):
     code, out, err = run_cli(
-        capsys, "asymptotics", "--quantity", "bezdek_log_h_n", "--n", str(10**15)
+        capsys, "asymptotics", "--kind", "bezdek", "--quantity", "log_h_n", "--n", str(10**15)
     )
     assert (code, out) == (2, "")
     assert err.splitlines() == [
@@ -670,7 +683,37 @@ def test_geodesic_rejects_off_boundary_point(capsys, tmp_path):
         "--from=0.5,0,0", "--to=-1,0,0",
     )
     assert code == 2
-    assert "not on the boundary" in err
+    assert err.startswith("error: point is not on the sphere: array([0.5, 0. , 0. ])")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a geodesic table was built for an off-boundary point")
+
+
+@pytest.mark.parametrize("body, args, message", [
+    (SphereBody(1.0), ("--from=0,0,0", "--to=-1,0,0"), "point is not on the sphere"),
+    (CylinderBody(2, 0.25, 0.7), ("--from=0,0,0", "--to=0,0,0.35"),
+     "point is not on the cylinder boundary"),
+    (regular_polygon(4, 1.0), ("--from=0.1,0", "--to=vertex:0"),
+     "point is not on the polygon boundary"),
+    (None, ("--from=0,0,0", "--to=vertex:0", "--subdiv", "0"),
+     "query point is not on the polytope boundary"),
+    (None, ("--from=vertex:0", "--to=0.25,0,0", "--subdiv", "32"),
+     "query point is not on the polytope boundary"),
+], ids=["sphere", "cylinder", "polygon", "polytope-cached", "polytope-uncached"])
+def test_geodesic_refuses_an_off_boundary_point_by_the_bodys_own_test(
+        capsys, monkeypatch, tmp_path, body, args, message):
+    # the polytope's m = 0 graph is the cached one every fresh pair starts from
+    monkeypatch.setattr(geodesic.GeodesicGraph, "_distance_table", _refuse)
+    monkeypatch.setattr(geodesic, "_relax", _refuse)
+    monkeypatch.setattr(geodesic, "_relax_arcs", _refuse)
+    if body is not None:
+        path = tmp_path / "shape.body"
+        save_body(body, path)
+        args = ("--body-file", str(path), *args)
+    code, out, err = run_cli(capsys, "geodesic", *args)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}: array(") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("spec", ["nan,0,0", "0,inf,0"])

@@ -293,6 +293,15 @@ def test_rho_star_bracketed_by_c_n():
         assert 1.0 + c - c * c / (n - 1.0) <= rho <= 1.0 + c + 1e-15
 
 
+def test_an_unbracketed_crossing_reports_the_searched_rho_window():
+    # n = 1 has nm1 = 0, so g > 0 over the whole bracket; with c_n = 1 the
+    # solver searched rho in [1 + c/(1 + c), 1 + c] = [1.5, 2]
+    with pytest.raises(NumericalError, match="failed to bracket") as excinfo:
+        cmod._solve_second_branch(np.array([1]), np.array([0.0]), "pal_firey")
+    diagnostics = excinfo.value.diagnostics
+    assert (diagnostics["n"], diagnostics["rho_window"]) == (1, (1.5, 2.0))
+
+
 def test_h2_pipeline_value():
     assert h_n(2).log_magnitude == pytest.approx(-1.2431233256961722, abs=1e-12)
     assert h_n(2).to_float() == pytest.approx(0.28848178680188825, rel=1e-12)

@@ -23,7 +23,6 @@ from dispbound.geometry import (
     cube,
     equilateral_triangle,
     euclidean_antipode_map,
-    fibonacci_sphere,
     half_perimeter_map,
     load_body,
     min_width,
@@ -62,16 +61,6 @@ def test_unit_directions_are_unit():
     dirs = unit_directions(rng, 500, 5)
     assert dirs.shape == (500, 5)
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
-
-
-def test_fibonacci_sphere_covers_both_hemispheres():
-    pts = fibonacci_sphere(1000)
-    np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
-    assert pts[:, 2].max() > 0.99 and pts[:, 2].min() < -0.99
-    # no direction of the unit sphere is further than ~0.2 rad from the set
-    probes = unit_directions(substream(RNG_SEED, "fib-probe"), 200, 3)
-    gaps = np.arccos(np.clip(np.max(probes @ pts.T, axis=1), -1, 1))
-    assert gaps.max() < 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -891,6 +880,23 @@ def test_polygon_arclengths_equal_einsum_route():
                     _einsum_arclengths(body, points)), body.body_id
         assert _bits(body.arclengths_of(body.vertices)) == _bits(
             _einsum_arclengths(body, body.vertices))
+
+
+def test_cross_equals_np_cross_bit_for_bit():
+    """The shapes its callers pass: rows against rows (the hull, solid
+    centroid), a block of edges broadcast against every edge (min width),
+    and face normals against face normals with signed zeros (edge sum)."""
+    from dispbound.geometry.bodies import _cross
+
+    rng = substream(RNG_SEED, "cross")
+    scaled = rng.standard_normal((2, 500, 3)) * 10.0 ** rng.integers(-6, 7, (2, 500, 3))
+    edges = rng.standard_normal((40, 3))
+    normals = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(2, 200, 3))
+    normals[:, :3] = [[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0], [1.0, -0.0, 0.0]]
+    for a, b in ((*scaled,), (edges[:7, None], edges), (*normals,)):
+        got, want = _cross(a, b), np.cross(a, b)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_blas_row_dots_equal_vecdot_at_every_batch_size():

@@ -20,7 +20,6 @@ from dispbound.geometry import (
     displacement_stats,
     equilateral_triangle,
     euclidean_antipode_map,
-    fibonacci_sphere,
     half_perimeter_map,
     mean_width,
     min_width,
@@ -31,6 +30,16 @@ from dispbound.geometry.maps import DISTANCE_SAMPLES
 from dispbound.verify import SuiteConfig, _suite_bodies
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _fibonacci_sphere(count: int) -> np.ndarray:
+    """Quasi-uniform directions on the 2-sphere (golden spiral): a direction
+    average over them converges far faster than over random directions."""
+    i = np.arange(count, dtype=np.float64)
+    z = 1.0 - (2.0 * i + 1.0) / count
+    phi = i * (np.pi * (3.0 - np.sqrt(5.0)))
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +71,39 @@ def test_antipode_map_rejects_asymmetric_bodies():
     lopsided = random_polytope(12, 20)
     with pytest.raises(ConfigurationError):
         euclidean_antipode_map().apply(lopsided, lopsided.sample_boundary(0, 3))
+
+
+@pytest.mark.parametrize("body", [
+    SphereBody(1.0),
+    SphereBody(0.5, center=[0.3, -1.0]),
+    *(CylinderBody(n, 0.25, 0.7) for n in (2, 3, 4)),
+    regular_polygon(4, 1.0),
+    regular_polygon(6, 1.0),
+], ids=["sphere", "circle", "cylinder-2", "cylinder-3", "cylinder-4", "square", "hexagon"])
+def test_antipode_check_passes_symmetric_bodies(body):
+    euclidean_antipode_map().check(body)
+
+
+@pytest.mark.parametrize("body", [equilateral_triangle(1.0), random_polytope(12, 20)],
+                         ids=["triangle", "polytope"])
+def test_antipode_check_refuses_asymmetric_bodies(body):
+    with pytest.raises(ConfigurationError, match="is not centrally symmetric"):
+        euclidean_antipode_map().check(body)
+
+
+@pytest.mark.parametrize("seed", [1729, 4242])
+def test_antipode_check_refuses_the_same_suite_bodies(seed):
+    # the suite skips exactly the (body, antipode) pairs this check refuses
+    refused = []
+    for body in _suite_bodies(SuiteConfig(seed=seed)):
+        try:
+            euclidean_antipode_map().check(body)
+        except ConfigurationError:
+            refused.append(body.body_id)
+    polygons = ["triangle-unit", "pentagon-unit", "pentagon-irregular"]
+    assert refused[:5] == [*polygons, "pancake-flat", "cigar-long"]
+    assert len(refused) == 25
+    assert all(body_id.startswith("polytope-s") for body_id in refused[5:])
 
 
 def test_half_perimeter_map_shifts_arclength():
@@ -293,7 +335,7 @@ def test_min_width_regular_tetrahedron_is_an_edge_edge_width():
 
 
 def test_min_width_polytopes_at_most_a_dense_direction_scan():
-    dirs = fibonacci_sphere(20_000)
+    dirs = _fibonacci_sphere(20_000)
     for seed, vertices in ((1, 14), (2, 25), (3, 40)):
         body = random_polytope(seed, vertices)
         result = min_width(body)
@@ -329,7 +371,7 @@ def test_mean_width_cube_edge_formula_is_exact():
 
 
 def test_mean_width_edge_formula_agrees_with_a_direction_average():
-    dirs = fibonacci_sphere(20_000)
+    dirs = _fibonacci_sphere(20_000)
     for seed, vertices in ((4, 14), (5, 25), (6, 40)):
         body = random_polytope(seed, vertices)
         average = float(np.mean(body.support_batch(dirs) + body.support_batch(-dirs)))

@@ -83,6 +83,14 @@ def test_main_theorem_rejects_curves():
         check_main_theorem(tri, displacement_stats(tri, half_perimeter_map(), samples=50, seed=0))
 
 
+@pytest.mark.parametrize("check", [check_area_via_isoperimetric, check_envelope])
+def test_sampled_area_bounds_reject_curves(check):
+    # the constants they read refuse n = 1; no check of its own repeats it
+    tri = equilateral_triangle(1.0)
+    with pytest.raises(DomainError, match="dimension must be an integer >= 2, got 1"):
+        check(tri, displacement_stats(tri, half_perimeter_map(), samples=50, seed=0))
+
+
 def test_point_pair_sphere_antipodes_take_starred_branch():
     ball = SphereBody(1.0)
     x, y = np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])
