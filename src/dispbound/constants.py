@@ -64,10 +64,16 @@ def _check_dim(n: int, minimum: int = 2) -> int:
 
 def _check_dims(ns) -> np.ndarray:
     ns = np.asarray(ns)  # an n past int64 arrives as uint64 or object
-    if ns.ndim != 1 or ns.dtype.kind not in "iu" or (
-            ns.size and not 2 <= ns.min() <= ns.max() < 2**63):
-        raise DomainError(f"dimensions must be a 1-d integer array of 2 <= n < 2^63, got {ns!r}")
-    return ns.astype(np.int64, copy=False)
+    if ns.ndim == 1 and ns.dtype.kind in "iu" and (
+            not ns.size or 2 <= ns.min() <= ns.max() < 2**63):
+        return ns.astype(np.int64, copy=False)
+    if ns.ndim == 1 and ns.dtype.kind in "iuO":
+        # name the first refused entry: a long array's repr elides the middle
+        for i, n in enumerate(ns.tolist()):
+            if not (isinstance(n, int) and 2 <= n < 2**63):
+                raise DomainError(f"dimensions must be integers 2 <= n < 2^63, got {n!r} at index {i}")
+    raise DomainError(
+        f"dimensions must be a 1-d integer array of 2 <= n < 2^63, got a {ns.ndim}-d {ns.dtype} array")
 
 
 def _check_rho(rho: float, allow_one: bool = False) -> float:
@@ -251,16 +257,20 @@ def _solve_second_branch(ns: np.ndarray, log_c: np.ndarray, kind: str) -> np.nda
                 "rho_window": (1.0 + c / (1.0 + c), 1.0 + c),
             },
         )
-    live = np.arange(len(ns))
+    # the rows still bisecting and their own copies of bracket and terms: a
+    # row's bracket is written back as it converges, and only then do they shrink
+    live, l, h, lc, m = np.arange(len(ns)), lo, hi, log_c, nm1
     for _ in range(120):
         if not live.size:
             break
-        l, h = lo[live], hi[live]
         mid = 0.5 * (l + h)
-        below = g(mid, log_c[live], nm1[live]) <= 0.0
+        below = g(mid, lc, m) <= 0.0
         l, h = np.where(below, mid, l), np.where(below, h, mid)
-        lo[live], hi[live] = l, h
-        live = live[~(h - l <= 1e-15 * np.maximum(1.0, np.abs(l)))]
+        done = h - l <= 1e-15 * np.maximum(1.0, np.abs(l))
+        if done.any():
+            lo[live[done]], hi[live[done]] = l[done], h[done]
+            live, l, h, lc, m = (a[~done] for a in (live, l, h, lc, m))
+    lo[live], hi[live] = l, h
     v = 0.5 * (lo + hi)
     for _ in range(2):  # Newton polish: g' = w/(1+w) + (n-1), w = c e^v
         w = np.exp(v + log_c)

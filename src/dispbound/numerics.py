@@ -110,29 +110,38 @@ def log_gamma_array(z: np.ndarray) -> np.ndarray:
     For z >= 10 this is the Binet expansion
     (z - 1/2) ln z - z + ln(2 pi)/2 + sum_k B_{2k} / (2k (2k-1) z^{2k-1});
     smaller arguments are shifted up through the recurrence first and the
-    logs of the shift factors subtracted at the end.
+    logs of the shift factors subtracted at the end.  z is never written.
     """
     z = np.asarray(z, dtype=float)
-    if z.size and (not np.all(np.isfinite(z)) or np.any(z <= 0.0)):
+    lo = z.min() if z.size else math.inf
+    if z.size and not (lo > 0.0 and z.max() < math.inf):  # a NaN min() fails too
         raise DomainError("log_gamma_array needs finite entries > 0")
-    work = z.copy()
-    shift = np.zeros_like(work)
-    # the entries still below the shift bound, by index: a boolean mask
-    # over the whole array costs more, on one entry or a block of them
-    small = np.flatnonzero(work < _BINET_SHIFT)
-    while small.size:
-        raised = work[small]
-        shift[small] += np.log(raised)
-        raised += 1.0
-        work[small] = raised
-        small = small[raised < _BINET_SHIFT]
-    tail = np.zeros_like(work)
-    z_sq = work * work
-    z_pow = work.copy()
-    for coeff in BINET_COEFFICIENTS:
-        tail += coeff / z_pow
-        z_pow *= z_sq
-    return (work - 0.5) * np.log(work) - work + 0.5 * LOG_TWO_PI + tail - shift
+    work, shift = z, None
+    if lo < _BINET_SHIFT:
+        work, shift = z.copy(), np.zeros_like(z)
+        # the entries still below the shift bound, by index: a boolean mask
+        # over the whole array costs more, on one entry or a block of them
+        small = np.flatnonzero(work < _BINET_SHIFT)
+        while small.size:
+            raised = work[small]
+            shift[small] += np.log(raised)
+            raised += 1.0
+            work[small] = raised
+            small = small[raised < _BINET_SHIFT]
+    z_sq, term = work * work, np.empty_like(work)
+    tail, z_pow = BINET_COEFFICIENTS[0] / work, work
+    for coeff in BINET_COEFFICIENTS[1:]:
+        z_pow = z_pow * z_sq
+        tail += np.divide(coeff, z_pow, out=term)
+    # (work - 0.5) ln work - work + ln(2 pi)/2 + tail - shift, left to right
+    out = np.log(work)
+    out *= np.subtract(work, 0.5, out=term)
+    out -= work
+    out += 0.5 * LOG_TWO_PI
+    out += tail
+    if shift is not None:  # else every shift is 0, and x - 0.0 is x
+        out -= shift
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +172,12 @@ def log_unit_sphere_area(n: int) -> float:
 def log_unit_ball_volume_array(n: np.ndarray) -> np.ndarray:
     """:func:`log_unit_ball_volume` over an integer array of n >= 0."""
     n = np.asarray(n)
-    if n.size and np.any(n < 0):
+    lo = n.min() if n.size else 1
+    if lo < 0:
         raise DomainError("ball dimensions must be >= 0")
-    n = n.astype(float)
-    out = 0.5 * n * LOG_PI - log_gamma_array(0.5 * n + 1.0)
-    return np.where(n == 0, 0.0, out)
+    half = 0.5 * n.astype(float)
+    out = half * LOG_PI - log_gamma_array(half + 1.0)
+    return np.where(n == 0, 0.0, out) if lo == 0 else out
 
 
 def log_double_factorials(top: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import math
@@ -488,6 +489,39 @@ def test_scan_ab_refuses_a_bad_range(capsys, n_min, n_max, message):
         capsys, "scan-ab", "--n-min", str(n_min), "--n-max", str(n_max)
     )
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# The constants streams, pinned bit for bit to committed output
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _pinned_digests():
+    lines = (DATA / "constants-2-5000.sha256").read_text().splitlines()  # sha256sum format
+    return {name: digest for digest, name in (line.split() for line in lines)}
+
+
+@pytest.mark.parametrize("kind", ["pal_firey", "bezdek"])
+def test_constants_stream_has_the_committed_digest(capsys, kind):
+    # a last-bit change in any column of any row changes the digest; the
+    # benchmark's reference allows 8 ulp, so only this test sees it
+    code, out, _ = run_cli(
+        capsys, "constants", "--n-min", "2", "--n-max", "5000", "--kind", kind,
+        "--format", "json-lines",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _pinned_digests()[f"constants-2-5000-{kind}.jsonl"]
+
+
+def test_scan_ab_to_one_million_prints_the_committed_summary(capsys):
+    code, out, _ = run_cli(
+        capsys, "scan-ab", "--n-min", "2", "--n-max", "1000000", "--format", "json-lines"
+    )
+    assert code == 0
+    assert out == (DATA / "scan-ab-2-1000000.jsonl").read_text()
 
 
 # ---------------------------------------------------------------------------

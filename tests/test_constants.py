@@ -302,6 +302,51 @@ def test_an_unbracketed_crossing_reports_the_searched_rho_window():
     assert (diagnostics["n"], diagnostics["rho_window"]) == (1, (1.5, 2.0))
 
 
+def _gather_loop_crossing(ns, log_c):
+    """_solve_second_branch as a per-row oracle: each bisection step gathers
+    the live rows' brackets and coefficients by index and scatters the new
+    brackets back.  Also returns the step at which each row converged."""
+    nm1 = ns - 1.0
+
+    def g(v, log_c, nm1):
+        return np.log1p(np.exp(v + log_c)) + nm1 * v
+
+    lo = -np.log1p(np.exp(log_c))
+    hi = np.zeros_like(lo)
+    steps = np.full(len(ns), -1)
+    live = np.arange(len(ns))
+    for step in range(120):
+        if not live.size:
+            break
+        l, h = lo[live], hi[live]
+        mid = 0.5 * (l + h)
+        below = g(mid, log_c[live], nm1[live]) <= 0.0
+        l, h = np.where(below, mid, l), np.where(below, h, mid)
+        lo[live], hi[live] = l, h
+        done = h - l <= 1e-15 * np.maximum(1.0, np.abs(l))
+        steps[live[done]] = step
+        live = live[~done]
+    v = 0.5 * (lo + hi)
+    for _ in range(2):
+        w = np.exp(v + log_c)
+        v = v - g(v, log_c, nm1) / (w / (1.0 + w) + nm1)
+    return v + log_c, steps
+
+
+@pytest.mark.parametrize("kind", ["pal_firey", "bezdek"])
+@pytest.mark.parametrize("ns", [
+    np.array([2, 3, 10, 10**3, 10**5, 10**6]),
+    np.arange(5000, 1, -1),
+], ids=["spread", "dense-reversed"])
+def test_bisection_equals_the_gather_loop_bit_for_bit(kind, ns):
+    log_c = constants_table(ns, kind).log_c
+    oracle, steps = _gather_loop_crossing(ns, log_c)
+    # every row converged, and not all at one step, so rows leave the
+    # working copies while others still bisect
+    assert steps.min() >= 0 and len(set(steps.tolist())) > 1
+    assert cmod._solve_second_branch(ns, log_c, kind).tobytes() == oracle.tobytes()
+
+
 def test_h2_pipeline_value():
     assert h_n(2).log_magnitude == pytest.approx(-1.2431233256961722, abs=1e-12)
     assert h_n(2).to_float() == pytest.approx(0.28848178680188825, rel=1e-12)
@@ -687,6 +732,17 @@ def test_table_validation():
     with pytest.raises(ConfigurationError):
         constants_table(np.array([2, 3]), kind="improved")
     assert len(constants_table(np.array([], dtype=np.int64)).log_h) == 0
+
+
+def test_table_validation_names_the_refused_entry():
+    # numpy's repr of this array is [2, 3, 4, ..., 1997, 1998, 1999]: the 1
+    # is elided, so the message names it and its index
+    with pytest.raises(DomainError, match=r"got 1 at index 998$"):
+        constants_table(np.r_[2:1000, 1, 1000:2000])
+    with pytest.raises(DomainError, match=r"got 'x' at index 1$"):
+        constants_table(np.array([2, "x"], dtype=object))
+    with pytest.raises(DomainError, match=r"got a 1-d float64 array$"):
+        constants_table(np.arange(2.0, 2000.0))
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,10 @@ def test_log_gamma_array_matches_scalar():
     assert [log_gamma(z) for z in zs.tolist()] == log_gamma_array(zs).tolist()
 
 
-def test_log_gamma_array_shift_equals_the_mask_loop():
-    # oracle: the shift as a loop over a boolean mask of the whole array,
-    # which the index walk replaced; both must give the same bits
-    zs = np.concatenate([np.geomspace(0.01, 20.0, 5000), np.arange(1, 40) * 0.5])
+def _log_gamma_oracle(zs):
+    """The Binet kernel written plainly: the shift as a loop over a boolean
+    mask of the whole array, every array zero-filled, and the power of z
+    carried one term past the last."""
     work, shift = zs.copy(), np.zeros_like(zs)
     mask = work < 10.0
     while np.any(mask):
@@ -89,8 +89,34 @@ def test_log_gamma_array_shift_equals_the_mask_loop():
     for coeff in BINET_COEFFICIENTS:
         tail += coeff / z_pow
         z_pow *= z_sq
-    oracle = (work - 0.5) * np.log(work) - work + 0.5 * math.log(2.0 * math.pi) + tail - shift
-    assert log_gamma_array(zs).tobytes() == oracle.tobytes()
+    return (work - 0.5) * np.log(work) - work + 0.5 * math.log(2.0 * math.pi) + tail - shift
+
+
+LOG_GAMMA_INPUTS = {
+    "mixed": np.concatenate([np.geomspace(0.01, 20.0, 5000), np.arange(1, 40) * 0.5]),
+    "block-at-least-10": np.geomspace(10.0, 1e6, 16_384),  # no shift at all
+    "one": np.array([3.25]),
+    "one-at-least-10": np.array([12.5]),
+    "min-just-below-10": np.linspace(9.999, 30.0, 64),
+    "empty": np.array([]),
+}
+
+
+def test_log_gamma_array_shift_equals_the_mask_loop():
+    for name, zs in LOG_GAMMA_INPUTS.items():
+        before = zs.tobytes()
+        got = log_gamma_array(zs)
+        assert got.tobytes() == _log_gamma_oracle(zs).tobytes(), name
+        assert zs.tobytes() == before, name  # the caller's array is never written
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("at", [0, 2_000, -1])
+def test_log_gamma_array_refuses_one_bad_entry(bad, at):
+    zs = np.geomspace(0.5, 1e6, 4_000)
+    zs[at] = bad
+    with pytest.raises(DomainError):
+        log_gamma_array(zs)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, "x"])
@@ -116,6 +142,21 @@ def test_scalar_ball_volumes_are_the_array_route_bit_for_bit():
     assert [log_unit_ball_volume(n) for n in ns.tolist()] == (
         log_unit_ball_volume_array(ns).tolist()
     )
+
+
+def _ball_volume_oracle(n):
+    # (n/2) ln pi - ln Gamma(n/2 + 1), and exactly 0 at n = 0
+    nf = n.astype(float)
+    out = 0.5 * nf * math.log(math.pi) - log_gamma_array(0.5 * nf + 1.0)
+    return np.where(nf == 0, 0.0, out)
+
+
+@pytest.mark.parametrize("ns", [
+    np.arange(10**4 + 1), np.arange(1, 10**4 + 1), np.arange(10**5, 10**5 + 16_384),
+    np.array([7, 0, 3, 0]),
+], ids=["from-0", "from-1", "no-shift", "unordered"])
+def test_ball_volumes_equal_the_plain_oracle(ns):
+    assert log_unit_ball_volume_array(ns).tobytes() == _ball_volume_oracle(ns).tobytes()
 
 
 def test_unit_sphere_areas_small_dimensions():
