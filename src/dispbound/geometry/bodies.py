@@ -250,9 +250,11 @@ class ConvexBody(abc.ABC):
 
     @property
     def scale(self) -> float:
-        """Rough linear size, used for relative tolerances."""
+        """Rough linear size, used for relative tolerances: the largest
+        |h(+e_i)| or |h(-e_i)|, at least half the body's widest extent along
+        an axis wherever the origin lies."""
         axes = np.eye(self.ambient_dimension)
-        return float(np.max(np.abs(self.support_batch(axes)))) or 1.0
+        return float(np.max(np.abs(self.support_batch(np.concatenate([axes, -axes]))))) or 1.0
 
     @abc.abstractmethod
     def intrinsic_distances_batch(
@@ -992,7 +994,6 @@ class Polytope3(ConvexBody):
         self.vertices = pts[kept]
         self.ambient_dimension = 3
         self.body_id = body_id or f"polytope-{len(self.vertices)}v"
-        self._scale = float(np.max(np.linalg.norm(self.vertices, axis=1))) or 1.0
         self.face_tables = _polytope_faces(self.vertices, faces, planes)
         self.edges, self.face_edges = self._edge_tables()
         self._graphs: dict[int, object] = {}
@@ -1075,45 +1076,26 @@ class Polytope3(ConvexBody):
         """The ``(m, F)`` boolean matrix whose row i marks the faces whose
         closed polygon contains point i of an ``(m, 3)`` array."""
         p = _as_rows(points, 3)
-        return face_membership(p, self.face_tables, self.vertices, self._scale)
+        return face_membership(p, self.face_tables, self.vertices, self.scale)
 
     def intrinsic_distances_batch(self, xs, ys, subdivision: int | None = None):
         """Steiner-graph distances (upper bounds) on the graph of the given
         subdivision, by default the polytope's own ``geodesic_subdivision``.
 
-        A single pair at a subdivision with no cached graph is answered on
-        the pruned graph of ``_fresh_pair_distance``, which is not cached;
-        an empty batch builds no graph."""
+        A single pair at a subdivision with no cached graph is answered by
+        ``geodesic.fresh_pair_distance``, which caches no graph; an empty
+        batch builds no graph."""
+        from .geodesic import GeodesicGraph, fresh_pair_distance  # avoids a cycle
+
         m = self.geodesic_subdivision if subdivision is None else _check_subdivision(subdivision)
         xs, ys = _as_pairs(xs, ys, 3)
         if not len(xs):
             return np.empty(0), UPPER_BOUND
-        if m in self._graphs or len(xs) != 1:
-            return self._graph(m).pairwise_distances(xs, ys), UPPER_BOUND
-        return self._fresh_pair_distance(xs, ys, m), UPPER_BOUND
-
-    def _graph(self, m: int):
-        """The cached full graph at subdivision m, built on first use."""
-        from .geodesic import GeodesicGraph  # local import to avoid a cycle
-
         if m not in self._graphs:
+            if len(xs) == 1:
+                return np.array([fresh_pair_distance(self, xs[0], ys[0], m)]), UPPER_BOUND
             self._graphs[m] = GeodesicGraph(self, m)
-        return self._graphs[m]
-
-    def _fresh_pair_distance(self, xs, ys, m: int) -> np.ndarray:
-        """The one-source answer of the full subdivision-m graph for one
-        pair, bit for bit: the cached vertex graph answers at m = 0;
-        otherwise the answer at the next coarser nested subdivision bounds
-        the path, and the graph at m keeps only the nodes within that bound
-        (see ``geodesic``)."""
-        from .geodesic import GeodesicGraph, coarser_subdivision
-
-        if m == 0:
-            graph = self._graph(0)
-        else:
-            bound = self._fresh_pair_distance(xs, ys, coarser_subdivision(m))[0]
-            graph = GeodesicGraph(self, m, within=(xs[0], ys[0], bound))
-        return graph._one_source_route(graph._query_edges(xs, ys))
+        return self._graphs[m].pairwise_distances(xs, ys), UPPER_BOUND
 
     def sample_boundary(self, seed: int, count: int) -> np.ndarray:
         """A face by area, then a fan triangle of it by area, then a uniform

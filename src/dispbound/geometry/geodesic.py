@@ -50,21 +50,26 @@ on the part of it that a shortest path can use:
   sum, and the least sum over a larger set of walks is no larger: the
   answer UB at m' bounds the answer at m exactly.  UB comes from the same
   rule one level down; the recursion ends at the vertex graph (m = 0),
-  which is cached.
+  which is built for the pair and not cached.
 * **Prune.**  By the triangle inequality every node u of a path no
   longer than UB has |x - u| + |u - y| <= UB, up to the rounding of a
   float path sum (relative 1e-12 over a few thousand edges).  The graph
   at m keeps only the nodes with |x - u| + |u - y| <= UB (1 +
   PRUNE_MARGIN) and the edges between them, so it still holds a shortest
   path of the full graph.
-* **Solve.**  One source: the two points join the subgraph as nodes,
-  each linked to every node of the faces that contain it, and x to y if
-  the two share a face; ``_relax_arcs`` then relaxes the arcs out of x to
-  the fixpoint.  This returns the full graph's one-source answer bit for
-  bit: the least sum over a subset of the walks that still holds a least
-  one.  It may differ from the table's answer in the last bits, since the
-  table sums the same path in another order.  The pruned graphs are not
-  cached.
+* **Solve.**  One source, read like one table pair: a label vector over
+  the nodes is seeded with |x - a| on the nodes a of the faces that
+  contain x, ``_relax_arcs`` relaxes it to the fixpoint, and y reads it as
+  min over b of (label[b] + |b - y|), and |x - y| if the two share a face.
+  This is the one-source answer: the least left-to-right sum over the
+  walks from x to y of the graph that x and y join as nodes, each linked
+  to the nodes of its faces.  Such a walk that returns to x, or passes
+  through y before its end, sums no less than its suffix from x or its
+  prefix to y, since rounding is monotone and lengths are >= 0; so a
+  least one runs x -> a -> ... -> b -> y, the walks the labels count.
+  The pruned graph holds a least walk of the full graph, so the answer is
+  the full graph's bit for bit.  It may differ from the table's answer in
+  the last bits, since the table sums the same path in another order.
 """
 
 from __future__ import annotations
@@ -96,6 +101,18 @@ def coarser_subdivision(m: int) -> int:
     n = m + 1
     p = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
     return n // p - 1
+
+
+def fresh_pair_distance(polytope, x: np.ndarray, y: np.ndarray, m: int) -> float:
+    """The one-source answer of the full subdivision-m graph for the pair
+    (x, y), bit for bit, with no graph cached: the vertex graph answers at
+    m = 0; otherwise the answer at ``coarser_subdivision(m)`` bounds the
+    path, and the graph at m keeps only the nodes within that bound (Bound,
+    Prune and Solve above)."""
+    if m == 0:
+        return GeodesicGraph(polytope, 0)._one_source_route(x, y)
+    bound = fresh_pair_distance(polytope, x, y, coarser_subdivision(m))
+    return GeodesicGraph(polytope, m, within=(x, y, bound))._one_source_route(x, y)
 
 
 def _face_weights(points: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -184,29 +201,26 @@ def _relax(ids: np.ndarray, weights: np.ndarray, dist: np.ndarray,
 
 def _relax_arcs(tail: np.ndarray, head: np.ndarray, length: np.ndarray,
                 dist: np.ndarray) -> None:
-    """Relax ``dist`` (``(N, B)``, node-major) in place to the same fixpoint
-    as ``_relax``, over the arcs tail -> head: every (node, source) entry
-    that changed pushes fl(dist[tail] + length) along its arcs, all at once
-    by an exact ``np.minimum.at``, until no entry changes.  Suited to one
-    source on a sparse graph, where a face pass costs more Python than
-    arithmetic."""
-    nodes, sources = dist.shape
+    """Relax the ``(N,)`` labels ``dist`` in place to the same fixpoint as
+    ``_relax``, over the arcs tail -> head: every label that changed pushes
+    fl(dist[tail] + length) along its arcs, all at once by an exact
+    ``np.minimum.at``, until no label changes.  Suited to one source on a
+    sparse graph, where a face pass costs more Python than arithmetic."""
+    nodes = len(dist)
     # arcs by tail; the narrowest id type sorts by radix
     order = np.argsort(tail.astype(np.min_scalar_type(nodes)), kind="stable")
     head, length = head[order], length[order]
     degree = np.bincount(tail, minlength=nodes)
     first = np.cumsum(degree) - degree
-    flat = dist.reshape(-1)
-    frontier = np.flatnonzero(np.isfinite(flat))
+    frontier = np.flatnonzero(np.isfinite(dist))
     while len(frontier):
-        node, col = np.divmod(frontier, sources)
-        count = degree[node]
-        arc = np.repeat(first[node] - (np.cumsum(count) - count), count) + np.arange(count.sum())
-        target = head[arc] * sources + np.repeat(col, count)
-        before = flat[target]
-        np.minimum.at(flat, target, np.repeat(flat[frontier], count) + length[arc])
-        lower = np.zeros(len(flat), dtype=bool)
-        lower[target] = flat[target] < before
+        count = degree[frontier]
+        arc = np.repeat(first[frontier] - (np.cumsum(count) - count), count) + np.arange(count.sum())
+        target = head[arc]
+        before = dist[target]
+        np.minimum.at(dist, target, np.repeat(dist[frontier], count) + length[arc])
+        lower = np.zeros(nodes, dtype=bool)
+        lower[target] = dist[target] < before
         frontier = np.flatnonzero(lower)
 
 
@@ -237,7 +251,7 @@ class GeodesicGraph:
         self.subdivision = m = int(subdivision)
         self._faces = faces = polytope.face_tables
         self._vertices = vertices = polytope.vertices
-        self._scale = polytope._scale
+        self._scale = polytope.scale
 
         # node ids: polytope vertices first, then m interior points per edge,
         # edge e of polytope.edges holding V + e m, ..., V + e m + m - 1
@@ -357,28 +371,25 @@ class GeodesicGraph:
         gaps = xs[same] - ys[same]
         return _QueryEdges(k, ids, lengths, same, np.sqrt(np.vecdot(gaps, gaps)))
 
-    def _one_source_route(self, q: _QueryEdges) -> np.ndarray:
-        """The least walk sum from each x to its y, with no table, over the
-        base graph joined by the 2k query points: each linked to every node
-        of the faces that contain it, and x_i to y_i if the two share a face.
-        A walk may pass through the query points of other pairs."""
-        base, k = self.node_count, q.k
-        query, slot = np.nonzero(np.isfinite(q.lengths))
-        # every node pair of a face row, once per row that holds it
-        rows = self._ids[(self._ids < base).sum(axis=1) >= 2]
+    def _one_source_route(self, x: np.ndarray, y: np.ndarray) -> float:
+        """The least walk sum from x to y with no table (Solve in the
+        module docstring): labels seeded with |x - a| on the nodes a of x's
+        face rows, relaxed over every node pair of a face row, and read at
+        y as ``_table_route`` reads its far side.  Padding has infinite
+        length, so it seeds and reads nothing."""
+        q, n = self._query_edges(x[None], y[None]), self.node_count
+        rows = self._ids[(self._ids < n).sum(axis=1) >= 2]
         iu, ju = np.triu_indices(rows.shape[1], k=1)
         a, b = rows[:, iu].ravel(), rows[:, ju].ravel()
-        real = b < base  # a pair with padding has it in its later slot
+        real = b < n  # a pair with padding has it in its later slot
         a, b = a[real], b[real]
-        edges = [(a, b, np.linalg.norm(self.nodes[a] - self.nodes[b], axis=1)),
-                 (base + query, q.ids[query, slot], q.lengths[query, slot]),
-                 (base + q.same, base + k + q.same, q.direct)]
-        tail, head, length = (np.concatenate(c) for c in zip(*edges))
-        dist = np.full((base + 2 * k, k), np.inf)
-        dist[base + np.arange(k), np.arange(k)] = 0.0
+        length = np.linalg.norm(self.nodes[a] - self.nodes[b], axis=1)
+        dist = np.full(n, np.inf)
+        np.minimum.at(dist, q.ids[0], q.lengths[0])
         # each edge both ways
-        _relax_arcs(np.r_[tail, head], np.r_[head, tail], np.r_[length, length], dist)
-        return dist[base + k + np.arange(k), np.arange(k)]
+        _relax_arcs(np.r_[a, b], np.r_[b, a], np.r_[length, length], dist)
+        far = np.min(dist[q.ids[1]] + q.lengths[1], initial=np.inf)
+        return float(min(far, q.direct[0]) if len(q.same) else far)
 
     def _table_route(self, q: _QueryEdges) -> np.ndarray:
         """Min-plus over the distance table, the near side first: min over b

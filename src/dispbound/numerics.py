@@ -118,15 +118,17 @@ def log_gamma_array(z: np.ndarray) -> np.ndarray:
         raise DomainError("log_gamma_array needs finite entries > 0")
     work, shift = z, None
     if lo < _BINET_SHIFT:
-        work, shift = z.copy(), np.zeros_like(z)
-        # the entries still below the shift bound, by index: a boolean mask
-        # over the whole array costs more, on one entry or a block of them
-        small = np.flatnonzero(work < _BINET_SHIFT)
+        work, shift = z.copy(), np.zeros(z.shape)
+        # the entries still below the shift bound, by flat index into views
+        # of the C-ordered copies: a boolean mask over the whole array costs
+        # more, on one entry or a block of them
+        flat, shifts = work.reshape(-1), shift.reshape(-1)
+        small = np.flatnonzero(flat < _BINET_SHIFT)
         while small.size:
-            raised = work[small]
-            shift[small] += np.log(raised)
+            raised = flat[small]
+            shifts[small] += np.log(raised)
             raised += 1.0
-            work[small] = raised
+            flat[small] = raised
             small = small[raised < _BINET_SHIFT]
     z_sq, term = work * work, np.empty_like(work)
     tail, z_pow = BINET_COEFFICIENTS[0] / work, work

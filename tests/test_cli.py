@@ -737,7 +737,7 @@ def _refuse(*args, **kwargs):
 ], ids=["sphere", "cylinder", "polygon", "polytope-cached", "polytope-uncached"])
 def test_geodesic_refuses_an_off_boundary_point_by_the_bodys_own_test(
         capsys, monkeypatch, tmp_path, body, args, message):
-    # the polytope's m = 0 graph is the cached one every fresh pair starts from
+    # --subdiv 0 is the vertex graph every fresh pair's chain starts from
     monkeypatch.setattr(geodesic.GeodesicGraph, "_distance_table", _refuse)
     monkeypatch.setattr(geodesic, "_relax", _refuse)
     monkeypatch.setattr(geodesic, "_relax_arcs", _refuse)

@@ -1272,8 +1272,8 @@ def test_face_membership_equals_per_face_loop():
             *(centre + s * (samples[:50] - centre) for s in (0.9, 1.1, 1 + 1e-10, 1 + 1e-8)),
         ])
         assert np.array_equal(
-            face_membership(points, body.face_tables, body.vertices, body._scale),
-            _per_face_membership(points, body.face_tables, body.vertices, body._scale),
+            face_membership(points, body.face_tables, body.vertices, body.scale),
+            _per_face_membership(points, body.face_tables, body.vertices, body.scale),
         ), body.body_id
 
 
@@ -1335,23 +1335,23 @@ def test_face_membership_equals_the_per_size_edge_tests(seed, cloud, count):
         *(centre + s * (samples[:30] - centre) for s in (0.9, 1.1, 1 + 1e-10, 1 + 1e-8)),
         *(centre + s * (body.vertices - centre) for s in (1 - 1e-10, 1 + 1e-6)),
     ])
-    member = face_membership(points, tables, body.vertices, body._scale)
-    assert np.array_equal(member, _per_size_membership(points, tables, body.vertices, body._scale))
+    member = face_membership(points, tables, body.vertices, body.scale)
+    assert np.array_equal(member, _per_size_membership(points, tables, body.vertices, body.scale))
     # the edge test both keeps and drops points near a face's plane
-    near = np.abs(points @ tables.normals.T - tables.offsets) <= 1e-9 * body._scale
+    near = np.abs(points @ tables.normals.T - tables.offsets) <= 1e-9 * body.scale
     assert (near & member).any() and (near & ~member).any()
 
 
 def _scalar_faces_containing(body, p):
     """Per-point, per-face membership as the scalar route computed it."""
-    tol = 1e-9 * body._scale
+    tol = 1e-9 * body.scale
     hits = []
     for fi, (indices, normal, offset) in enumerate(_face_rows(body.face_tables)):
         if abs(float(normal @ p) - offset) > tol:
             continue
         pts = body.vertices[indices]
         edges = np.roll(pts, -1, axis=0) - pts
-        if np.all(np.cross(edges, p - pts) @ normal >= -tol * body._scale):
+        if np.all(np.cross(edges, p - pts) @ normal >= -tol * body.scale):
             hits.append(fi)
     return hits
 
@@ -1419,32 +1419,37 @@ def _oracle_pairs(body, seed, count):
 
 
 @pytest.mark.parametrize("seed, vertices", [(2, 14), (8, 22), (12, 30)])
-def test_pairwise_distances_equal_dict_route(seed, vertices):
-    # the one-source route, called directly: pairwise_distances answers
-    # every batch by the table
-    body = random_polytope(seed, vertices)
-    xs, ys = _oracle_pairs(body, seed, 200)
-    for m in (0, 6, 8):
-        graph = GeodesicGraph(body, m)
-        assert np.array_equal(
-            graph._one_source_route(graph._query_edges(xs, ys)),
-            _dict_route_distances(body, graph, xs, ys),
-        )
-
-
-@pytest.mark.parametrize("seed, vertices", [(2, 14), (8, 22)])
 def test_one_source_route_of_one_pair_equals_scipy_dijkstra(seed, vertices):
     # the route a fresh single pair takes: x and y alone join the graph, so
     # a point at a vertex gives zero-length query edges
     body = random_polytope(seed, vertices)
     xs, ys = _oracle_pairs(body, seed, 30)
-    for m in (0, 6):
+    for m in (0, 6, 8):
         graph = GeodesicGraph(body, m)
         weights = _dict_base_weights(graph)
         for i in range(len(xs)):
-            x, y = xs[i:i + 1], ys[i:i + 1]
-            got = graph._one_source_route(graph._query_edges(x, y))
-            assert got.tobytes() == _dict_route_distances(body, graph, x, y, weights).tobytes()
+            got = graph._one_source_route(xs[i], ys[i])
+            want = _dict_route_distances(body, graph, xs[i:i + 1], ys[i:i + 1], weights)
+            assert np.float64(got).tobytes() == want.tobytes()
+
+
+def test_one_source_route_reads_no_node_when_the_pruned_rows_keep_none():
+    # x and y on one face: the bound is |x - y|, so the pruned rows hold no
+    # node, and the answer is the chord, as on the full graph
+    body = cube(1.0)
+    centre = body.face_tables.centroids[0]
+    x, y = centre, 0.7 * centre + 0.3 * body.vertices[body.face_tables.ids[0, 0]]
+    gap = x - y
+    chord = np.sqrt(np.vecdot(gap, gap))
+    for m in (1, 6, 32):
+        pruned = GeodesicGraph(body, m, within=(x, y, chord))
+        assert pruned._ids.shape[1] == 0
+        assert pruned._query_edges(x[None], y[None]).ids.shape == (2, 0)
+        assert np.float64(pruned._one_source_route(x, y)).tobytes() == chord.tobytes()
+        got, _ = body.intrinsic_distances_batch(x[None], y[None], m)
+        full = GeodesicGraph(body, m)._one_source_route(x, y)
+        assert got.tobytes() == np.float64(full).tobytes() == chord.tobytes()
+    assert body._graphs == {}
 
 
 def _scipy_table(graph):
@@ -1486,10 +1491,9 @@ def test_scipy_dijkstra_keeps_an_explicit_zero_edge_and_so_does_the_solver():
     dist[0] = 0.0
     _relax(ids, weights, dist, np.arange(3))
     assert dist[:3, 0].tolist() == [0.0, 0.0, 1.0]
-    arcs = np.full((3, 1), np.inf)
-    arcs[0] = 0.0
+    arcs = np.array([0.0, np.inf, np.inf])
     _relax_arcs(np.r_[rows, cols], np.r_[cols, rows], np.r_[vals, vals], arcs)
-    assert arcs[:, 0].tolist() == [0.0, 0.0, 1.0]
+    assert arcs.tolist() == [0.0, 0.0, 1.0]
 
 
 @st.composite
@@ -1538,11 +1542,12 @@ def test_solvers_equal_scipy_dijkstra_on_small_face_graphs(graph):
     dist[sources, np.arange(len(sources))] = 0.0
     _relax(ids, weights, dist, order)
     assert dist[:n].T.tobytes() == oracle.tobytes()
-    arcs = np.full((n, len(sources)), np.inf)
-    arcs[sources, np.arange(len(sources))] = 0.0
-    _relax_arcs(np.r_[rows, cols].astype(np.intp), np.r_[cols, rows].astype(np.intp),
-                np.r_[vals, vals], arcs)
-    assert arcs.T.tobytes() == oracle.tobytes()
+    for source, want in zip(sources, oracle):
+        arcs = np.full(n, np.inf)
+        arcs[source] = 0.0
+        _relax_arcs(np.r_[rows, cols].astype(np.intp), np.r_[cols, rows].astype(np.intp),
+                    np.r_[vals, vals], arcs)
+        assert arcs.tobytes() == want.tobytes()
 
 
 def test_table_build_memory_stays_within_its_batches_at_a_fine_subdivision():
@@ -1662,8 +1667,8 @@ def test_fresh_single_pair_query_builds_no_table():
     x, y = body.sample_boundary(4, 2)
     values, kind = body.intrinsic_distances_batch(x[None], y[None], 32)
     full = GeodesicGraph(body, 32)
-    assert kind == "upper_bound" and 32 not in body._graphs
-    assert values[0] == full._one_source_route(full._query_edges(x[None], y[None]))[0]
+    assert kind == "upper_bound" and body._graphs == {}
+    assert values[0] == full._one_source_route(x, y)
 
 
 # A fresh single pair runs on the part of the graph its shortest path can
@@ -1729,9 +1734,9 @@ def test_fresh_single_pair_equals_full_graph_bit_for_bit(seed):
             full = GeodesicGraph(body, m)
             for x, y in zip(xs, ys):
                 got, _ = body.intrinsic_distances_batch(x[None], y[None], m)
-                want = full._one_source_route(full._query_edges(x[None], y[None]))
-                assert got[0] == want[0], (body.body_id, m, x, y)
-            assert set(body._graphs) == {0}  # only the vertex graph is kept
+                want = full._one_source_route(x, y)
+                assert got[0] == want, (body.body_id, m, x, y)
+            assert body._graphs == {}  # the chain caches no graph, its vertex graph included
 
 
 def test_fresh_single_pair_refuses_off_boundary_points_as_the_full_graph():

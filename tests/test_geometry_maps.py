@@ -79,7 +79,11 @@ def test_antipode_map_rejects_asymmetric_bodies():
     *(CylinderBody(n, 0.25, 0.7) for n in (2, 3, 4)),
     regular_polygon(4, 1.0),
     regular_polygon(6, 1.0),
-], ids=["sphere", "circle", "cylinder-2", "cylinder-3", "cylinder-4", "square", "hexagon"])
+    # the largest corner at (1e-12, 1e-12, 1e-12): the body's scale reads h
+    # on -e_i too, where h(+e_i) alone would give 1e-12
+    Polytope3(cube(1.0).vertices - 0.5 + 1e-12),
+], ids=["sphere", "circle", "cylinder-2", "cylinder-3", "cylinder-4", "square", "hexagon",
+        "cube-corner-at-origin"])
 def test_antipode_check_passes_symmetric_bodies(body):
     euclidean_antipode_map().check(body)
 

@@ -110,6 +110,28 @@ def test_log_gamma_array_shift_equals_the_mask_loop():
         assert zs.tobytes() == before, name  # the caller's array is never written
 
 
+def test_log_gamma_array_of_any_shape_is_the_flat_result_bit_for_bit():
+    # the shift walk takes flat indices: a 2-d or 0-d input holding an
+    # argument below 10 must not index along its first axis
+    inputs = [
+        np.array([[12.0, 3.0], [40.0, 0.5]]),
+        np.asfortranarray(np.geomspace(0.01, 50.0, 24).reshape(4, 6)),
+        np.geomspace(0.01, 50.0, 24).reshape(2, 3, 4)[:, ::2],
+        np.array(3.0),
+        np.array(12.0),
+    ]
+    for zs in inputs:
+        before = zs.tobytes()
+        got = log_gamma_array(zs)
+        assert np.shape(got) == zs.shape
+        assert np.ravel(got).tobytes() == log_gamma_array(zs.ravel()).tobytes()
+        assert zs.tobytes() == before
+    for ns in (np.array([[2, 3], [4, 5]]), np.array([[0, 7], [1, 0]]), np.array(3), np.array(0)):
+        got = log_unit_ball_volume_array(ns)
+        assert np.shape(got) == ns.shape
+        assert np.ravel(got).tobytes() == log_unit_ball_volume_array(ns.ravel()).tobytes()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("at", [0, 2_000, -1])
 def test_log_gamma_array_refuses_one_bad_entry(bad, at):
